@@ -29,8 +29,6 @@ negative-control tests exercise a realistic failure mode.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -523,16 +521,22 @@ def eliminate_saddle() -> MultiPoly:
 # -- verification sweeps ----------------------------------------------------------------------
 
 
-def _parallel_map(fn, items):
-    # order-stable: executor.map yields results in submission order
-    items = list(items)
-    if len(items) < 2:
-        return [fn(item) for item in items]
-    workers = min(32, os.cpu_count() or 1)
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def sweep(check, colorings) -> dict:
+    """Run `check` over `colorings` in order and collect its failures.
+
+    check(col) returns None for a coloring outside its domain, which is
+    skipped and not counted, and otherwise the list of failure records for
+    that coloring (empty when it passes).
+    """
+    tested = 0
+    failures = []
+    for col in colorings:
+        found = check(col)
+        if found is None:
+            continue
+        tested += 1
+        failures.extend(found)
+    return {"tested": tested, "failures": failures}
 
 
 def interior_colorings(graph: str, edge: str, grid_max: int, order: int) -> list:
@@ -575,23 +579,17 @@ def annihilation_report(
     else:
         raise ValueError(f"unknown graph {graph!r}")
     order = len(op.coeffs) - 1
-    cols = interior_colorings(graph, edge, grid_max, order)
 
     def check(col):
         residual = apply_operator(op, family, col)
-        return None if residual.is_zero() else (col, residual)
+        if residual.is_zero():
+            return []
+        return [{"colors": list(col), "residual": residual.to_json_obj()}]
 
-    failures = [
-        {"colors": list(col), "residual": residual.to_json_obj()}
-        for hit in _parallel_map(check, cols)
-        if hit is not None
-        for col, residual in (hit,)
-    ]
     return {
         "check": "annihilation",
         "graph": graph,
         "edge": edge,
         "grid_max": grid_max,
-        "tested": len(cols),
-        "failures": failures,
+        **sweep(check, interior_colorings(graph, edge, grid_max, order)),
     }

@@ -27,6 +27,8 @@ from .apoly import (
     apply_operator,
     classical_limit,
     eliminate_saddle,
+    interior_colorings,
+    sweep,
     tet_classical_A,
     tet_quantum_A,
     tet_recursion_residual,
@@ -49,7 +51,6 @@ from .invariants import (
     enumerate_tet_colorings,
     enumerate_theta_colorings,
     invariant_record,
-    is_admissible,
     tet_full,
     tet_hypergeom,
     tet_is_admissible,
@@ -121,29 +122,6 @@ def _fmt_scalar(v) -> str:
     if isinstance(v, dict):
         return json.dumps(v, sort_keys=True)
     return str(v)
-
-
-def _render_multipoly(p: MultiPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for exps, coeff in sorted(p.terms.items()):
-        factors = []
-        for name, e in zip(p.vars, exps):
-            if e == 1:
-                factors.append(name)
-            elif e != 0:
-                factors.append(f"{name}^{e}")
-        body = " ".join(factors)
-        if not body:
-            parts.append(str(coeff))
-        elif coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{coeff} {body}")
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 # -- report rendering ------------------------------------------------------------------------
@@ -268,18 +246,16 @@ def _sign_flipped(op: OperatorPoly) -> OperatorPoly:
 
 def _verify_theta_recursion(args, cfg):
     mx = _effective_max(args, cfg, "theta-recursion")
-    tested = 0
-    failures = []
-    for col in enumerate_theta_colorings(mx):
+
+    def check(col):
         a, b, c = col
-        if not is_admissible(a + 2, b, c):
-            continue
-        tested += 1
         lhs = theta_invariant(a + 2, b, c)
         rhs = theta_recursion_factor(a, b, c) * theta_invariant(a, b, c)
-        if lhs != rhs:
-            failures.append({"colors": [a, b, c]})
-    return {"check": "theta-recursion", "grid_max": mx, "tested": tested, "failures": failures}
+        return [{"colors": [a, b, c]}] if lhs != rhs else []
+
+    # interior colorings along edge a are those whose (a + 2, b, c) shift is admissible
+    cols = interior_colorings("theta", "a", mx, 1)
+    return {"check": "theta-recursion", "grid_max": mx, **sweep(check, cols)}
 
 
 def _verify_annihilation(args, cfg):
@@ -309,7 +285,7 @@ def _verify_classical_limit(args, cfg):
             if unit is None:
                 failures.append({"edge": edge})
             else:
-                units[edge] = _render_multipoly(unit)
+                units[edge] = str(unit)
     else:
         for edge in TET_EDGES:
             lim = classical_limit(tet_quantum_A(edge)).poly
@@ -323,7 +299,7 @@ def _verify_classical_limit(args, cfg):
             if cofactor != expected:
                 failures.append({"edge": edge})
             else:
-                units[edge] = _render_multipoly(cofactor)
+                units[edge] = str(cofactor)
     return {
         "check": "classical-limit",
         "graph": graph,
@@ -335,68 +311,69 @@ def _verify_classical_limit(args, cfg):
 
 def _verify_symmetry(args, cfg):
     mx = _effective_max(args, cfg, "symmetry")
-    tested = 0
-    failures = []
-    for col in enumerate_tet_colorings(mx):
-        tested += 1
+
+    def check(col):
         full = tet_full(col)
         primed = tet_primed(col)
-        for img in tet_symmetry_orbit(col):
-            if tet_full(tuple(img)) != full or tet_primed(tuple(img)) != primed:
-                failures.append({"colors": list(col), "image": list(img)})
-    return {"check": "symmetry", "grid_max": mx, "tested": tested, "failures": failures}
+        return [
+            {"colors": list(col), "image": list(img)}
+            for img in tet_symmetry_orbit(col)
+            if tet_full(tuple(img)) != full or tet_primed(tuple(img)) != primed
+        ]
+
+    return {"check": "symmetry", "grid_max": mx, **sweep(check, enumerate_tet_colorings(mx))}
 
 
 def _verify_reduction(args, cfg):
     mx = _effective_max(args, cfg, "reduction")
-    tested = 0
-    failures = []
     units = set()
-    for col in enumerate_theta_colorings(mx):
-        tested += 1
+
+    def check(col):
         ok, unit = theta_reduction_check(*col)
         if not ok:
-            failures.append({"colors": list(col)})
-        elif unit is not None:
+            return [{"colors": list(col)}]
+        if unit is not None:
             units.add(str(unit))
+        return []
+
+    result = sweep(check, enumerate_theta_colorings(mx))
     return {
         "check": "reduction",
         "grid_max": mx,
-        "tested": tested,
+        "tested": result["tested"],
         "units": sorted(units),
-        "failures": failures,
+        "failures": result["failures"],
     }
 
 
 def _verify_hypergeom(args, cfg):
     mx = _effective_max(args, cfg, "hypergeom")
-    tested = 0
-    failures = []
-    for col in enumerate_tet_colorings(mx):
-        tested += 1
-        if tet_hypergeom(col) != tet_primed(col):
-            failures.append({"colors": list(col)})
-    return {"check": "hypergeom", "grid_max": mx, "tested": tested, "failures": failures}
+
+    def check(col):
+        return [{"colors": list(col)}] if tet_hypergeom(col) != tet_primed(col) else []
+
+    return {"check": "hypergeom", "grid_max": mx, **sweep(check, enumerate_tet_colorings(mx))}
 
 
 def _verify_recursum(args, cfg):
     mx = _effective_max(args, cfg, "recursum")
     op = tet_quantum_A("1")
-    tested = 0
-    failures = []
-    for col in enumerate_tet_colorings(mx):
+
+    def check(col):
         j1 = col[0]
         rest = tuple(col)[1:]
         if not (
             tet_is_admissible((j1 + 2,) + rest) and tet_is_admissible((j1 - 2,) + rest)
         ):
-            continue
-        tested += 1
+            return None
+        failures = []
         if not tet_recursion_residual(col).is_zero():
             failures.append({"colors": list(col), "route": "recursion"})
         if not apply_operator(op, "tet-primed", col).is_zero():
             failures.append({"colors": list(col), "route": "operator"})
-    return {"check": "recursum", "grid_max": mx, "tested": tested, "failures": failures}
+        return failures
+
+    return {"check": "recursum", "grid_max": mx, **sweep(check, enumerate_tet_colorings(mx))}
 
 
 def _verify_eliminate(args, cfg):
@@ -442,6 +419,10 @@ _VERIFY_CHECKS = {
 
 def cmd_verify(args, cfg):
     payload = _VERIFY_CHECKS[args.check](args, cfg)
+    if payload.get("tested") == 0:
+        raise UsageError(
+            f"verify {args.check} tested no colorings at grid bound {payload['grid_max']}"
+        )
     report = _envelope(cfg, **payload)
     code = 0 if not report.get("failures") else 1
     report["passed"] = code == 0
@@ -766,6 +747,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_values(list(argv)))
+    if getattr(args, "samples", None) is not None and args.samples < 1:
+        print("usage error: --samples must be at least 1", file=sys.stderr)
+        return 2
     try:
         cfg = cfgmod.load_config(path=args.config)
         cfg = cfgmod.merge(cfg, _flag_overrides(args))
@@ -777,7 +761,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    fmt = args.format or cfg.output_format
+    fmt = cfg.output_format
     if fmt == "text" and args.command in ("theta", "tet"):
         sys.stdout.write(_render_invariant_text(report))
     else:

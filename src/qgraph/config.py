@@ -48,7 +48,6 @@ class RunConfig(NamedTuple):
     seed: int = 7
     precision: int = 120
     output_format: str = "text"
-    parallelism: int = 1
 
 
 def default_config() -> RunConfig:
@@ -71,8 +70,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("precision must be at least 16 bits")
     if cfg.output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
-    if not isinstance(cfg.parallelism, int) or cfg.parallelism < 1:
-        raise ConfigError("parallelism must be a positive integer")
     return cfg
 
 
@@ -126,7 +123,6 @@ def to_json_obj(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "precision": cfg.precision,
         "output_format": cfg.output_format,
-        "parallelism": cfg.parallelism,
     }
 
 

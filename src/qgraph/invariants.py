@@ -73,13 +73,6 @@ def tet_is_admissible(col) -> bool:
     )
 
 
-def genus_of_graph(edge_count: int) -> int:
-    """Genus of the tubular neighborhood of a trivalent graph with E edges."""
-    if edge_count < 3 or edge_count % 3:
-        raise ValueError(f"edge count must be a positive multiple of 3, got {edge_count}")
-    return edge_count // 3 + 1
-
-
 # -- theta graph ---------------------------------------------------------------
 
 
@@ -190,8 +183,7 @@ def _tet_summands(
     return out
 
 
-@lru_cache(maxsize=None)
-def _tet_primed_cached(col: tuple, convention: str) -> LaurentRat:
+def _tet_sum(col: tuple, convention: str, with_prefactor: bool) -> LaurentRat:
     if not tet_is_admissible(col):
         return LaurentRat.zero()
     bounds = tet_sum_bounds(col, convention)
@@ -201,7 +193,14 @@ def _tet_primed_cached(col: tuple, convention: str) -> LaurentRat:
         lowers = _triangle_halves(col)
     else:
         lowers = _printed_lower_halves(col)
-    return bracket_ratio_sum(_tet_summands(lowers, _quad_halves(col), bounds.m_min, bounds.m_max))
+    # folding the prefactor into every summand keeps the sum gcd-free
+    pre = _tet_prefactor_ratio(col) if with_prefactor else None
+    return bracket_ratio_sum(_tet_summands(lowers, _quad_halves(col), bounds.m_min, bounds.m_max, pre))
+
+
+@lru_cache(maxsize=None)
+def _tet_primed_cached(col: tuple, convention: str) -> LaurentRat:
+    return _tet_sum(col, convention, with_prefactor=False)
 
 
 def tet_primed(col, convention: str = CONVENTION_TRIANGLE) -> LaurentRat:
@@ -236,18 +235,7 @@ def tet_prefactor(col) -> LaurentRat:
 
 @lru_cache(maxsize=None)
 def _tet_full_cached(col: tuple, convention: str) -> LaurentRat:
-    if not tet_is_admissible(col):
-        return LaurentRat.zero()
-    bounds = tet_sum_bounds(col, convention)
-    if bounds.is_empty():
-        return LaurentRat.zero()
-    if convention == CONVENTION_TRIANGLE:
-        lowers = _triangle_halves(col)
-    else:
-        lowers = _printed_lower_halves(col)
-    # folding the prefactor into every summand keeps the sum gcd-free
-    pre = _tet_prefactor_ratio(col)
-    return bracket_ratio_sum(_tet_summands(lowers, _quad_halves(col), bounds.m_min, bounds.m_max, pre))
+    return _tet_sum(col, convention, with_prefactor=True)
 
 
 def tet_full(col, convention: str = CONVENTION_TRIANGLE) -> LaurentRat:

@@ -560,7 +560,3 @@ def resultant_in(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
         mat.append(row)
     return _det(mat)
 
-
-# `resultant` is the operation name; `resultant_in` stays for call sites that
-# read better with the eliminated variable last.
-resultant = resultant_in

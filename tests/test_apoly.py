@@ -25,6 +25,7 @@ from qgraph.apoly import (
     eliminate_saddle,
     interior_colorings,
     saddle_system,
+    sweep,
     tet_classical_A,
     tet_quantum_A,
     tet_recursion_coeffs,
@@ -325,6 +326,17 @@ def test_annihilation_report_shape_and_determinism():
     assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
     with pytest.raises(ValueError):
         annihilation_report("cube", "a", 4)
+
+
+def test_sweep_skips_out_of_domain_and_keeps_failure_order():
+    def check(n):
+        if n % 3 == 0:
+            return None
+        return [{"n": n, "k": k} for k in range(n % 3 - 1)]
+
+    out = sweep(check, range(7))
+    assert out == {"tested": 4, "failures": [{"n": 2, "k": 0}, {"n": 5, "k": 0}]}
+    assert sweep(check, []) == {"tested": 0, "failures": []}
 
 
 def test_annihilation_report_records_failures_as_json():

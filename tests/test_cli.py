@@ -169,6 +169,56 @@ def test_verify_recursum_small(capsys):
     assert report["failures"] == []
 
 
+# tested counts of each sweep at the benchmark's grids
+SWEEP_COVERAGE = [
+    ("verify theta-recursion --max 12", 525),
+    ("verify annihilation --graph theta --edge a --max 10", 315),
+    ("verify annihilation --graph tet --edge 1 --max 4", 106),
+    ("verify symmetry --max 4", 570),
+    ("verify recursum --max 4", 93),
+    ("verify hypergeom --max 3", 181),
+    ("verify reduction --max 8", 215),
+]
+
+
+@pytest.mark.parametrize("argv,tested", SWEEP_COVERAGE)
+def test_verify_sweep_coverage(capsys, argv, tested):
+    code, report = run_json(capsys, argv.split())
+    assert code == 0
+    assert report["tested"] == tested
+    assert report["failures"] == []
+    if report["check"] == "reduction":
+        assert report["units"] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify recursum --max 1",
+        "verify theta-recursion --max 0",
+        "verify annihilation --graph tet --edge 1 --max 1",
+    ],
+)
+def test_verify_empty_grid_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_sample_count_below_one_exit_2(capsys):
+    for argv in (
+        "lagrangian --samples 0",
+        "residual --samples -3",
+        "verify eliminate --samples 0",
+    ):
+        code, out, err = run(capsys, argv.split())
+        assert code == 2, argv
+        assert out == ""
+        assert err == "usage error: --samples must be at least 1\n"
+
+
 def test_verify_eliminate(capsys):
     code, report = run_json(capsys, ["verify", "eliminate", "--samples", "5"])
     assert code == 0

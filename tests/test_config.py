@@ -22,7 +22,7 @@ def test_defaults_are_valid():
     assert cfg.grid_max is None
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.output_format == "text"
-    assert cfg.parallelism == 1
+    assert RunConfig._fields == ("grid_max", "tolerances", "seed", "precision", "output_format")
 
 
 def test_merge_updates_tolerances_per_key():
@@ -38,6 +38,9 @@ def test_merge_updates_tolerances_per_key():
 def test_merge_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         merge(default_config(), {"gridmax": 3})
+    # the former parallelism setting is no longer a config key
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        merge(default_config(), {"parallelism": 1})
 
 
 def test_validate_rejects_bad_values():
@@ -47,7 +50,6 @@ def test_validate_rejects_bad_values():
         {"seed": 2**64},
         {"precision": 8},
         {"output_format": "yaml"},
-        {"parallelism": 0},
         {"tolerances": {"saddle": 0.0}},
     ):
         with pytest.raises(ConfigError):

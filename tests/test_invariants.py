@@ -23,7 +23,6 @@ from qgraph.invariants import (
     ThetaColoring,
     enumerate_tet_colorings,
     enumerate_theta_colorings,
-    genus_of_graph,
     invariant_record,
     is_admissible,
     tet_full,
@@ -95,7 +94,7 @@ def naive_tet_full(col):
     return LaurentRat(num, den) * naive_tet_primed(col)
 
 
-# -- admissibility and genus -------------------------------------------------
+# -- admissibility -----------------------------------------------------------
 
 
 def test_admissibility():
@@ -106,15 +105,6 @@ def test_admissibility():
     assert is_admissible(0, 0, 0)
     assert tet_is_admissible((1, 1, 2, 1, 1, 2))
     assert not tet_is_admissible((1, 2, 5, 1, 1, 2))
-
-
-def test_genus_of_graph():
-    assert genus_of_graph(3) == 2
-    assert genus_of_graph(6) == 3
-    assert genus_of_graph(9) == 4
-    for bad in (0, 4, 5, -3):
-        with pytest.raises(ValueError):
-            genus_of_graph(bad)
 
 
 # -- theta invariant ------------------------------------------------------------
