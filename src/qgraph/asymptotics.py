@@ -430,7 +430,11 @@ def saddle_solve_tet(x) -> SaddleRecord:
     xs = _coords(x, TET_EDGES)
     a, b, c, _ = saddle_cubic_tet(xs)
     scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0 or abs(a) < 1e-13 * scale:
+    roots = ()
+    if scale != 0.0 and abs(a) >= 1e-13 * scale:
+        roots = tuple(complex(r) for r in np.roots([a, b, c])) + (0j,)
+    if not any(roots):
+        # a vanishing quadratic, or one whose roots are both zero (x = 0)
         return SaddleRecord(
             z_roots=(),
             chosen=-1,
@@ -440,7 +444,6 @@ def saddle_solve_tet(x) -> SaddleRecord:
             lattice_errors=(),
             degenerate=True,
         )
-    roots = tuple(complex(r) for r in np.roots([a, b, c])) + (0j,)
     curve_errors = tuple(_curve_error_tet(xs, z) if z != 0 else math.inf for z in roots)
     lattice_errors = tuple(_lattice_error(xs, z) if z != 0 else math.inf for z in roots)
 

@@ -10,6 +10,7 @@ configuration produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -60,6 +61,7 @@ from .invariants import (
     theta_recursion_factor,
     theta_reduction_check,
 )
+from .laurent import PoleError
 from .multipoly import MultiPoly, compare_up_to_unit, exact_div_multi
 
 try:
@@ -96,14 +98,19 @@ def _parse_floats(text: str, want: Optional[int], what: str) -> tuple:
         raise UsageError(f"{what} must be comma-separated decimals: {exc}")
     if want is not None and len(vals) != want:
         raise UsageError(f"{what} needs exactly {want} entries, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"{what} entries must be finite, got {text}")
     return vals
 
 
 def _parse_complex(text: str, what: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise UsageError(f"{what} must parse as a complex number: {exc}")
+    if not cmath.isfinite(z):
+        raise UsageError(f"{what} must be finite, got {text}")
+    return z
 
 
 def _complex_obj(z: complex) -> dict:
@@ -198,7 +205,10 @@ def cmd_invariant(args, cfg):
     report["text"] = str(value)
     if args.eval is not None:
         v0 = _parse_complex(args.eval, "--eval")
-        num = value.eval_complex(v0, precision=cfg.precision)
+        try:
+            num = value.eval_complex(v0, precision=cfg.precision)
+        except PoleError as exc:
+            raise UsageError(f"--eval {args.eval}: {exc}")
         report["evaluation"] = {"v0": _complex_obj(v0), "value": _complex_obj(num)}
     return 0, report, None
 
@@ -500,6 +510,8 @@ def cmd_saddle(args, cfg):
     x = _parse_floats(args.x, 6, "--x")
     tol = cfg.tolerances["saddle"]
     rec = saddle_solve_tet(x)
+    if rec.degenerate:
+        raise UsageError(f"--x {args.x} is a degenerate point: the saddle quadratic has no nonzero root")
     rows = []
     for i, z in enumerate(rec.z_roots):
         rows.append(
@@ -519,11 +531,10 @@ def cmd_saddle(args, cfg):
         "chosen": rec.chosen,
         "residual": rec.residual,
         "tolerance": tol,
+        "y1": _complex_obj(rec.y1),
     }
-    if not rec.degenerate:
-        payload["y1"] = _complex_obj(rec.y1)
     report = _envelope(cfg, **payload)
-    passed = (not rec.degenerate) and rec.residual <= tol
+    passed = rec.residual <= tol
     report["passed"] = passed
     return (0 if passed else 1), report, (_SADDLE_COLUMNS, rows)
 
@@ -536,8 +547,8 @@ def cmd_lagrangian(args, cfg):
     samples = args.samples if args.samples is not None else (50 if graph == "theta" else 20)
     seed = args.seed if args.seed is not None else cfg.seed
     step = args.step
-    if step <= 0:
-        raise UsageError("--step must be positive")
+    if not 0 < step < math.inf:
+        raise UsageError("--step must be positive and finite")
     tol = cfg.tolerances["lagrangian_theta" if graph == "theta" else "lagrangian_tet"]
     rng = random.Random(seed)
     rows = []

@@ -15,6 +15,21 @@ integers are handled through BracketRatio, a factored form that cancels
 common factors by multiset arithmetic and only expands what survives,
 using the cyclotomic factorization [n] = v^(1-n) * prod Phi_d(v) over
 divisors d >= 3 of 2n.
+
+Those expansions run on an integer kernel of int dicts {exponent: coeff}:
+
+- Phi_d comes from the Moebius identity Phi_d(v) = Phi_r(v^(d/r)), r the
+  radical of d, with Phi_r = prod over e | r of (1 - v^e)^mu(r/e); each
+  factor is one pass over a dense int list (_cyclo_int).
+- Products of Phi_d^m run in a balanced product tree, and each power by
+  squaring, so the big multiplications pair operands of similar size.
+- A multiplication whose shorter operand has at least _KRONECKER_MIN_TERMS
+  terms goes through Kronecker substitution: both operands are packed into
+  one Python int, with a slot per exponent wide enough for any product
+  coefficient, and CPython's Karatsuba multiply does the convolution
+  exactly.  Shorter operands stay on the schoolbook loop, which the layer
+  timings in tools/kernel_bench.py show to be faster there.
+- Exact division by a Phi_d is one low-to-high pass over a dense list.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from typing import Iterable, Mapping
 
@@ -427,13 +443,7 @@ def q_factorial(n: int) -> LaurentPoly:
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> LaurentPoly:
     """d-th cyclotomic polynomial Phi_d(v), exact integer coefficients."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    num = LaurentPoly({d: _ONE, 0: -_ONE})  # v^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = exact_div_poly(num, cyclotomic(e))
-    return num
+    return LaurentPoly.from_int_coeffs(list(_cyclo_int(d)))
 
 
 @lru_cache(maxsize=None)
@@ -444,13 +454,76 @@ def _bracket_cyclo_divisors(k: int) -> tuple[int, ...]:
 
 
 # Integer-coefficient fast path.  Cyclotomic products and their alternating
-# sums have integer coefficients throughout; plain int dicts avoid the
-# per-operation normalization cost of Fraction.
+# sums have integer coefficients throughout; plain int dicts {exponent:
+# coefficient} avoid the per-operation normalization cost of Fraction.
+# Products of many Phi_d are built in a balanced product tree
+# (_assemble_counter) and powers by squaring (_phi_power_int), so most of the
+# work lands in a few multiplications of operands of similar size, which
+# Kronecker substitution (_imul_kron) does in one big-int multiply.
 
 
-def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if not a or not b:
-        return {}
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclo_int(d: int) -> tuple[int, ...]:
+    """Dense coefficients of Phi_d(v): entry k is the coefficient of v^k.
+
+    With r = rad(d), Phi_d(v) = Phi_r(v^(d/r)), and for r > 1
+    Phi_r(v) = prod over e | r of (1 - v^e)^mu(r/e).  Each factor is one pass
+    over a power series cut off at deg Phi_r = prod (p - 1), so the
+    construction needs neither long division nor smaller Phi_e.
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if d == 1:
+        return (-1, 1)
+    primes = _prime_factors(d)
+    rad = 1
+    deg = 1
+    for p in primes:
+        rad *= p
+        deg *= p - 1
+    series = [1] + [0] * deg
+    for mask in range(1 << len(primes)):
+        e = 1
+        missing = 0  # primes of r/e; mu(r/e) = (-1)^missing
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                e *= p
+            else:
+                missing += 1
+        if missing % 2 == 0:  # times (1 - v^e)
+            for k in range(deg, e - 1, -1):
+                series[k] -= series[k - e]
+        else:  # divided by (1 - v^e), i.e. times 1 + v^e + v^2e + ...
+            for k in range(e, deg + 1):
+                series[k] += series[k - e]
+    step = d // rad
+    if step == 1:
+        return tuple(series)
+    out = [0] * (deg * step + 1)
+    out[::step] = series
+    return tuple(out)
+
+
+# Measured cut-over (tools/kernel_bench.py): below this many terms in the
+# shorter operand the dict schoolbook loop is faster than packing.
+_KRONECKER_MIN_TERMS = 12
+
+
+def _imul_school(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     if len(a) > len(b):
         a, b = b, a
     out: dict[int, int] = {}
@@ -465,6 +538,58 @@ def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _kron_pack(p: dict[int, int], lo: int, span: int, width: int) -> int:
+    """Sum of p[lo + k] * 2^(8*width*k): the coefficients in signed byte slots."""
+    dense = [0] * span
+    for e, c in p.items():
+        dense[e - lo] = c
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little", signed=True) for c in dense), "little")
+    # a negative slot reads as c + 2^(8*width), one too many in the slot above
+    carry = bytearray(width * (span + 1))
+    for k, c in enumerate(dense):
+        if c < 0:
+            carry[width * (k + 1)] = 1
+    return packed - int.from_bytes(carry, "little")
+
+
+def _imul_kron(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two nonzero int dicts by Kronecker substitution.
+
+    A product coefficient sums at most min(len a, len b) terms, each below
+    2^(bitlen max|a| + bitlen max|b|) in size, so with one more bit for the
+    sign every coefficient fits its slot and the product is exact.
+    """
+    alo, ahi, blo, bhi = min(a), max(a), min(b), max(b)
+    bits = (
+        max(abs(c) for c in a.values()).bit_length()
+        + max(abs(c) for c in b.values()).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    span = ahi - alo + bhi - blo + 1
+    prod = _kron_pack(a, alo, ahi - alo + 1, width) * _kron_pack(b, blo, bhi - blo + 1, width)
+    raw = prod.to_bytes(width * span, "little", signed=True)
+    out: dict[int, int] = {}
+    lo = alo + blo
+    borrow = 0
+    for k in range(span):
+        s = int.from_bytes(raw[k * width : (k + 1) * width], "little", signed=True)
+        c = s + borrow
+        borrow = s < 0  # the slot below lent 2^(8*width) to make s negative
+        if c:
+            out[lo + k] = c
+    return out
+
+
+def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if not a or not b:
+        return {}
+    if min(len(a), len(b)) < _KRONECKER_MIN_TERMS:
+        return _imul_school(a, b)
+    return _imul_kron(a, b)
+
+
 def _iadd_into(acc: dict[int, int], term: dict[int, int], sign: int, shift: int) -> None:
     for e, c in term.items():
         k = e + shift
@@ -476,51 +601,67 @@ def _iadd_into(acc: dict[int, int], term: dict[int, int], sign: int, shift: int)
 
 
 @lru_cache(maxsize=None)
-def _cyclo_int(d: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((e, int(c)) for e, c in cyclotomic(d).terms.items()))
-
-
-@lru_cache(maxsize=None)
 def _phi_power_int(d: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Phi_d^m as sorted (exponent, coefficient) pairs, by repeated squaring."""
     if m == 0:
         return ((0, 1),)
     if m == 1:
-        return _cyclo_int(d)
-    prev = dict(_phi_power_int(d, m - 1))
-    return tuple(sorted(_imul(prev, dict(_cyclo_int(d))).items()))
+        return tuple((e, c) for e, c in enumerate(_cyclo_int(d)) if c)
+    half = dict(_phi_power_int(d, m // 2))
+    out = _imul(half, half)
+    if m % 2:
+        out = _imul(out, dict(_phi_power_int(d, 1)))
+    return tuple(sorted(out.items()))
 
 
 def _assemble_counter(mult: Counter) -> dict[int, int]:
-    """Product of Phi_d^m over a multiplicity counter, as an int dict."""
-    out = {0: 1}
-    for d in sorted(mult, key=lambda d: (len(_cyclo_int(d)), d)):
-        m = mult[d]
-        if m > 0:
-            out = _imul(out, dict(_phi_power_int(d, m)))
-    return out
+    """Product of Phi_d^m over a multiplicity counter, as an int dict.
+
+    The factors are multiplied in a balanced product tree, always the two
+    with fewest terms, so the large multiplications pair operands of similar
+    size, where Kronecker substitution pays most.
+    """
+    factors = {d: _phi_power_int(d, m) for d, m in mult.items() if m > 0}
+    heap = [(len(f), d, dict(f)) for d, f in factors.items()]
+    if not heap:
+        return {0: 1}
+    heapify(heap)
+    tick = max(mult) + 1  # tie-break after the factor's d, never comparing dicts
+    while len(heap) > 1:
+        a = heappop(heap)[2]
+        b = heappop(heap)[2]
+        c = _imul(a, b)
+        heappush(heap, (len(c), tick, c))
+        tick += 1
+    return heap[0][2]
 
 
 def _idiv_exact(num: dict[int, int], phi: dict[int, int]) -> dict[int, int] | None:
-    """Exact division by a poly with lowest term 1*v^0; None if inexact."""
+    """Exact division by a poly with lowest term 1*v^0; None if inexact.
+
+    One low-to-high pass over a dense copy of num: with phi's constant term
+    1, each entry is the next quotient coefficient once the terms below have
+    been subtracted.
+    """
     if not num:
         return {}
-    hi_limit = max(num) - max(phi)
-    cur = dict(num)
-    out: dict[int, int] = {}
-    while cur:
-        lo = min(cur)
-        if lo > hi_limit:
-            return None
-        qc = cur[lo]
-        out[lo] = qc
-        for e, c in phi.items():
-            k = e + lo
-            s = cur.get(k, 0) - qc * c
-            if s:
-                cur[k] = s
-            elif k in cur:
-                del cur[k]
-    return out
+    lo = min(num)
+    span = max(num) - lo + 1
+    top = span - 1 - max(phi)  # degree of the quotient, relative to lo
+    if top < 0:
+        return None
+    cur = [0] * span
+    for e, c in num.items():
+        cur[e - lo] = c
+    tail = [(j, c) for j, c in phi.items() if j]
+    for i in range(top + 1):
+        q = cur[i]
+        if q:
+            for j, c in tail:
+                cur[i + j] -= q * c
+    if any(cur[top + 1 :]):
+        return None
+    return {lo + i: c for i, c in enumerate(cur[: top + 1]) if c}
 
 
 def _wrap_int_poly(d: dict[int, int]) -> LaurentPoly:
@@ -682,7 +823,7 @@ def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
     if not num:
         return LaurentRat.zero()
     for d in sorted(den_mult):
-        phi = dict(_cyclo_int(d))
+        phi = dict(_phi_power_int(d, 1))
         while den_mult[d] > 0:
             q = _idiv_exact(num, phi)
             if q is None:
@@ -889,6 +1030,10 @@ class LaurentRat:
         and is rounded back to a double complex.  The pole threshold scales
         with the magnitude of the denominator's terms.
         """
+        if v0 == 0:
+            # the canonical denominator has constant term 1, so the value at
+            # 0 is the numerator's constant term, or a pole
+            return self.num.eval_complex(0)
         if precision > 53:
             import mpmath
 

@@ -396,11 +396,12 @@ def test_saddle_solve_random_points():
 
 
 def test_saddle_solve_degenerate_report():
-    rec = saddle_solve_tet((1,) * 6)
-    assert rec.degenerate
-    assert rec.z_roots == ()
-    assert rec.chosen == -1
-    assert math.isinf(rec.residual)
+    for x in ((1,) * 6, (0,) * 6):  # no quadratic; a quadratic with both roots zero
+        rec = saddle_solve_tet(x)
+        assert rec.degenerate
+        assert rec.z_roots == ()
+        assert rec.chosen == -1
+        assert math.isinf(rec.residual)
 
 
 def test_saddle_twists_satisfy_all_six_curves():

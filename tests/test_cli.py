@@ -261,6 +261,48 @@ def test_saddle_three_roots(capsys):
     assert report["residual"] <= report["tolerance"]
 
 
+def _assert_one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", ["0,0,0,0,0,0", "1,1,1,1,1,1"])
+def test_saddle_degenerate_point_exit_2(capsys, x):
+    # x = 0: both quadratic roots vanish; x = 1: the quadratic itself does
+    code, out, err = run(capsys, ["saddle", "--x", x])
+    _assert_one_line_usage_error(code, out, err)
+    assert "degenerate" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "saddle --x inf,0.35,0.35,0.35,0.35,0.35",
+        "saddle --x 0.35,0.35,nan,0.35,0.35,0.35",
+        "asymptotics tet --x nan,0.35,0.35,0.35,0.35,0.35 --hbar -0.1",
+        "asymptotics theta --x 0.5,-inf,0.5 --hbar -0.1",
+        "asymptotics theta --x 0.5,0.5,0.5 --hbar -0.1,nan",
+        "lagrangian --graph theta --step inf",
+        "lagrangian --graph theta --step nan",
+        "theta -c 1,1,0 --eval nan",
+        "theta -c 1,1,0 --eval 1+infj",
+    ],
+)
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("precision", ["53", "120"])
+def test_eval_at_pole_exit_2(capsys, precision):
+    code, out, err = run(capsys, ["--precision", precision, "theta", "-c", "1,1,0", "--eval", "0"])
+    _assert_one_line_usage_error(code, out, err)
+    assert err.startswith("usage error: --eval 0:")
+
+
 def test_lagrangian_theta(capsys):
     code, report = run_json(
         capsys, ["lagrangian", "--graph", "theta", "--samples", "10", "--seed", "7"]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgraph.laurent import (
     BracketRatio,
@@ -17,6 +19,15 @@ from qgraph.laurent import (
     q_factorial,
     q_int,
     rat_dot,
+)
+from qgraph.laurent import (  # the integer kernel
+    _KRONECKER_MIN_TERMS,
+    _cyclo_int,
+    _idiv_exact,
+    _imul,
+    _imul_kron,
+    _imul_school,
+    _phi_power_int,
 )
 
 
@@ -182,6 +193,18 @@ def test_pole_error():
         LaurentPoly({-1: Fraction(1)}).eval_exact(Fraction(0))
 
 
+@pytest.mark.parametrize("precision", [53, 200])
+def test_eval_at_zero_pole_or_constant_term(precision):
+    # [2] = v^-1 + v and 1/(v^2 + v^4) have poles at 0 on both evaluation paths
+    with pytest.raises(PoleError):
+        LaurentRat.from_poly(q_int(2)).eval_complex(0, precision=precision)
+    with pytest.raises(PoleError):
+        LaurentRat(LaurentPoly.one(), q_int(2).shifted(3)).eval_complex(0j, precision=precision)
+    # without a pole the value at 0 is the constant term over the denominator's 1
+    r = LaurentRat(LaurentPoly({0: Fraction(3, 2), 2: Fraction(1)}), q_int(3).shifted(2))
+    assert r.eval_complex(0, precision=precision) == 1.5
+
+
 def test_rat_eval_matches_exact():
     rng = random.Random(8080)
     for _ in range(200):
@@ -260,6 +283,101 @@ def test_cyclotomic_product_is_v_pow_minus_one():
             if n % d == 0:
                 prod = prod * cyclotomic(d)
         assert prod == LaurentPoly({n: Fraction(1), 0: Fraction(-1)})
+    for n in range(1, 401):
+        prod = {0: 1}
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic(d)
+                assert all(c.denominator == 1 for c in phi.terms.values())
+                prod = _imul(prod, {e: c.numerator for e, c in phi.terms.items()})
+        assert prod == {n: 1, 0: -1}, n
+
+
+def test_cyclotomic_105_is_first_with_coefficient_minus_two():
+    for d in range(1, 105):
+        assert set(_cyclo_int(d)) <= {-1, 0, 1}, d
+    plus = (0, 1, 2, 12, 13, 14, 15, 16, 17, 31, 32, 33, 34, 35, 36, 46, 47, 48)
+    minus = (5, 6, 8, 9, 20, 22, 24, 26, 28, 39, 40, 42, 43)
+    want = {e: Fraction(1) for e in plus}
+    want.update({e: Fraction(-1) for e in minus})
+    want.update({7: Fraction(-2), 41: Fraction(-2)})
+    assert cyclotomic(105).terms == want
+
+
+# -- integer kernel: Kronecker multiply and dense exact division --------------------
+
+
+def _edge_coeffs(bits: int) -> list[int]:
+    # magnitudes at a power of two: the slot width steps up just past them
+    return [2**bits - 1, -(2**bits - 1), 2**bits, -(2**bits)]
+
+
+@st.composite
+def int_polys(draw, max_terms=300):
+    """Nonzero int dicts: 1-max_terms terms, |coeff| <= 2^200, negative exponents."""
+    n = draw(st.integers(1, max_terms))
+    lo = draw(st.integers(-40, 40))
+    stride = draw(st.integers(1, 3))
+    bits = draw(st.integers(0, 200))
+    if draw(st.booleans()):
+        coeff = st.sampled_from(_edge_coeffs(bits))
+    else:
+        coeff = st.integers(-(2**bits), 2**bits)
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    out = {lo + stride * k: c for k, c in enumerate(coeffs) if c}
+    return out or {lo: 1}
+
+
+# 64 + 64 + bitlen(255) + 1 = 137 bits, one past a whole byte: the middle
+# product coefficient, 255 * (2^64 - 1)^2, needs the slot's last bit
+_FULL = {k - 7: 2**64 - 1 for k in range(255)}
+_ALT = {k: (-1) ** k * (2**31 - 1) for k in range(300)}  # a sign change in every slot
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_polys(), int_polys())
+@example(_FULL, _FULL)
+@example(_FULL, {e: -c for e, c in _FULL.items()})
+@example(_ALT, _ALT)
+@example({0: -1}, {k: -1 for k in range(300)})
+@example({-3: 2**200, 5: -(2**200)}, {k: -(2**200) + 1 for k in range(-150, 150)})
+def test_kronecker_multiply_matches_schoolbook(a, b):
+    want = _imul_school(a, b)
+    assert _imul_kron(a, b) == want
+    assert _imul(a, b) == want
+    assert list(_imul_kron(a, b)) == sorted(want)
+
+
+def test_imul_switches_at_cut_over():
+    short = {k: 3 for k in range(_KRONECKER_MIN_TERMS - 1)}
+    long = {k: -5 for k in range(_KRONECKER_MIN_TERMS)}
+    assert _imul(short, long) == _imul_school(short, long) == _imul_kron(short, long)
+    assert _imul(long, long) == _imul_school(long, long)
+    assert _imul({}, long) == {} and _imul(long, {}) == {}
+
+
+def test_idiv_exact_inverts_imul():
+    rng = random.Random(105)
+    for trial in range(200):
+        a = {e: rng.randrange(-(2**70), 2**70) or 1 for e in range(rng.randrange(-9, 9), rng.randrange(10, 60))}
+        if trial % 2:
+            phi = dict(_phi_power_int(rng.randrange(2, 200), rng.randrange(1, 4)))
+        else:
+            deg = rng.randrange(1, 40)
+            phi = {0: 1, deg: rng.choice((-2, -1, 1, 3))}
+            phi.update({j: c for j in range(1, deg) if (c := rng.randrange(-9, 10))})
+        num = _imul(a, phi)
+        assert _idiv_exact(num, phi) == a
+        assert _idiv_exact({}, phi) == {}
+        # a nonzero remainder, below, at the top of, or inside the product
+        for e in (min(a) - 1, max(num), rng.randrange(min(a), max(num))):
+            bumped = dict(num)
+            bumped[e] = bumped.get(e, 0) + 1
+            if not bumped[e]:
+                del bumped[e]
+            assert _idiv_exact(bumped, phi) is None
+        # a dividend of lower degree than the divisor
+        assert _idiv_exact({min(a): 1}, phi) is None
 
 
 def test_bracket_ratio_matches_direct():

@@ -1,0 +1,126 @@
+"""Layer timings of the integer Laurent kernel in qgraph.laurent.
+
+Times the two multiplication paths of `_imul` (dict schoolbook and Kronecker
+substitution) at several operand sizes, the cyclotomic construction
+`_cyclo_int(1..400)`, and two large-color evaluations, each in a fresh
+interpreter so its lru caches start cold.  Prints the median and the spread
+(interquartile range over the median) of each.  Use it to re-measure
+`laurent._KRONECKER_MIN_TERMS`:
+
+    PYTHONPATH=src python3 tools/kernel_bench.py [--repeat 7] [--skip-large]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+
+from qgraph import laurent
+
+SIZES = (2, 8, 12, 16, 24, 64, 256, 1024)
+LONG = 1024  # the longer operand of the unbalanced shape
+COEFF_BITS = 64
+
+
+def _spread(times: list[float]) -> tuple[float, float]:
+    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return med, (q3 - q1) / med
+
+
+def _time_call(fn, repeat: int) -> tuple[float, float]:
+    """Median and spread of per-call time, each sample at least 20 ms long."""
+    number = 1
+    while True:
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        if time.perf_counter() - t0 >= 0.02:
+            break
+        number *= 2
+    samples = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - t0) / number)
+    return _spread(samples)
+
+
+def _operand(rng: random.Random, n: int) -> dict[int, int]:
+    """A dense int dict of n terms from v^-3 up, with signed COEFF_BITS coefficients."""
+    out = {}
+    for k in range(n):
+        c = rng.randrange(-(2**COEFF_BITS), 2**COEFF_BITS)
+        out[k - 3] = c or 1
+    return out
+
+
+def _line(label: str, med: float, spread: float) -> None:
+    print(f"{label:<52} {med * 1e3:12.4f} ms   spread {spread:.3f}")
+
+
+def bench_imul(repeat: int) -> None:
+    rng = random.Random(1)
+    print(f"# _imul, {COEFF_BITS}-bit coefficients; cut-over _KRONECKER_MIN_TERMS = {laurent._KRONECKER_MIN_TERMS}")
+    for shape in ("balanced", f"against {LONG}"):
+        for n in SIZES:
+            a = _operand(rng, n)
+            b = _operand(rng, n if shape == "balanced" else LONG)
+            assert laurent._imul_school(a, b) == laurent._imul_kron(a, b)
+            for name, fn in (("school", laurent._imul_school), ("kron", laurent._imul_kron)):
+                med, spread = _time_call(lambda: fn(a, b), repeat)
+                _line(f"{shape} n={n} {name}", med, spread)
+
+
+def bench_cyclo(repeat: int) -> None:
+    def build():
+        laurent._cyclo_int.cache_clear()
+        for d in range(1, 401):
+            laurent._cyclo_int(d)
+
+    med, spread = _time_call(build, repeat)
+    _line("_cyclo_int(1..400), cold cache", med, spread)
+
+
+# (function in qgraph.invariants, its argument tuple)
+LARGE = (("theta_invariant", (80, 80, 80)), ("tet_primed", ((20,) * 6,)))
+
+
+def bench_large(repeat: int) -> None:
+    """Each call in a fresh interpreter, timed after the package import."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    timer = (
+        "import time; from qgraph.invariants import {0} as f; "
+        "t = time.perf_counter(); f(*{1!r}); print(time.perf_counter() - t)"
+    )
+    for name, args in LARGE:
+        label = f"{name}{args if len(args) > 1 else args[0]!r}"
+        samples = []
+        for _ in range(repeat):
+            res = subprocess.run(
+                [sys.executable, "-c", timer.format(name, args)], env=env, capture_output=True, text=True, check=True
+            )
+            samples.append(float(res.stdout))
+        _line(f"{label}, fresh process", *_spread(samples))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=7, help="samples per timing (at least 2)")
+    ap.add_argument("--skip-large", action="store_true", help="skip the two large-color evaluations")
+    args = ap.parse_args()
+    if args.repeat < 2:
+        ap.error("--repeat must be at least 2")
+    bench_imul(args.repeat)
+    bench_cyclo(args.repeat)
+    if not args.skip_large:
+        bench_large(args.repeat)
+
+
+if __name__ == "__main__":
+    main()
