@@ -412,21 +412,14 @@ def _compiled_coeff(poly: MultiPoly, labels: tuple) -> tuple:
 
 def _eval_coeff(poly: MultiPoly, graph: str, col) -> LaurentRat:
     labels = THETA_EDGES if graph == "theta" else TET_EDGES
-    acc: dict = {}
+    terms = []
     for c, base, weights in _compiled_coeff(poly, labels):
         e = base
         for w, n in zip(weights, col):
             if w:
                 e += w * n
-        s = acc.get(e)
-        s = c if s is None else s + c
-        if s:
-            acc[e] = s
-        elif e in acc:
-            del acc[e]
-    out = LaurentPoly()
-    out.terms = acc
-    return LaurentRat.from_poly(out)
+        terms.append((e, c))
+    return LaurentRat.from_poly(LaurentPoly(terms))
 
 
 def apply_operator(op: OperatorPoly, family: str, col) -> LaurentRat:

@@ -177,6 +177,8 @@ def _theta_args(xa, xb, xc) -> tuple:
 def w_theta(x) -> complex:
     """Growth potential of the theta graph."""
     xa, xb, xc = _coords(x, THETA_EDGES)
+    if 0 in (xa, xb, xc):
+        raise SingularPointError("theta potential needs nonzero eigenvalues")
     u1, u2, u3, u4 = _theta_args(xa, xb, xc)
     total = 1j * math.pi * cmath.log(xa * xb * xc)
     total += g_potential(u1) + g_potential(u2) + g_potential(u3) + g_potential(u4)

@@ -37,6 +37,7 @@ from .apoly import (
     theta_quantum_A,
 )
 from .asymptotics import (
+    SingularPointError,
     check_residual_theta,
     growth_check_tet,
     growth_check_theta,
@@ -415,20 +416,27 @@ def _verify_eliminate(args, cfg):
     }
 
 
+# each check and the `verify` options it reads; giving it any other one is a usage error
 _VERIFY_CHECKS = {
-    "theta-recursion": _verify_theta_recursion,
-    "annihilation": _verify_annihilation,
-    "classical-limit": _verify_classical_limit,
-    "symmetry": _verify_symmetry,
-    "reduction": _verify_reduction,
-    "hypergeom": _verify_hypergeom,
-    "recursum": _verify_recursum,
-    "eliminate": _verify_eliminate,
+    "theta-recursion": (_verify_theta_recursion, ("max",)),
+    "annihilation": (_verify_annihilation, ("max", "graph", "edge", "inject_bad_operator")),
+    "classical-limit": (_verify_classical_limit, ("graph",)),
+    "symmetry": (_verify_symmetry, ("max",)),
+    "reduction": (_verify_reduction, ("max",)),
+    "hypergeom": (_verify_hypergeom, ("max",)),
+    "recursum": (_verify_recursum, ("max",)),
+    "eliminate": (_verify_eliminate, ("samples",)),
 }
+_VERIFY_OPTIONS = sorted({opt for _, opts in _VERIFY_CHECKS.values() for opt in opts})
 
 
 def cmd_verify(args, cfg):
-    payload = _VERIFY_CHECKS[args.check](args, cfg)
+    run_check, accepted = _VERIFY_CHECKS[args.check]
+    for opt in _VERIFY_OPTIONS:
+        given = getattr(args, opt)
+        if opt not in accepted and given is not None and given is not False:
+            raise UsageError(f"verify {args.check} does not take --{opt.replace('_', '-')}")
+    payload = run_check(args, cfg)
     if payload.get("tested") == 0:
         raise UsageError(
             f"verify {args.check} tested no colorings at grid bound {payload['grid_max']}"
@@ -451,10 +459,10 @@ def cmd_asymptotics(args, cfg):
     hbars = _parse_floats(args.hbar, None, "--hbar")
     if not hbars or any(h >= 0 for h in hbars):
         raise UsageError("--hbar needs a nonempty list of negative reals")
-    if args.graph == "theta":
-        table = growth_check_theta(x, hbars)
-    else:
-        table = growth_check_tet(x, hbars)
+    try:
+        table = growth_check_theta(x, hbars) if args.graph == "theta" else growth_check_tet(x, hbars)
+    except SingularPointError as exc:
+        raise UsageError(f"--x {args.x} is a singular point: {exc}")
     rows = []
     usable = 0
     for r in table.rows:

@@ -21,11 +21,10 @@ always Laurent polynomials, e.g. the all-2 theta value -[4][3]/[2]^2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .laurent import BracketRatio, LaurentPoly, LaurentRat, bracket_ratio_sum
+from .laurent import BracketRatio, LaurentRat, bracket_ratio_sum
 
 CONVENTION_TRIANGLE = "triangle-sum"
 CONVENTION_PRINTED = "printed"

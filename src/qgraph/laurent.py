@@ -2,7 +2,10 @@
 
 Everything downstream works in the variable v = q^(1/2), so a q-exponent
 of n/2 is stored as the integer v-exponent n and no fractional exponents
-ever appear.  Coefficients are exact rationals (fractions.Fraction).
+ever appear.  Coefficients are exact: a Python int whenever the value is an
+integer, and a fractions.Fraction only when it is not.  The invariants are
+ratios whose denominators are products of Phi_d with constant term 1, so
+every coefficient the package computes is an int.
 
 A LaurentPoly is a sparse map {v-exponent: coefficient}.  A LaurentRat is
 a reduced fraction num/den of LaurentPolys in the canonical form where the
@@ -16,20 +19,22 @@ common factors by multiset arithmetic and only expands what survives,
 using the cyclotomic factorization [n] = v^(1-n) * prod Phi_d(v) over
 divisors d >= 3 of 2n.
 
-Those expansions run on an integer kernel of int dicts {exponent: coeff}:
+All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
 
 - Phi_d comes from the Moebius identity Phi_d(v) = Phi_r(v^(d/r)), r the
   radical of d, with Phi_r = prod over e | r of (1 - v^e)^mu(r/e); each
   factor is one pass over a dense int list (_cyclo_int).
 - Products of Phi_d^m run in a balanced product tree, and each power by
   squaring, so the big multiplications pair operands of similar size.
-- A multiplication whose shorter operand has at least _KRONECKER_MIN_TERMS
-  terms goes through Kronecker substitution: both operands are packed into
-  one Python int, with a slot per exponent wide enough for any product
-  coefficient, and CPython's Karatsuba multiply does the convolution
-  exactly.  Shorter operands stay on the schoolbook loop, which the layer
-  timings in tools/kernel_bench.py show to be faster there.
-- Exact division by a Phi_d is one low-to-high pass over a dense list.
+- A multiplication of two int-coefficient operands whose shorter one has at
+  least _KRONECKER_MIN_TERMS terms goes through Kronecker substitution: both
+  operands are packed into one Python int, with a slot per exponent wide
+  enough for any product coefficient, and CPython's Karatsuba multiply does
+  the convolution exactly.  Shorter operands, and any operand with a
+  Fraction coefficient, stay on the schoolbook loop, which the layer timings
+  in tools/kernel_bench.py show to be faster for short operands.
+- Exact division is one low-to-high pass over a dense list; it divides by
+  the divisor's lowest coefficient only when that is not 1.
 """
 
 from __future__ import annotations
@@ -41,38 +46,36 @@ from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from typing import Iterable, Mapping
 
-Coeff = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class PoleError(ZeroDivisionError):
     """Numeric evaluation hit a vanishing denominator."""
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value) -> int | Fraction:
+    """The canonical coefficient: an int when the value is an integer."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in v with exact rational coefficients."""
+    """Sparse Laurent polynomial in v with exact coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] | None = None):
-        data: dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] | None = None):
+        data: dict[int, int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for e, c in items:
                 c = _coerce(c)
                 if c:
                     acc = data.get(e)
-                    c = c if acc is None else acc + c
+                    c = c if acc is None else _coerce(acc + c)
                     if c:
                         data[e] = c
                     else:
@@ -82,21 +85,28 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _wrap(cls, terms: dict) -> "LaurentPoly":
+        """A poly over a dict already in canonical form, without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: _ONE})
+        return cls._wrap({0: 1})
 
     @classmethod
     def v_power(cls, e: int, coeff=1) -> "LaurentPoly":
-        return cls({e: _coerce(coeff)})
+        return cls({e: coeff})
 
     @classmethod
     def from_int_coeffs(cls, coeffs: list[int], shift: int = 0) -> "LaurentPoly":
         """coeffs[k] is the coefficient of v^(k+shift)."""
-        return cls({k + shift: Fraction(c) for k, c in enumerate(coeffs) if c})
+        return cls((k + shift, c) for k, c in enumerate(coeffs))
 
     # -- structure ----------------------------------------------------
 
@@ -104,7 +114,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {0: _ONE}
+        return self.terms == {0: 1}
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -116,8 +126,8 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
 
-    def coefficient(self, e: int) -> Fraction:
-        return self.terms.get(e, _ZERO)
+    def coefficient(self, e: int) -> int | Fraction:
+        return self.terms.get(e, 0)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -141,66 +151,37 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._wrap({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: _coerce(other)})
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = dict(self.terms)
-        for e, c in other.terms.items():
-            s = data.get(e, _ZERO) + c
-            if s:
-                data[e] = s
-            elif e in data:
-                del data[e]
-        out = LaurentPoly()
-        out.terms = data
-        return out
+        _iadd_into(data, other.terms, 1, 0)
+        return LaurentPoly._wrap(data)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: _coerce(other)})
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        data = dict(self.terms)
+        _iadd_into(data, other.terms, -1, 0)
+        return LaurentPoly._wrap(data)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            out = LaurentPoly()
-            if c:
-                out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return LaurentPoly({e: k * other for e, k in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly()
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        data: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = data.get(e)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    data[e] = s
-                elif e in data:
-                    del data[e]
-        out = LaurentPoly()
-        out.terms = data
-        return out
+        return LaurentPoly._wrap(_imul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -218,30 +199,26 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        out = LaurentPoly()
-        out.terms = {e + k: c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._wrap({e + k: c for e, c in self.terms.items()})
 
     def v_inverted(self) -> "LaurentPoly":
         """Substitute v -> 1/v."""
-        out = LaurentPoly()
-        out.terms = {-e: c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._wrap({-e: c for e, c in self.terms.items()})
 
     # -- evaluation ----------------------------------------------------
 
-    def eval_exact(self, v0: Fraction) -> Fraction:
-        v0 = _coerce(v0)
+    def eval_exact(self, v0: int | Fraction) -> Fraction:
+        v0 = Fraction(_coerce(v0))  # an int base to a negative power would give a float
         if v0 == 0 and self.terms and self.min_exp() < 0:
             raise PoleError("evaluation at v=0 with negative exponents")
-        return sum((c * v0 ** e for e, c in self.terms.items()), _ZERO)
+        return sum((c * v0 ** e for e, c in self.terms.items()), Fraction(0))
 
     def eval_complex(self, v0: complex) -> complex:
         v0 = complex(v0)
         if v0 == 0:
             if self.terms and self.min_exp() < 0:
                 raise PoleError("evaluation at v=0 with negative exponents")
-            return complex(self.terms.get(0, _ZERO))
+            return complex(self.terms.get(0, 0))
         total = 0j
         for e, c in self.terms.items():
             total += complex(c) * v0 ** e
@@ -249,7 +226,7 @@ class LaurentPoly:
 
     # -- rendering ------------------------------------------------------
 
-    def _term_strings(self) -> list[tuple[int, Fraction]]:
+    def _term_strings(self) -> list[tuple[int, int | Fraction]]:
         return sorted(self.terms.items())
 
     def __str__(self) -> str:
@@ -390,34 +367,10 @@ def exact_div_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division a/b in the Laurent ring; raises ValueError if inexact."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly()
-    alo, blo = a.min_exp(), b.min_exp()
-    ra = {e - alo: c for e, c in a.terms.items()}
-    rb = {e - blo: c for e, c in b.terms.items()}
-    da, db = max(ra), max(rb)
-    if da < db:
+    quot = _idiv_exact(a.terms, b.terms)
+    if quot is None:
         raise ValueError("not divisible")
-    lead_b = rb[db]
-    quot: dict[int, Fraction] = {}
-    cur = dict(ra)
-    while cur:
-        dc = max(cur)
-        if dc < db:
-            raise ValueError("not divisible")
-        qc = cur[dc] / lead_b
-        qe = dc - db
-        quot[qe] = qc
-        for e, c in rb.items():
-            t = e + qe
-            s = cur.get(t, _ZERO) - qc * c
-            if s:
-                cur[t] = s
-            elif t in cur:
-                del cur[t]
-    out = LaurentPoly()
-    out.terms = {e + alo - blo: c for e, c in quot.items()}
-    return out
+    return LaurentPoly._wrap(quot)
 
 
 # -- quantum integers ------------------------------------------------------
@@ -427,7 +380,7 @@ def q_int(n: int) -> LaurentPoly:
     """Quantum integer [n] = v^(n-1) + v^(n-3) + ... + v^(1-n)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"q_int requires n >= 0, got {n!r}")
-    return LaurentPoly({n - 1 - 2 * k: _ONE for k in range(n)})
+    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -453,13 +406,11 @@ def _bracket_cyclo_divisors(k: int) -> tuple[int, ...]:
     return tuple(d for d in range(3, n + 1) if n % d == 0)
 
 
-# Integer-coefficient fast path.  Cyclotomic products and their alternating
-# sums have integer coefficients throughout; plain int dicts {exponent:
-# coefficient} avoid the per-operation normalization cost of Fraction.
-# Products of many Phi_d are built in a balanced product tree
-# (_assemble_counter) and powers by squaring (_phi_power_int), so most of the
-# work lands in a few multiplications of operands of similar size, which
-# Kronecker substitution (_imul_kron) does in one big-int multiply.
+# The kernel works on coefficient dicts {exponent: coefficient}, the same
+# dicts a LaurentPoly holds.  Products of many Phi_d are built in a balanced
+# product tree (_assemble_counter) and powers by squaring (_phi_power_int), so
+# most of the work lands in a few multiplications of operands of similar size,
+# which Kronecker substitution (_imul_kron) does in one big-int multiply.
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -523,10 +474,10 @@ def _cyclo_int(d: int) -> tuple[int, ...]:
 _KRONECKER_MIN_TERMS = 12
 
 
-def _imul_school(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _imul_school(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
-    out: dict[int, int] = {}
+    out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
@@ -535,6 +486,9 @@ def _imul_school(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
                 out[e] = s
             elif e in out:
                 del out[e]
+    for e, c in out.items():
+        if type(c) is not int:
+            out[e] = _coerce(c)
     return out
 
 
@@ -582,20 +536,25 @@ def _imul_kron(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _all_int(p: dict) -> bool:
+    return all(type(c) is int for c in p.values())
+
+
+def _imul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
-    if min(len(a), len(b)) < _KRONECKER_MIN_TERMS:
-        return _imul_school(a, b)
-    return _imul_kron(a, b)
+    if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS and _all_int(a) and _all_int(b):
+        return _imul_kron(a, b)
+    return _imul_school(a, b)
 
 
-def _iadd_into(acc: dict[int, int], term: dict[int, int], sign: int, shift: int) -> None:
+def _iadd_into(acc: dict, term: dict, sign: int, shift: int) -> None:
+    """acc += sign * v^shift * term, in place."""
     for e, c in term.items():
         k = e + shift
         s = acc.get(k, 0) + (c if sign > 0 else -c)
         if s:
-            acc[k] = s
+            acc[k] = s if type(s) is int else _coerce(s)
         elif k in acc:
             del acc[k]
 
@@ -636,38 +595,37 @@ def _assemble_counter(mult: Counter) -> dict[int, int]:
     return heap[0][2]
 
 
-def _idiv_exact(num: dict[int, int], phi: dict[int, int]) -> dict[int, int] | None:
-    """Exact division by a poly with lowest term 1*v^0; None if inexact.
+def _idiv_exact(num: dict, den: dict) -> dict | None:
+    """num / den in the Laurent ring, or None if den does not divide num.
 
-    One low-to-high pass over a dense copy of num: with phi's constant term
-    1, each entry is the next quotient coefficient once the terms below have
-    been subtracted.
+    One low-to-high pass over a dense copy of num: once the terms below have
+    been subtracted, each entry over den's lowest coefficient is the next
+    quotient coefficient.  A lowest coefficient of 1, as every Phi_d has,
+    costs no division.
     """
     if not num:
         return {}
+    dlo = min(den)
+    lead = den[dlo]
     lo = min(num)
     span = max(num) - lo + 1
-    top = span - 1 - max(phi)  # degree of the quotient, relative to lo
+    top = span - 1 - (max(den) - dlo)  # degree of the quotient, relative to lo
     if top < 0:
         return None
     cur = [0] * span
     for e, c in num.items():
         cur[e - lo] = c
-    tail = [(j, c) for j, c in phi.items() if j]
+    tail = [(j - dlo, c) for j, c in den.items() if j != dlo]
     for i in range(top + 1):
         q = cur[i]
         if q:
+            if lead != 1 or type(q) is not int:
+                q = cur[i] = _coerce(Fraction(q, lead))
             for j, c in tail:
                 cur[i + j] -= q * c
     if any(cur[top + 1 :]):
         return None
-    return {lo + i: c for i, c in enumerate(cur[: top + 1]) if c}
-
-
-def _wrap_int_poly(d: dict[int, int]) -> LaurentPoly:
-    out = LaurentPoly()
-    out.terms = {e: Fraction(c) for e, c in d.items()}
-    return out
+    return {lo - dlo + i: c for i, c in enumerate(cur[: top + 1]) if c}
 
 
 class BracketRatio:
@@ -780,7 +738,7 @@ class BracketRatio:
     def _reduced_polys(self) -> tuple[LaurentPoly, LaurentPoly]:
         """Coprime (num, den) LaurentPolys, each with min exponent 0."""
         mult_n, mult_d = self._cyclo_counters()
-        return _wrap_int_poly(_assemble_counter(mult_n)), _wrap_int_poly(_assemble_counter(mult_d))
+        return LaurentPoly._wrap(_assemble_counter(mult_n)), LaurentPoly._wrap(_assemble_counter(mult_d))
 
     def to_laurent_rat(self) -> "LaurentRat":
         num, den = self._reduced_polys()
@@ -830,18 +788,8 @@ def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
                 break
             num = q
             den_mult[d] -= 1
-    den = _wrap_int_poly(_assemble_counter(den_mult))
-    return LaurentRat(_wrap_int_poly(num), den, trusted=True)
-
-
-def _int_terms(p: "LaurentPoly") -> dict[int, int] | None:
-    """Integer coefficient dict, or None if any coefficient is non-integer."""
-    out = {}
-    for e, c in p.terms.items():
-        if c.denominator != 1:
-            return None
-        out[e] = c.numerator
-    return out
+    den = LaurentPoly._wrap(_assemble_counter(den_mult))
+    return LaurentRat(LaurentPoly._wrap(num), den, trusted=True)
 
 
 def rat_dot(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> LaurentRat:
@@ -849,35 +797,17 @@ def rat_dot(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> LaurentRat:
 
     Each per-term add in the naive expression sum(a*b) reduces the running
     fraction to lowest terms; deferring the gcd to one pass at the end is
-    much cheaper, and free when the sum collapses to zero.  All-integer
-    coefficients (the common case here) also bypass Fraction arithmetic.
+    much cheaper, and free when the sum collapses to zero.
     """
-    pairs = list(pairs)
-    rows = []
+    num: dict = {}
+    den: dict = {0: 1}
     for a, b in pairs:
-        row = tuple(_int_terms(p) for p in (a.num, a.den, b.num, b.den))
-        if any(r is None for r in row):
-            rows = None
-            break
-        rows.append(row)
-    if rows is not None:
-        num: dict[int, int] = {}
-        den = {0: 1}
-        for an, ad, bn, bd in rows:
-            t_num = _imul(an, bn)
-            t_den = _imul(ad, bd)
-            num = _imul(num, t_den)
-            _iadd_into(num, _imul(t_num, den), 1, 0)
-            den = _imul(den, t_den)
-        return LaurentRat(_wrap_int_poly(num), _wrap_int_poly(den))
-    num = LaurentPoly()
-    den = LaurentPoly.one()
-    for a, b in pairs:
-        t_num = a.num * b.num
-        t_den = a.den * b.den
-        num = num * t_den + t_num * den
-        den = den * t_den
-    return LaurentRat(num, den)
+        t_num = _imul(a.num.terms, b.num.terms)
+        t_den = _imul(a.den.terms, b.den.terms)
+        num = _imul(num, t_den)
+        _iadd_into(num, _imul(t_num, den), 1, 0)
+        den = _imul(den, t_den)
+    return LaurentRat(LaurentPoly._wrap(num), LaurentPoly._wrap(den))
 
 
 class LaurentRat:
@@ -891,11 +821,11 @@ class LaurentRat:
 
     def __init__(self, num, den=None, trusted: bool = False):
         if isinstance(num, (int, Fraction)):
-            num = LaurentPoly({0: _coerce(num)})
+            num = LaurentPoly({0: num})
         if den is None:
             den = LaurentPoly.one()
         elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly({0: _coerce(den)})
+            den = LaurentPoly({0: den})
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -910,10 +840,11 @@ class LaurentRat:
         # unit normalization: den lowest term -> exponent 0, coefficient 1
         lo = den.min_exp()
         c = den.terms[lo]
-        if lo or c != 1:
-            inv = _ONE / c
-            num = LaurentPoly({e - lo: k * inv for e, k in num.terms.items()})
-            den = LaurentPoly({e - lo: k * inv for e, k in den.terms.items()})
+        if c != 1:
+            inv = 1 / Fraction(c)
+            num, den = num * inv, den * inv
+        if lo:
+            num, den = num.shifted(-lo), den.shifted(-lo)
         self.num = num
         self.den = den
 
@@ -945,7 +876,7 @@ class LaurentRat:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = LaurentRat(other if isinstance(other, LaurentPoly) else LaurentPoly({0: _coerce(other)}))
+            other = LaurentRat(other)
         if not isinstance(other, LaurentRat):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -963,7 +894,7 @@ class LaurentRat:
 
     def _lift(self, other) -> "LaurentRat | None":
         if isinstance(other, (int, Fraction)):
-            return LaurentRat(LaurentPoly({0: _coerce(other)}))
+            return LaurentRat(other)
         if isinstance(other, LaurentPoly):
             return LaurentRat.from_poly(other)
         if isinstance(other, LaurentRat):

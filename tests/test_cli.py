@@ -296,6 +296,41 @@ def test_non_finite_numbers_exit_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a zero eigenvalue has no theta potential
+        "asymptotics theta --x 0,0,0 --hbar -0.1",
+        # the tet saddle polynomial vanishes identically at x = 1
+        "asymptotics tet --x 1,1,1,1,1,1 --hbar -0.1,-0.05",
+    ],
+)
+def test_asymptotics_singular_point_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "singular point" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        ("verify classical-limit --graph theta --max 0", "--max"),
+        ("verify eliminate --graph tet --samples 2", "--graph"),
+        ("verify eliminate --max 3", "--max"),
+        ("verify theta-recursion --max 4 --edge a", "--edge"),
+        ("verify symmetry --graph tet", "--graph"),
+        ("verify recursum --samples 3", "--samples"),
+        ("verify hypergeom --inject-bad-operator", "--inject-bad-operator"),
+        ("verify annihilation --graph theta --edge a --samples 2", "--samples"),
+    ],
+)
+def test_verify_rejects_options_of_other_checks(capsys, argv, option):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    check = argv.split()[1]
+    assert err == f"usage error: verify {check} does not take {option}\n"
+
+
 @pytest.mark.parametrize("precision", ["53", "120"])
 def test_eval_at_pole_exit_2(capsys, precision):
     code, out, err = run(capsys, ["--precision", precision, "theta", "-c", "1,1,0", "--eval", "0"])

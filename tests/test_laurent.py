@@ -31,12 +31,12 @@ from qgraph.laurent import (  # the integer kernel
 )
 
 
-def rand_poly(rng, max_terms=6, max_exp=8, allow_zero=True):
+def rand_poly(rng, max_terms=6, max_exp=8, allow_zero=True, ints=False):
     n = rng.randrange(0 if allow_zero else 1, max_terms + 1)
     terms = {}
     for _ in range(n):
         e = rng.randrange(-max_exp, max_exp + 1)
-        c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        c = rng.randrange(-9, 10) if ints else Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
         if c:
             terms[e] = terms.get(e, Fraction(0)) + c
     return LaurentPoly(terms)
@@ -47,6 +47,12 @@ def rand_nonzero(rng, **kw):
         p = rand_poly(rng, allow_zero=False, **kw)
         if not p.is_zero():
             return p
+
+
+def assert_canonical(p, ints=False):
+    """Integer coefficients are stored as int, and only the others as Fraction."""
+    for c in p.terms.values():
+        assert type(c) is int or (not ints and type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 # -- quantum integers ------------------------------------------------------
@@ -106,21 +112,43 @@ def test_factorial_ratio_is_bracket():
 
 def test_poly_ring_axioms_bulk():
     rng = random.Random(20240811)
+    int_rng = random.Random(811)
     one = LaurentPoly.one()
     zero = LaurentPoly.zero()
-    for _ in range(1000):
+    # an int base to a negative power would be a float; the value stays exact
+    assert LaurentPoly({-2: 1}).eval_exact(2) == Fraction(1, 4)
+    # dividing by a lowest coefficient of 2 gives Fractions, never floats
+    half = exact_div_poly(LaurentPoly({0: 1, 1: 1}), LaurentPoly({-1: 2, 0: 2}))
+    assert half.terms == {1: Fraction(1, 2)} and type(half.terms[1]) is Fraction
+    for trial in range(1000):
         a = rand_poly(rng)
         b = rand_poly(rng)
         c = rand_poly(rng)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + zero == a
-        assert a * one == a
-        assert a - a == zero
-        assert a * zero == zero
+        # every other trial adds a draw of int-coefficient operands
+        for ints in (False, True) if trial % 2 else (False,):
+            if ints:
+                a, b, c = (rand_poly(int_rng, ints=True) for _ in range(3))
+            assert (a + b) + c == a + (b + c)
+            assert a + b == b + a
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a + zero == a
+            assert a * one == a
+            assert a - a == zero
+            assert a * zero == zero
+            twice = LaurentPoly(list(a.terms.items()) * 2)  # the constructor merges repeats
+            assert twice == a * 2
+            for p in (a, a + b, a - b, a * b, a * (b + c), -a, a * Fraction(3, 3), twice):
+                assert_canonical(p, ints)
+            if b:
+                # lowest coefficients other than 1 take the dividing branch
+                quot = exact_div_poly(a * b, b)
+                assert quot == a
+                assert_canonical(quot, ints)
+            for v0 in (2, -1):
+                value = a.eval_exact(v0)
+                assert type(value) is Fraction and value == a.eval_exact(Fraction(v0))
 
 
 def test_poly_pow_matches_repeated_mul():
@@ -146,21 +174,56 @@ def test_poly_eval_is_ring_hom():
 # -- fraction field -----------------------------------------------------------
 
 
+def _computed_values() -> list:
+    """Nonzero values the package computes, and their JSON round trips."""
+    from qgraph.apoly import OperatorPoly, apply_operator, tet_quantum_A, tet_recursion_coeffs, theta_quantum_A
+    from qgraph.invariants import tet_full, tet_primed, theta_invariant
+
+    col = (2, 2, 2, 2, 2, 2)  # j1 - 2 and j1 + 2 are admissible too
+    theta_lead = OperatorPoly("theta", "a", theta_quantum_A("a").coeffs[:1])
+    tet_lead = OperatorPoly("tet", "1", tet_quantum_A("1").coeffs[:1])
+    values = [
+        theta_invariant(2, 3, 3),
+        theta_invariant(4, 4, 2),
+        tet_primed(col),
+        tet_full(col),
+        tet_full((3, 3, 2, 3, 3, 2)),
+        *tet_recursion_coeffs(col),
+        apply_operator(theta_lead, "theta", (4, 4, 2)),
+        apply_operator(tet_lead, "tet-primed", col),
+        apply_operator(theta_quantum_A("b", miscommuted=True), "theta", (4, 4, 4)),
+    ]
+    return values + [LaurentRat.from_json_obj(json.loads(json.dumps(v.to_json_obj()))) for v in values]
+
+
 def test_rat_field_axioms_bulk():
     rng = random.Random(31337)
     one = LaurentRat.one()
     zero = LaurentRat.zero()
-    for _ in range(1000):
+    computed = _computed_values()
+    for v in computed:
+        assert not v.is_zero()
+        assert_canonical(v.num, ints=True)
+        assert_canonical(v.den, ints=True)
+    for trial in range(1000):
         a = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_nonzero(rng, max_terms=3, max_exp=4))
         b = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_nonzero(rng, max_terms=3, max_exp=4))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a - a == zero
-        assert a * one == a
-        if not a.is_zero():
-            assert a / a == one
-            assert a * (one / a) == one
-        assert (a + b) - b == a
+        # every tenth trial adds a draw of two computed values, whose
+        # sums, products and quotients keep int coefficients
+        for ints in (False, True) if trial % 10 == 0 else (False,):
+            if ints:
+                a, b = computed[trial // 10 % len(computed)], computed[trial // 100]
+            assert a + b == b + a
+            assert a * b == b * a
+            assert a - a == zero
+            assert a * one == a
+            if not a.is_zero():
+                assert a / a == one
+                assert a * (one / a) == one
+            assert (a + b) - b == a
+            for r in (a, a + b, a * b, a - b, b / a if a else b):
+                assert_canonical(r.num, ints)
+                assert_canonical(r.den, ints)
 
 
 def test_rat_reduction_canonical():
@@ -435,7 +498,7 @@ def rand_rat(rng, int_coeffs=False):
 def test_rat_dot_matches_naive_sum():
     rng = random.Random(5150)
     for trial in range(300):
-        int_coeffs = trial % 2 == 0  # alternate the fast path and the fallback
+        int_coeffs = trial % 2 == 0  # alternate int and Fraction coefficients
         pairs = [
             (rand_rat(rng, int_coeffs), rand_rat(rng, int_coeffs))
             for _ in range(rng.randrange(0, 5))

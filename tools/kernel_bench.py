@@ -2,9 +2,11 @@
 
 Times the two multiplication paths of `_imul` (dict schoolbook and Kronecker
 substitution) at several operand sizes, the cyclotomic construction
-`_cyclo_int(1..400)`, and two large-color evaluations, each in a fresh
-interpreter so its lru caches start cold.  Prints the median and the spread
-(interquartile range over the median) of each.  Use it to re-measure
+`_cyclo_int(1..400)`, the LaurentRat layer (the products of
+`qgraph verify theta-recursion --max 12`, whose reduction runs `poly_gcd`),
+and two large-color evaluations, each in a fresh interpreter so its lru
+caches start cold.  Prints the median and the spread (interquartile range
+over the median) of each.  Use it to re-measure
 `laurent._KRONECKER_MIN_TERMS`:
 
     PYTHONPATH=src python3 tools/kernel_bench.py [--repeat 7] [--skip-large]
@@ -20,7 +22,8 @@ import subprocess
 import sys
 import time
 
-from qgraph import laurent
+from qgraph import invariants, laurent
+from qgraph.apoly import interior_colorings
 
 SIZES = (2, 8, 12, 16, 24, 64, 256, 1024)
 LONG = 1024  # the longer operand of the unbalanced shape
@@ -87,6 +90,26 @@ def bench_cyclo(repeat: int) -> None:
     _line("_cyclo_int(1..400), cold cache", med, spread)
 
 
+def _clear_caches() -> None:
+    for module in (laurent, invariants):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def bench_rat(repeat: int) -> None:
+    """theta_recursion_factor * theta_invariant over the theta-recursion grid."""
+    grid = interior_colorings("theta", "a", 12, 1)
+    samples = []
+    for _ in range(repeat):
+        _clear_caches()
+        t0 = time.perf_counter()
+        for a, b, c in grid:
+            invariants.theta_recursion_factor(a, b, c) * invariants.theta_invariant(a, b, c)
+        samples.append(time.perf_counter() - t0)
+    _line(f"LaurentRat products, {len(grid)} colorings, cold caches", *_spread(samples))
+
+
 # (function in qgraph.invariants, its argument tuple)
 LARGE = (("theta_invariant", (80, 80, 80)), ("tet_primed", ((20,) * 6,)))
 
@@ -118,6 +141,7 @@ def main() -> None:
         ap.error("--repeat must be at least 2")
     bench_imul(args.repeat)
     bench_cyclo(args.repeat)
+    bench_rat(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
 
