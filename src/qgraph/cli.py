@@ -459,6 +459,9 @@ def cmd_asymptotics(args, cfg):
     hbars = _parse_floats(args.hbar, None, "--hbar")
     if not hbars or any(h >= 0 for h in hbars):
         raise UsageError("--hbar needs a nonempty list of negative reals")
+    # colors solve x = exp(hbar * n / 2), which only a positive x can meet
+    if any(v <= 0 for v in x):
+        raise UsageError(f"--x entries must be positive (0 is a singular point of the potential), got {args.x}")
     try:
         table = growth_check_theta(x, hbars) if args.graph == "theta" else growth_check_tet(x, hbars)
     except SingularPointError as exc:

@@ -81,14 +81,7 @@ def theta_invariant(a: int, b: int, c: int) -> LaurentRat:
     if not is_admissible(a, b, c):
         return LaurentRat.zero()
     s = (a + b + c) // 2
-    br = BracketRatio(1 if s % 2 == 0 else -1)
-    br = br * BracketRatio.factorial(s + 1)
-    br = br * BracketRatio.factorial(s - a)
-    br = br * BracketRatio.factorial(s - b)
-    br = br * BracketRatio.factorial(s - c)
-    br = br * BracketRatio.factorial(a, inverse=True)
-    br = br * BracketRatio.factorial(b, inverse=True)
-    br = br * BracketRatio.factorial(c, inverse=True)
+    br = BracketRatio.factorials(1 if s % 2 == 0 else -1, (s + 1, s - a, s - b, s - c), (a, b, c))
     return br.to_laurent_rat()
 
 
@@ -170,12 +163,8 @@ def _tet_summands(
     """Summands (-1)^m [m+1]! / (prod [m-T]! prod [Q-m]!), times an optional factor."""
     out = []
     for m in range(m_min, m_max + 1):
-        br = BracketRatio(1 if m % 2 == 0 else -1)
-        br = br * BracketRatio.factorial(m + 1)
-        for t in lowers:
-            br = br * BracketRatio.factorial(m - t, inverse=True)
-        for q in uppers:
-            br = br * BracketRatio.factorial(q - m, inverse=True)
+        downs = [m - t for t in lowers] + [q - m for q in uppers]
+        br = BracketRatio.factorials(1 if m % 2 == 0 else -1, (m + 1,), downs)
         if extra is not None:
             br = br * extra
         out.append(br)
@@ -209,22 +198,12 @@ def tet_primed(col, convention: str = CONVENTION_TRIANGLE) -> LaurentRat:
     return _tet_primed_cached(tuple(int(j) for j in col), convention)
 
 
-def _delta_factorials(a: int, b: int, c: int) -> BracketRatio:
-    br = BracketRatio.factorial((-a + b + c) // 2)
-    br = br * BracketRatio.factorial((a - b + c) // 2)
-    br = br * BracketRatio.factorial((a + b - c) // 2)
-    return br
-
-
 def _tet_prefactor_ratio(col) -> BracketRatio:
     j1, j2, j12, j3, j4, j23 = col
-    br = _delta_factorials(j1, j2, j12)
-    br = br * _delta_factorials(j3, j4, j12)
-    br = br * _delta_factorials(j1, j4, j23)
-    br = br * _delta_factorials(j2, j3, j23)
-    for j in col:
-        br = br * BracketRatio.factorial(j, inverse=True)
-    return br
+    deltas = []
+    for a, b, c in ((j1, j2, j12), (j3, j4, j12), (j1, j4, j23), (j2, j3, j23)):
+        deltas += [(-a + b + c) // 2, (a - b + c) // 2, (a + b - c) // 2]
+    return BracketRatio.factorials(1, deltas, col)
 
 
 def tet_prefactor(col) -> LaurentRat:
@@ -294,20 +273,15 @@ def _hypergeom_raw(col) -> Optional[LaurentRat]:
     if f2 < 0 or f3 < 0:
         return None
     # prefactor (-1)^{q1} [q1+1]! / ([e1]![e2]![e3]![e4]![f2]![f3]!)
-    pre = BracketRatio(1 if q1 % 2 == 0 else -1)
-    pre = pre * BracketRatio.factorial(q1 + 1)
-    for e in (e1, e2, e3, e4, f2, f3):
-        pre = pre * BracketRatio.factorial(e, inverse=True)
+    pre = BracketRatio.factorials(1 if q1 % 2 == 0 else -1, (q1 + 1,), (e1, e2, e3, e4, f2, f3))
     # series sum_n (-1)^n prod_i [e_i]!/[e_i-n]! / ([n]! [q1+1]!/[q1+1-n]! [f2+n]!/[f2]! [f3+n]!/[f3]!)
     terms = []
     for n in range(min(e1, e2, e3, e4) + 1):
-        term = BracketRatio(1 if n % 2 == 0 else -1)
-        for e in (e1, e2, e3, e4):
-            term = term * BracketRatio.factorial(e) * BracketRatio.factorial(e - n, inverse=True)
-        term = term * BracketRatio.factorial(n, inverse=True)
-        term = term * BracketRatio.factorial(q1 + 1 - n) * BracketRatio.factorial(q1 + 1, inverse=True)
-        term = term * BracketRatio.factorial(f2) * BracketRatio.factorial(f2 + n, inverse=True)
-        term = term * BracketRatio.factorial(f3) * BracketRatio.factorial(f3 + n, inverse=True)
+        term = BracketRatio.factorials(
+            1 if n % 2 == 0 else -1,
+            (e1, e2, e3, e4, q1 + 1 - n, f2, f3),
+            (e1 - n, e2 - n, e3 - n, e4 - n, n, q1 + 1, f2 + n, f3 + n),
+        )
         terms.append(pre * term)
     return bracket_ratio_sum(terms)
 

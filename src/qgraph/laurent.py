@@ -13,11 +13,24 @@ denominator's lowest term has exponent 0 and coefficient 1, which makes
 equality a structural comparison.
 
 The quantum integer [n] = (v^n - v^-n)/(v - v^-1) and the quantum
-factorial [n]! are the basic building blocks.  Large products of quantum
-integers are handled through BracketRatio, a factored form that cancels
-common factors by multiset arithmetic and only expands what survives,
-using the cyclotomic factorization [n] = v^(1-n) * prod Phi_d(v) over
-divisors d >= 3 of 2n.
+factorial [n]! are the basic building blocks, and [n] = v^(1-n) * prod
+Phi_d(v) over the divisors d >= 3 of 2n.  So every value the package
+computes is kept in the Phi_d basis as far as it goes:
+
+- A BracketRatio, and a LaurentRat that is a pure product, is a sign, a
+  v-shift and a signed map d -> exponent of Phi_d.  [n]! has the closed-form
+  exponents floor(n/d) for odd d and floor(2n/d) for even d.  Products and
+  quotients add exponents; equality compares the triples, which unique
+  factorization makes the same as comparing the expanded values.  num and
+  den are built only when they are read (rendering, evaluation, JSON).
+- Any other computed LaurentRat carries its expanded numerator and the
+  Phi_d exponent map of its denominator.  Sums, and products with a
+  polynomial factor, go over the lcm in the Phi_d basis; the numerator is
+  then stripped of the Phi_d it shares with the lcm by exact division, so
+  the result is canonical without a polynomial gcd.
+- Only LaurentRat(num, den) built from outside input (JSON, tests) runs
+  the pseudo-remainder gcd, poly_gcd, and arithmetic on such a value with
+  a denominator that is not 1 takes that general route as well.
 
 All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
 
@@ -39,7 +52,6 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -408,7 +420,7 @@ def _bracket_cyclo_divisors(k: int) -> tuple[int, ...]:
 
 # The kernel works on coefficient dicts {exponent: coefficient}, the same
 # dicts a LaurentPoly holds.  Products of many Phi_d are built in a balanced
-# product tree (_assemble_counter) and powers by squaring (_phi_power_int), so
+# product tree (_phi_product) and powers by squaring (_phi_power_int), so
 # most of the work lands in a few multiplications of operands of similar size,
 # which Kronecker substitution (_imul_kron) does in one big-int multiply.
 
@@ -573,19 +585,30 @@ def _phi_power_int(d: int, m: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def _assemble_counter(mult: Counter) -> dict[int, int]:
-    """Product of Phi_d^m over a multiplicity counter, as an int dict.
+def _phi_product(mult: Mapping[int, int]) -> dict[int, int]:
+    """Product of Phi_d^m over the entries with m > 0, as a new int dict."""
+    return dict(_phi_product_sorted(tuple(sorted((d, m) for d, m in mult.items() if m > 0))))
+
+
+# Sums over the lcm build the same few numerator products again and again
+# (the colorings of a sweep share most of their brackets); the bound keeps
+# the memory of long sweeps flat.
+@lru_cache(maxsize=512)
+def _phi_product_sorted(factors: tuple[tuple[int, int], ...]) -> dict[int, int]:
+    """_phi_product over sorted (d, m) pairs.
 
     The factors are multiplied in a balanced product tree, always the two
     with fewest terms, so the large multiplications pair operands of similar
     size, where Kronecker substitution pays most.
     """
-    factors = {d: _phi_power_int(d, m) for d, m in mult.items() if m > 0}
-    heap = [(len(f), d, dict(f)) for d, f in factors.items()]
-    if not heap:
+    if not factors:
         return {0: 1}
+    heap = []
+    for d, m in factors:
+        f = _phi_power_int(d, m)
+        heap.append((len(f), d, dict(f)))
     heapify(heap)
-    tick = max(mult) + 1  # tie-break after the factor's d, never comparing dicts
+    tick = factors[-1][0] + 1  # tie-break after the factor's d, never comparing dicts
     while len(heap) > 1:
         a = heappop(heap)[2]
         b = heappop(heap)[2]
@@ -628,58 +651,86 @@ def _idiv_exact(num: dict, den: dict) -> dict | None:
     return {lo - dlo + i: c for i, c in enumerate(cur[: top + 1]) if c}
 
 
-class BracketRatio:
-    """Signed ratio of products of quantum integers, kept factored.
+def _factorial_exponents(ups: Iterable[int], downs: Iterable[int] = ()) -> tuple[int, dict[int, int]]:
+    """(v-shift, Phi_d exponents) of prod [n]! over ups divided by prod over downs.
 
-    Stores multisets of bracket indices for numerator and denominator and a
-    sign; common indices cancel exactly.  Conversion to LaurentRat goes
-    through the cyclotomic factorization, so the resulting num/den pair is
-    coprime by construction and the expensive polynomial gcd is skipped.
+    [n]! = prod_{k<=n} v^(1-k) prod_{d>=3, d | 2k} Phi_d, and d divides 2k for
+    floor(n/d) of the k <= n when d is odd and for floor(2n/d) when d is even,
+    so the exponents are written down without expanding any bracket.
+    """
+    acc: list[int] = []
+    shift = 0
+    for ns, step in ((ups, 1), (downs, -1)):
+        for n in ns:
+            if n < 0:
+                raise ValueError("factorial of negative quantum integer")
+            if 2 * n >= len(acc):
+                acc.extend([0] * (2 * n + 1 - len(acc)))
+            shift -= step * (n * (n - 1) // 2)
+            for d in range(3, n + 1, 2):
+                acc[d] += step * (n // d)
+            n2 = 2 * n
+            for d in range(4, n2 + 1, 2):
+                acc[d] += step * (n2 // d)
+    return shift, {d: m for d, m in enumerate(acc) if m}
+
+
+def _add_exponents(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """a + sign * b as a new signed exponent map without zero entries."""
+    if sign > 0 and len(b) > len(a):
+        a, b = b, a
+    out = dict(a)
+    for d, m in b.items():
+        s = out.get(d, 0) + sign * m
+        if s:
+            out[d] = s
+        else:
+            del out[d]
+    return out
+
+
+class BracketRatio:
+    """Signed product of quantum integers and their inverses, kept factored.
+
+    The value is sign * v^shift * prod Phi_d^phi[d] over a signed exponent
+    map phi: [k] contributes v^(1-k) and Phi_d for each d >= 3 dividing 2k,
+    and [n]! its closed-form exponents (_factorial_exponents).  Products
+    add exponents, so common factors cancel without any polynomial work;
+    to_laurent_rat hands the triple to a LaurentRat, which expands it only
+    when its coefficients are read.
     """
 
-    __slots__ = ("sign", "num", "den")
+    __slots__ = ("sign", "shift", "phi")
 
-    def __init__(self, sign: int = 1, num: Counter | None = None, den: Counter | None = None):
+    def __init__(self, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.sign = sign
-        self.num = Counter()
-        self.den = Counter()
-        if num:
-            for k, m in num.items():
-                if k < 1:
-                    raise ValueError(f"bracket index must be positive, got {k}")
-                if k > 1 and m:
-                    self.num[k] = m
-        if den:
-            for k, m in den.items():
-                if k < 1:
-                    raise ValueError(f"bracket index must be positive, got {k}")
-                if k > 1 and m:
-                    self.den[k] = m
-        self._cancel()
+        self.shift = 0
+        self.phi: dict[int, int] = {}
 
-    def _cancel(self) -> None:
-        for k in list(self.num):
-            if k in self.den:
-                m = min(self.num[k], self.den[k])
-                self.num[k] -= m
-                self.den[k] -= m
-                if not self.num[k]:
-                    del self.num[k]
-                if not self.den[k]:
-                    del self.den[k]
+    @classmethod
+    def _make(cls, sign: int, shift: int, phi: dict[int, int]) -> "BracketRatio":
+        out = cls.__new__(cls)
+        out.sign = sign
+        out.shift = shift
+        out.phi = phi
+        return out
 
     @classmethod
     def one(cls) -> "BracketRatio":
         return cls()
 
     @classmethod
+    def factorials(cls, sign: int, ups: Iterable[int], downs: Iterable[int] = ()) -> "BracketRatio":
+        """sign * prod [n]! over ups / prod [n]! over downs."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        return cls._make(sign, *_factorial_exponents(ups, downs))
+
+    @classmethod
     def factorial(cls, n: int, inverse: bool = False) -> "BracketRatio":
-        if n < 0:
-            raise ValueError("factorial of negative quantum integer")
-        c = Counter(range(2, n + 1))
-        return cls(1, None, c) if inverse else cls(1, c, None)
+        return cls.factorials(1, (), (n,)) if inverse else cls.factorials(1, (n,))
 
     def times_bracket(self, k: int, power: int = 1) -> "BracketRatio":
         if k == 0:
@@ -690,115 +741,112 @@ class BracketRatio:
             k = -k
             if power % 2:
                 sign = -sign
-        out = BracketRatio(sign, self.num, self.den)
-        if k > 1:
-            if power > 0:
-                out.num[k] += power
-            else:
-                out.den[k] -= power
-        out._cancel()
-        return out
+        phi = _add_exponents(self.phi, {d: power for d in _bracket_cyclo_divisors(k)})
+        return BracketRatio._make(sign, self.shift + (1 - k) * power, phi)
 
     def __mul__(self, other: "BracketRatio") -> "BracketRatio":
-        return BracketRatio(self.sign * other.sign, self.num + other.num, self.den + other.den)
+        return BracketRatio._make(self.sign * other.sign, self.shift + other.shift, _add_exponents(self.phi, other.phi))
 
     def __truediv__(self, other: "BracketRatio") -> "BracketRatio":
-        return BracketRatio(self.sign * other.sign, self.num + other.den, self.den + other.num)
+        return BracketRatio._make(
+            self.sign * other.sign, self.shift - other.shift, _add_exponents(self.phi, other.phi, -1)
+        )
 
     def __neg__(self) -> "BracketRatio":
-        return BracketRatio(-self.sign, self.num, self.den)
+        return BracketRatio._make(-self.sign, self.shift, self.phi)
 
     def is_one(self) -> bool:
-        return self.sign == 1 and not self.num and not self.den
-
-    def _cyclo_counters(self) -> tuple[Counter, Counter]:
-        """Cyclotomic multiplicities of num and den after cancellation."""
-        mult_n: Counter = Counter()
-        mult_d: Counter = Counter()
-        for k, m in self.num.items():
-            for d in _bracket_cyclo_divisors(k):
-                mult_n[d] += m
-        for k, m in self.den.items():
-            for d in _bracket_cyclo_divisors(k):
-                mult_d[d] += m
-        for d in set(mult_n) & set(mult_d):
-            m = min(mult_n[d], mult_d[d])
-            mult_n[d] -= m
-            mult_d[d] -= m
-            if not mult_n[d]:
-                del mult_n[d]
-            if not mult_d[d]:
-                del mult_d[d]
-        return mult_n, mult_d
-
-    def _unit_shift(self) -> int:
-        """v-exponent of the unit factor prod v^(1-k) over num minus den."""
-        return sum((1 - k) * m for k, m in self.num.items()) - sum((1 - k) * m for k, m in self.den.items())
-
-    def _reduced_polys(self) -> tuple[LaurentPoly, LaurentPoly]:
-        """Coprime (num, den) LaurentPolys, each with min exponent 0."""
-        mult_n, mult_d = self._cyclo_counters()
-        return LaurentPoly._wrap(_assemble_counter(mult_n)), LaurentPoly._wrap(_assemble_counter(mult_d))
+        return self.sign == 1 and not self.shift and not self.phi
 
     def to_laurent_rat(self) -> "LaurentRat":
-        num, den = self._reduced_polys()
-        if self.sign < 0:
-            num = -num
-        # each bracket carries a unit v^(1-k) next to its Phi product
-        num = num.shifted(self._unit_shift())
-        return LaurentRat(num, den, trusted=True)
+        return LaurentRat._product(self.sign, self.shift, self.phi)
 
     def __repr__(self) -> str:
-        return f"BracketRatio(sign={self.sign}, num={dict(self.num)}, den={dict(self.den)})"
+        return f"BracketRatio(sign={self.sign}, shift={self.shift}, phi={self.phi})"
 
 
-def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
-    """Exact sum of factored bracket ratios, without polynomial gcd.
+# A form (sign, shift, phi, poly) is the value sign * v^shift * poly * prod
+# Phi_d^phi[d], phi a signed exponent map and poly a coefficient dict, or None
+# for 1.  Products of forms add exponents; _sum_forms turns any list of forms
+# into one canonical LaurentRat.
 
-    All terms are brought over the least common denominator in the
-    cyclotomic factor basis; the numerator sum is then stripped of any
-    remaining cyclotomic factors of the denominator by exact division.
-    The result is canonical (coprime, unit-normalized denominator).
+
+def _form_mul(a: tuple, b: tuple) -> tuple:
+    sa, ha, ea, pa = a
+    sb, hb, eb, pb = b
+    poly = pb if pa is None else pa if pb is None else _imul(pa, pb)
+    return sa * sb, ha + hb, _add_exponents(ea, eb), poly
+
+
+def _sum_forms(forms: Iterable[tuple]) -> "LaurentRat":
+    """Canonical sum of forms, without a gcd.
+
+    The terms are brought over the lcm of their denominators in the Phi_d
+    basis, and the numerator sum is stripped, by exact division, of every
+    Phi_d it shares with that lcm.  The Phi_d are irreducible, so what
+    remains is coprime to the denominator: the result is canonical.  A
+    single factored term stays factored.
     """
-    forms = []
-    den_mult: Counter = Counter()
-    for t in terms:
-        cn, cd = t._cyclo_counters()
-        forms.append((t.sign, t._unit_shift(), cn, cd))
-        for d, m in cd.items():
-            if m > den_mult[d]:
-                den_mult[d] = m
-    if not forms:
+    live = [f for f in forms if f[3] is None or f[3]]
+    if not live:
         return LaurentRat.zero()
-    num: dict[int, int] = {}
-    for sign, shift, cn, cd in forms:
-        need = Counter(cn)
-        for d, m in den_mult.items():
-            extra = m - cd.get(d, 0)
-            if extra:
-                need[d] += extra
-        _iadd_into(num, _assemble_counter(need), sign, shift)
+    if len(live) == 1 and live[0][3] is None:
+        return LaurentRat._product(*live[0][:3])
+    lcm: dict[int, int] = {}
+    for _, _, phi, _ in live:
+        for d, m in phi.items():
+            if m < 0 and -m > lcm.get(d, 0):
+                lcm[d] = -m
+    needs = [_add_exponents(lcm, phi) for _, _, phi, _ in live]  # each numerator over the lcm
+    # Phi_d powers every numerator shares are factored out of the sum; the
+    # term whose denominator holds the lcm's power of Phi_d has none of that
+    # Phi_d over the lcm, so these never cancel against the denominator
+    common = {}
+    for d in needs[0]:
+        m = min(n.get(d, 0) for n in needs)
+        if m:
+            common[d] = m
+    num: dict = {}
+    for (sign, shift, _, poly), need in zip(live, needs):
+        term = _phi_product(_add_exponents(need, common, -1))
+        if poly is not None:
+            term = _imul(term, poly)
+        _iadd_into(num, term, sign, shift)
     if not num:
         return LaurentRat.zero()
-    for d in sorted(den_mult):
-        phi = dict(_phi_power_int(d, 1))
-        while den_mult[d] > 0:
-            q = _idiv_exact(num, phi)
+    for d in sorted(lcm):
+        phi_d = dict(_phi_power_int(d, 1))
+        while lcm[d]:
+            q = _idiv_exact(num, phi_d)
             if q is None:
                 break
             num = q
-            den_mult[d] -= 1
-    den = LaurentPoly._wrap(_assemble_counter(den_mult))
-    return LaurentRat(LaurentPoly._wrap(num), den, trusted=True)
+            lcm[d] -= 1
+    if common:
+        num = _imul(num, _phi_product(common))
+    return LaurentRat._over(LaurentPoly._wrap(num), {d: m for d, m in lcm.items() if m})
+
+
+def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
+    """Exact sum of factored bracket ratios, without polynomial gcd."""
+    return _sum_forms((t.sign, t.shift, t.phi, None) for t in terms)
 
 
 def rat_dot(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> LaurentRat:
-    """Exact sum of products a_i * b_i with a single final normalization.
+    """Exact sum of products a_i * b_i, normalized once over the lcm of the denominators.
 
-    Each per-term add in the naive expression sum(a*b) reduces the running
-    fraction to lowest terms; deferring the gcd to one pass at the end is
-    much cheaper, and free when the sum collapses to zero.
+    Values whose denominator factors are unknown (built from outside input)
+    take the general route: one common denominator and one gcd at the end.
     """
+    pairs = list(pairs)
+    forms = []
+    for a, b in pairs:
+        fa, fb = a._form(), b._form()
+        if not (fa and fb):
+            break
+        forms.append(_form_mul(fa, fb))
+    else:
+        return _sum_forms(forms)
     num: dict = {}
     den: dict = {0: 1}
     for a, b in pairs:
@@ -814,12 +862,16 @@ class LaurentRat:
     """Element of the fraction field of Laurent polynomials in v.
 
     Canonical form: gcd(num, den) = 1, the denominator's lowest exponent is
-    0 and its lowest coefficient is 1.  Equality is then structural.
+    0 and its lowest coefficient is 1.  A value also holds the Phi_d
+    exponents of its denominator whenever they are known (`_dmap`), which is
+    the case for every value the package computes; while it is a pure
+    product it holds its whole factorization (`_fac`, a (sign, shift, phi)
+    triple) and builds num and den only when they are read.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den", "_dmap", "_fac")
 
-    def __init__(self, num, den=None, trusted: bool = False):
+    def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
             num = LaurentPoly({0: num})
         if den is None:
@@ -829,56 +881,120 @@ class LaurentRat:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.one()
-            return
-        if not trusted:
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = exact_div_poly(num, g)
-                den = exact_div_poly(den, g)
-        # unit normalization: den lowest term -> exponent 0, coefficient 1
-        lo = den.min_exp()
-        c = den.terms[lo]
-        if c != 1:
-            inv = 1 / Fraction(c)
-            num, den = num * inv, den * inv
-        if lo:
-            num, den = num.shifted(-lo), den.shifted(-lo)
-        self.num = num
-        self.den = den
+            num, den = LaurentPoly(), LaurentPoly.one()
+        else:
+            if not den.is_monomial():  # a monomial is a unit: nothing to cancel
+                g = poly_gcd(num, den)
+                if not g.is_one():
+                    num = exact_div_poly(num, g)
+                    den = exact_div_poly(den, g)
+            # unit normalization: den lowest term -> exponent 0, coefficient 1
+            lo = den.min_exp()
+            c = den.terms[lo]
+            if c != 1:
+                inv = 1 / Fraction(c)
+                num, den = num * inv, den * inv
+            if lo:
+                num, den = num.shifted(-lo), den.shifted(-lo)
+        self._num = num
+        self._den = den
+        self._dmap = {} if den.is_one() else None
+        self._fac = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _product(cls, sign: int, shift: int, phi: dict[int, int]) -> "LaurentRat":
+        """sign * v^shift * prod Phi_d^phi[d], expanded when first read."""
+        out = cls.__new__(cls)
+        out._num = out._den = out._dmap = None
+        out._fac = (sign, shift, phi)
+        return out
+
+    @classmethod
+    def _over(cls, num: LaurentPoly, dmap: dict[int, int]) -> "LaurentRat":
+        """num / prod Phi_d^dmap[d], num already coprime to that product."""
+        out = cls.__new__(cls)
+        out._num = num
+        out._den = None
+        out._dmap = dmap
+        out._fac = None
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentRat":
-        return cls(LaurentPoly())
+        return cls._over(LaurentPoly(), {})
 
     @classmethod
     def one(cls) -> "LaurentRat":
-        return cls(LaurentPoly.one())
+        return cls._product(1, 0, {})
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "LaurentRat":
-        return cls(p, LaurentPoly.one(), trusted=True)
+        return cls._over(p, {})
+
+    # -- representation ---------------------------------------------------
+
+    @property
+    def num(self) -> LaurentPoly:
+        if self._num is None:
+            self._expand()
+        return self._num
+
+    @property
+    def den(self) -> LaurentPoly:
+        if self._den is None:
+            if self._fac is not None:
+                self._expand()
+            else:
+                self._den = LaurentPoly._wrap(_phi_product(self._dmap))
+        return self._den
+
+    def _expand(self) -> None:
+        sign, shift, phi = self._fac
+        num = _phi_product(phi)
+        if sign < 0 or shift:
+            num = {e + shift: sign * c for e, c in num.items()}
+        self._num = LaurentPoly._wrap(num)
+        self._den = LaurentPoly._wrap(_phi_product({d: -m for d, m in phi.items() if m < 0}))
+
+    def _den_map(self) -> dict[int, int] | None:
+        if self._fac is not None:
+            return {d: -m for d, m in self._fac[2].items() if m < 0}
+        return self._dmap
+
+    def _form(self) -> tuple | None:
+        """The value as a form, or None when its denominator factors are unknown."""
+        if self._fac is not None:
+            return (*self._fac, None)
+        if self._dmap is None:
+            return None
+        return 1, 0, {d: -m for d, m in self._dmap.items()}, self._num.terms
 
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._fac is None and self._num.is_zero()
 
     def is_laurent_poly(self) -> bool:
         """True when the reduced denominator is 1."""
-        return self.den.is_one()
+        dmap = self._den_map()
+        return self.den.is_one() if dmap is None else not dmap
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return not self.is_zero()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):
             other = LaurentRat(other)
         if not isinstance(other, LaurentRat):
             return NotImplemented
+        if self._fac is not None and other._fac is not None:
+            # unique factorization: equal values have equal triples
+            return self._fac == other._fac
+        a, b = self._den_map(), other._den_map()
+        if a is not None and b is not None:
+            return a == b and self.num == other.num
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -887,9 +1003,11 @@ class LaurentRat:
     # -- field operations ---------------------------------------------------
 
     def __neg__(self) -> "LaurentRat":
-        out = LaurentRat.__new__(LaurentRat)
-        out.num = -self.num
-        out.den = self.den
+        if self._fac is not None:
+            sign, shift, phi = self._fac
+            return LaurentRat._product(-sign, shift, phi)
+        out = LaurentRat._over(-self._num, self._dmap)
+        out._den = self._den
         return out
 
     def _lift(self, other) -> "LaurentRat | None":
@@ -905,6 +1023,9 @@ class LaurentRat:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        fa, fb = self._form(), o._form()
+        if fa and fb:
+            return _sum_forms((fa, fb))
         return LaurentRat(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -913,6 +1034,9 @@ class LaurentRat:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        fa, fb = self._form(), o._form()
+        if fa and fb:
+            return _sum_forms((fa, (-fb[0], *fb[1:])))
         return LaurentRat(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other) -> "LaurentRat":
@@ -925,6 +1049,9 @@ class LaurentRat:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        fa, fb = self._form(), o._form()
+        if fa and fb:
+            return _sum_forms((_form_mul(fa, fb),))
         return LaurentRat(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -935,6 +1062,10 @@ class LaurentRat:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero value")
+        fa = self._form()
+        if fa and o._fac is not None:
+            sign, shift, phi = o._fac
+            return _sum_forms((_form_mul(fa, (sign, -shift, {d: -m for d, m in phi.items()}, None)),))
         return LaurentRat(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "LaurentRat":
@@ -944,7 +1075,15 @@ class LaurentRat:
         return o / self
 
     def v_inverted(self) -> "LaurentRat":
-        return LaurentRat(self.num.v_inverted(), self.den.v_inverted())
+        f = self._form()
+        if f is None:
+            return LaurentRat(self.num.v_inverted(), self.den.v_inverted())
+        sign, shift, phi, poly = f
+        # Phi_d(1/v) = v^-deg(Phi_d) * Phi_d(v) for every d >= 2
+        shift = -shift - sum(m * (len(_cyclo_int(d)) - 1) for d, m in phi.items())
+        if poly is None:
+            return LaurentRat._product(sign, shift, phi)
+        return LaurentRat._over(LaurentPoly._wrap({shift - e: sign * c for e, c in poly.items()}), self._dmap)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -312,6 +312,22 @@ def test_asymptotics_singular_point_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # colors solve x = exp(hbar n / 2): a negative x used to reach math.log
+        "asymptotics tet --x -0.3,0.3,0.3,0.3,0.3,0.3 --hbar -0.1",
+        "asymptotics theta --x -0.5,0.5,0.5 --hbar -0.1",
+        # one zero tet coordinate used to divide by zero in the saddle solve
+        "asymptotics tet --x 0,0.3,0.3,0.3,0.3,0.3 --hbar -0.1",
+    ],
+)
+def test_asymptotics_nonpositive_x_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "must be positive" in err
+
+
+@pytest.mark.parametrize(
     "argv, option",
     [
         ("verify classical-limit --graph theta --max 0", "--max"),

@@ -22,7 +22,9 @@ from qgraph.laurent import (
 )
 from qgraph.laurent import (  # the integer kernel
     _KRONECKER_MIN_TERMS,
+    _bracket_cyclo_divisors,
     _cyclo_int,
+    _factorial_exponents,
     _idiv_exact,
     _imul,
     _imul_kron,
@@ -478,6 +480,130 @@ def test_bracket_ratio_negative_index():
 def test_bracket_zero_raises():
     with pytest.raises(ZeroDivisionError):
         BracketRatio().times_bracket(0)
+
+
+def test_factorial_exponents_closed_form():
+    # floor(n/d) for odd d and floor(2n/d) for even d against the bracket divisors
+    for n in range(120):
+        want = {}
+        for k in range(2, n + 1):
+            for d in _bracket_cyclo_divisors(k):
+                want[d] = want.get(d, 0) + 1
+        assert _factorial_exponents((n,)) == (-n * (n - 1) // 2, want), n
+    with pytest.raises(ValueError):
+        _factorial_exponents((3,), (-1,))
+
+
+# -- factored routes against the general gcd route ---------------------------------
+
+
+def _general(value):
+    """The same value through the gcd route: LaurentRat(num, den) of its expanded parts."""
+    return LaurentRat(value.num, value.den)
+
+
+def _same(got, want):
+    """Identical canonical forms, and == agreeing with that in both directions."""
+    assert got.num == want.num and got.den == want.den
+    assert got == want and want == got
+
+
+def _rand_bracket_ratio(rng):
+    br = BracketRatio(rng.choice((1, -1)))
+    for _ in range(rng.randrange(0, 4)):
+        br = br.times_bracket(rng.choice((1, -1)) * rng.randrange(1, 13), rng.choice((1, -1, 2)))
+    if rng.random() < 0.5:
+        br = br * BracketRatio.factorials(1, [rng.randrange(0, 9)], [rng.randrange(0, 9)])
+    return br
+
+
+def _check_factored_ops(x, y):
+    gx, gy = _general(x), _general(y)
+    _same(x * y, LaurentRat(gx.num * gy.num, gx.den * gy.den))
+    _same(x + y, LaurentRat(gx.num * gy.den + gy.num * gx.den, gx.den * gy.den))
+    _same(x - y, LaurentRat(gx.num * gy.den - gy.num * gx.den, gx.den * gy.den))
+    if y:
+        _same(x / y, LaurentRat(gx.num * gy.den, gx.den * gy.num))
+    _same(-x, LaurentRat(-gx.num, gx.den))
+    _same(x.v_inverted(), LaurentRat(gx.num.v_inverted(), gx.den.v_inverted()))
+    _same(x, gx)
+    # == on the factored forms must agree with == on the expanded parts
+    assert (x == y) == (gx.num == gy.num and gx.den == gy.den)
+    assert (y == x) == (x == y)
+
+
+def test_factored_ops_match_gcd_route():
+    rng = random.Random(4669)
+    for _ in range(300):
+        x = _rand_bracket_ratio(rng).to_laurent_rat()
+        y = _rand_bracket_ratio(rng).to_laurent_rat()
+        _check_factored_ops(x, y)
+        _check_factored_ops(x * y, x + y)
+        _check_factored_ops(x / y, x - y)
+    computed = _computed_values()
+    computed = computed[: len(computed) // 2]  # without the JSON copies
+    for i, x in enumerate(computed):
+        for y in computed[i:] + [x * computed[-1 - i]]:
+            _check_factored_ops(x, y)
+
+
+def test_rat_dot_factored_matches_gcd_route():
+    rng = random.Random(1729)
+    computed = _computed_values()
+    for _ in range(100):
+        pairs = []
+        for _ in range(rng.randrange(0, 5)):
+            a = _rand_bracket_ratio(rng).to_laurent_rat()
+            b = rng.choice(computed) if rng.random() < 0.5 else _rand_bracket_ratio(rng).to_laurent_rat()
+            pairs.append((a, b))
+        num, den = LaurentPoly(), LaurentPoly.one()
+        for a, b in pairs:
+            num = num * a.den * b.den + a.num * b.num * den
+            den = den * a.den * b.den
+        _same(rat_dot(pairs), LaurentRat(num, den))
+
+
+def test_factored_equality_cases():
+    q = lambda k: BracketRatio().times_bracket(k)  # noqa: E731
+    # [4]!/[2]! = [3][4], reached through different exponent maps
+    x = (BracketRatio.factorial(4) / BracketRatio.factorial(2)).to_laurent_rat()
+    y = (q(3) * q(4)).to_laurent_rat()
+    assert x == y and y == x
+    assert x == LaurentRat.from_poly(q_int(3) * q_int(4)) == _general(y)
+    # one Phi_d exponent apart, and a sign or a unit apart
+    base = LaurentRat._product(1, -3, {3: 1, 4: 2, 10: -1})
+    for other in (
+        LaurentRat._product(1, -3, {3: 1, 4: 1, 10: -1}),
+        LaurentRat._product(1, -3, {3: 1, 4: 2}),
+        LaurentRat._product(-1, -3, {3: 1, 4: 2, 10: -1}),
+        LaurentRat._product(1, -1, {3: 1, 4: 2, 10: -1}),
+    ):
+        assert base != other and other != base
+        assert _general(base) != other and other != _general(base)
+        assert (base.num, base.den) != (other.num, other.den)
+    assert base == _general(base) and _general(base) == base
+
+
+def test_mutated_recursion_factor_fails_everywhere():
+    from qgraph.apoly import interior_colorings
+    from qgraph.invariants import theta_invariant, theta_recursion_factor
+
+    def factor(a, b, c, bump):
+        # theta_recursion_factor with its [(a + b - c)/2 + 1] raised by bump
+        s = (a + b + c) // 2
+        br = BracketRatio(-1).times_bracket(s + 2).times_bracket((a - b + c) // 2 + 1)
+        br = br.times_bracket((a + b - c) // 2 + 1 + bump)
+        br = br.times_bracket((-a + b + c) // 2, -1).times_bracket(a + 1, -1).times_bracket(a + 2, -1)
+        return br.to_laurent_rat()
+
+    grid = interior_colorings("theta", "a", 6, 1)
+    assert grid
+    for a, b, c in grid:
+        want = theta_invariant(a + 2, b, c)
+        assert factor(a, b, c, 0) == theta_recursion_factor(a, b, c)
+        assert factor(a, b, c, 0) * theta_invariant(a, b, c) == want
+        bad = factor(a, b, c, 1) * theta_invariant(a, b, c)
+        assert bad != want and _general(bad) != want, (a, b, c)
 
 
 # -- serialization ------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Times the two multiplication paths of `_imul` (dict schoolbook and Kronecker
 substitution) at several operand sizes, the cyclotomic construction
-`_cyclo_int(1..400)`, the LaurentRat layer (the products of
-`qgraph verify theta-recursion --max 12`, whose reduction runs `poly_gcd`),
-and two large-color evaluations, each in a fresh interpreter so its lru
-caches start cold.  Prints the median and the spread (interquartile range
-over the median) of each.  Use it to re-measure
-`laurent._KRONECKER_MIN_TERMS`:
+`_cyclo_int(1..400)`, the LaurentRat layer (the whole check of
+`qgraph verify theta-recursion --max 12`: each recursion product compared
+with the shifted theta value, on factored values), the cold tet sums
+(`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
+the Phi_d basis), and two large-color evaluations expanded to their
+coefficients, each in a fresh interpreter so its lru caches start cold.
+Prints the median and the spread (interquartile range over the median) of
+each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS`:
 
     PYTHONPATH=src python3 tools/kernel_bench.py [--repeat 7] [--skip-large]
 """
@@ -97,17 +99,38 @@ def _clear_caches() -> None:
                 obj.cache_clear()
 
 
-def bench_rat(repeat: int) -> None:
-    """theta_recursion_factor * theta_invariant over the theta-recursion grid."""
-    grid = interior_colorings("theta", "a", 12, 1)
+def _cold_samples(fn, repeat: int) -> list[float]:
     samples = []
     for _ in range(repeat):
         _clear_caches()
         t0 = time.perf_counter()
-        for a, b, c in grid:
-            invariants.theta_recursion_factor(a, b, c) * invariants.theta_invariant(a, b, c)
+        fn()
         samples.append(time.perf_counter() - t0)
-    _line(f"LaurentRat products, {len(grid)} colorings, cold caches", *_spread(samples))
+    return samples
+
+
+def bench_rat(repeat: int) -> None:
+    """The theta-recursion check: factor * theta(a, b, c) == theta(a + 2, b, c)."""
+    grid = interior_colorings("theta", "a", 12, 1)
+
+    def check():
+        for a, b, c in grid:
+            rhs = invariants.theta_recursion_factor(a, b, c) * invariants.theta_invariant(a, b, c)
+            assert rhs == invariants.theta_invariant(a + 2, b, c)
+
+    _line(f"LaurentRat recursion check, {len(grid)} colorings, cold caches", *_spread(_cold_samples(check, repeat)))
+
+
+def bench_tet_sums(repeat: int) -> None:
+    """tet_primed and tet_full over every coloring of grid 4."""
+    grid = invariants.enumerate_tet_colorings(4)
+
+    def sums():
+        for col in grid:
+            invariants.tet_primed(col)
+            invariants.tet_full(col)
+
+    _line(f"tet sums, {len(grid)} colorings, cold caches", *_spread(_cold_samples(sums, repeat)))
 
 
 # (function in qgraph.invariants, its argument tuple)
@@ -115,11 +138,15 @@ LARGE = (("theta_invariant", (80, 80, 80)), ("tet_primed", ((20,) * 6,)))
 
 
 def bench_large(repeat: int) -> None:
-    """Each call in a fresh interpreter, timed after the package import."""
+    """Each call in a fresh interpreter, timed after the package import.
+
+    The value's num and den are read inside the timing, so a factored value
+    is expanded to its coefficients as a rendered one is.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     timer = (
         "import time; from qgraph.invariants import {0} as f; "
-        "t = time.perf_counter(); f(*{1!r}); print(time.perf_counter() - t)"
+        "t = time.perf_counter(); v = f(*{1!r}); v.num, v.den; print(time.perf_counter() - t)"
     )
     for name, args in LARGE:
         label = f"{name}{args if len(args) > 1 else args[0]!r}"
@@ -142,6 +169,7 @@ def main() -> None:
     bench_imul(args.repeat)
     bench_cyclo(args.repeat)
     bench_rat(args.repeat)
+    bench_tet_sums(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
 
