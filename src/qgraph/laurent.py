@@ -718,10 +718,6 @@ class BracketRatio:
         return out
 
     @classmethod
-    def one(cls) -> "BracketRatio":
-        return cls()
-
-    @classmethod
     def factorials(cls, sign: int, ups: Iterable[int], downs: Iterable[int] = ()) -> "BracketRatio":
         """sign * prod [n]! over ups / prod [n]! over downs."""
         if sign not in (1, -1):
@@ -754,9 +750,6 @@ class BracketRatio:
 
     def __neg__(self) -> "BracketRatio":
         return BracketRatio._make(-self.sign, self.shift, self.phi)
-
-    def is_one(self) -> bool:
-        return self.sign == 1 and not self.shift and not self.phi
 
     def to_laurent_rat(self) -> "LaurentRat":
         return LaurentRat._product(self.sign, self.shift, self.phi)
@@ -956,7 +949,7 @@ class LaurentRat:
         if sign < 0 or shift:
             num = {e + shift: sign * c for e, c in num.items()}
         self._num = LaurentPoly._wrap(num)
-        self._den = LaurentPoly._wrap(_phi_product({d: -m for d, m in phi.items() if m < 0}))
+        self._den = LaurentPoly._wrap(_phi_product(self._den_map()))
 
     def _den_map(self) -> dict[int, int] | None:
         if self._fac is not None:
