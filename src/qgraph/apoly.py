@@ -30,6 +30,7 @@ negative-control tests exercise a realistic failure mode.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .invariants import (
@@ -393,33 +394,13 @@ def _family_value(family: str, col) -> LaurentRat:
     return tet_primed(col)
 
 
-@lru_cache(maxsize=None)
-def _compiled_coeff(poly: MultiPoly, labels: tuple) -> tuple:
-    """Rows (coefficient, v exponent, per-slot x exponents) for fast evaluation."""
-    slot = {"x_" + lab: i for i, lab in enumerate(labels)}
-    rows = []
-    for exps, c in poly.terms.items():
-        base = 0
-        weights = [0] * len(labels)
-        for name, e in zip(poly.vars, exps):
-            if name == "v":
-                base = e
-            else:
-                weights[slot[name]] = e
-        rows.append((c, base, tuple(weights)))
-    return tuple(rows)
-
-
 def _eval_coeff(poly: MultiPoly, graph: str, col) -> LaurentRat:
+    """b(x = v^colors): each term's v-exponent plus its x-exponents times the colors."""
     labels = THETA_EDGES if graph == "theta" else TET_EDGES
-    terms = []
-    for c, base, weights in _compiled_coeff(poly, labels):
-        e = base
-        for w, n in zip(weights, col):
-            if w:
-                e += w * n
-        terms.append((e, c))
-    return LaurentRat.from_poly(LaurentPoly(terms))
+    weight = {"x_" + lab: n for lab, n in zip(labels, col)}
+    weight["v"] = 1
+    weights = [weight[name] for name in poly.vars]
+    return LaurentRat.from_poly(LaurentPoly([(sum(map(mul, weights, exps)), c) for exps, c in poly.terms.items()]))
 
 
 def apply_operator(op: OperatorPoly, family: str, col) -> LaurentRat:

@@ -459,6 +459,11 @@ def cmd_asymptotics(args, cfg):
     hbars = _parse_floats(args.hbar, None, "--hbar")
     if not hbars or any(h >= 0 for h in hbars):
         raise UsageError("--hbar needs a nonempty list of negative reals")
+    for h in hbars:
+        if math.exp(h) == 1.0:
+            raise UsageError(
+                f"--hbar {h!r} is too close to 0: exp(hbar) rounds to 1, so log(1 - exp(hbar)) is not finite"
+            )
     # colors solve x = exp(hbar * n / 2), which only a positive x can meet
     if any(v <= 0 for v in x):
         raise UsageError(f"--x entries must be positive (0 is a singular point of the potential), got {args.x}")
@@ -558,8 +563,9 @@ def cmd_lagrangian(args, cfg):
     samples = args.samples if args.samples is not None else (50 if graph == "theta" else 20)
     seed = args.seed if args.seed is not None else cfg.seed
     step = args.step
-    if not 0 < step < math.inf:
-        raise UsageError("--step must be positive and finite")
+    # the differences step log x by +-step, so exp(+-step) must be finite and nonzero
+    if not 0 < step <= math.log(sys.float_info.max):
+        raise UsageError(f"--step must be positive, with exp(step) finite, got {step!r}")
     tol = cfg.tolerances["lagrangian_theta" if graph == "theta" else "lagrangian_tet"]
     rng = random.Random(seed)
     rows = []

@@ -8,29 +8,33 @@ ratios whose denominators are products of Phi_d with constant term 1, so
 every coefficient the package computes is an int.
 
 A LaurentPoly is a sparse map {v-exponent: coefficient}.  A LaurentRat is
-a reduced fraction num/den of LaurentPolys in the canonical form where the
-denominator's lowest term has exponent 0 and coefficient 1, which makes
-equality a structural comparison.
+a reduced fraction num/den of LaurentPolys whose denominator is a product of
+Phi_d, d >= 2, in the canonical form where its lowest term is 1 at exponent
+0, which makes equality a structural comparison.
 
 The quantum integer [n] = (v^n - v^-n)/(v - v^-1) and the quantum
 factorial [n]! are the basic building blocks, and [n] = v^(1-n) * prod
-Phi_d(v) over the divisors d >= 3 of 2n.  So every value the package
-computes is kept in the Phi_d basis as far as it goes:
+Phi_d(v) over the divisors d >= 3 of 2n.  So every value is kept in the
+Phi_d basis:
 
-- A BracketRatio, and a LaurentRat that is a pure product, is a sign, a
-  v-shift and a signed map d -> exponent of Phi_d.  [n]! has the closed-form
+- A LaurentRat is one form (sign, shift, phi, poly), the value
+  sign * v^shift * poly * prod Phi_d^phi[d], with phi a signed exponent map
+  and poly a coefficient dict, or None for 1.  A BracketRatio, and a
+  LaurentRat that is a pure product, has no poly.  [n]! has the closed-form
   exponents floor(n/d) for odd d and floor(2n/d) for even d.  Products and
-  quotients add exponents; equality compares the triples, which unique
-  factorization makes the same as comparing the expanded values.  num and
-  den are built only when they are read (rendering, evaluation, JSON).
-- Any other computed LaurentRat carries its expanded numerator and the
-  Phi_d exponent map of its denominator.  Sums, and products with a
-  polynomial factor, go over the lcm in the Phi_d basis; the numerator is
-  then stripped of the Phi_d it shares with the lcm by exact division, so
-  the result is canonical without a polynomial gcd.
-- Only LaurentRat(num, den) built from outside input (JSON, tests) runs
-  the pseudo-remainder gcd, poly_gcd, and arithmetic on such a value with
-  a denominator that is not 1 takes that general route as well.
+  quotients add exponents; equality of pure products compares the triples,
+  which unique factorization makes the same as comparing the expanded
+  values.  num and den are built only when they are read (rendering,
+  evaluation, JSON).
+- Sums, and products with a polynomial factor, go over the lcm in the Phi_d
+  basis; the numerator is then stripped of the Phi_d it shares with the lcm
+  by exact division, so the result is canonical without a polynomial gcd.
+- LaurentRat(num, den) from outside input (JSON, tests) is num / den, and a
+  division factors the divisor's numerator by trial division over Phi_d
+  (d >= 2): the Phi_d powers join the denominator, and the cofactor left,
+  c*v^k times anything else, must divide the dividend's poly exactly.  A
+  quotient whose reduced denominator is not a unit times a product of Phi_d
+  raises ValueError.
 
 All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
 
@@ -55,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd
+from math import gcd as int_gcd, log
 from typing import Iterable, Mapping
 
 
@@ -760,8 +764,8 @@ class BracketRatio:
 
 # A form (sign, shift, phi, poly) is the value sign * v^shift * poly * prod
 # Phi_d^phi[d], phi a signed exponent map and poly a coefficient dict, or None
-# for 1.  Products of forms add exponents; _sum_forms turns any list of forms
-# into one canonical LaurentRat.
+# for 1; it is what a LaurentRat holds.  Products of forms add exponents;
+# _sum_forms turns any list of forms into one canonical LaurentRat.
 
 
 def _form_mul(a: tuple, b: tuple) -> tuple:
@@ -771,20 +775,83 @@ def _form_mul(a: tuple, b: tuple) -> tuple:
     return sa * sb, ha + hb, _add_exponents(ea, eb), poly
 
 
+def _cancel_phi(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
+    """num / prod Phi_d^den[d] with every Phi_d the two share divided out of both.
+
+    Returns the stripped num and the form's exponent map of what is left of
+    den (negative exponents).  The Phi_d are irreducible, so the two parts
+    are then coprime.  den is consumed.
+    """
+    if not num:
+        return {}, {}
+    for d in sorted(den):
+        phi_d = dict(_phi_power_int(d, 1))
+        while den[d]:
+            q = _idiv_exact(num, phi_d)
+            if q is None:
+                break
+            num = q
+            den[d] -= 1
+    return num, {d: -m for d, m in den.items() if m}
+
+
+def _totient(d: int) -> int:
+    out = d
+    for p in _prime_factors(d):
+        out -= out // p
+    return out
+
+
+def _totient_cap(deg: int) -> int:
+    """A bound above every d with deg Phi_d = totient(d) <= deg.
+
+    totient(n) > n / (e^gamma lnln n + 3 / lnln n) for n >= 3 (Rosser and
+    Schoenfeld 1962), and the right side increases with n.
+    """
+    n = 3
+    while n <= (1.7811 * log(log(n)) + 3 / log(log(n))) * deg:
+        n += 1
+    return n
+
+
+def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
+    """(mult, cofactor) with p = cofactor * prod Phi_d^mult[d] over d >= 2.
+
+    Trial division by every Phi_d no longer than what is left of p, so no
+    Phi_d divides the cofactor; the cofactor keeps p's lowest term c*v^k.
+    """
+    lo = min(p)
+    unit = {lo: p[lo]}
+    rest = _idiv_exact(p, unit)  # lowest term 1 at v^0
+    mult: dict[int, int] = {}
+    deg = max(rest)
+    for d in range(2, _totient_cap(deg)):
+        if not deg:
+            break
+        step = _totient(d)
+        if step > deg:
+            continue
+        phi_d = dict(_phi_power_int(d, 1))
+        while (q := _idiv_exact(rest, phi_d)) is not None:
+            rest = q
+            deg -= step
+            mult[d] = mult.get(d, 0) + 1
+    return mult, _imul(rest, unit)
+
+
 def _sum_forms(forms: Iterable[tuple]) -> "LaurentRat":
     """Canonical sum of forms, without a gcd.
 
     The terms are brought over the lcm of their denominators in the Phi_d
-    basis, and the numerator sum is stripped, by exact division, of every
-    Phi_d it shares with that lcm.  The Phi_d are irreducible, so what
-    remains is coprime to the denominator: the result is canonical.  A
-    single factored term stays factored.
+    basis, and the numerator sum is stripped of every Phi_d it shares with
+    that lcm (_cancel_phi).  A single term without a poly stays a pure
+    product.
     """
     live = [f for f in forms if f[3] is None or f[3]]
     if not live:
         return LaurentRat.zero()
     if len(live) == 1 and live[0][3] is None:
-        return LaurentRat._product(*live[0][:3])
+        return LaurentRat._product(*live[0])
     lcm: dict[int, int] = {}
     for _, _, phi, _ in live:
         for d, m in phi.items():
@@ -805,19 +872,10 @@ def _sum_forms(forms: Iterable[tuple]) -> "LaurentRat":
         if poly is not None:
             term = _imul(term, poly)
         _iadd_into(num, term, sign, shift)
-    if not num:
-        return LaurentRat.zero()
-    for d in sorted(lcm):
-        phi_d = dict(_phi_power_int(d, 1))
-        while lcm[d]:
-            q = _idiv_exact(num, phi_d)
-            if q is None:
-                break
-            num = q
-            lcm[d] -= 1
-    if common:
+    num, phi = _cancel_phi(num, lcm)
+    if common and num:
         num = _imul(num, _phi_product(common))
-    return LaurentRat._over(LaurentPoly._wrap(num), {d: m for d, m in lcm.items() if m})
+    return LaurentRat._product(1, 0, phi, num)
 
 
 def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
@@ -826,97 +884,42 @@ def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
 
 
 def rat_dot(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> LaurentRat:
-    """Exact sum of products a_i * b_i, normalized once over the lcm of the denominators.
-
-    Values whose denominator factors are unknown (built from outside input)
-    take the general route: one common denominator and one gcd at the end.
-    """
-    pairs = list(pairs)
-    forms = []
-    for a, b in pairs:
-        fa, fb = a._form(), b._form()
-        if not (fa and fb):
-            break
-        forms.append(_form_mul(fa, fb))
-    else:
-        return _sum_forms(forms)
-    num: dict = {}
-    den: dict = {0: 1}
-    for a, b in pairs:
-        t_num = _imul(a.num.terms, b.num.terms)
-        t_den = _imul(a.den.terms, b.den.terms)
-        num = _imul(num, t_den)
-        _iadd_into(num, _imul(t_num, den), 1, 0)
-        den = _imul(den, t_den)
-    return LaurentRat(LaurentPoly._wrap(num), LaurentPoly._wrap(den))
+    """Exact sum of products a_i * b_i, normalized once over the lcm of the denominators."""
+    return _sum_forms(_form_mul(a._form, b._form) for a, b in pairs)
 
 
 class LaurentRat:
-    """Element of the fraction field of Laurent polynomials in v.
+    """Element of the fraction field of Laurent polynomials in v, over a product of Phi_d.
 
-    Canonical form: gcd(num, den) = 1, the denominator's lowest exponent is
-    0 and its lowest coefficient is 1.  A value also holds the Phi_d
-    exponents of its denominator whenever they are known (`_dmap`), which is
-    the case for every value the package computes; while it is a pure
-    product it holds its whole factorization (`_fac`, a (sign, shift, phi)
-    triple) and builds num and den only when they are read.
+    The value is one form (sign, shift, phi, poly), see the module
+    docstring.  Canonical form: num and den coprime, den = prod Phi_d^-m over
+    the negative exponents m of phi, so its lowest term is 1 at exponent 0.
+    num and den are expanded, and kept, when first read.
+
+    LaurentRat(num, den) is num / den, so den must be c*v^k times a product
+    of Phi_d, d >= 2, once the factors it shares with num are cancelled;
+    otherwise it raises ValueError.
     """
 
-    __slots__ = ("_num", "_den", "_dmap", "_fac")
+    __slots__ = ("_form", "_num", "_den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly({0: num})
-        if den is None:
-            den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly({0: den})
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = LaurentPoly(), LaurentPoly.one()
-        else:
-            if not den.is_monomial():  # a monomial is a unit: nothing to cancel
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = exact_div_poly(num, g)
-                    den = exact_div_poly(den, g)
-            # unit normalization: den lowest term -> exponent 0, coefficient 1
-            lo = den.min_exp()
-            c = den.terms[lo]
-            if c != 1:
-                inv = 1 / Fraction(c)
-                num, den = num * inv, den * inv
-            if lo:
-                num, den = num.shifted(-lo), den.shifted(-lo)
-        self._num = num
-        self._den = den
-        self._dmap = {} if den.is_one() else None
-        self._fac = None
+    def __init__(self, num, den=1):
+        self._form = (_lift(num) / _lift(den))._form
+        self._num = self._den = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _product(cls, sign: int, shift: int, phi: dict[int, int]) -> "LaurentRat":
-        """sign * v^shift * prod Phi_d^phi[d], expanded when first read."""
+    def _product(cls, sign: int, shift: int, phi: dict[int, int], poly: dict | None = None) -> "LaurentRat":
+        """The form sign * v^shift * poly * prod Phi_d^phi[d], already canonical."""
         out = cls.__new__(cls)
-        out._num = out._den = out._dmap = None
-        out._fac = (sign, shift, phi)
-        return out
-
-    @classmethod
-    def _over(cls, num: LaurentPoly, dmap: dict[int, int]) -> "LaurentRat":
-        """num / prod Phi_d^dmap[d], num already coprime to that product."""
-        out = cls.__new__(cls)
-        out._num = num
-        out._den = None
-        out._dmap = dmap
-        out._fac = None
+        out._form = (sign, shift, phi, poly)
+        out._num = out._den = None
         return out
 
     @classmethod
     def zero(cls) -> "LaurentRat":
-        return cls._over(LaurentPoly(), {})
+        return cls._product(1, 0, {}, {})
 
     @classmethod
     def one(cls) -> "LaurentRat":
@@ -924,71 +927,55 @@ class LaurentRat:
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "LaurentRat":
-        return cls._over(p, {})
+        out = cls._product(1, 0, {}, p.terms)
+        out._num = p
+        return out
 
     # -- representation ---------------------------------------------------
 
     @property
     def num(self) -> LaurentPoly:
         if self._num is None:
-            self._expand()
+            sign, shift, phi, poly = self._form
+            num = _phi_product(phi)
+            if poly is not None:
+                num = _imul(num, poly) if len(num) > 1 else poly
+            if sign < 0 or shift:
+                num = {e + shift: sign * c for e, c in num.items()}
+            self._num = LaurentPoly._wrap(num)
         return self._num
 
     @property
     def den(self) -> LaurentPoly:
         if self._den is None:
-            if self._fac is not None:
-                self._expand()
-            else:
-                self._den = LaurentPoly._wrap(_phi_product(self._dmap))
+            self._den = LaurentPoly._wrap(_phi_product(self._den_map()))
         return self._den
 
-    def _expand(self) -> None:
-        sign, shift, phi = self._fac
-        num = _phi_product(phi)
-        if sign < 0 or shift:
-            num = {e + shift: sign * c for e, c in num.items()}
-        self._num = LaurentPoly._wrap(num)
-        self._den = LaurentPoly._wrap(_phi_product(self._den_map()))
-
-    def _den_map(self) -> dict[int, int] | None:
-        if self._fac is not None:
-            return {d: -m for d, m in self._fac[2].items() if m < 0}
-        return self._dmap
-
-    def _form(self) -> tuple | None:
-        """The value as a form, or None when its denominator factors are unknown."""
-        if self._fac is not None:
-            return (*self._fac, None)
-        if self._dmap is None:
-            return None
-        return 1, 0, {d: -m for d, m in self._dmap.items()}, self._num.terms
+    def _den_map(self) -> dict[int, int]:
+        return {d: -m for d, m in self._form[2].items() if m < 0}
 
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self._fac is None and self._num.is_zero()
+        poly = self._form[3]
+        return poly is not None and not poly
 
     def is_laurent_poly(self) -> bool:
         """True when the reduced denominator is 1."""
-        dmap = self._den_map()
-        return self.den.is_one() if dmap is None else not dmap
+        return all(m > 0 for m in self._form[2].values())
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = LaurentRat(other)
-        if not isinstance(other, LaurentRat):
+        o = _lift(other)
+        if o is None:
             return NotImplemented
-        if self._fac is not None and other._fac is not None:
-            # unique factorization: equal values have equal triples
-            return self._fac == other._fac
-        a, b = self._den_map(), other._den_map()
-        if a is not None and b is not None:
-            return a == b and self.num == other.num
-        return self.num == other.num and self.den == other.den
+        a, b = self._form, o._form
+        if a[3] is None and b[3] is None:
+            # unique factorization: equal products have equal triples
+            return a[:3] == b[:3]
+        return self._den_map() == o._den_map() and self.num == o.num
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -996,87 +983,69 @@ class LaurentRat:
     # -- field operations ---------------------------------------------------
 
     def __neg__(self) -> "LaurentRat":
-        if self._fac is not None:
-            sign, shift, phi = self._fac
-            return LaurentRat._product(-sign, shift, phi)
-        out = LaurentRat._over(-self._num, self._dmap)
-        out._den = self._den
-        return out
-
-    def _lift(self, other) -> "LaurentRat | None":
-        if isinstance(other, (int, Fraction)):
-            return LaurentRat(other)
-        if isinstance(other, LaurentPoly):
-            return LaurentRat.from_poly(other)
-        if isinstance(other, LaurentRat):
-            return other
-        return None
+        sign, shift, phi, poly = self._form
+        return LaurentRat._product(-sign, shift, phi, poly)
 
     def __add__(self, other) -> "LaurentRat":
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        fa, fb = self._form(), o._form()
-        if fa and fb:
-            return _sum_forms((fa, fb))
-        return LaurentRat(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _sum_forms((self._form, o._form))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentRat":
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        fa, fb = self._form(), o._form()
-        if fa and fb:
-            return _sum_forms((fa, (-fb[0], *fb[1:])))
-        return LaurentRat(self.num * o.den - o.num * self.den, self.den * o.den)
+        return _sum_forms((self._form, (-o._form[0], *o._form[1:])))
 
     def __rsub__(self, other) -> "LaurentRat":
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other) -> "LaurentRat":
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
-        fa, fb = self._form(), o._form()
-        if fa and fb:
-            return _sum_forms((_form_mul(fa, fb),))
-        return LaurentRat(self.num * o.num, self.den * o.den)
+        return _sum_forms((_form_mul(self._form, o._form),))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LaurentRat":
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero value")
-        fa = self._form()
-        if fa and o._fac is not None:
-            sign, shift, phi = o._fac
-            return _sum_forms((_form_mul(fa, (sign, -shift, {d: -m for d, m in phi.items()}, None)),))
-        return LaurentRat(self.num * o.den, self.den * o.num)
+        s1, h1, e1, p1 = self._form
+        s2, h2, e2, p2 = o._form
+        e2 = {d: -m for d, m in e2.items()}
+        if p2 is not None:
+            # p2 = cofactor * prod Phi_d^mult[d]: the Phi_d join the
+            # denominator, and the cofactor must divide p1 exactly
+            mult, cofactor = _phi_factor(p2)
+            e2 = _add_exponents(e2, mult, -1)
+            p1 = _idiv_exact({0: 1} if p1 is None else p1, cofactor)
+            if p1 is None:
+                raise ValueError("the quotient's denominator is not a unit times a product of Phi_d, d >= 2")
+        return _sum_forms(((s1 * s2, h1 - h2, _add_exponents(e1, e2), p1),))
 
     def __rtruediv__(self, other) -> "LaurentRat":
-        o = self._lift(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def v_inverted(self) -> "LaurentRat":
-        f = self._form()
-        if f is None:
-            return LaurentRat(self.num.v_inverted(), self.den.v_inverted())
-        sign, shift, phi, poly = f
+        sign, shift, phi, poly = self._form
         # Phi_d(1/v) = v^-deg(Phi_d) * Phi_d(v) for every d >= 2
         shift = -shift - sum(m * (len(_cyclo_int(d)) - 1) for d, m in phi.items())
-        if poly is None:
-            return LaurentRat._product(sign, shift, phi)
-        return LaurentRat._over(LaurentPoly._wrap({shift - e: sign * c for e, c in poly.items()}), self._dmap)
+        if poly is not None:
+            poly = {-e: c for e, c in poly.items()}
+        return LaurentRat._product(sign, shift, phi, poly)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -1142,3 +1111,13 @@ class LaurentRat:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentRat":
         return cls(LaurentPoly.from_json_obj(obj["num"]), LaurentPoly.from_json_obj(obj["den"]))
+
+
+def _lift(other) -> LaurentRat | None:
+    if isinstance(other, LaurentRat):
+        return other
+    if isinstance(other, (int, Fraction)):
+        other = LaurentPoly({0: other})
+    if isinstance(other, LaurentPoly):
+        return LaurentRat.from_poly(other)
+    return None

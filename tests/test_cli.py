@@ -286,6 +286,10 @@ def test_saddle_degenerate_point_exit_2(capsys, x):
         "asymptotics theta --x 0.5,0.5,0.5 --hbar -0.1,nan",
         "lagrangian --graph theta --step inf",
         "lagrangian --graph theta --step nan",
+        # exp(800) overflows; exp(-1e-17) rounds to 1
+        "lagrangian --graph theta --step 800",
+        "asymptotics theta --x 0.5,0.5,0.5 --hbar -1e-17",
+        "asymptotics tet --x 0.3,0.3,0.3,0.3,0.3,0.3 --hbar -0.1,-1e-17",
         "theta -c 1,1,0 --eval nan",
         "theta -c 1,1,0 --eval 1+infj",
     ],

@@ -51,6 +51,24 @@ def rand_nonzero(rng, **kw):
             return p
 
 
+def rand_den(rng, ints=False, max_factors=3):
+    """c * v^k * prod Phi_d^m over random d in [2, 12]: a denominator LaurentRat accepts."""
+    c = 0
+    while not c:
+        c = rng.randrange(-9, 10) if ints else Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+    den = LaurentPoly.v_power(rng.randrange(-4, 5), c)
+    for _ in range(rng.randrange(0, max_factors + 1)):
+        den = den * cyclotomic(rng.randrange(2, 13)) ** rng.randrange(1, 3)
+    return den
+
+
+def check_value(got, num, den):
+    """got is num/den: equal cross-multiplied in the ring, coprime by poly_gcd, den normalized."""
+    assert got.num * den == num * got.den
+    assert poly_gcd(got.num, got.den).is_one()
+    assert got.den.min_exp() == 0 and got.den.terms[0] == 1
+
+
 def assert_canonical(p, ints=False):
     """Integer coefficients are stored as int, and only the others as Fraction."""
     for c in p.terms.values():
@@ -203,27 +221,34 @@ def test_rat_field_axioms_bulk():
     one = LaurentRat.one()
     zero = LaurentRat.zero()
     computed = _computed_values()
+    thetas = (computed[0], computed[len(computed) // 2])  # theta(2, 3, 3) and its JSON copy
     for v in computed:
         assert not v.is_zero()
         assert_canonical(v.num, ints=True)
         assert_canonical(v.den, ints=True)
     for trial in range(1000):
-        a = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_nonzero(rng, max_terms=3, max_exp=4))
-        b = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_nonzero(rng, max_terms=3, max_exp=4))
+        a = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
+        b = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
+        # one / u makes u's numerator a denominator, so it must factor too
+        u = LaurentRat(rand_den(rng, max_factors=2), rand_den(rng, max_factors=2))
         # every tenth trial adds a draw of two computed values, whose
         # sums, products and quotients keep int coefficients
         for ints in (False, True) if trial % 10 == 0 else (False,):
             if ints:
                 a, b = computed[trial // 10 % len(computed)], computed[trial // 100]
+                u = thetas[trial // 10 % 2]
             assert a + b == b + a
             assert a * b == b * a
             assert a - a == zero
             assert a * one == a
-            if not a.is_zero():
+            if a:
                 assert a / a == one
-                assert a * (one / a) == one
+            if b:
+                assert (a * b) / b == a
+            assert u * (one / u) == one
+            assert (a / u) * u == a
             assert (a + b) - b == a
-            for r in (a, a + b, a * b, a - b, b / a if a else b):
+            for r in (a, a + b, a * b, a - b, b / u):
                 assert_canonical(r.num, ints)
                 assert_canonical(r.den, ints)
 
@@ -232,21 +257,61 @@ def test_rat_reduction_canonical():
     rng = random.Random(424242)
     for _ in range(300):
         p = rand_poly(rng, max_terms=3, max_exp=3)
-        q = rand_nonzero(rng, max_terms=3, max_exp=3)
-        g = rand_nonzero(rng, max_terms=3, max_exp=3)
+        q = rand_den(rng)
+        g = rand_den(rng)
         assert LaurentRat(p * g, q * g) == LaurentRat(p, q)
 
 
 def test_rat_denominator_normalization():
     rng = random.Random(5150)
     for _ in range(300):
-        r = LaurentRat(rand_poly(rng), rand_nonzero(rng))
+        r = LaurentRat(rand_poly(rng), rand_den(rng))
         if r.is_zero():
             assert r.den.is_one()
             continue
         lo = r.den.min_exp()
         assert lo == 0
         assert r.den.terms[0] == 1
+
+
+@pytest.mark.parametrize(
+    "den",
+    [{0: 1, 1: 2}, {0: 1, 1: 1, 3: 1}, {1: 1, 0: -1}],
+    ids=["1+2v", "1+v+v^3", "v-1"],
+)
+def test_rat_rejects_other_denominators(den):
+    with pytest.raises(ValueError):
+        LaurentRat(1, LaurentPoly(den))
+    # dividing by a value makes its numerator a denominator
+    with pytest.raises(ValueError):
+        LaurentRat.one() / LaurentRat.from_poly(LaurentPoly(den))
+
+
+def test_rat_takes_out_unit_and_factors_den():
+    p = LaurentPoly({-1: 3, 0: 1, 4: -5})
+    den = (q_int(3) * cyclotomic(2)).shifted(3) * 2
+    r = LaurentRat(p, den)
+    assert r.den == cyclotomic(2) * cyclotomic(3) * cyclotomic(6)
+    assert r.den == (q_int(3) * cyclotomic(2)).shifted(2)  # [3] * Phi_2 starts at v^-2
+    assert r.num == (p * Fraction(1, 2)).shifted(-1)
+    check_value(r, p, den)
+
+
+def test_json_values_skip_poly_gcd(monkeypatch):
+    import qgraph.laurent
+    from qgraph.invariants import tet_full, theta_invariant
+
+    x = tet_full((22, 24, 26, 20, 28, 26))
+    y = theta_invariant(22, 24, 26)  # a product, so a divisor
+    want = (x + y, x * y, x / y)
+
+    def no_gcd(*args):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(qgraph.laurent, "poly_gcd", no_gcd)
+    jx, jy = (LaurentRat.from_json_obj(json.loads(json.dumps(v.to_json_obj()))) for v in (x, y))
+    assert jx == x and x == jx and jy == y
+    assert (jx + jy, jx * jy, jx / jy) == want
 
 
 def test_pole_error():
@@ -273,7 +338,7 @@ def test_eval_at_zero_pole_or_constant_term(precision):
 def test_rat_eval_matches_exact():
     rng = random.Random(8080)
     for _ in range(200):
-        r = LaurentRat(rand_poly(rng), rand_nonzero(rng))
+        r = LaurentRat(rand_poly(rng), rand_den(rng))
         v0 = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
         try:
             ex = r.eval_exact(v0)
@@ -494,18 +559,7 @@ def test_factorial_exponents_closed_form():
         _factorial_exponents((3,), (-1,))
 
 
-# -- factored routes against the general gcd route ---------------------------------
-
-
-def _general(value):
-    """The same value through the gcd route: LaurentRat(num, den) of its expanded parts."""
-    return LaurentRat(value.num, value.den)
-
-
-def _same(got, want):
-    """Identical canonical forms, and == agreeing with that in both directions."""
-    assert got.num == want.num and got.den == want.den
-    assert got == want and want == got
+# -- factored routes against cross-multiplication in the ring ---------------------
 
 
 def _rand_bracket_ratio(rng):
@@ -517,18 +571,19 @@ def _rand_bracket_ratio(rng):
     return br
 
 
-def _check_factored_ops(x, y):
-    gx, gy = _general(x), _general(y)
-    _same(x * y, LaurentRat(gx.num * gy.num, gx.den * gy.den))
-    _same(x + y, LaurentRat(gx.num * gy.den + gy.num * gx.den, gx.den * gy.den))
-    _same(x - y, LaurentRat(gx.num * gy.den - gy.num * gx.den, gx.den * gy.den))
-    if y:
-        _same(x / y, LaurentRat(gx.num * gy.den, gx.den * gy.num))
-    _same(-x, LaurentRat(-gx.num, gx.den))
-    _same(x.v_inverted(), LaurentRat(gx.num.v_inverted(), gx.den.v_inverted()))
-    _same(x, gx)
-    # == on the factored forms must agree with == on the expanded parts
-    assert (x == y) == (gx.num == gy.num and gx.den == gy.den)
+def _check_factored_ops(x, y, divide=True):
+    """Each operation against its definition on the expanded parts; divide only by a y whose numerator factors."""
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
+    check_value(x, xn, xd)
+    check_value(x * y, xn * yn, xd * yd)
+    check_value(x + y, xn * yd + yn * xd, xd * yd)
+    check_value(x - y, xn * yd - yn * xd, xd * yd)
+    if divide and y:
+        check_value(x / y, xn * yd, xd * yn)
+    check_value(-x, -xn, xd)
+    check_value(x.v_inverted(), xn.v_inverted(), xd.v_inverted())
+    # == on the forms must agree with cross-multiplication
+    assert (x == y) == (xn * yd == yn * xd)
     assert (y == x) == (x == y)
 
 
@@ -538,13 +593,15 @@ def test_factored_ops_match_gcd_route():
         x = _rand_bracket_ratio(rng).to_laurent_rat()
         y = _rand_bracket_ratio(rng).to_laurent_rat()
         _check_factored_ops(x, y)
-        _check_factored_ops(x * y, x + y)
-        _check_factored_ops(x / y, x - y)
+        _check_factored_ops(x * y, x + y, divide=False)
+        _check_factored_ops(x / y, x - y, divide=False)
     computed = _computed_values()
     computed = computed[: len(computed) // 2]  # without the JSON copies
+    theta = computed[0]
     for i, x in enumerate(computed):
         for y in computed[i:] + [x * computed[-1 - i]]:
-            _check_factored_ops(x, y)
+            _check_factored_ops(x, y, divide=False)
+        _check_factored_ops(x, theta)
 
 
 def test_rat_dot_factored_matches_gcd_route():
@@ -560,7 +617,7 @@ def test_rat_dot_factored_matches_gcd_route():
         for a, b in pairs:
             num = num * a.den * b.den + a.num * b.num * den
             den = den * a.den * b.den
-        _same(rat_dot(pairs), LaurentRat(num, den))
+        check_value(rat_dot(pairs), num, den)
 
 
 def test_factored_equality_cases():
@@ -569,9 +626,11 @@ def test_factored_equality_cases():
     x = (BracketRatio.factorial(4) / BracketRatio.factorial(2)).to_laurent_rat()
     y = (q(3) * q(4)).to_laurent_rat()
     assert x == y and y == x
-    assert x == LaurentRat.from_poly(q_int(3) * q_int(4)) == _general(y)
+    assert x == LaurentRat.from_poly(q_int(3) * q_int(4))
+    check_value(x, q_int(3) * q_int(4), LaurentPoly.one())
     # one Phi_d exponent apart, and a sign or a unit apart
     base = LaurentRat._product(1, -3, {3: 1, 4: 2, 10: -1})
+    expanded = LaurentRat(base.num, base.den)  # the same value as a form with a poly
     for other in (
         LaurentRat._product(1, -3, {3: 1, 4: 1, 10: -1}),
         LaurentRat._product(1, -3, {3: 1, 4: 2}),
@@ -579,9 +638,9 @@ def test_factored_equality_cases():
         LaurentRat._product(1, -1, {3: 1, 4: 2, 10: -1}),
     ):
         assert base != other and other != base
-        assert _general(base) != other and other != _general(base)
-        assert (base.num, base.den) != (other.num, other.den)
-    assert base == _general(base) and _general(base) == base
+        assert expanded != other and other != expanded
+        assert base.num * other.den != other.num * base.den
+    assert base == expanded and expanded == base
 
 
 def test_mutated_recursion_factor_fails_everywhere():
@@ -603,7 +662,7 @@ def test_mutated_recursion_factor_fails_everywhere():
         assert factor(a, b, c, 0) == theta_recursion_factor(a, b, c)
         assert factor(a, b, c, 0) * theta_invariant(a, b, c) == want
         bad = factor(a, b, c, 1) * theta_invariant(a, b, c)
-        assert bad != want and _general(bad) != want, (a, b, c)
+        assert bad != want and bad.num * want.den != want.num * bad.den, (a, b, c)
 
 
 # -- serialization ------------------------------------------------------------
@@ -612,13 +671,9 @@ def test_mutated_recursion_factor_fails_everywhere():
 def rand_rat(rng, int_coeffs=False):
     if int_coeffs:
         num = LaurentPoly({rng.randrange(-6, 7): Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(0, 5))})
-        den = LaurentPoly({rng.randrange(-6, 7): Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 4))})
     else:
         num = rand_poly(rng)
-        den = rand_poly(rng)
-    if den.is_zero():
-        den = LaurentPoly.one()
-    return LaurentRat(num, den)
+    return LaurentRat(num, rand_den(rng, ints=int_coeffs))
 
 
 def test_rat_dot_matches_naive_sum():
@@ -650,7 +705,7 @@ def test_poly_json_roundtrip():
 def test_rat_json_roundtrip():
     rng = random.Random(13)
     for _ in range(100):
-        r = LaurentRat(rand_poly(rng), rand_nonzero(rng))
+        r = LaurentRat(rand_poly(rng), rand_den(rng))
         blob = json.dumps(r.to_json_obj())
         assert LaurentRat.from_json_obj(json.loads(blob)) == r
 
