@@ -46,6 +46,10 @@ class SingularPointError(ValueError):
     """Raised when a potential or twist is requested on its singular locus."""
 
 
+class LadderExhaustedError(ArithmeticError):
+    """Raised when log_abs_tet runs out of precision rungs before trusting its sum."""
+
+
 # -- dilogarithm -------------------------------------------------------------------------------
 
 
@@ -649,57 +653,170 @@ def log_abs_theta(colors, hbar: float) -> float:
     )
 
 
+def _mantissa(x, p: int) -> tuple:
+    # positive mpf x as (man, ex) with man an int of exactly p bits and
+    # man * 2^ex = x up to a relative 2^(1-p)
+    frac, ex = mpmath.frexp(x)
+    return int(mpmath.ldexp(frac, p)), ex - p
+
+
+def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
+    """One rung of the log_abs_tet ladder, in integer arithmetic.
+
+    Returns (signed, total, log_scale): Python ints and an mpf with
+    signed * e^log_scale = sum_m (-1)^m T(m) and total * e^log_scale =
+    sum_m T(m), where T(m) = [m+1]! / (prod_t [m-t]! prod_u [u-m]!) for
+    lo = max t <= m <= hi = min u, at v = exp(hbar/2), q = v^2.
+
+    With [k] = v^(1-k) (1 - q^k) / (1 - q) and sum t = sum u (both are the sum
+    of the six colors), T(m) = v^E(m) (1 - q)^-1 (q;q)_(m+1) /
+    (prod_t (q;q)_(m-t) prod_u (q;q)_(u-m)), where (q;q)_k is the product
+    of 1 - q^j over j <= k and 2 E(m) = -m(m+1) + sum_t (m-t)(m-t-1) +
+    sum_u (u-m)(u-m-1).  Consecutive summands differ by
+
+        T(m+1)/T(m) = v^(6m+2-sum t-sum u) (1 - q^(m+2)) prod_u (1 - q^(u-m))
+                      / prod_t (1 - q^(m+1-t)).
+
+    The rung builds every 1 - q^k as a p-bit fixed-point int from q^k by
+    repeated multiplication, forms T(lo) from the (q;q)_k products, and walks
+    the summands by that ratio.  The v^E(lo) (1 - q)^-1 factor, which every
+    summand shares, stays in log_scale.  Every value is an int mantissa with
+    a binary exponent, so no logarithm or exponential is taken per term.
+
+    The working precision is p = bits + g guard bits, with n = hi - lo, K the
+    largest k used, and g = bit_length(n (16 (ceil(1/|hbar|) + K) + 2n + 258)) + 4:
+
+    - q is truncated to p fractional bits and each q^k is a truncated product,
+      so |q^k - exact| <= 2k 2^-p.  Since 1 - q^k >= k|hbar| / (1 + k|hbar|),
+      the relative error of 1 - q^k is at most 2^(1-p) (1/|hbar| + K).  This
+      conditioning near k = 1 is what costs about log2(1/|hbar|) bits.
+    - One ratio has eight such factors, 16 (1/|hbar| + K) 2^-p in all.  Its
+      eight truncated products, one floor division and one renormalization
+      add under 256 * 2^-p (each partial product keeps at least p - 6 bits).
+      The running v^e(m) is within 2^(1-p) (1 + 2j) after j steps.
+    - So after d <= n steps T(lo + d) / T(lo) is within
+      2^-p n (16 (1/|hbar| + K) + 2n + 258), which is at most 2^(-bits-4).
+      The sums are exact: each term is shifted to the smallest exponent.
+      Hence |signed error| <= 2^(-bits-4) total.  Whenever the trust test
+      |signed| / total > 2^(60-bits) holds, signed is good to 2^-64 relative.
+    - The error of T(lo) multiplies signed and total alike.  It leaves their
+      ratio alone and moves log|signed| by far less than a double's ulp.
+    """
+    lo, hi = max(taus), min(ups)
+    n = hi - lo
+    top = max(hi + 1, max(ups) - lo, hi - min(taus))
+    p = bits + (n * (16 * (math.ceil(-1.0 / hbar) + top) + 2 * n + 258)).bit_length() + 4
+    one = 1 << p
+    with mpmath.workprec(p + 16):
+        h = mpmath.mpf(hbar)
+        q = int(mpmath.ldexp(mpmath.exp(h), p))
+        vp, ve = _mantissa(mpmath.exp(h * (6 * lo + 2 - 2 * sum(taus)) / 2), p)
+        q3, e3 = _mantissa(mpmath.exp(3 * h), p)
+    # 1 - q^k = af[k] * 2^(-p - z[k]) for k >= 1, each af[k] an int of exactly
+    # p bits; q^k is kept at 2^-p or more, which is within the bound above
+    af, z = [one], [0]
+    qk = one
+    for k in range(1, top + 1):
+        qk = max(qk * q >> p, 1)
+        a = one - qk
+        s = p - a.bit_length()
+        af.append(a << s)
+        z.append(s)
+    # poch[k] = (man, ex) with (q;q)_k = man * 2^ex, up to what T(lo) needs
+    poch = [(one, -p)]
+    man, ex = one, -p
+    for k in range(1, max(lo + 1, lo - min(taus), max(ups) - lo) + 1):
+        x = man * af[k]
+        s = x.bit_length() - p
+        man = x >> s
+        ex += s - p - z[k]
+        poch.append((man, ex))
+    num, ex = poch[lo + 1]
+    den = 1
+    for k in [lo - t for t in taus] + [u - lo for u in ups]:
+        dm, de = poch[k]
+        den *= dm
+        ex -= de
+    width = den.bit_length() + p
+    x = (num << width) // den
+    s = x.bit_length() - p
+    t, te = x >> s, ex - width + s
+    terms = [(t, te)]
+    t0, t1, t2, t3 = taus
+    u0, u1, u2 = ups
+    for m in range(lo, hi):
+        x = t * vp >> p
+        x = x * af[m + 2] >> p
+        x = x * af[u0 - m] >> p
+        x = x * af[u1 - m] >> p
+        x = x * af[u2 - m] >> p
+        y = af[m + 1 - t0] * af[m + 1 - t1] >> p
+        y = y * af[m + 1 - t2] >> p
+        y = y * af[m + 1 - t3] >> p
+        x = (x << p + 8) // y
+        s = x.bit_length() - p
+        t = x >> s
+        te += ve + p - 8 + s + (
+            z[m + 1 - t0] + z[m + 1 - t1] + z[m + 1 - t2] + z[m + 1 - t3]
+            - z[m + 2] - z[u0 - m] - z[u1 - m] - z[u2 - m]
+        )
+        terms.append((t, te))
+        x = vp * q3
+        s = x.bit_length() - p
+        vp = x >> s
+        ve += e3 + s
+    low = min(e for _, e in terms)
+    signed = total = 0
+    for m, (t, e) in enumerate(terms, lo):
+        x = t << (e - low)
+        total += x
+        signed += -x if m % 2 else x
+    big_e = -lo * (lo + 1) + sum((lo - t) * (lo - t - 1) for t in taus) + sum((u - lo) * (u - lo - 1) for u in ups)
+    with mpmath.workprec(p):
+        h = mpmath.mpf(hbar)
+        log_scale = low * mpmath.ln2 + h * big_e / 4 - mpmath.log1p(-mpmath.exp(h))
+    return signed, total, log_scale
+
+
 def log_abs_tet(colors, hbar: float, start_bits: int = 320) -> tuple:
     """log of the normalized tetrahedron invariant magnitude at v = exp(hbar/2).
 
     The alternating sum cancels catastrophically in the growth regime (the
-    surviving fraction shrinks like exp(-gap/|hbar|)), so the summation runs
-    at extended precision and doubles it until the survivor is trusted.
-    Returns (log magnitude, diagnostics dict).
+    surviving fraction shrinks like exp(-gap/|hbar|)), so each rung sums it
+    at `bits` nominal bits plus guard bits (see `_tet_rung`), starting at
+    start_bits and doubling until |signed| / total > 2^(60 - bits).
+    Returns (log magnitude, diagnostics dict) with the measured cancellation
+    |signed| / total and the nominal bits of the trusted rung.
     """
     col = TetColoring(*(int(v) for v in colors))
     if not tet_is_admissible(col):
         raise ValueError(f"inadmissible coloring {tuple(col)}")
     taus = _triangle_halves(col)
     ups = _quad_halves(col)
-    lo, hi = max(taus), min(ups)
-    if lo > hi:
+    if max(taus) > min(ups):
         raise ValueError("empty summation range")
     hbar = float(hbar)
     bits = start_bits
     for _ in range(8):
-        with mpmath.workprec(bits):
-            h = mpmath.mpf(hbar)
-            base = mpmath.log1p(-mpmath.exp(h))
-            pref = [mpmath.mpf(0)] * (hi + 2)
-            acc = mpmath.mpf(0)
-            for k in range(1, hi + 2):
-                acc += (1 - k) * h / 2 + mpmath.log1p(-mpmath.exp(h * k)) - base
-                pref[k] = acc
-            signed = mpmath.mpf(0)
-            total = mpmath.mpf(0)
-            for m in range(lo, hi + 1):
-                lt = pref[m + 1]
-                for t in taus:
-                    lt -= pref[m - t]
-                for u in ups:
-                    lt -= pref[u - m]
-                term = mpmath.exp(lt)
-                total += term
-                signed += -term if m % 2 else term
-            if signed == 0:
-                return -math.inf, {"cancellation": 0.0, "precision_bits": bits}
-            canc = float(abs(signed) / total)
-            if abs(signed) / total > mpmath.mpf(2) ** (60 - bits):
-                return float(mpmath.log(abs(signed))), {
-                    "cancellation": canc,
-                    "precision_bits": bits,
-                }
+        signed, total, log_scale = _tet_rung(taus, ups, hbar, bits)
+        if signed == 0:
+            return -math.inf, {"cancellation": 0.0, "precision_bits": bits}
+        if abs(signed) << bits > total << 60:
+            with mpmath.workprec(bits):
+                val = float(mpmath.log(abs(signed)) + log_scale)
+            return val, {"cancellation": abs(signed) / total, "precision_bits": bits}
         bits *= 2
-    raise ArithmeticError("cancellation exhausted the precision ladder")
+    raise LadderExhaustedError("cancellation exhausted the precision ladder")
 
 
 # -- color rounding ----------------------------------------------------------------------------
+
+
+# Largest color the command line lets a growth table round to.  Timed on a
+# 2-vCPU VM (Python 3.11): log_abs_tet at (10000,)*6, x = 0.35, climbs to the
+# 2560-bit rung and takes 1.6 s; the cost grows about fivefold each time the
+# colors double, since the bits needed grow with them.
+MAX_GROWTH_COLOR = 10_000
 
 
 def round_colors_theta(x, hbar: float) -> tuple:

@@ -37,6 +37,8 @@ from .apoly import (
     theta_quantum_A,
 )
 from .asymptotics import (
+    MAX_GROWTH_COLOR,
+    LadderExhaustedError,
     SingularPointError,
     check_residual_theta,
     growth_check_tet,
@@ -467,10 +469,18 @@ def cmd_asymptotics(args, cfg):
     # colors solve x = exp(hbar * n / 2), which only a positive x can meet
     if any(v <= 0 for v in x):
         raise UsageError(f"--x entries must be positive (0 is a singular point of the potential), got {args.x}")
+    for h in hbars:
+        top = max(max(0, round(2.0 * math.log(v) / h)) for v in x)
+        if top > MAX_GROWTH_COLOR:
+            raise UsageError(
+                f"--hbar {h!r} rounds --x to colors up to {top}, above the growth-table cap {MAX_GROWTH_COLOR}"
+            )
     try:
         table = growth_check_theta(x, hbars) if args.graph == "theta" else growth_check_tet(x, hbars)
     except SingularPointError as exc:
         raise UsageError(f"--x {args.x} is a singular point: {exc}")
+    except LadderExhaustedError as exc:
+        raise UsageError(f"--x {args.x} with --hbar {args.hbar}: {exc}")
     rows = []
     usable = 0
     for r in table.rows:
@@ -572,7 +582,10 @@ def cmd_lagrangian(args, cfg):
     worst = 0.0
     for i in range(samples):
         x = sample_theta_point(rng) if graph == "theta" else sample_tet_point(rng)
-        asym = lagrangian_residual(graph, x, step=step)
+        try:
+            asym = lagrangian_residual(graph, x, step=step)
+        except SingularPointError as exc:
+            raise UsageError(f"--step {step!r} moves sample {i} onto a singular point: {exc}")
         worst = max(worst, asym)
         rows.append(
             {"index": i, "x": ",".join(repr(v) for v in x), "asymmetry": asym}

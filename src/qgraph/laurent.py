@@ -814,11 +814,26 @@ def _totient_cap(deg: int) -> int:
     return n
 
 
+def _phi_divides(p: dict, d: int, phi_d: dict) -> bool:
+    """Whether Phi_d divides p, a poly with exponents >= 0.
+
+    Phi_d divides v^d - 1, so it divides p exactly when it divides p mod
+    v^d - 1, which has degree below d.
+    """
+    folded = [0] * d
+    for e, c in p.items():
+        folded[e % d] += c
+    return _idiv_exact({e: c for e, c in enumerate(folded) if c}, phi_d) is not None
+
+
 def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
     """(mult, cofactor) with p = cofactor * prod Phi_d^mult[d] over d >= 2.
 
     Trial division by every Phi_d no longer than what is left of p, so no
     Phi_d divides the cofactor; the cofactor keeps p's lowest term c*v^k.
+    Where d is at most the degree left, each trial first tests the remainder
+    mod v^d - 1 (_phi_divides), so the full division runs only where Phi_d
+    is a factor.
     """
     lo = min(p)
     unit = {lo: p[lo]}
@@ -832,7 +847,8 @@ def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
         if step > deg:
             continue
         phi_d = dict(_phi_power_int(d, 1))
-        while (q := _idiv_exact(rest, phi_d)) is not None:
+        # for d above the degree, rest mod v^d - 1 is rest, so the division is the test
+        while (d > deg or _phi_divides(rest, d, phi_d)) and (q := _idiv_exact(rest, phi_d)) is not None:
             rest = q
             deg -= step
             mult[d] = mult.get(d, 0) + 1

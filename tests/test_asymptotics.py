@@ -51,6 +51,8 @@ from qgraph.asymptotics import (
 )
 from qgraph.invariants import (
     TetColoring,
+    _quad_halves,
+    _triangle_halves,
     is_admissible,
     tet_is_admissible,
     tet_primed,
@@ -472,6 +474,78 @@ def test_log_abs_tet_survives_heavy_cancellation():
     got, diag = log_abs_tet(colors, -1.0 / 128.0)
     assert math.isfinite(got)
     assert diag["cancellation"] < 1e-15
+
+
+def _log_abs_tet_log_space(colors, hbar, start_bits=320):
+    """Independent route to log_abs_tet: each summand as exp of a log-space sum.
+
+    log [k]! is a prefix sum of log1p(-exp(hbar k)) terms, and every summand
+    is one mpmath exp, on the same precision ladder and trust test.
+    """
+    col = TetColoring(*colors)
+    taus = _triangle_halves(col)
+    ups = _quad_halves(col)
+    lo, hi = max(taus), min(ups)
+    bits = start_bits
+    for _ in range(8):
+        with mpmath.workprec(bits):
+            h = mpmath.mpf(hbar)
+            base = mpmath.log1p(-mpmath.exp(h))
+            pref = [mpmath.mpf(0)] * (hi + 2)
+            acc = mpmath.mpf(0)
+            for k in range(1, hi + 2):
+                acc += (1 - k) * h / 2 + mpmath.log1p(-mpmath.exp(h * k)) - base
+                pref[k] = acc
+            signed = mpmath.mpf(0)
+            total = mpmath.mpf(0)
+            for m in range(lo, hi + 1):
+                lt = pref[m + 1] - sum(pref[m - t] for t in taus) - sum(pref[u - m] for u in ups)
+                term = mpmath.exp(lt)
+                total += term
+                signed += -term if m % 2 else term
+            if abs(signed) / total > mpmath.mpf(2) ** (60 - bits):
+                return float(mpmath.log(abs(signed))), float(abs(signed) / total), bits
+        bits *= 2
+    raise ArithmeticError("cancellation exhausted the precision ladder")
+
+
+# the rows of the benchmark's numeric workload: x = 0.35 (all six edges) at
+# hbar = -2^-5 ... -2^-10, and x = (0.3, 0.35, 0.4, 0.3, 0.35, 0.4) at -2^-7 ... -2^-10
+NUMERIC_BENCH_ROWS = [
+    ((67, 67, 68, 67, 67, 68), -(2.0**-5)),
+    ((134,) * 6, -(2.0**-6)),
+    ((268, 269, 269, 268, 269, 269), -(2.0**-7)),
+    ((538,) * 6, -(2.0**-8)),
+    ((1075, 1075, 1076, 1075, 1075, 1076), -(2.0**-9)),
+    ((2150,) * 6, -(2.0**-10)),
+    ((308, 269, 235, 308, 269, 235), -(2.0**-7)),
+    ((616, 537, 469, 616, 537, 469), -(2.0**-8)),
+    ((1233, 1075, 938, 1233, 1075, 938), -(2.0**-9)),
+    ((2466, 2150, 1876, 2466, 2150, 1876), -(2.0**-10)),
+]
+
+
+# small colors at tiny |hbar|: every 1 - q^k is small, the conditioning the guard bits cover
+TINY_HBAR_ROWS = [((4,) * 6, -1e-3), ((3, 4, 5, 3, 4, 5), -1e-6), ((12, 10, 8, 12, 10, 8), -1e-9)]
+
+
+@pytest.mark.parametrize(
+    "colors, hbar",
+    NUMERIC_BENCH_ROWS + TINY_HBAR_ROWS,
+    ids=lambda v: str(v[0]) if isinstance(v, tuple) else repr(v),
+)
+def test_log_abs_tet_matches_log_space_route(colors, hbar):
+    want, want_canc, want_bits = _log_abs_tet_log_space(colors, hbar)
+    got, diag = log_abs_tet(colors, hbar)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(diag["cancellation"] - want_canc) <= 1e-9 * want_canc
+    assert diag["precision_bits"] == want_bits
+
+
+def test_log_abs_tet_bench_rows_take_both_rungs():
+    # the ladder is exercised: the two deepest x = 0.35 rows need the 640-bit rung
+    bits = {hb: log_abs_tet(col, hb)[1]["precision_bits"] for col, hb in NUMERIC_BENCH_ROWS[:6]}
+    assert bits == {-(2.0**-k): 320 if k < 9 else 640 for k in range(5, 11)}
 
 
 def test_log_abs_tet_rejects_inadmissible():

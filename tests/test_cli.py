@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from qgraph import asymptotics
+from qgraph.asymptotics import MAX_GROWTH_COLOR
 from qgraph.cli import main
 from qgraph.invariants import TetColoring, tet_primed, theta_invariant
 
@@ -307,12 +309,39 @@ def test_non_finite_numbers_exit_2(capsys, argv):
         "asymptotics theta --x 0,0,0 --hbar -0.1",
         # the tet saddle polynomial vanishes identically at x = 1
         "asymptotics tet --x 1,1,1,1,1,1 --hbar -0.1,-0.05",
+        # exp(709) is finite, but the shifted first sample reaches a zero argument
+        "lagrangian --graph theta --step 709",
     ],
 )
 def test_asymptotics_singular_point_exit_2(capsys, argv):
     code, out, err = run(capsys, argv.split())
     _assert_one_line_usage_error(code, out, err)
     assert "singular point" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # colors about 1.4e16: the theta table used to run without end
+        "asymptotics theta --x 0.5,0.5,0.5 --hbar -1e-16",
+        # colors about 2.1e9: the tet table used to raise MemoryError
+        "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -1e-9",
+        # colors about 2.1e5: the tet table used to run for minutes
+        "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -0.01,-1e-5",
+    ],
+)
+def test_asymptotics_color_cap_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert f"cap {MAX_GROWTH_COLOR}" in err
+
+
+def test_asymptotics_exhausted_ladder_exit_2(capsys, monkeypatch):
+    # a sum that never clears the trust test walks all eight rungs
+    monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (1, 1 << 50000, 0))
+    code, out, err = run(capsys, "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -0.1".split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "precision ladder" in err
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,10 @@ from qgraph.laurent import (  # the integer kernel
     _imul,
     _imul_kron,
     _imul_school,
+    _phi_factor,
     _phi_power_int,
+    _totient,
+    _totient_cap,
 )
 
 
@@ -295,6 +298,37 @@ def test_rat_takes_out_unit_and_factors_den():
     assert r.den == (q_int(3) * cyclotomic(2)).shifted(2)  # [3] * Phi_2 starts at v^-2
     assert r.num == (p * Fraction(1, 2)).shifted(-1)
     check_value(r, p, den)
+
+
+def _phi_factor_plain(p):
+    """Trial division of the whole poly by every Phi_d, without the mod v^d - 1 test."""
+    lo = min(p)
+    unit = {lo: p[lo]}
+    rest = _idiv_exact(p, unit)
+    mult = {}
+    deg = max(rest)
+    for d in range(2, _totient_cap(deg)):
+        if not deg:
+            break
+        if _totient(d) > deg:
+            continue
+        phi_d = dict(_phi_power_int(d, 1))
+        while (q := _idiv_exact(rest, phi_d)) is not None:
+            rest = q
+            deg -= _totient(d)
+            mult[d] = mult.get(d, 0) + 1
+    return mult, _imul(rest, unit)
+
+
+def test_phi_factor_matches_plain_trial_division():
+    rng = random.Random(31)
+    fixed = [LaurentPoly({0: 1, 1: 2}), LaurentPoly({0: 1, 1: 1, 3: 1}), LaurentPoly({0: 3})]
+    for i in range(60):
+        cofactor = fixed[i % 3] if i < 15 else rand_nonzero(rng, ints=i % 2 == 0)
+        p = cofactor.shifted(rng.randrange(-3, 4))
+        for _ in range(rng.randrange(0, 5)):
+            p = p * cyclotomic(rng.randrange(2, 41)) ** rng.randrange(1, 3)
+        assert _phi_factor(p.terms) == _phi_factor_plain(p.terms)
 
 
 def test_json_values_skip_poly_gcd(monkeypatch):

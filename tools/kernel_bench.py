@@ -6,7 +6,9 @@ substitution) at several operand sizes, the cyclotomic construction
 `qgraph verify theta-recursion --max 12`: each recursion product compared
 with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
-the Phi_d basis), and two large-color evaluations expanded to their
+the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
+(538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
+320- and 640-bit rungs), and two large-color evaluations expanded to their
 coefficients, each in a fresh interpreter so its lru caches start cold.
 Prints the median and the spread (interquartile range over the median) of
 each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS`:
@@ -24,7 +26,7 @@ import subprocess
 import sys
 import time
 
-from qgraph import invariants, laurent
+from qgraph import asymptotics, invariants, laurent
 from qgraph.apoly import interior_colorings
 
 SIZES = (2, 8, 12, 16, 24, 64, 256, 1024)
@@ -133,6 +135,17 @@ def bench_tet_sums(repeat: int) -> None:
     _line(f"tet sums, {len(grid)} colorings, cold caches", *_spread(_cold_samples(sums, repeat)))
 
 
+# (colors, hbar) of the log_abs_tet rows: one rung, then two
+GROWTH_ROWS = (((538,) * 6, -(2.0**-8)), ((2150,) * 6, -(2.0**-10)))
+
+
+def bench_log_abs_tet(repeat: int) -> None:
+    for colors, hbar in GROWTH_ROWS:
+        bits = asymptotics.log_abs_tet(colors, hbar)[1]["precision_bits"]
+        med, spread = _time_call(lambda: asymptotics.log_abs_tet(colors, hbar), repeat)
+        _line(f"log_abs_tet {colors[0]}^6, hbar={hbar!r}, {bits}-bit rung", med, spread)
+
+
 # (function in qgraph.invariants, its argument tuple)
 LARGE = (("theta_invariant", (80, 80, 80)), ("tet_primed", ((20,) * 6,)))
 
@@ -170,6 +183,7 @@ def main() -> None:
     bench_cyclo(args.repeat)
     bench_rat(args.repeat)
     bench_tet_sums(args.repeat)
+    bench_log_abs_tet(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
 
