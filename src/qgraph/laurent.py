@@ -806,9 +806,11 @@ def _totient_cap(deg: int) -> int:
     """A bound above every d with deg Phi_d = totient(d) <= deg.
 
     totient(n) > n / (e^gamma lnln n + 3 / lnln n) for n >= 3 (Rosser and
-    Schoenfeld 1962), and the right side increases with n.
+    Schoenfeld 1962), and the right side increases with n.  The scan starts
+    at 4 deg: e^gamma x + 3 / x >= 4.62 for x > 0, so every n <= 4 deg
+    passes the loop test.
     """
-    n = 3
+    n = max(3, 4 * deg)
     while n <= (1.7811 * log(log(n)) + 3 / log(log(n))) * deg:
         n += 1
     return n

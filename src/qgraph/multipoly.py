@@ -4,36 +4,79 @@ Used for classical curve polynomials in the edge/twist variables and for
 quantum operator coefficients, where the half-integer power of q is carried
 by an ordinary variable "v" (v = q^(1/2), so q^k enters as v^(2k)).
 
-Terms are a sparse map {exponent tuple: Fraction} aligned with a sorted
-tuple of variable names.  Variables that appear only with exponent zero are
-dropped on construction, so structural equality is semantic equality.
+Terms are a sparse map {exponent tuple: coefficient} aligned with a sorted
+tuple of variable names.  A coefficient is an int when its value is an
+integer and a Fraction otherwise, the rule of qgraph.laurent.  Variables
+that appear only with exponent zero are dropped on construction, so
+structural equality is semantic equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from operator import add
+from typing import Mapping, Optional
 
-from .laurent import LaurentPoly, PoleError
+from .laurent import LaurentPoly, PoleError, _coerce
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Coeff = int | Fraction
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+def _drop_unused(vars: tuple[str, ...], data: dict) -> tuple[tuple[str, ...], dict]:
+    """Remove the variables whose exponent is zero in every term."""
+    if not data:
+        return (), data
+    if vars:
+        keep = [i for i in range(len(vars)) if any(e[i] for e in data)]
+        if len(keep) < len(vars):
+            vars = tuple(vars[i] for i in keep)
+            data = {tuple(e[i] for i in keep): c for e, c in data.items()}
+    return vars, data
+
+
+def _mul_terms(ta: dict, tb: dict) -> dict:
+    """The product of two term maps over the same variables, like terms summed."""
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    data: dict[tuple[int, ...], Coeff] = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            e = tuple(map(add, e1, e2))
+            p = c1 * c2
+            s = data.get(e)
+            s = p if s is None else s + p
+            if type(s) is not int:
+                s = _coerce(s)
+            if s:
+                data[e] = s
+            else:
+                del data[e]
+    return data
+
+
+def _add_into(data: dict, terms: dict) -> None:
+    """data += terms, dropping the coefficients that cancel."""
+    for e, c in terms.items():
+        s = data.get(e)
+        if s is None:
+            data[e] = c
+            continue
+        s += c
+        if type(s) is not int:
+            s = _coerce(s)
+        if s:
+            data[e] = s
+        else:
+            del data[e]
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    # _plan: evaluate's power keys and per-term factors (_evaluate_plan), filled on first use
+    __slots__ = ("vars", "terms", "_plan")
 
-    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], Coeff] | None = None):
         vars = tuple(vars)
-        data: dict[tuple[int, ...], Fraction] = {}
+        data: dict[tuple[int, ...], Coeff] = {}
         if terms:
             for exps, c in terms.items():
                 c = _coerce(c)
@@ -43,20 +86,12 @@ class MultiPoly:
                 if len(exps) != len(vars):
                     raise ValueError("exponent tuple length mismatch")
                 acc = data.get(exps)
-                c = c if acc is None else acc + c
+                c = c if acc is None else _coerce(acc + c)
                 if c:
                     data[exps] = c
                 elif exps in data:
                     del data[exps]
-        # drop variables that never occur
-        if vars and data:
-            used = [any(exps[i] for exps in data) for i in range(len(vars))]
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                vars = tuple(vars[i] for i in keep)
-                data = {tuple(e[i] for i in keep): c for e, c in data.items()}
-        elif vars:
-            vars = ()
+        vars, data = _drop_unused(vars, data)
         # canonical variable order
         if vars and list(vars) != sorted(vars):
             order = sorted(range(len(vars)), key=lambda i: vars[i])
@@ -66,8 +101,18 @@ class MultiPoly:
             raise ValueError(f"duplicate variable names in {vars}")
         self.vars = vars
         self.terms = data
+        self._plan = None
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _make(cls, vars: tuple[str, ...], data: dict) -> "MultiPoly":
+        """A poly from canonical parts: vars sorted and unique, coefficients
+        canonical and nonzero.  Only drops the vars that no longer occur."""
+        out = cls.__new__(cls)
+        out.vars, out.terms = _drop_unused(vars, data)
+        out._plan = None
+        return out
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -78,10 +123,7 @@ class MultiPoly:
         c = _coerce(c)
         if not c:
             return cls()
-        out = cls.__new__(cls)
-        out.vars = ()
-        out.terms = {(): c}
-        return out
+        return cls._make((), {(): c})
 
     @classmethod
     def one(cls) -> "MultiPoly":
@@ -94,10 +136,7 @@ class MultiPoly:
             return cls()
         if exp == 0:
             return cls.const(coeff)
-        out = cls.__new__(cls)
-        out.vars = (name,)
-        out.terms = {(exp,): coeff}
-        return out
+        return cls._make((name,), {(exp,): coeff})
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff=1) -> "MultiPoly":
@@ -105,10 +144,7 @@ class MultiPoly:
         if not coeff:
             return cls()
         items = sorted((n, e) for n, e in exps.items() if e)
-        out = cls.__new__(cls)
-        out.vars = tuple(n for n, _ in items)
-        out.terms = {tuple(e for _, e in items): coeff}
-        return out
+        return cls._make(tuple(n for n, _ in items), {tuple(e for _, e in items): coeff})
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly, name: str = "v") -> "MultiPoly":
@@ -120,7 +156,7 @@ class MultiPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): _ONE}
+        return self.terms == {(): 1}
 
     def is_constant(self) -> bool:
         return not self.vars
@@ -128,10 +164,10 @@ class MultiPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if self.vars:
             raise ValueError("not a constant")
-        return self.terms.get((), _ZERO)
+        return self.terms.get((), 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -170,12 +206,12 @@ class MultiPoly:
         if i is None:
             return {0: self} if self.terms else {}
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
         for exps, c in self.terms.items():
             k = exps[i]
             key = exps[:i] + exps[i + 1:]
             buckets.setdefault(k, {})[key] = c
-        return {k: MultiPoly(rest, t) for k, t in buckets.items()}
+        return {k: MultiPoly._make(rest, t) for k, t in buckets.items()}
 
     def coeff_of(self, name: str, k: int) -> "MultiPoly":
         return self.coeffs_in(name).get(k, MultiPoly.zero())
@@ -203,10 +239,7 @@ class MultiPoly:
         return vars, remap(a.terms, pos_a), remap(b.terms, pos_b)
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -215,13 +248,8 @@ class MultiPoly:
             return NotImplemented
         vars, ta, tb = self._unify(self, other)
         data = dict(ta)
-        for e, c in tb.items():
-            s = data.get(e, _ZERO) + c
-            if s:
-                data[e] = s
-            elif e in data:
-                del data[e]
-        return MultiPoly(vars, data)
+        _add_into(data, tb)
+        return MultiPoly._make(vars, data)
 
     __radd__ = __add__
 
@@ -240,29 +268,13 @@ class MultiPoly:
             c = _coerce(other)
             if not c:
                 return MultiPoly.zero()
-            out = MultiPoly.__new__(MultiPoly)
-            out.vars = self.vars
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return MultiPoly._make(self.vars, {e: _coerce(k * c) for e, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if not self.terms or not other.terms:
             return MultiPoly.zero()
         vars, ta, tb = self._unify(self, other)
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        data: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in ta.items():
-            for e2, c2 in tb.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = data.get(e)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    data[e] = s
-                elif e in data:
-                    del data[e]
-        return MultiPoly(vars, data)
+        return MultiPoly._make(vars, _mul_terms(ta, tb))
 
     __rmul__ = __mul__
 
@@ -291,9 +303,15 @@ class MultiPoly:
         idx = [(i, bindings[n]) for i, n in enumerate(self.vars) if n in bindings]
         if not idx:
             return self
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
+        # every term expands in the space of the unbound vars and the bindings' vars
+        free = [(i, n) for i, n in enumerate(self.vars) if n not in bindings]
+        space = tuple(sorted({n for _, n in free}.union(*(b.vars for _, b in idx))))
+        pos = {n: k for k, n in enumerate(space)}
+        free_pos = [(i, pos[n]) for i, n in free]
+        pow_cache: dict[tuple[int, int], dict] = {}
 
-        def bound_power(i: int, b: MultiPoly, e: int) -> MultiPoly:
+        def bound_power(i: int, b: MultiPoly, e: int) -> dict:
+            """The terms of b^e, lifted into space."""
             key = (i, e)
             got = pow_cache.get(key)
             if got is not None:
@@ -304,44 +322,70 @@ class MultiPoly:
                 if not b.is_monomial():
                     raise ValueError(f"negative power of {self.vars[i]} needs invertible binding")
                 (exps, c), = b.terms.items()
-                inv = MultiPoly(b.vars, {tuple(-x for x in exps): _ONE / c})
+                inv = MultiPoly._make(b.vars, {tuple(-x for x in exps): _coerce(Fraction(1, c))})
                 val = inv ** (-e)
-            pow_cache[key] = val
-            return val
+            at = [pos[n] for n in val.vars]
+            lifted = {}
+            for exps, c in val.terms.items():
+                lift = [0] * len(space)
+                for p, x in zip(at, exps):
+                    lift[p] = x
+                lifted[tuple(lift)] = c
+            pow_cache[key] = lifted
+            return lifted
 
-        out = MultiPoly.zero()
+        out: dict[tuple[int, ...], Coeff] = {}
         for exps, c in self.terms.items():
-            rest = {n: e for n, e in zip(self.vars, exps) if n not in bindings and e}
-            term = MultiPoly.monomial(rest, c)
+            base = [0] * len(space)
+            for i, p in free_pos:
+                base[p] = exps[i]
+            term = {tuple(base): c}
             for i, b in idx:
                 e = exps[i]
                 if e:
-                    term = term * bound_power(i, b, e)
-            out = out + term
-        return out
+                    term = _mul_terms(term, bound_power(i, b, e))
+            _add_into(out, term)
+        return MultiPoly._make(space, out)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
         missing = [n for n in self.vars if n not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        total = 0j
+        if self._plan is None:
+            self._plan = self._evaluate_plan()
+        keys, plan = self._plan
         vals = [complex(point[n]) for n in self.vars]
-        for exps, c in self.terms.items():
-            t = complex(c)
-            for vv, e in zip(vals, exps):
-                if e:
-                    if vv == 0 and e < 0:
-                        raise PoleError("negative power at zero")
-                    t *= vv ** e
+        powers = []
+        for i, e in keys:
+            vv = vals[i]
+            if vv == 0 and e < 0:
+                raise PoleError("negative power at zero")
+            powers.append(vv ** e)
+        total = 0j
+        for t, factors in plan:
+            for k in factors:
+                t *= powers[k]
             total += t
         return total
 
-    def eval_fraction(self, point: Mapping[str, Fraction]) -> Fraction:
+    def _evaluate_plan(self) -> tuple[list, list]:
+        """The distinct nonzero (var index, exponent) pairs, in order of first
+        use, and per term in term order its complex coefficient and the
+        positions of its pairs in var order."""
+        keys: dict[tuple[int, int], int] = {}
+        plan = []
+        for exps, c in self.terms.items():
+            factors = [keys.setdefault((i, e), len(keys)) for i, e in enumerate(exps) if e]
+            plan.append((complex(c), factors))
+        return list(keys), plan
+
+    def eval_fraction(self, point: Mapping[str, Coeff]) -> Fraction:
         missing = [n for n in self.vars if n not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        total = _ZERO
-        vals = [_coerce(point[n]) for n in self.vars]
+        total = Fraction(0)
+        # an int base to a negative power would give a float
+        vals = [Fraction(_coerce(point[n])) for n in self.vars]
         for exps, c in self.terms.items():
             t = c
             for vv, e in zip(vals, exps):
@@ -421,7 +465,7 @@ def _shift_to_poly(p: MultiPoly) -> tuple[MultiPoly, dict[str, int]]:
         for n, s in shifts.items():
             e2[idx[n]] += s
         terms[tuple(e2)] = c
-    return MultiPoly(p.vars, terms), shifts
+    return MultiPoly._make(p.vars, terms), shifts
 
 
 def exact_div_multi(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -435,23 +479,23 @@ def exact_div_multi(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     vars, ta, tb = MultiPoly._unify(a1, b1)
     lead_b = max(tb)  # lex order on exponent tuples
     cb = tb[lead_b]
-    quot: dict[tuple[int, ...], Fraction] = {}
+    quot: dict[tuple[int, ...], Coeff] = {}
     cur = dict(ta)
     while cur:
         lead = max(cur)
         qe = tuple(x - y for x, y in zip(lead, lead_b))
         if any(e < 0 for e in qe):
             raise ValueError("not divisible")
-        qc = cur[lead] / cb
+        qc = _coerce(Fraction(cur[lead], cb))
         quot[qe] = qc
         for e, c in tb.items():
-            t = tuple(x + y for x, y in zip(e, qe))
-            s = cur.get(t, _ZERO) - qc * c
+            t = tuple(map(add, e, qe))
+            s = _coerce(cur.get(t, 0) - qc * c)
             if s:
                 cur[t] = s
             elif t in cur:
                 del cur[t]
-    q = MultiPoly(vars, quot)
+    q = MultiPoly._make(vars, quot)
     # undo the unit shifts: a = a1 * m_a^-1, b = b1 * m_b^-1 => a/b = q * m_b / m_a
     unit = {n: sh_a.get(n, 0) - sh_b.get(n, 0) for n in set(sh_a) | set(sh_b)}
     unit = {n: -e for n, e in unit.items() if e}
@@ -472,12 +516,12 @@ def monomial_quotient(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
     ea = max(ta)
     eb = max(tb)
     shift = tuple(x - y for x, y in zip(ea, eb))
-    ratio = ta[ea] / tb[eb]
+    ratio = _coerce(Fraction(ta[ea], tb[eb]))
     for e, c in tb.items():
         t = tuple(x + y for x, y in zip(e, shift))
         if ta.get(t) != ratio * c:
             return None
-    return MultiPoly(vars, {shift: ratio})
+    return MultiPoly._make(vars, {shift: ratio})
 
 
 def compare_up_to_unit(p1: MultiPoly, p2: MultiPoly) -> Optional[MultiPoly]:

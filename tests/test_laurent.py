@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic: ring/field axioms, quantum integers, factored ratios."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -329,6 +330,19 @@ def test_phi_factor_matches_plain_trial_division():
         for _ in range(rng.randrange(0, 5)):
             p = p * cyclotomic(rng.randrange(2, 41)) ** rng.randrange(1, 3)
         assert _phi_factor(p.terms) == _phi_factor_plain(p.terms)
+
+
+def test_totient_cap_matches_linear_scan():
+    """_totient_cap starts its scan at 4 deg; the scan from n = 3 ends at the same n.
+
+    The loop test n <= f(n) deg only gets weaker as deg grows, so the scan from
+    3 for deg passes every n below the answer for deg - 1 and is resumed there.
+    """
+    n = 3
+    for deg in range(3001):
+        while n <= (1.7811 * math.log(math.log(n)) + 3 / math.log(math.log(n))) * deg:
+            n += 1
+        assert _totient_cap(deg) == n, deg
 
 
 def test_json_values_skip_poly_gcd(monkeypatch):

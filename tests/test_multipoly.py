@@ -242,3 +242,122 @@ def test_json_roundtrip():
         p = rand_mpoly(rng)
         blob = json.dumps(p.to_json_obj())
         assert MultiPoly.from_json_obj(json.loads(blob)) == p
+
+
+def _coeff_types_canonical(p):
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    return all(type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction for c in p.terms.values())
+
+
+def test_integral_coefficients_are_int():
+    x = MultiPoly.var("x")
+    y = MultiPoly.var("y")
+    half_x = MultiPoly.var("x", 1, Fraction(1, 2))
+    assert (half_x + half_x).terms == {(1,): 1} and type((half_x + half_x).terms[(1,)]) is int
+    prod = MultiPoly.monomial({"x": 1}, Fraction(3, 2)) * MultiPoly.monomial({"y": 1}, Fraction(2, 3))
+    assert prod == x * y and type(prod.terms[(1, 1)]) is int
+    assert type(MultiPoly(("x",), {(1,): Fraction(4, 2)}).terms[(1,)]) is int
+    assert type((half_x * 2).terms[(1,)]) is int
+    rng = random.Random(4242)
+    for _ in range(200):
+        a = rand_nonzero(rng, max_terms=4, max_exp=3)
+        b = rand_nonzero(rng, max_terms=4, max_exp=3)
+        unit = MultiPoly.monomial({"t": rng.randrange(-2, 3)}, Fraction(rng.randrange(1, 5), rng.randrange(1, 5)))
+        binding = {n: unit for n in a.vars[:1]}
+        for p in (a + b, a * b, a.substitute(binding), exact_div_multi(a * b, b)):
+            assert _coeff_types_canonical(p)
+        assert _coeff_types_canonical(MultiPoly.from_json_obj(json.loads(json.dumps((a * b).to_json_obj()))))
+    # a quotient that comes out integral is an int, with or without a unit shift
+    q = exact_div_multi(x * 3 + y * 3, x + y)
+    assert q == MultiPoly.const(3) and type(q.constant_value()) is int
+    q = exact_div_multi(x * x * 3 + x * y * 3, x + y)
+    assert q == x * 3 and type(q.terms[(1,)]) is int
+    got = MultiPoly.var("x", -1).substitute({"x": MultiPoly.var("t", 1, Fraction(1, 3))})
+    assert got == MultiPoly.var("t", -1, 3) and type(got.terms[(-1,)]) is int
+
+
+def test_fractional_quotients_are_fractions():
+    x = MultiPoly.var("x")
+    y = MultiPoly.var("y")
+    m = monomial_quotient(x, x * 3)
+    assert m == MultiPoly.const(Fraction(1, 3)) and type(m.constant_value()) is Fraction
+    q = exact_div_multi(x + y, x * 3 + y * 3)
+    assert q == MultiPoly.const(Fraction(1, 3)) and type(q.constant_value()) is Fraction
+    s = MultiPoly.var("x", -1).substitute({"x": MultiPoly.var("t", 1, 3)})
+    assert s.terms == {(-1,): Fraction(1, 3)} and type(s.terms[(-1,)]) is Fraction
+
+
+def test_eval_fraction_exact_at_integer_points():
+    p = MultiPoly.var("x", -4) + MultiPoly.var("y", -1, 2)
+    for point in ({"x": Fraction(6), "y": Fraction(2)}, {"x": 6, "y": 2}):
+        got = p.eval_fraction(point)
+        assert got == Fraction(1, 1296) + 1 and type(got) is Fraction
+    with pytest.raises(TypeError):
+        p.eval_fraction({"x": 6.0, "y": 2})
+
+
+def test_product_drops_cancelled_variable():
+    x = MultiPoly.var("x")
+    p = x * MultiPoly.monomial({"x": -1, "y": 1})
+    assert p.vars == ("y",)
+    assert p == MultiPoly.var("y")
+
+
+def _evaluate_naive(p, point):
+    """Per-term loop: complex coefficient times each power, summed in term order."""
+    total = 0j
+    vals = [complex(point[n]) for n in p.vars]
+    for exps, c in p.terms.items():
+        t = complex(c)
+        for vv, e in zip(vals, exps):
+            if e:
+                t *= vv ** e
+        total += t
+    return total
+
+
+def test_evaluate_matches_naive_loop_bitwise():
+    rng = random.Random(5150)
+    for _ in range(200):
+        p = rand_mpoly(rng, max_terms=8, nvars=rng.randrange(1, 5))
+        for _ in range(3):  # repeated calls reuse the cached plan
+            point = {n: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for n in VARS}
+            assert p.evaluate(point) == _evaluate_naive(p, point)
+
+
+def _substitute_per_term(p, bindings):
+    """The per-term MultiPoly route: each term a product of bound powers, summed one by one."""
+    out = MultiPoly.zero()
+    for exps, c in p.terms.items():
+        term = MultiPoly.monomial({n: e for n, e in zip(p.vars, exps) if n not in bindings}, c)
+        for n, e in zip(p.vars, exps):
+            if n in bindings and e:
+                b = bindings[n]
+                if e < 0:
+                    (be, bc), = b.terms.items()
+                    b, e = MultiPoly(b.vars, {tuple(-x for x in be): Fraction(1) / bc}), -e
+                term = term * b ** e
+        out = out + term
+    return out
+
+
+def test_substitute_matches_per_term_route_with_term_order():
+    rng = random.Random(1618)
+    for _ in range(200):
+        p = rand_mpoly(rng, max_terms=6, nvars=3)
+        bindings = {}
+        for n in p.vars[:2]:
+            if rng.random() < 0.5:
+                bindings[n] = MultiPoly.monomial({m: rng.randrange(-2, 3) for m in ("t", n)}, rng.randrange(1, 4))
+            else:
+                bindings[n] = rand_mpoly(rng, nvars=2, max_terms=3, laurent=False)
+        try:
+            want = _substitute_per_term(p, bindings)
+        except ValueError:  # a negative power bound to a non-unit
+            with pytest.raises(ValueError):
+                p.substitute(bindings)
+            continue
+        got = p.substitute(bindings)
+        assert got == want
+        # evaluate sums in term order, so the order is part of the value's floats
+        assert list(got.terms) == list(want.terms)

@@ -8,8 +8,11 @@ with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
 the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
-320- and 640-bit rungs), and two large-color evaluations expanded to their
-coefficients, each in a fresh interpreter so its lru caches start cold.
+320- and 640-bit rungs), the MultiPoly layer (the classical limits of the six
+tet operators and the saddle elimination, with cold caches, and 20
+evaluations of the saddle resultant), and two large-color evaluations
+expanded to their coefficients, each in a fresh interpreter so its lru
+caches start cold.
 Prints the median and the spread (interquartile range over the median) of
 each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS`:
 
@@ -26,8 +29,7 @@ import subprocess
 import sys
 import time
 
-from qgraph import asymptotics, invariants, laurent
-from qgraph.apoly import interior_colorings
+from qgraph import apoly, asymptotics, invariants, laurent
 
 SIZES = (2, 8, 12, 16, 24, 64, 256, 1024)
 LONG = 1024  # the longer operand of the unbalanced shape
@@ -95,7 +97,7 @@ def bench_cyclo(repeat: int) -> None:
 
 
 def _clear_caches() -> None:
-    for module in (laurent, invariants):
+    for module in (laurent, invariants, apoly):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
@@ -113,7 +115,7 @@ def _cold_samples(fn, repeat: int) -> list[float]:
 
 def bench_rat(repeat: int) -> None:
     """The theta-recursion check: factor * theta(a, b, c) == theta(a + 2, b, c)."""
-    grid = interior_colorings("theta", "a", 12, 1)
+    grid = apoly.interior_colorings("theta", "a", 12, 1)
 
     def check():
         for a, b, c in grid:
@@ -144,6 +146,24 @@ def bench_log_abs_tet(repeat: int) -> None:
         bits = asymptotics.log_abs_tet(colors, hbar)[1]["precision_bits"]
         med, spread = _time_call(lambda: asymptotics.log_abs_tet(colors, hbar), repeat)
         _line(f"log_abs_tet {colors[0]}^6, hbar={hbar!r}, {bits}-bit rung", med, spread)
+
+
+def bench_multipoly(repeat: int) -> None:
+    def limits():
+        for edge in apoly.TET_EDGES:
+            apoly.classical_limit(apoly.tet_quantum_A(edge))
+
+    _line("tet classical limits, six edges, cold caches", *_spread(_cold_samples(limits, repeat)))
+    _line("eliminate_saddle(), cold caches", *_spread(_cold_samples(apoly.eliminate_saddle, repeat)))
+    res = apoly.eliminate_saddle()
+    rng = random.Random(1)
+    points = [{n: complex(rng.uniform(0.2, 0.8), rng.uniform(-0.5, 0.5)) for n in res.vars} for _ in range(20)]
+
+    def evaluate():
+        for point in points:
+            res.evaluate(point)
+
+    _line(f"20 evaluate() of the saddle resultant, {len(res.terms)} terms", *_time_call(evaluate, repeat))
 
 
 # (function in qgraph.invariants, its argument tuple)
@@ -184,6 +204,7 @@ def main() -> None:
     bench_rat(args.repeat)
     bench_tet_sums(args.repeat)
     bench_log_abs_tet(args.repeat)
+    bench_multipoly(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
 
