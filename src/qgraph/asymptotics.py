@@ -24,7 +24,6 @@ from itertools import product as _iterproduct
 from typing import NamedTuple, Optional
 
 import mpmath
-import numpy as np
 
 from .apoly import TET_EDGES, THETA_EDGES, tet_classical_A, theta_classical_A
 from .invariants import (
@@ -355,6 +354,40 @@ def w_tet_one_loop_shape(x, z) -> complex:
     return num / den
 
 
+def _quadratic_roots(a, b, c) -> tuple:
+    """Roots of a z^2 + b z + c, in the order np.roots gives them.
+
+    Cancellation-free: d = sqrt(b^2 - 4ac) takes the sign with
+    Re(conj(b) d) >= 0, so q = -(b + d)/2 never subtracts nearly equal
+    numbers, and the roots are q/a and c/q.  Real coefficients with a
+    negative discriminant give an exact conjugate pair, positive imaginary
+    part first.  q = 0 (b = c = 0) gives the double root 0, a = 0 the single
+    linear root -c/b, and a = b = 0 no root.  No root has a negative zero
+    part, so a real root has imaginary part +0.0.
+    """
+    a, b, c = complex(a), complex(b), complex(c)
+    if a == 0:
+        roots = () if b == 0 else (-c / b,)
+    elif a.imag == b.imag == c.imag == 0.0:
+        a, b, c = a.real, b.real, c.real
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            re = -b / (2.0 * a)
+            im = math.sqrt(-disc) / abs(2.0 * a)
+            roots = (complex(re, im), complex(re, -im))
+        else:
+            q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+            roots = (0.0, 0.0) if q == 0.0 else (q / a, c / q)
+    else:
+        d = cmath.sqrt(b * b - 4.0 * a * c)
+        if (b.conjugate() * d).real < 0.0:
+            d = -d
+        q = -(b + d) / 2.0
+        roots = (0.0, 0.0) if q == 0 else (q / a, c / q)
+    # adding +0.0 turns a negative zero into +0.0 and leaves every other value
+    return tuple(complex(z.real + 0.0, z.imag + 0.0) for z in map(complex, roots))
+
+
 def saddle_cubic_tet(x) -> tuple:
     """Coefficients (z^3, z^2, z, 1) of the saddle balance polynomial.
 
@@ -438,7 +471,7 @@ def saddle_solve_tet(x) -> SaddleRecord:
     scale = max(abs(a), abs(b), abs(c))
     roots = ()
     if scale != 0.0 and abs(a) >= 1e-13 * scale:
-        roots = tuple(complex(r) for r in np.roots([a, b, c])) + (0j,)
+        roots = _quadratic_roots(a, b, c) + (0j,)
     if not any(roots):
         # a vanishing quadratic, or one whose roots are both zero (x = 0)
         return SaddleRecord(
@@ -552,7 +585,7 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
 
         def twists_at(pt):
             a, b, c, _ = saddle_cubic_tet(pt)
-            roots = [complex(r) for r in np.roots([a, b, c])]
+            roots = _quadratic_roots(a, b, c)
             z = min(roots, key=lambda r: abs(r - z_ref))
             return saddle_twists_tet(pt, z).y
 

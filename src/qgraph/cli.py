@@ -67,12 +67,9 @@ from .invariants import (
 from .laurent import PoleError
 from .multipoly import MultiPoly, compare_up_to_unit, exact_div_multi
 
-try:
-    from importlib.metadata import version as _dist_version
-
-    VERSION = _dist_version("qgraph")
-except Exception:
-    VERSION = "0.1.0"
+# kept equal to pyproject.toml's version by tests/test_cli.py; a literal, because
+# importlib.metadata scans every installed distribution on each import
+VERSION = "0.1.0"
 
 
 class UsageError(ValueError):

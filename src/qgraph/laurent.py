@@ -805,15 +805,32 @@ def _totient(d: int) -> int:
 def _totient_cap(deg: int) -> int:
     """A bound above every d with deg Phi_d = totient(d) <= deg.
 
-    totient(n) > n / (e^gamma lnln n + 3 / lnln n) for n >= 3 (Rosser and
-    Schoenfeld 1962), and the right side increases with n.  The scan starts
-    at 4 deg: e^gamma x + 3 / x >= 4.62 for x > 0, so every n <= 4 deg
-    passes the loop test.
+    totient(n) > n / f(n) with f(n) = e^gamma lnln n + 3 / lnln n for n >= 3
+    (Rosser and Schoenfeld 1962), and the right side increases with n.  The
+    bound is the least n with n > f(n) deg.  No n <= 4 deg qualifies, since
+    f >= 4.62; from 4 deg on, n - f(n) deg increases, because
+    deg f'(n) <= e^gamma / (4 ln n) < 1.  So the n from 4 deg on that do not
+    qualify form a prefix, whose end a doubling step and a bisection find.
     """
-    n = max(3, 4 * deg)
-    while n <= (1.7811 * log(log(n)) + 3 / log(log(n))) * deg:
-        n += 1
-    return n
+
+    def below(n: int) -> bool:
+        return n <= (1.7811 * log(log(n)) + 3 / log(log(n))) * deg
+
+    lo = max(3, 4 * deg)
+    if not below(lo):
+        return lo
+    step = 1
+    while below(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step  # below(lo) holds, below(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _phi_divides(p: dict, d: int, phi_d: dict) -> bool:

@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qgraph import asymptotics
 from qgraph.apoly import TET_EDGES, THETA_EDGES, saddle_system, tet_classical_A, theta_classical_A
 from qgraph.asymptotics import (
     GrowthRow,
@@ -24,6 +25,7 @@ from qgraph.asymptotics import (
     SingularPointError,
     TwistPoint,
     _grad_log_y_theta_termwise,
+    _quadratic_roots,
     check_residual_theta,
     dilog,
     g_potential,
@@ -404,6 +406,71 @@ def test_saddle_solve_degenerate_report():
         assert rec.z_roots == ()
         assert rec.chosen == -1
         assert math.isinf(rec.residual)
+
+
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        ((1.0, -3.0, 2.0), (2 + 0j, 1 + 0j)),  # distinct real roots
+        ((1.0, 3.0, 2.0), (-2 + 0j, -1 + 0j)),
+        ((1.0, 0.0, -4.0), (-2 + 0j, 2 + 0j)),
+        ((1.0, 2.0, 5.0), (-1 + 2j, -1 - 2j)),  # conjugate pair, upper root first
+        ((-1.0, 2.0, -5.0), (1 + 2j, 1 - 2j)),
+        ((4.0, 4.0, 1.0), (-0.5 + 0j, -0.5 + 0j)),  # double root
+        ((1.0, -3.0, 0.0), (3 + 0j, 0j)),  # c = 0: the zero root comes last
+        ((1.0, 3.0, 0.0), (-3 + 0j, 0j)),
+        ((2.0, 0.0, 0.0), (0j, 0j)),  # b = c = 0
+        ((0.0, 2.0, -3.0), (1.5 + 0j,)),  # a = 0: the linear root alone
+        ((0.0, 0.0, 1.0), ()),  # a = b = 0: no root
+    ],
+)
+def test_quadratic_roots_pinned(coeffs, want):
+    got = _quadratic_roots(*coeffs)
+    assert got == want
+    for z, w in zip(got, want):  # no negative zeros, so a real root reads +0.0j
+        assert math.copysign(1.0, z.real) == math.copysign(1.0, w.real)
+        assert math.copysign(1.0, z.imag) == math.copysign(1.0, w.imag)
+
+
+def _np_quadratic_roots(a, b, c):
+    import numpy as np
+
+    return tuple(complex(r) for r in np.roots([a, b, c]))
+
+
+def test_quadratic_roots_complex_coefficients_match_np_roots():
+    pytest.importorskip("numpy")
+    rng = random.Random(6)
+    for _ in range(200):
+        a, b, c = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+        ref = _np_quadratic_roots(a, b, c)
+        got = _quadratic_roots(a, b, c)
+        assert len(got) == len(ref) == 2
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * abs(r)
+
+
+def test_quadratic_roots_match_np_roots_on_sampled_saddles(monkeypatch):
+    """The closed form against np.roots on 2000 sampled tet points.
+
+    Same order and each root within 1e-12 relative; the saddle selection
+    made from np.roots' roots picks the same branch.
+    """
+    pytest.importorskip("numpy")
+    rng = random.Random(1)
+    points = [sample_tet_point(rng) for _ in range(2000)]
+    records = [saddle_solve_tet(x) for x in points]
+    for x in points:
+        a, b, c, _ = saddle_cubic_tet(x)
+        got = _quadratic_roots(a, b, c)
+        ref = _np_quadratic_roots(a, b, c)
+        assert len(got) == len(ref) == 2
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * abs(r)
+    monkeypatch.setattr(asymptotics, "_quadratic_roots", _np_quadratic_roots)
+    for x, rec in zip(points, records):
+        ref = saddle_solve_tet(x)
+        assert (rec.chosen, len(rec.z_roots)) == (ref.chosen, len(ref.z_roots))
 
 
 def test_saddle_twists_satisfy_all_six_curves():

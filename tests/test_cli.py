@@ -1,12 +1,17 @@
 """Command line surface: exit codes, report envelopes, determinism, config plumbing."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qgraph import asymptotics
 from qgraph.asymptotics import MAX_GROWTH_COLOR
-from qgraph.cli import main
+from qgraph.cli import VERSION, main
 from qgraph.invariants import TetColoring, tet_primed, theta_invariant
 
 
@@ -485,3 +490,42 @@ def test_grid_max_global_flag(capsys):
     code, report = run_json(capsys, ["--grid-max", "2", "verify", "hypergeom"])
     assert code == 0
     assert report["grid_max"] == 2
+
+
+# -- packaging ---------------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_version_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == VERSION
+
+
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import qgraph.cli as cli
+argvs = (
+    ["saddle", "--x", "0.35,0.35,0.35,0.35,0.35,0.35"],
+    ["lagrangian", "--graph", "tet", "--samples", "2"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_cli_runs_without_importing_numpy():
+    """numpy is a test-only dependency: the CLI and the saddle solve never import it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "numpy": False}

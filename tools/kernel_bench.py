@@ -10,9 +10,10 @@ the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
 320- and 640-bit rungs), the MultiPoly layer (the classical limits of the six
 tet operators and the saddle elimination, with cold caches, and 20
-evaluations of the saddle resultant), and two large-color evaluations
+evaluations of the saddle resultant), two large-color evaluations
 expanded to their coefficients, each in a fresh interpreter so its lru
-caches start cold.
+caches start cold, and the CPU time of a fresh interpreter that runs
+`import qgraph.cli` (the set-up every CLI call pays).
 Prints the median and the spread (interquartile range over the median) of
 each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS`:
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -170,13 +172,18 @@ def bench_multipoly(repeat: int) -> None:
 LARGE = (("theta_invariant", (80, 80, 80)), ("tet_primed", ((20,) * 6,)))
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this process's qgraph."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+
 def bench_large(repeat: int) -> None:
     """Each call in a fresh interpreter, timed after the package import.
 
     The value's num and den are read inside the timing, so a factored value
     is expanded to its coefficients as a rendered one is.
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env = _child_env()
     timer = (
         "import time; from qgraph.invariants import {0} as f; "
         "t = time.perf_counter(); v = f(*{1!r}); v.num, v.den; print(time.perf_counter() - t)"
@@ -190,6 +197,18 @@ def bench_large(repeat: int) -> None:
             )
             samples.append(float(res.stdout))
         _line(f"{label}, fresh process", *_spread(samples))
+
+
+def bench_import(repeat: int) -> None:
+    """User+sys CPU time of a fresh interpreter that only imports qgraph.cli."""
+    env = _child_env()
+    samples = []
+    for _ in range(repeat):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([sys.executable, "-c", "import qgraph.cli"], env=env, check=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        samples.append((after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime))
+    _line("import qgraph.cli, fresh process, child CPU", *_spread(samples))
 
 
 def main() -> None:
@@ -207,6 +226,7 @@ def main() -> None:
     bench_multipoly(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
+    bench_import(args.repeat)
 
 
 if __name__ == "__main__":
