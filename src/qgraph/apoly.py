@@ -30,7 +30,6 @@ negative-control tests exercise a realistic failure mode.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .invariants import (
@@ -43,7 +42,7 @@ from .invariants import (
     tet_primed,
     theta_invariant,
 )
-from .laurent import BracketRatio, LaurentPoly, LaurentRat, rat_dot
+from .laurent import BracketRatio, LaurentPoly, LaurentRat, rat_dot, rat_dot_vanishes
 from .multipoly import MultiPoly, exact_div_multi, resultant_in
 
 THETA_EDGES = ("a", "b", "c")
@@ -295,16 +294,10 @@ def _bracket_product(ks) -> LaurentRat:
     return ratio.to_laurent_rat()
 
 
-def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
-    """Coefficients (alpha, beta, gamma) of the centered three-term recursion.
+def _tet_recursion_products(col, check_shifts: bool = True) -> tuple:
+    """(alpha, (beta_1, beta_2, beta_3), gamma), with beta = beta_1 + beta_2 - beta_3.
 
-    Contract: alpha * J'(j1+2) - beta * J'(j1) + gamma * J'(j1-2) = 0 on the
-    primed family whenever both shifted colorings are admissible.  beta's
-    middle summands carry the signs (+, +, -); that pattern is the unique one
-    among the eight choices that annihilates the verification grid.
-
-    check_shifts=False skips the domain validation so the coefficient
-    formulas themselves can be inspected at boundary colorings.
+    Every entry is a signed bracket product; see tet_recursion_coeffs.
     """
     col = TetColoring(*col)
     if not tet_is_admissible(col):
@@ -324,7 +317,7 @@ def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
             (j1 + j12 - j2) // 2 + 1,
         ]
     )
-    beta = (
+    betas = (
         _bracket_product(
             [
                 j1 + 2,
@@ -333,8 +326,8 @@ def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
                 (j1 + j2 - j12) // 2,
                 (j1 + j2 + j12) // 2 + 1,
             ]
-        )
-        + _bracket_product(
+        ),
+        _bracket_product(
             [
                 j1,
                 (j1 + j4 - j23) // 2 + 1,
@@ -342,8 +335,8 @@ def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
                 (j2 + j12 - j1) // 2,
                 (j1 + j12 - j2) // 2 + 1,
             ]
-        )
-        - _bracket_product(
+        ),
+        _bracket_product(
             [
                 j1,
                 j1 + 1,
@@ -351,7 +344,7 @@ def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
                 (j3 + j2 + j23) // 2 + 1,
                 (j2 + j23 - j3) // 2,
             ]
-        )
+        ),
     )
     gamma = _bracket_product(
         [
@@ -362,17 +355,46 @@ def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
             (j2 + j12 - j1) // 2 + 1,
         ]
     )
-    return alpha, beta, gamma
+    return alpha, betas, gamma
+
+
+def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
+    """Coefficients (alpha, beta, gamma) of the centered three-term recursion.
+
+    Contract: alpha * J'(j1+2) - beta * J'(j1) + gamma * J'(j1-2) = 0 on the
+    primed family whenever both shifted colorings are admissible.  beta's
+    middle summands carry the signs (+, +, -); that pattern is the unique one
+    among the eight choices that annihilates the verification grid.
+
+    check_shifts=False skips the domain validation so the coefficient
+    formulas themselves can be inspected at boundary colorings.
+    """
+    alpha, (b1, b2, b3), gamma = _tet_recursion_products(col, check_shifts)
+    return alpha, b1 + b2 - b3, gamma
+
+
+def _tet_shifted_values(col) -> tuple:
+    """J'(j1 + 2), J'(col), J'(j1 - 2) on the primed family."""
+    j1 = col[0]
+    rest = tuple(col)[1:]
+    return tet_primed((j1 + 2,) + rest), tet_primed(tuple(col)), tet_primed((j1 - 2,) + rest)
 
 
 def tet_recursion_residual(col) -> LaurentRat:
     """Exact value of alpha*J'(up) - beta*J'(col) + gamma*J'(down)."""
     alpha, beta, gamma = tet_recursion_coeffs(col)
-    j1 = col[0]
-    rest = tuple(col)[1:]
-    up = tet_primed((j1 + 2,) + rest)
-    down = tet_primed((j1 - 2,) + rest)
-    return rat_dot([(alpha, up), (-beta, tet_primed(tuple(col))), (gamma, down)])
+    up, mid, down = _tet_shifted_values(col)
+    return rat_dot([(alpha, up), (-beta, mid), (gamma, down)])
+
+
+def tet_recursion_vanishes(col) -> bool:
+    """Whether tet_recursion_residual(col) is zero, decided by rat_dot_vanishes.
+
+    beta enters as its three bracket products, so it is never summed.
+    """
+    alpha, (b1, b2, b3), gamma = _tet_recursion_products(col)
+    up, mid, down = _tet_shifted_values(col)
+    return rat_dot_vanishes([(alpha, up), (-b1, mid), (-b2, mid), (b3, mid), (gamma, down)])
 
 
 # -- operator application ------------------------------------------------------------------
@@ -399,16 +421,11 @@ def _eval_coeff(poly: MultiPoly, graph: str, col) -> LaurentRat:
     labels = THETA_EDGES if graph == "theta" else TET_EDGES
     weight = {"x_" + lab: n for lab, n in zip(labels, col)}
     weight["v"] = 1
-    weights = [weight[name] for name in poly.vars]
-    return LaurentRat.from_poly(LaurentPoly([(sum(map(mul, weights, exps)), c) for exps, c in poly.terms.items()]))
+    return LaurentRat.from_poly(LaurentPoly(zip(poly.weighted_degrees(weight), poly.terms.values())))
 
 
-def apply_operator(op: OperatorPoly, family: str, col) -> LaurentRat:
-    """Evaluate sum_l b_l(x = v^colors) * invariant(col shifted l times by 2).
-
-    Coefficients always see the unshifted colors; colorings outside the
-    admissible set contribute zero through the invariant factor.
-    """
+def _operator_pairs(op: OperatorPoly, family: str, col) -> list:
+    """The (b_l(x = v^colors), invariant(col shifted l times by 2)) pairs of an application."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     graph, arity, _, slots = _FAMILIES[family]
@@ -427,7 +444,21 @@ def apply_operator(op: OperatorPoly, family: str, col) -> LaurentRat:
         if value.is_zero():
             continue
         pairs.append((_eval_coeff(coeff, graph, col), value))
-    return rat_dot(pairs)
+    return pairs
+
+
+def apply_operator(op: OperatorPoly, family: str, col) -> LaurentRat:
+    """Evaluate sum_l b_l(x = v^colors) * invariant(col shifted l times by 2).
+
+    Coefficients always see the unshifted colors; colorings outside the
+    admissible set contribute zero through the invariant factor.
+    """
+    return rat_dot(_operator_pairs(op, family, col))
+
+
+def operator_vanishes(op: OperatorPoly, family: str, col) -> bool:
+    """Whether apply_operator(op, family, col) is zero, decided by rat_dot_vanishes."""
+    return rat_dot_vanishes(_operator_pairs(op, family, col))
 
 
 def classical_limit(op: OperatorPoly) -> ClassicalAPoly:
@@ -555,10 +586,10 @@ def annihilation_report(
     order = len(op.coeffs) - 1
 
     def check(col):
-        residual = apply_operator(op, family, col)
-        if residual.is_zero():
+        # zero is decided by evaluation; only a failure expands its residual
+        if operator_vanishes(op, family, col):
             return []
-        return [{"colors": list(col), "residual": residual.to_json_obj()}]
+        return [{"colors": list(col), "residual": apply_operator(op, family, col).to_json_obj()}]
 
     return {
         "check": "annihilation",

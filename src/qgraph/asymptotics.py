@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from itertools import product as _iterproduct
 from typing import NamedTuple, Optional
 
@@ -52,23 +51,20 @@ class LadderExhaustedError(ArithmeticError):
 # -- dilogarithm -------------------------------------------------------------------------------
 
 
-def _bernoulli_series_coeffs(count: int) -> list:
-    # exact Bernoulli recurrence over Fraction, flattened to float B_k/(k+1)!
-    bern = [Fraction(1)]
-    for m in range(1, count):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += Fraction(math.comb(m + 1, k)) * bern[k]
-        bern.append(-acc / (m + 1))
-    out = []
-    fact = 1
-    for k, b in enumerate(bern):
-        fact *= k + 1
-        out.append(float(b / fact))
-    return out
-
-
-_LOG_SERIES_COEF = _bernoulli_series_coeffs(44)
+# B_k / (k+1)! for k < 44, with the Bernoulli numbers B_k (B_1 = -1/2), as
+# floats: Li2(u) = sum_k B_k w^(k+1) / (k+1)! with w = -log(1 - u).  A literal,
+# so no import pays for the recurrence; tests/test_asymptotics.py rebuilds it
+# from the exact recurrence over Fraction and compares bit for bit
+_LOG_SERIES_COEF = (
+    1.0, -0.25, 0.027777777777777776, 0.0, -0.0002777777777777778, 0.0,
+    4.72411186696901e-06, 0.0, -9.185773074661964e-08, 0.0, 1.8978869988971e-09, 0.0,
+    -4.0647616451442256e-11, 0.0, 8.921691020456452e-13, 0.0, -1.9939295860721074e-14,
+    0.0, 4.518980029619918e-16, 0.0, -1.0356517612181247e-17, 0.0,
+    2.395218621026187e-19, 0.0, -5.581785874325009e-21, 0.0, 1.3091507554183213e-22,
+    0.0, -3.0874198024267403e-24, 0.0, 7.315975652702203e-26, 0.0,
+    -1.740845657234001e-27, 0.0, 4.1576356446139e-29, 0.0, -9.962148488284622e-31, 0.0,
+    2.3940344248961652e-32, 0.0, -5.76834735536739e-34, 0.0, 1.393179479647008e-35, 0.0,
+)
 
 
 def _dilog_series(u: complex) -> complex:

@@ -25,14 +25,14 @@ from .apoly import (
     THETA_EDGES,
     OperatorPoly,
     annihilation_report,
-    apply_operator,
     classical_limit,
     eliminate_saddle,
     interior_colorings,
+    operator_vanishes,
     sweep,
     tet_classical_A,
     tet_quantum_A,
-    tet_recursion_residual,
+    tet_recursion_vanishes,
     theta_classical_A,
     theta_quantum_A,
 )
@@ -117,6 +117,28 @@ def _complex_obj(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None.
+
+    RFC 8259 has no NaN or Infinity, so a strict parser rejects what
+    json.dumps writes for them by default; they render as null instead.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    try:
+        return json.dumps(obj, allow_nan=False, sort_keys=True, **kwargs)
+    except ValueError:  # a non-finite float; walking every report for one would cost large values
+        return json.dumps(_json_safe(obj), allow_nan=False, sort_keys=True, **kwargs)
+
+
 def _fmt_scalar(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -127,7 +149,7 @@ def _fmt_scalar(v) -> str:
     if isinstance(v, (list, tuple)):
         return ",".join(_fmt_scalar(x) for x in v)
     if isinstance(v, dict):
-        return json.dumps(v, sort_keys=True)
+        return _dumps(v)
     return str(v)
 
 
@@ -152,7 +174,7 @@ def _render(report: dict, rows, fmt: str) -> str:
         if rows is not None:
             cols, data = rows
             obj["rows"] = [{c: r.get(c) for c in cols} for r in data]
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return _dumps(obj, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         for key in sorted(report):
@@ -377,9 +399,9 @@ def _verify_recursum(args, cfg):
         ):
             return None
         failures = []
-        if not tet_recursion_residual(col).is_zero():
+        if not tet_recursion_vanishes(col):
             failures.append({"colors": list(col), "route": "recursion"})
-        if not apply_operator(op, "tet-primed", col).is_zero():
+        if not operator_vanishes(op, "tet-primed", col):
             failures.append({"colors": list(col), "route": "operator"})
         return failures
 
@@ -472,6 +494,9 @@ def cmd_asymptotics(args, cfg):
             raise UsageError(
                 f"--hbar {h!r} rounds --x to colors up to {top}, above the growth-table cap {MAX_GROWTH_COLOR}"
             )
+    # the error ratios and the extrapolation compare consecutive rows
+    if len(hbars) < 2:
+        raise UsageError(f"--hbar needs at least two values, got {args.hbar}")
     try:
         table = growth_check_theta(x, hbars) if args.graph == "theta" else growth_check_tet(x, hbars)
     except SingularPointError as exc:

@@ -61,6 +61,10 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("grid_max must be a nonnegative integer")
     if not isinstance(cfg.tolerances, dict):
         raise ConfigError("tolerances must be a name -> value map")
+    # a name no command reads would still change the config hash
+    unknown = set(cfg.tolerances) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
     for name, value in cfg.tolerances.items():
         if not isinstance(value, (int, float)) or not value > 0:
             raise ConfigError(f"tolerance {name!r} must be positive")

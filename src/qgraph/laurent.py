@@ -52,6 +52,22 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
   in tools/kernel_bench.py show to be faster for short operands.
 - Exact division is one low-to-high pass over a dense list; it divides by
   the divisor's lowest coefficient only when that is not 1.
+
+Zero tests by evaluation.  rat_dot_vanishes(pairs) decides whether
+sum a_i * b_i is zero without expanding it.  Each product keeps its two polys
+apart and adds its Phi_d exponents.  Over the lcm of the denominators, with
+the Phi_d powers that every term shares factored out (as in _sum_forms), the
+sum is v^s * P(v) with P in Z[v] and a nonzero factor dropped, so it is zero
+exactly when P is.  The l1 norm is submultiplicative and bounds every
+coefficient, so each coefficient of P is at most
+C = sum_i prod_d ||Phi_d||_1^need_i[d] * prod ||poly_i||_1 in absolute value.
+With k = bitlen(C) + 2 every coefficient c has |c| < 2^k / 2, so P(2^k) is
+a number whose balanced base-2^k digits are P's coefficients; digits are
+unique, and P(2^k) = 0 exactly when P = 0.  The test is exact and
+deterministic.  Phi_d(2^k) comes from _cyclo_int by shifts, each poly by one
+sum of shifted coefficients, and the terms are aligned by shifts of k times
+their exponent difference, so the whole test is a few big-int products and
+one compare.  A Fraction coefficient falls back to the expanded rat_dot.
 """
 
 from __future__ import annotations
@@ -921,6 +937,104 @@ def bracket_ratio_sum(terms: Iterable[BracketRatio]) -> LaurentRat:
 def rat_dot(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> LaurentRat:
     """Exact sum of products a_i * b_i, normalized once over the lcm of the denominators."""
     return _sum_forms(_form_mul(a._form, b._form) for a, b in pairs)
+
+
+# -- zero test by evaluation at a power of two ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def _cyclo_l1(d: int) -> int:
+    """The l1 norm of Phi_d: the sum of its coefficients' absolute values."""
+    return sum(map(abs, _cyclo_int(d)))
+
+
+# keyed by (d, k); a sweep meets few bit widths, and the bound keeps a long
+# sweep's memory flat
+@lru_cache(maxsize=1024)
+def _cyclo_at_pow2(d: int, k: int) -> int:
+    """Phi_d(2^k), by Horner with shifts."""
+    acc = 0
+    for c in reversed(_cyclo_int(d)):
+        acc = (acc << k) + c
+    return acc
+
+
+def rat_dot_vanishes(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> bool:
+    """Whether sum a_i * b_i is zero, decided by one evaluation at v = 2^k.
+
+    Equal to rat_dot(pairs).is_zero(), without expanding the sum; see the
+    module docstring for the bound that makes the test exact.  A Fraction
+    coefficient falls back to the expanded rat_dot.
+    """
+    pairs = list(pairs)
+    terms = []  # (sign, shift, Phi_d exponents, polys) of each nonzero product
+    for a, b in pairs:
+        sa, ha, ea, pa = a._form
+        sb, hb, eb, pb = b._form
+        polys = tuple(p for p in (pa, pb) if p is not None)
+        if all(polys):
+            phi = eb if not ea else ea if not eb else _add_exponents(ea, eb)
+            terms.append((sa * sb, ha + hb, phi, polys))
+    if not terms:
+        return True
+    norms = {}  # id(poly) -> l1 norm; the same poly may sit in several terms
+    for term in terms:
+        for p in term[3]:
+            if id(p) not in norms:
+                n = sum(map(abs, p.values()))
+                if type(n) is not int:
+                    return rat_dot(pairs).is_zero()
+                norms[id(p)] = n
+    # over the lcm of the denominators, with the Phi_d powers that every
+    # numerator shares factored out, term i keeps Phi_d^(phi_i[d] - floor[d]),
+    # floor[d] the least phi_i[d] with a missing d read as 0
+    floor: dict[int, int] = {}
+    for term in terms:
+        for d, m in term[2].items():
+            if m < floor.get(d, 0):
+                floor[d] = m
+    for d, m in min((term[2] for term in terms), key=len).items():
+        if m > 0 and d not in floor:
+            m = min(term[2].get(d, 0) for term in terms)
+            if m:
+                floor[d] = m
+    needs = [_add_exponents(term[2], floor, -1) for term in terms] if floor else [term[2] for term in terms]
+    bound = 0
+    for term, need in zip(terms, needs):
+        size = 1
+        for d, m in need.items():
+            size *= _cyclo_l1(d) ** m
+        for p in term[3]:
+            size *= norms[id(p)]
+        bound += size
+    k = bound.bit_length() + 2  # every coefficient is below 2^k / 2
+    # the terms that share their polys are summed first, so each group takes one
+    # multiplication by its polys' values
+    groups: dict[tuple, list] = {}  # poly ids -> (polys, [(shift, value without the polys)])
+    for (sign, shift, _, polys), need in zip(terms, needs):
+        value = sign
+        for d, m in need.items():
+            value *= _cyclo_at_pow2(d, k) ** m
+        groups.setdefault(tuple(map(id, polys)), (polys, []))[1].append((shift, value))
+    values = {}  # id(poly) -> (lowest exponent, value at 2^k over 2^(k lo))
+    placed = []  # (exponent of 2^k, value)
+    for polys, parts in groups.values():
+        low = min(h for h, _ in parts)
+        value = sum(v << k * (h - low) for h, v in parts)
+        if not value:
+            continue
+        for p in polys:
+            got = values.get(id(p))
+            if got is None:
+                lo = min(p)
+                got = values[id(p)] = (lo, sum(c << k * (e - lo) for e, c in p.items()))
+            low += got[0]
+            value *= got[1]
+        placed.append((low, value))
+    if not placed:
+        return True
+    base = min(e for e, _ in placed)
+    return not sum(value << k * (e - base) for e, value in placed)
 
 
 class LaurentRat:

@@ -13,8 +13,10 @@ structural equality is semantic equality.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Mapping, Optional
 
 from .laurent import LaurentPoly, PoleError, _coerce
@@ -70,9 +72,29 @@ def _add_into(data: dict, terms: dict) -> None:
             del data[e]
 
 
+_SLOT = 1 << 64
+
+
+def _packed_columns(p: "MultiPoly") -> tuple:
+    """Per variable (raise, top, column): the exponents plus raise >= 0, top their
+    largest, packed as sum of (e + raise) * 2^(64 j) over the terms j; () when
+    an exponent does not fit its slot."""
+    out = []
+    for i in range(len(p.vars)):
+        col = [exps[i] for exps in p.terms]
+        raise_by = max(0, -min(col))
+        high = max(col) + raise_by
+        if high >= _SLOT:
+            return ()
+        packed = int.from_bytes(b"".join((e + raise_by).to_bytes(8, "little") for e in col), "little")
+        out.append((raise_by, high, packed))
+    return tuple(out)
+
+
 class MultiPoly:
-    # _plan: evaluate's power keys and per-term factors (_evaluate_plan), filled on first use
-    __slots__ = ("vars", "terms", "_plan")
+    # _plan: evaluate's power keys and per-term factors (_evaluate_plan), and
+    # _columns: weighted_degrees' packed exponent columns; both filled on first use
+    __slots__ = ("vars", "terms", "_plan", "_columns")
 
     def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], Coeff] | None = None):
         vars = tuple(vars)
@@ -101,7 +123,7 @@ class MultiPoly:
             raise ValueError(f"duplicate variable names in {vars}")
         self.vars = vars
         self.terms = data
-        self._plan = None
+        self._plan = self._columns = None
 
     # -- constructors ----------------------------------------------------
 
@@ -111,7 +133,7 @@ class MultiPoly:
         canonical and nonzero.  Only drops the vars that no longer occur."""
         out = cls.__new__(cls)
         out.vars, out.terms = _drop_unused(vars, data)
-        out._plan = None
+        out._plan = out._columns = None
         return out
 
     @classmethod
@@ -157,9 +179,6 @@ class MultiPoly:
 
     def is_one(self) -> bool:
         return self.terms == {(): 1}
-
-    def is_constant(self) -> bool:
-        return not self.vars
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -378,6 +397,30 @@ class MultiPoly:
             factors = [keys.setdefault((i, e), len(keys)) for i, e in enumerate(exps) if e]
             plan.append((complex(c), factors))
         return list(keys), plan
+
+    def weighted_degrees(self, weights: Mapping[str, int]) -> list[int]:
+        """sum of weights[name] * exponent over the variables, for each term in term order.
+
+        Each variable's exponent column is kept as one int with a 64-bit slot
+        per term, raised to be nonnegative, so for nonnegative weights whose
+        sums fit the slots the whole list comes from one multiply-add per
+        variable; other weights take the per-term sum.
+        """
+        ws = [weights[name] for name in self.vars]
+        if self._columns is None:
+            self._columns = _packed_columns(self)
+        if min(ws, default=0) >= 0 and self._columns:
+            total = offset = top = 0
+            for w, (raise_by, high, packed) in zip(ws, self._columns):
+                total += w * packed
+                offset += w * raise_by
+                top += w * high
+            if top < _SLOT:
+                raw = array("Q", total.to_bytes(8 * len(self.terms), "little"))
+                if sys.byteorder != "little":
+                    raw.byteswap()
+                return [e - offset for e in raw]
+        return [sum(map(mul, ws, exps)) for exps in self.terms]
 
     def eval_fraction(self, point: Mapping[str, Coeff]) -> Fraction:
         missing = [n for n in self.vars if n not in point]

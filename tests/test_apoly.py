@@ -14,6 +14,7 @@ from itertools import product
 
 import pytest
 
+from qgraph import apoly
 from qgraph.apoly import (
     ClassicalAPoly,
     OperatorPoly,
@@ -28,12 +29,15 @@ from qgraph.apoly import (
     sweep,
     tet_classical_A,
     tet_quantum_A,
+    operator_vanishes,
     tet_recursion_coeffs,
     tet_recursion_residual,
+    tet_recursion_vanishes,
     theta_classical_A,
     theta_quantum_A,
 )
 from qgraph.invariants import (
+    enumerate_tet_colorings,
     enumerate_theta_colorings,
     is_admissible,
     tet_is_admissible,
@@ -41,7 +45,7 @@ from qgraph.invariants import (
     theta_invariant,
     theta_recursion_factor,
 )
-from qgraph.laurent import BracketRatio, LaurentRat
+from qgraph.laurent import BracketRatio, LaurentPoly, LaurentRat, rat_dot, rat_dot_vanishes
 from qgraph.multipoly import MultiPoly, compare_up_to_unit, exact_div_multi
 
 
@@ -347,6 +351,101 @@ def test_annihilation_report_records_failures_as_json():
     assert set(first) == {"colors", "residual"}
     assert len(first["colors"]) == 3
     assert isinstance(first["residual"], dict)
+
+
+# -- zero test by evaluation ----------------------------------------------------------
+
+
+def recursum_colorings(grid_max):
+    # the colorings `verify recursum` tests: both j1 shifts admissible
+    out = []
+    for col in enumerate_tet_colorings(grid_max):
+        col = tuple(col)
+        rest = col[1:]
+        if tet_is_admissible((col[0] + 2,) + rest) and tet_is_admissible((col[0] - 2,) + rest):
+            out.append(col)
+    return out
+
+
+def shifted_primed(col):
+    rest = col[1:]
+    return tet_primed((col[0] + 2,) + rest), tet_primed(col), tet_primed((col[0] - 2,) + rest)
+
+
+def test_zero_test_matches_rat_dot_on_recursum_grid_6():
+    # both routes of `verify recursum`, and the recursion with gamma + 1 in place of gamma
+    op = tet_quantum_A("1")
+    cols = recursum_colorings(6)
+    assert len(cols) == 1033
+    perturbed_nonzero = 0
+    for col in cols:
+        assert tet_recursion_vanishes(col) and tet_recursion_residual(col).is_zero(), col
+        assert operator_vanishes(op, "tet-primed", col) and apply_operator(op, "tet-primed", col).is_zero(), col
+        alpha, beta, gamma = tet_recursion_coeffs(col)
+        up, mid, down = shifted_primed(col)
+        pairs = [(alpha, up), (-beta, mid), (gamma + 1, down)]
+        zero = rat_dot(pairs).is_zero()
+        assert rat_dot_vanishes(pairs) == zero, col
+        perturbed_nonzero += not zero
+    assert perturbed_nonzero == len(cols)
+
+
+def test_zero_test_matches_rat_dot_on_theta_grid_12():
+    # every edge, with the operator as built and with its top coefficient negated
+    for edge in THETA_EDGES:
+        op = theta_quantum_A(edge)
+        flipped = OperatorPoly("theta", edge, (op.coeffs[0], MultiPoly.zero() - op.coeffs[1]))
+        cols = interior_colorings("theta", edge, 12, 1)
+        assert len(cols) > 100
+        for col in cols:
+            assert operator_vanishes(op, "theta", col) and apply_operator(op, "theta", col).is_zero(), col
+            assert not operator_vanishes(flipped, "theta", col), col
+            assert not apply_operator(flipped, "theta", col).is_zero(), col
+
+
+def bump_top(value, delta):
+    # value with delta added to the top coefficient of its numerator
+    num = value.num
+    return LaurentRat(num + LaurentPoly.v_power(num.max_exp(), delta), value.den)
+
+
+def test_zero_test_sees_a_unit_change_at_a_top_coefficient():
+    cases = [
+        ([eval_coeff(c, THETA_EDGES, col) for c in theta_quantum_A("a").coeffs], [col, (col[0] + 2,) + col[1:]])
+        for col in ((2, 2, 2), (3, 5, 4), (6, 4, 6))
+    ]
+    tet_op = tet_quantum_A("1")
+    for col in interior_colorings("tet", "1", 5, 2)[::150]:
+        coeffs = [eval_coeff(c, TET_EDGES, col) for c in tet_op.coeffs]
+        cases.append((coeffs, [(col[0] + 2 * l,) + col[1:] for l in range(3)]))
+    for coeffs, cols in cases:
+        values = [theta_invariant(*c) if len(c) == 3 else tet_primed(c) for c in cols]
+        pairs = list(zip(coeffs, values))
+        assert rat_dot_vanishes(pairs)
+        for i in range(len(pairs)):
+            for side in (0, 1):
+                for delta in (1, -1):
+                    bumped = list(pairs)
+                    pair = list(bumped[i])
+                    pair[side] = bump_top(pair[side], delta)
+                    bumped[i] = tuple(pair)
+                    assert not rat_dot(bumped).is_zero()
+                    assert not rat_dot_vanishes(bumped), (cols[0], i, side, delta)
+    assert len(cases) > 5
+
+
+def test_annihilation_report_expands_only_failures(monkeypatch):
+    # passing colorings are decided by evaluation; a failure still reports its expanded residual
+    calls = []
+    real = apoly.rat_dot
+    monkeypatch.setattr(apoly, "rat_dot", lambda pairs: calls.append(1) or real(pairs))
+    rep = annihilation_report("theta", "b", 8)
+    assert rep["tested"] > 0 and rep["failures"] == [] and calls == []
+    rep = annihilation_report("theta", "a", 4, operator=theta_quantum_A("a", miscommuted=True))
+    assert len(calls) == len(rep["failures"]) > 0
+    for record in rep["failures"]:
+        residual = apply_operator(theta_quantum_A("a", miscommuted=True), "theta", record["colors"])
+        assert record["residual"] == residual.to_json_obj()
 
 
 # -- saddle elimination -------------------------------------------------------------

@@ -68,6 +68,30 @@ PI_SQ_6 = math.pi * math.pi / 6.0
 # -- dilogarithm --
 
 
+def bernoulli_series_coeffs(count: int) -> list:
+    # exact Bernoulli recurrence over Fraction, flattened to float B_k/(k+1)!
+    bern = [Fraction(1)]
+    for m in range(1, count):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += Fraction(math.comb(m + 1, k)) * bern[k]
+        bern.append(-acc / (m + 1))
+    out = []
+    fact = 1
+    for k, b in enumerate(bern):
+        fact *= k + 1
+        out.append(float(b / fact))
+    return out
+
+
+def test_log_series_table_is_the_bernoulli_recurrence():
+    table = asymptotics._LOG_SERIES_COEF
+    want = bernoulli_series_coeffs(44)
+    assert len(table) == len(want)
+    # bit for bit: float.hex tells 0.0 from -0.0 and any last-digit change
+    assert [x.hex() for x in table] == [x.hex() for x in want]
+
+
 def test_dilog_special_values():
     assert dilog(0) == 0
     assert abs(dilog(1) - PI_SQ_6) < 1e-15

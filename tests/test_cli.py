@@ -21,9 +21,14 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def run_json(capsys, argv):
+    # strict: NaN, Infinity and -Infinity in a report fail the parse
     code, out, err = run(capsys, ["--format", "json"] + list(argv))
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 # -- invariant commands ----------------------------------------------------------------------
@@ -257,6 +262,37 @@ def test_asymptotics_rejects_positive_hbar(capsys):
     assert "usage error" in err
 
 
+def test_asymptotics_single_hbar_exit_2(capsys):
+    # error ratios and the extrapolation need two rows: one hbar is bad input, not a failed check
+    code, out, err = run(capsys, ["asymptotics", "theta", "--x", "0.5,0.5,0.5", "--hbar", "-0.03125"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "at least two values" in err
+
+
+def test_asymptotics_unusable_rows_exit_1_with_strict_json(capsys):
+    # both colorings round to (0, 0, 0): the rows become unusable at run time, which
+    # is a failed check, and the missing extrapolation renders as null
+    code, report = run_json(capsys, ["asymptotics", "theta", "--x", "0.999,0.999,0.999", "--hbar", "-0.5,-0.25"])
+    assert code == 1
+    assert report["problems"] == ["needs at least two usable rows"]
+    assert report["richardson"] is None
+    assert report["richardson_rel_err"] is None
+
+
+def test_saddle_zero_root_renders_null_in_json(capsys):
+    # the z = 0 root has infinite residuals: null in JSON, inf in text and CSV
+    argv = ["saddle", "--x", "0.35,0.35,0.35,0.35,0.35,0.35"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    zero = [r for r in report["rows"] if r["re"] == 0.0 and r["im"] == 0.0]
+    assert len(zero) == 1
+    assert zero[0]["curve_residual"] is None and zero[0]["lattice_residual"] is None
+    for fmt in ("text", "csv"):
+        code, out, err = run(capsys, ["--format", fmt] + argv)
+        assert code == 0
+        assert "inf" in out and "null" not in out
+
+
 def test_saddle_three_roots(capsys):
     code, report = run_json(capsys, ["saddle", "--x", "0.35,0.35,0.35,0.35,0.35,0.35"])
     assert code == 0
@@ -344,7 +380,7 @@ def test_asymptotics_color_cap_exit_2(capsys, argv):
 def test_asymptotics_exhausted_ladder_exit_2(capsys, monkeypatch):
     # a sum that never clears the trust test walks all eight rungs
     monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (1, 1 << 50000, 0))
-    code, out, err = run(capsys, "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -0.1".split())
+    code, out, err = run(capsys, "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -0.1,-0.05".split())
     _assert_one_line_usage_error(code, out, err)
     assert "precision ladder" in err
 
@@ -484,6 +520,23 @@ def test_bad_tol_exit_2(capsys):
     code, out, err = run(capsys, ["--tol", "saddle", "verify", "reduction"])
     assert code == 2
     assert "config error" in err
+
+
+def test_unknown_tol_name_exit_2(capsys, tmp_path, monkeypatch):
+    # a name no command reads would only change the config hash
+    monkeypatch.delenv("QGRAPH_CONFIG", raising=False)
+    code, out, err = run(capsys, ["--tol", "foo=1", "verify", "reduction", "--max", "2"])
+    assert (code, out) == (2, "")
+    assert err == "config error: unknown tolerance names: ['foo']\n"
+    path = tmp_path / "tols.json"
+    path.write_text(json.dumps({"tolerances": {"sadle": 1e-6}}))
+    code, out, err = run(capsys, ["--config", str(path), "verify", "reduction", "--max", "2"])
+    assert (code, out) == (2, "")
+    assert "unknown tolerance names: ['sadle']" in err
+    monkeypatch.setenv("QGRAPH_CONFIG", str(path))
+    code, out, err = run(capsys, ["verify", "reduction", "--max", "2"])
+    assert (code, out) == (2, "")
+    assert "unknown tolerance names: ['sadle']" in err
 
 
 def test_grid_max_global_flag(capsys):

@@ -43,6 +43,13 @@ def test_merge_rejects_unknown_keys():
         merge(default_config(), {"parallelism": 1})
 
 
+def test_unknown_tolerance_names_rejected():
+    with pytest.raises(ConfigError, match=r"unknown tolerance names: \['foo'\]"):
+        merge(default_config(), {"tolerances": {"foo": 1.0}})
+    with pytest.raises(ConfigError, match="unknown tolerance names"):
+        validate(RunConfig(tolerances={**DEFAULT_TOLERANCES, "sadle": 1e-8}))
+
+
 def test_validate_rejects_bad_values():
     for overrides in (
         {"grid_max": -1},

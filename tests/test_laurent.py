@@ -20,6 +20,7 @@ from qgraph.laurent import (
     q_factorial,
     q_int,
     rat_dot,
+    rat_dot_vanishes,
 )
 from qgraph.laurent import (  # the integer kernel
     _KRONECKER_MIN_TERMS,
@@ -740,6 +741,74 @@ def test_rat_dot_matches_naive_sum():
     # telescoping sums collapse to exact zero
     x = LaurentRat(q_int(5), q_int(3))
     assert rat_dot([(x, LaurentRat.one()), (-x, LaurentRat.one())]).is_zero()
+
+
+# -- zero test by evaluation ------------------------------------------------
+
+
+def rand_form_rat(rng):
+    """sign * v^shift * poly * prod Phi_d^m, random int poly (or none) and signed m."""
+    phi = {d: rng.choice((-2, -1, 1, 2)) for d in rng.sample(range(2, 13), rng.randrange(0, 4))}
+    poly = None
+    if rng.randrange(3):
+        poly = rand_nonzero(rng, ints=True).terms
+    return LaurentRat._product(rng.choice((1, -1)), rng.randrange(-4, 5), phi, poly)
+
+
+def test_rat_dot_vanishes_matches_rat_dot_on_random_sums():
+    # random int-coefficient pairs, then the same pairs with the first product
+    # cancelled by its negation, and with every product cancelled
+    rng = random.Random(2718)
+    one = LaurentRat.one()
+    for trial in range(300):
+        pairs = [(rand_form_rat(rng), rand_form_rat(rng)) for _ in range(rng.randrange(1, 5))]
+        assert rat_dot_vanishes(pairs) == rat_dot(pairs).is_zero()
+        a, b = pairs[0]
+        partial = pairs + [(-a, b)]
+        assert rat_dot_vanishes(partial) == rat_dot(partial).is_zero()
+        assert rat_dot_vanishes(pairs + [(-a, b) for a, b in pairs])
+        assert rat_dot_vanishes([(a, b), (a * b, -one)])
+    assert rat_dot_vanishes([])
+    assert rat_dot_vanishes([(LaurentRat.zero(), LaurentRat(q_int(3)))])
+    # a Phi_d power against its expansion, and a denominator cleared by its poly
+    phi = LaurentRat._product(1, 0, {3: 2, 10: 1})
+    expanded = LaurentRat.from_poly(cyclotomic(3) ** 2 * cyclotomic(10))
+    assert rat_dot_vanishes([(phi, one), (-expanded, one)])
+    inverse = LaurentRat._product(1, 0, {3: -1})
+    assert rat_dot_vanishes([(inverse, LaurentRat.from_poly(cyclotomic(3))), (-one, one)])
+    assert not rat_dot_vanishes([(inverse, LaurentRat.from_poly(cyclotomic(3))), (-one, -one)])
+
+
+def test_rat_dot_vanishes_evaluation_point_clears_the_bound():
+    one = LaurentRat.one()
+    v = LaurentRat.from_poly(LaurentPoly({1: 1}))
+    for s in (1, 7, 31, 64, 200):
+        # a sum whose one coefficient equals the bound C, at both ends of a bit length
+        for c in (2**s - 1, 2**s, -(2**s)):
+            assert not rat_dot_vanishes([(LaurentRat.from_poly(LaurentPoly({3: c})), one)])
+        # 2^s - v has C = 2^s + 1 and vanishes at v = 2^s = 2^(bitlen(C) - 1), so an
+        # evaluation point one bit short of the bound would call it zero
+        assert LaurentPoly({0: 2**s, 1: -1}).eval_exact(2**s) == 0
+        pairs = [(LaurentRat.from_poly(LaurentPoly({0: 2**s})), one), (-v, one)]
+        assert not rat_dot_vanishes(pairs)
+        assert rat_dot_vanishes(pairs + [(v, one), (LaurentRat.from_poly(LaurentPoly({0: -(2**s)})), one)])
+
+
+def test_rat_dot_vanishes_falls_back_on_fraction_coefficients(monkeypatch):
+    from qgraph import laurent
+
+    calls = []
+    real = laurent.rat_dot
+    monkeypatch.setattr(laurent, "rat_dot", lambda pairs: calls.append(len(pairs)) or real(pairs))
+    one = LaurentRat.one()
+    half_v = LaurentRat.from_poly(LaurentPoly({1: Fraction(1, 2)}))
+    two = LaurentRat.from_poly(LaurentPoly({0: 2}))
+    v = LaurentRat.from_poly(LaurentPoly({1: 1}))
+    assert rat_dot_vanishes([(half_v, two), (-v, one)])
+    assert not rat_dot_vanishes([(half_v, one), (-v, one)])
+    assert calls == [2, 2]
+    assert rat_dot_vanishes([(two, v), (-v, two)])  # int coefficients are evaluated
+    assert calls == [2, 2]
 
 
 def test_poly_json_roundtrip():

@@ -361,3 +361,23 @@ def test_substitute_matches_per_term_route_with_term_order():
         assert got == want
         # evaluate sums in term order, so the order is part of the value's floats
         assert list(got.terms) == list(want.terms)
+
+
+def test_weighted_degrees_match_per_term_sums():
+    # packed columns for nonnegative weights; negative weights and sums past the
+    # 64-bit slots take the per-term route, with the same answer
+    rng = random.Random(64)
+    for _ in range(200):
+        p = rand_mpoly(rng, max_terms=8, nvars=4)
+        cases = (
+            {name: rng.randrange(0, 50) for name in p.vars},
+            {name: rng.randrange(-20, 21) for name in p.vars},
+            {name: rng.randrange(2**62, 2**63) for name in p.vars},
+        )
+        for weights in cases:
+            want = [sum(weights[name] * e for name, e in zip(p.vars, exps)) for exps in p.terms]
+            assert p.weighted_degrees(weights) == want
+    assert MultiPoly.const(5).weighted_degrees({}) == [0]
+    assert MultiPoly.zero().weighted_degrees({}) == []
+    with pytest.raises(KeyError):
+        MultiPoly.var("x").weighted_degrees({"y": 1})

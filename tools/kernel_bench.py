@@ -8,7 +8,9 @@ with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
 the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
-320- and 640-bit rungs), the MultiPoly layer (the classical limits of the six
+320- and 640-bit rungs), the exact zero test (`rat_dot_vanishes` against
+`rat_dot(...).is_zero()` over the pairs of both `verify recursum` routes on
+grid 4, with cold caches), the MultiPoly layer (the classical limits of the six
 tet operators and the saddle elimination, with cold caches, and 20
 evaluations of the saddle resultant), two large-color evaluations
 expanded to their coefficients, each in a fresh interpreter so its lru
@@ -139,6 +141,38 @@ def bench_tet_sums(repeat: int) -> None:
     _line(f"tet sums, {len(grid)} colorings, cold caches", *_spread(_cold_samples(sums, repeat)))
 
 
+def _recursum_pairs(grid_max: int) -> list:
+    """The rat_dot pairs of both `verify recursum` routes at every coloring it tests."""
+    op = apoly.tet_quantum_A("1")
+    out = []
+    for col in invariants.enumerate_tet_colorings(grid_max):
+        col = tuple(col)
+        rest = col[1:]
+        shifts = ((col[0] + 2,) + rest, (col[0] - 2,) + rest)
+        if not all(map(invariants.tet_is_admissible, shifts)):
+            continue
+        alpha, (b1, b2, b3), gamma = apoly._tet_recursion_products(col)
+        up, mid, down = apoly._tet_shifted_values(col)
+        out.append([(alpha, up), (-b1, mid), (-b2, mid), (b3, mid), (gamma, down)])
+        out.append(apoly._operator_pairs(op, "tet-primed", col))
+    return out
+
+
+def bench_zero_test(repeat: int) -> None:
+    """rat_dot_vanishes against the expanded rat_dot(...).is_zero() on the same pairs."""
+    groups = _recursum_pairs(4)
+    for label, test in (
+        ("rat_dot_vanishes", laurent.rat_dot_vanishes),
+        ("rat_dot().is_zero()", lambda pairs: laurent.rat_dot(pairs).is_zero()),
+    ):
+
+        def run(test=test):
+            for pairs in groups:
+                assert test(pairs)
+
+        _line(f"{label} x{len(groups)}, recursum grid 4, cold", *_spread(_cold_samples(run, repeat)))
+
+
 # (colors, hbar) of the log_abs_tet rows: one rung, then two
 GROWTH_ROWS = (((538,) * 6, -(2.0**-8)), ((2150,) * 6, -(2.0**-10)))
 
@@ -223,6 +257,7 @@ def main() -> None:
     bench_rat(args.repeat)
     bench_tet_sums(args.repeat)
     bench_log_abs_tet(args.repeat)
+    bench_zero_test(args.repeat)
     bench_multipoly(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
