@@ -47,11 +47,16 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
   least _KRONECKER_MIN_TERMS terms goes through Kronecker substitution: both
   operands are packed into one Python int, with a slot per exponent wide
   enough for any product coefficient, and CPython's Karatsuba multiply does
-  the convolution exactly.  Shorter operands, and any operand with a
-  Fraction coefficient, stay on the schoolbook loop, which the layer timings
-  in tools/kernel_bench.py show to be faster for short operands.
+  the convolution exactly (qgraph.kronecker; packing and unpacking are byte
+  and word conversions with no Python loop over the coefficients).  Shorter
+  operands, and any operand with a Fraction coefficient, stay on the
+  schoolbook loop, which the layer timings in tools/kernel_bench.py show to
+  be faster for short operands.  Products of Phi_d are int by construction
+  and skip the coefficient type check (_imul_int).
 - Exact division is one low-to-high pass over a dense list; it divides by
-  the divisor's lowest coefficient only when that is not 1.
+  the divisor's lowest coefficient only when that is not 1.  A trial
+  division by Phi_d that may fail (_cancel_phi, _phi_factor) first reduces
+  the dividend mod v^d - 1, of degree below d (_phi_divides).
 
 Zero tests by evaluation.  rat_dot_vanishes(pairs) decides whether
 sum a_i * b_i is zero without expanding it.  Each product keeps its two polys
@@ -77,6 +82,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, log
 from typing import Iterable, Mapping
+
+from .kronecker import multiply as _imul_kron
 
 
 class PoleError(ZeroDivisionError):
@@ -524,50 +531,6 @@ def _imul_school(a: dict, b: dict) -> dict:
     return out
 
 
-def _kron_pack(p: dict[int, int], lo: int, span: int, width: int) -> int:
-    """Sum of p[lo + k] * 2^(8*width*k): the coefficients in signed byte slots."""
-    dense = [0] * span
-    for e, c in p.items():
-        dense[e - lo] = c
-    packed = int.from_bytes(b"".join(c.to_bytes(width, "little", signed=True) for c in dense), "little")
-    # a negative slot reads as c + 2^(8*width), one too many in the slot above
-    carry = bytearray(width * (span + 1))
-    for k, c in enumerate(dense):
-        if c < 0:
-            carry[width * (k + 1)] = 1
-    return packed - int.from_bytes(carry, "little")
-
-
-def _imul_kron(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two nonzero int dicts by Kronecker substitution.
-
-    A product coefficient sums at most min(len a, len b) terms, each below
-    2^(bitlen max|a| + bitlen max|b|) in size, so with one more bit for the
-    sign every coefficient fits its slot and the product is exact.
-    """
-    alo, ahi, blo, bhi = min(a), max(a), min(b), max(b)
-    bits = (
-        max(abs(c) for c in a.values()).bit_length()
-        + max(abs(c) for c in b.values()).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
-    span = ahi - alo + bhi - blo + 1
-    prod = _kron_pack(a, alo, ahi - alo + 1, width) * _kron_pack(b, blo, bhi - blo + 1, width)
-    raw = prod.to_bytes(width * span, "little", signed=True)
-    out: dict[int, int] = {}
-    lo = alo + blo
-    borrow = 0
-    for k in range(span):
-        s = int.from_bytes(raw[k * width : (k + 1) * width], "little", signed=True)
-        c = s + borrow
-        borrow = s < 0  # the slot below lent 2^(8*width) to make s negative
-        if c:
-            out[lo + k] = c
-    return out
-
-
 def _all_int(p: dict) -> bool:
     return all(type(c) is int for c in p.values())
 
@@ -576,6 +539,13 @@ def _imul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
     if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS and _all_int(a) and _all_int(b):
+        return _imul_kron(a, b)
+    return _imul_school(a, b)
+
+
+def _imul_int(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """_imul of two nonzero int dicts, such as products of Phi_d, without the type scan."""
+    if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
         return _imul_kron(a, b)
     return _imul_school(a, b)
 
@@ -599,9 +569,9 @@ def _phi_power_int(d: int, m: int) -> tuple[tuple[int, int], ...]:
     if m == 1:
         return tuple((e, c) for e, c in enumerate(_cyclo_int(d)) if c)
     half = dict(_phi_power_int(d, m // 2))
-    out = _imul(half, half)
+    out = _imul_int(half, half)
     if m % 2:
-        out = _imul(out, dict(_phi_power_int(d, 1)))
+        out = _imul_int(out, dict(_phi_power_int(d, 1)))
     return tuple(sorted(out.items()))
 
 
@@ -632,7 +602,7 @@ def _phi_product_sorted(factors: tuple[tuple[int, int], ...]) -> dict[int, int]:
     while len(heap) > 1:
         a = heappop(heap)[2]
         b = heappop(heap)[2]
-        c = _imul(a, b)
+        c = _imul_int(a, b)
         heappush(heap, (len(c), tick, c))
         tick += 1
     return heap[0][2]
@@ -796,13 +766,17 @@ def _cancel_phi(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
 
     Returns the stripped num and the form's exponent map of what is left of
     den (negative exponents).  The Phi_d are irreducible, so the two parts
-    are then coprime.  den is consumed.
+    are then coprime.  den is consumed.  Where d is at most num's span, each
+    trial first tests num mod v^d - 1 (_phi_divides), so the full division
+    runs only where Phi_d is a factor.
     """
     if not num:
         return {}, {}
     for d in sorted(den):
         phi_d = dict(_phi_power_int(d, 1))
         while den[d]:
+            if d <= max(num) - min(num) and not _phi_divides(num, d, phi_d):
+                break
             q = _idiv_exact(num, phi_d)
             if q is None:
                 break
@@ -850,10 +824,11 @@ def _totient_cap(deg: int) -> int:
 
 
 def _phi_divides(p: dict, d: int, phi_d: dict) -> bool:
-    """Whether Phi_d divides p, a poly with exponents >= 0.
+    """Whether Phi_d divides p, a Laurent poly.
 
     Phi_d divides v^d - 1, so it divides p exactly when it divides p mod
-    v^d - 1, which has degree below d.
+    v^d - 1, which has degree below d.  v is a unit mod v^d - 1, so v^e
+    reduces to v^(e mod d) for negative e too, and p needs no shift first.
     """
     folded = [0] * d
     for e, c in p.items():

@@ -25,12 +25,14 @@ from qgraph.laurent import (
 from qgraph.laurent import (  # the integer kernel
     _KRONECKER_MIN_TERMS,
     _bracket_cyclo_divisors,
+    _cancel_phi,
     _cyclo_int,
     _factorial_exponents,
     _idiv_exact,
     _imul,
     _imul_kron,
     _imul_school,
+    _phi_divides,
     _phi_factor,
     _phi_power_int,
     _totient,
@@ -513,8 +515,39 @@ _FULL = {k - 7: 2**64 - 1 for k in range(255)}
 _ALT = {k: (-1) ** k * (2**31 - 1) for k in range(300)}  # a sign change in every slot
 
 
+def _extremes(n: int, lo: int, stride: int, k: int, alternate: bool) -> dict[int, int]:
+    """n terms from v^lo in steps of stride, all -2^k or -2^k and 2^k - 1 in turn."""
+    return {lo + stride * i: 2**k - 1 if alternate and i % 2 else -(2**k) for i in range(n)}
+
+
+def _slot_bits(a: dict, b: dict) -> int:
+    """The slot size _imul_kron computes for a * b, in bits."""
+    size = max(abs(c) for c in a.values()).bit_length() + max(abs(c) for c in b.values()).bit_length()
+    return size + min(len(a), len(b)).bit_length() + 1
+
+
+# (slot bits, a, b) where the slot handling switches: 32 bits fill four bytes
+# and 33 need a fifth (both widened to 8-byte words to be read), 64 bits are
+# the 8-byte word itself, and 65 bits are past it, so those slots are read one
+# int.from_bytes each
+_SLOT_EDGES = [
+    (32, _extremes(12, -20, 3, 13, False), _extremes(40, -7, 2, 12, True)),
+    (33, _extremes(12, -20, 3, 14, False), _extremes(40, -7, 2, 12, True)),
+    (64, _extremes(12, -20, 3, 29, False), _extremes(40, -7, 2, 28, True)),
+    (65, _extremes(12, -20, 3, 30, False), _extremes(40, -7, 2, 28, False)),
+]
+
+
+def test_slot_edge_examples_sit_on_the_switches():
+    assert [_slot_bits(a, b) for _, a, b in _SLOT_EDGES] == [bits for bits, _, _ in _SLOT_EDGES]
+
+
 @settings(max_examples=60, deadline=None)
 @given(int_polys(), int_polys())
+@example(_SLOT_EDGES[0][1], _SLOT_EDGES[0][2])
+@example(_SLOT_EDGES[1][1], _SLOT_EDGES[1][2])
+@example(_SLOT_EDGES[2][1], _SLOT_EDGES[2][2])
+@example(_SLOT_EDGES[3][1], _SLOT_EDGES[3][2])
 @example(_FULL, _FULL)
 @example(_FULL, {e: -c for e, c in _FULL.items()})
 @example(_ALT, _ALT)
@@ -533,6 +566,23 @@ def test_imul_switches_at_cut_over():
     assert _imul(short, long) == _imul_school(short, long) == _imul_kron(short, long)
     assert _imul(long, long) == _imul_school(long, long)
     assert _imul({}, long) == {} and _imul(long, {}) == {}
+
+
+def test_imul_fraction_operand_takes_schoolbook():
+    """A non-integral coefficient keeps a long product off the int-only Kronecker path."""
+    rng = random.Random(17)
+    a = {e: rng.randrange(-(2**40), 2**40) or 1 for e in range(-9, 3 * _KRONECKER_MIN_TERMS)}
+    b = {e: rng.randrange(-99, 100) or 1 for e in range(-5, 2 * _KRONECKER_MIN_TERMS)}
+    b[0] = Fraction(1, 3)
+    want = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            want[e1 + e2] = want.get(e1 + e2, 0) + Fraction(c1) * c2
+    want = {e: c.numerator if c.denominator == 1 else c for e, c in want.items() if c}
+    for x, y in ((a, b), (b, a)):
+        got = _imul(x, y)
+        assert got == _imul_school(x, y) == want
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.values())
 
 
 def test_idiv_exact_inverts_imul():
@@ -557,6 +607,56 @@ def test_idiv_exact_inverts_imul():
             assert _idiv_exact(bumped, phi) is None
         # a dividend of lower degree than the divisor
         assert _idiv_exact({min(a): 1}, phi) is None
+
+
+def _rand_laurent(rng, lo_min=-30, hi_max=40, coeff=50) -> dict:
+    """A nonzero int dict with exponents from below 0 to above it."""
+    p = {e: rng.randrange(-coeff, coeff + 1) for e in range(rng.randrange(lo_min, 0), rng.randrange(1, hi_max))}
+    return {e: c for e, c in p.items() if c} or {-3: 1}
+
+
+def test_phi_divides_matches_trial_division():
+    rng = random.Random(2014)
+    for trial in range(400):
+        d = rng.randrange(2, 60)
+        phi_d = dict(_phi_power_int(d, 1))
+        p = _rand_laurent(rng)
+        if trial % 4 == 3:
+            p = {e: Fraction(c, rng.randrange(1, 5)) for e, c in p.items()}
+        if trial % 2:
+            # Phi_d products times the cofactor, with or without Phi_d itself
+            for _ in range(rng.randrange(1, 4)):
+                e = d if rng.random() < 0.5 else rng.randrange(2, 60)
+                p = _imul(p, dict(_phi_power_int(e, rng.randrange(1, 3))))
+        assert _phi_divides(p, d, phi_d) == (_idiv_exact(p, phi_d) is not None), (trial, d)
+
+
+def _cancel_phi_plain(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
+    """_cancel_phi by trial division of the whole num, without the mod v^d - 1 test."""
+    for d in sorted(den):
+        phi_d = dict(_phi_power_int(d, 1))
+        while den[d]:
+            q = _idiv_exact(num, phi_d)
+            if q is None:
+                break
+            num = q
+            den[d] -= 1
+    return num, {d: -m for d, m in den.items() if m}
+
+
+def test_cancel_phi_matches_plain_trial_division():
+    rng = random.Random(1729)
+    assert _cancel_phi({}, {3: 1}) == ({}, {})
+    for trial in range(150):
+        den = {d: rng.randrange(1, 4) for d in rng.sample(range(2, 45), rng.randrange(1, 5))}
+        num = _rand_laurent(rng, coeff=9)
+        if trial % 5 == 4:
+            num = {e: Fraction(c, 7) for e, c in num.items()}
+        # some of den's Phi_d, some more often than den has them, and others
+        for _ in range(rng.randrange(0, 5)):
+            d = rng.choice(list(den)) if rng.random() < 0.7 else rng.randrange(2, 45)
+            num = _imul(num, dict(_phi_power_int(d, rng.randrange(1, 4))))
+        assert _cancel_phi(dict(num), dict(den)) == _cancel_phi_plain(dict(num), dict(den)), trial
 
 
 def test_bracket_ratio_matches_direct():

@@ -1,7 +1,9 @@
 """Layer timings of the integer Laurent kernel in qgraph.laurent.
 
 Times the two multiplication paths of `_imul` (dict schoolbook and Kronecker
-substitution) at several operand sizes, the cyclotomic construction
+substitution) at several operand sizes and at 4-, 20-, 30-, 64- and 90-bit
+coefficients, which put the Kronecker slots (their width in bytes is on each
+row) below, at and above the 8-byte word, the cyclotomic construction
 `_cyclo_int(1..400)`, the LaurentRat layer (the whole check of
 `qgraph verify theta-recursion --max 12`: each recursion product compared
 with the shifted theta value, on factored values), the cold tet sums
@@ -35,9 +37,9 @@ import time
 
 from qgraph import apoly, asymptotics, invariants, laurent
 
-SIZES = (2, 8, 12, 16, 24, 64, 256, 1024)
+SIZES = (2, 6, 8, 10, 12, 16, 24, 64, 256, 1024)
 LONG = 1024  # the longer operand of the unbalanced shape
-COEFF_BITS = 64
+COEFF_BITS = (4, 20, 30, 64, 90)
 
 
 def _spread(times: list[float]) -> tuple[float, float]:
@@ -64,11 +66,11 @@ def _time_call(fn, repeat: int) -> tuple[float, float]:
     return _spread(samples)
 
 
-def _operand(rng: random.Random, n: int) -> dict[int, int]:
-    """A dense int dict of n terms from v^-3 up, with signed COEFF_BITS coefficients."""
+def _operand(rng: random.Random, n: int, bits: int) -> dict[int, int]:
+    """A dense int dict of n terms from v^-3 up, with signed coefficients of up to bits bits."""
     out = {}
     for k in range(n):
-        c = rng.randrange(-(2**COEFF_BITS), 2**COEFF_BITS)
+        c = rng.randrange(-(2**bits), 2**bits)
         out[k - 3] = c or 1
     return out
 
@@ -79,15 +81,17 @@ def _line(label: str, med: float, spread: float) -> None:
 
 def bench_imul(repeat: int) -> None:
     rng = random.Random(1)
-    print(f"# _imul, {COEFF_BITS}-bit coefficients; cut-over _KRONECKER_MIN_TERMS = {laurent._KRONECKER_MIN_TERMS}")
-    for shape in ("balanced", f"against {LONG}"):
-        for n in SIZES:
-            a = _operand(rng, n)
-            b = _operand(rng, n if shape == "balanced" else LONG)
-            assert laurent._imul_school(a, b) == laurent._imul_kron(a, b)
-            for name, fn in (("school", laurent._imul_school), ("kron", laurent._imul_kron)):
-                med, spread = _time_call(lambda: fn(a, b), repeat)
-                _line(f"{shape} n={n} {name}", med, spread)
+    print(f"# _imul; cut-over _KRONECKER_MIN_TERMS = {laurent._KRONECKER_MIN_TERMS}")
+    for bits in COEFF_BITS:
+        for shape in ("balanced", f"against {LONG}"):
+            for n in SIZES:
+                a = _operand(rng, n, bits)
+                b = _operand(rng, n if shape == "balanced" else LONG, bits)
+                assert laurent._imul_school(a, b) == laurent._imul_kron(a, b)
+                size = sum(max(map(abs, p.values())).bit_length() for p in (a, b)) + n.bit_length() + 1
+                for name, fn in (("school", laurent._imul_school), ("kron", laurent._imul_kron)):
+                    med, spread = _time_call(lambda: fn(a, b), repeat)
+                    _line(f"{bits}-bit {shape} n={n} slot {(size + 7) // 8} B {name}", med, spread)
 
 
 def bench_cyclo(repeat: int) -> None:
