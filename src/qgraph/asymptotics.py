@@ -807,13 +807,17 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     return signed, total, log_scale
 
 
-def log_abs_tet(colors, hbar: float, start_bits: int = 320) -> tuple:
+# the precision ladder's first rung, in nominal bits
+_START_BITS = 320
+
+
+def log_abs_tet(colors, hbar: float) -> tuple:
     """log of the normalized tetrahedron invariant magnitude at v = exp(hbar/2).
 
     The alternating sum cancels catastrophically in the growth regime (the
     surviving fraction shrinks like exp(-gap/|hbar|)), so each rung sums it
     at `bits` nominal bits plus guard bits (see `_tet_rung`), starting at
-    start_bits and doubling until |signed| / total > 2^(60 - bits).
+    _START_BITS and doubling until |signed| / total > 2^(60 - bits).
     Returns (log magnitude, diagnostics dict) with the measured cancellation
     |signed| / total and the nominal bits of the trusted rung.
     """
@@ -825,7 +829,7 @@ def log_abs_tet(colors, hbar: float, start_bits: int = 320) -> tuple:
     if max(taus) > min(ups):
         raise ValueError("empty summation range")
     hbar = float(hbar)
-    bits = start_bits
+    bits = _START_BITS
     for _ in range(8):
         signed, total, log_scale = _tet_rung(taus, ups, hbar, bits)
         if signed == 0:
@@ -999,7 +1003,7 @@ def growth_check_theta(x, hbars) -> GrowthTable:
     return _summarize("theta", target, rows)
 
 
-def growth_check_tet(x, hbars, start_bits: int = 320) -> GrowthTable:
+def growth_check_tet(x, hbars) -> GrowthTable:
     """Compare hbar*log|tet| against the potential at the selected saddle.
 
     Beyond Re W the alternating sum carries a constant -pi^2, a
@@ -1026,7 +1030,7 @@ def growth_check_tet(x, hbars, start_bits: int = 320) -> GrowthTable:
         if all(c == 0 for c in colors):
             rows.append(GrowthRow(hb, colors, 0.0, target, math.nan, tuple(notes)))
             continue
-        val_log, diag = log_abs_tet(colors, hb, start_bits=start_bits)
+        val_log, diag = log_abs_tet(colors, hb)
         val = hb * val_log
         notes.append(f"cancellation {diag['cancellation']:.3e}")
         x_eff = tuple(math.exp(hb * n / 2.0) for n in colors)

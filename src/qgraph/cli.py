@@ -65,7 +65,6 @@ from .invariants import (
     theta_recursion_factor,
     theta_reduction_check,
 )
-from .laurent import PoleError
 from .multipoly import MultiPoly, compare_up_to_unit, exact_div_multi
 
 # kept equal to pyproject.toml's version by tests/test_cli.py; a literal, because
@@ -230,7 +229,7 @@ def cmd_invariant(args, cfg):
         v0 = _parse_complex(args.eval, "--eval")
         try:
             num = value.eval_complex(v0, precision=cfg.precision)
-        except PoleError as exc:
+        except (ZeroDivisionError, OverflowError) as exc:  # PoleError is a ZeroDivisionError
             raise UsageError(f"--eval {args.eval}: {exc}")
         report["evaluation"] = {"v0": _complex_obj(v0), "value": _complex_obj(num)}
     return 0, report, None
@@ -594,13 +593,12 @@ _LAGRANGIAN_COLUMNS = ["index", "x", "asymmetry"]
 def cmd_lagrangian(args, cfg):
     graph = args.graph
     samples = args.samples if args.samples is not None else (50 if graph == "theta" else 20)
-    seed = args.seed if args.seed is not None else cfg.seed
     step = args.step
     # the differences step log x by +-step, so exp(+-step) must be finite and nonzero
     if not 0 < step <= math.log(sys.float_info.max):
         raise UsageError(f"--step must be positive, with exp(step) finite, got {step!r}")
     tol = cfg.tolerances["lagrangian_theta" if graph == "theta" else "lagrangian_tet"]
-    rng = random.Random(seed)
+    rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0
     for i in range(samples):
@@ -617,7 +615,7 @@ def cmd_lagrangian(args, cfg):
         "check": "lagrangian",
         "graph": graph,
         "samples": samples,
-        "seed": seed,
+        "seed": cfg.seed,
         "step": step,
         "max_asymmetry": worst,
         "tolerance": tol,
@@ -634,9 +632,8 @@ _RESIDUAL_COLUMNS = ["index", "x", "residual", "status"]
 def cmd_residual(args, cfg):
     graph = args.graph
     samples = args.samples if args.samples is not None else (100 if graph == "theta" else 20)
-    seed = args.seed if args.seed is not None else cfg.seed
     tol = cfg.tolerances["residual_theta" if graph == "theta" else "residual_tet"]
-    rng = random.Random(seed)
+    rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0
     skipped = 0
@@ -668,7 +665,7 @@ def cmd_residual(args, cfg):
         "check": "residual",
         "graph": graph,
         "samples": samples,
-        "seed": seed,
+        "seed": cfg.seed,
         "skipped": skipped,
         "max_residual": worst,
         "tolerance": tol,
@@ -734,13 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lag = sub.add_parser("lagrangian", help="twist Jacobian symmetry sweep")
     p_lag.add_argument("--graph", choices=["theta", "tet"], default="theta")
     p_lag.add_argument("--samples", type=int)
-    p_lag.add_argument("--seed", type=int)
+    p_lag.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_lag.add_argument("--step", type=float, default=1e-5)
 
     p_res = sub.add_parser("residual", help="classical curve residual sweep")
     p_res.add_argument("--graph", choices=["theta", "tet"], default="theta")
     p_res.add_argument("--samples", type=int)
-    p_res.add_argument("--seed", type=int)
+    p_res.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     return parser
 

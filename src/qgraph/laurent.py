@@ -2,10 +2,14 @@
 
 Everything downstream works in the variable v = q^(1/2), so a q-exponent
 of n/2 is stored as the integer v-exponent n and no fractional exponents
-ever appear.  Coefficients are exact: a Python int whenever the value is an
-integer, and a fractions.Fraction only when it is not.  The invariants are
-ratios whose denominators are products of Phi_d with constant term 1, so
-every coefficient the package computes is an int.
+ever appear.  Coefficients are Python ints, so the ring is Z[v^+-1]: the
+invariants are ratios whose denominators are products of Phi_d with
+constant term 1, and their numerators have integer coefficients.  Rational
+numbers appear only as the values of exact evaluations (eval_exact), at an
+int or Fraction point.  Outside input enters through the constructors, the
+scalar operations and from_json_obj; each takes an int or an integral
+Fraction, stores an int and raises ValueError on a non-integral value
+(_coeff), so nothing below them checks coefficient types.
 
 A LaurentPoly is a sparse map {v-exponent: coefficient}.  A LaurentRat is
 a reduced fraction num/den of LaurentPolys whose denominator is a product of
@@ -32,7 +36,7 @@ Phi_d basis:
 - LaurentRat(num, den) from outside input (JSON, tests) is num / den, and a
   division factors the divisor's numerator by trial division over Phi_d
   (d >= 2): the Phi_d powers join the denominator, and the cofactor left,
-  c*v^k times anything else, must divide the dividend's poly exactly.  A
+  c*v^k times anything else, must divide the dividend's poly over Z.  A
   quotient whose reduced denominator is not a unit times a product of Phi_d
   raises ValueError.
 
@@ -43,18 +47,17 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
   factor is one pass over a dense int list (_cyclo_int).
 - Products of Phi_d^m run in a balanced product tree, and each power by
   squaring, so the big multiplications pair operands of similar size.
-- A multiplication of two int-coefficient operands whose shorter one has at
-  least _KRONECKER_MIN_TERMS terms goes through Kronecker substitution: both
-  operands are packed into one Python int, with a slot per exponent wide
-  enough for any product coefficient, and CPython's Karatsuba multiply does
-  the convolution exactly (qgraph.kronecker; packing and unpacking are byte
-  and word conversions with no Python loop over the coefficients).  Shorter
-  operands, and any operand with a Fraction coefficient, stay on the
+- A multiplication whose shorter operand has at least _KRONECKER_MIN_TERMS
+  terms goes through Kronecker substitution: both operands are packed into
+  one Python int, with a slot per exponent wide enough for any product
+  coefficient, and CPython's Karatsuba multiply does the convolution exactly
+  (qgraph.kronecker; packing and unpacking are byte and word conversions
+  with no Python loop over the coefficients).  Shorter operands stay on the
   schoolbook loop, which the layer timings in tools/kernel_bench.py show to
-  be faster for short operands.  Products of Phi_d are int by construction
-  and skip the coefficient type check (_imul_int).
+  be faster for short operands.
 - Exact division is one low-to-high pass over a dense list; it divides by
-  the divisor's lowest coefficient only when that is not 1.  A trial
+  the divisor's lowest coefficient, with divmod, only when that is not 1,
+  and a remainder means the divisor does not divide over Z.  A trial
   division by Phi_d that may fail (_cancel_phi, _phi_factor) first reduces
   the dividend mod v^d - 1, of degree below d (_phi_divides).
 
@@ -72,7 +75,7 @@ unique, and P(2^k) = 0 exactly when P = 0.  The test is exact and
 deterministic.  Phi_d(2^k) comes from _cyclo_int by shifts, each poly by one
 sum of shifted coefficients, and the terms are aligned by shifts of k times
 their exponent difference, so the whole test is a few big-int products and
-one compare.  A Fraction coefficient falls back to the expanded rat_dot.
+one compare.
 """
 
 from __future__ import annotations
@@ -90,31 +93,40 @@ class PoleError(ZeroDivisionError):
     """Numeric evaluation hit a vanishing denominator."""
 
 
-def _coerce(value) -> int | Fraction:
-    """The canonical coefficient: an int when the value is an integer."""
+def _coeff(value) -> int:
+    """A coefficient from outside input: an int, or a Fraction equal to one."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+        if value.denominator != 1:
+            raise ValueError(f"coefficients are integers, got {value}")
+        return value.numerator
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _exact_point(value) -> Fraction:
+    """An exact evaluation point: an int or a Fraction, never a float."""
+    if isinstance(value, (int, Fraction)):
+        # a Fraction, because an int base to a negative power would give a float
+        return Fraction(value)
+    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
 class LaurentPoly:
-    """Sparse Laurent polynomial in v with exact coefficients."""
+    """Sparse Laurent polynomial in v with integer coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] | None = None):
-        data: dict[int, int | Fraction] = {}
+        data: dict[int, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for e, c in items:
-                c = _coerce(c)
+                c = _coeff(c)
                 if c:
-                    acc = data.get(e)
-                    c = c if acc is None else _coerce(acc + c)
+                    c += data.get(e, 0)
                     if c:
                         data[e] = c
                     else:
@@ -165,7 +177,7 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
 
-    def coefficient(self, e: int) -> int | Fraction:
+    def coefficient(self, e: int) -> int:
         return self.terms.get(e, 0)
 
     def is_monomial(self) -> bool:
@@ -178,10 +190,9 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            if not other:
-                return not self.terms
-            return self.terms == {0: other}
+            if other.denominator != 1:
+                return False
+            return self.terms == ({0: int(other)} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -217,7 +228,8 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: k * other for e, k in self.terms.items()})
+            c = _coeff(other)
+            return LaurentPoly._wrap({e: k * c for e, k in self.terms.items()} if c else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return LaurentPoly._wrap(_imul(self.terms, other.terms))
@@ -247,7 +259,7 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------
 
     def eval_exact(self, v0: int | Fraction) -> Fraction:
-        v0 = Fraction(_coerce(v0))  # an int base to a negative power would give a float
+        v0 = _exact_point(v0)
         if v0 == 0 and self.terms and self.min_exp() < 0:
             raise PoleError("evaluation at v=0 with negative exponents")
         return sum((c * v0 ** e for e, c in self.terms.items()), Fraction(0))
@@ -265,7 +277,7 @@ class LaurentPoly:
 
     # -- rendering ------------------------------------------------------
 
-    def _term_strings(self) -> list[tuple[int, int | Fraction]]:
+    def _term_strings(self) -> list[tuple[int, int]]:
         return sorted(self.terms.items())
 
     def __str__(self) -> str:
@@ -308,20 +320,13 @@ class LaurentPoly:
 # -- integer-coefficient helpers for gcd ---------------------------------
 
 
-def _to_int_list(p: LaurentPoly) -> tuple[list[int], int]:
-    """Shift to ordinary polynomial form and clear denominators.
-
-    Returns (coeff list, lcm of denominators); list[0] is the v^min term.
-    """
+def _to_int_list(p: LaurentPoly) -> list[int]:
+    """Shift to ordinary polynomial form: list[0] is the v^min term."""
     lo = p.min_exp()
-    hi = p.max_exp()
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    out = [0] * (hi - lo + 1)
+    out = [0] * (p.max_exp() - lo + 1)
     for e, c in p.terms.items():
-        out[e - lo] = c.numerator * (lcm // c.denominator)
-    return out, lcm
+        out[e - lo] = c
+    return out
 
 
 def _int_content(cs: list[int]) -> int:
@@ -378,8 +383,8 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return _unitize(q)
     if q.is_zero():
         return _unitize(p)
-    a, _ = _to_int_list(p)
-    b, _ = _to_int_list(q)
+    a = _to_int_list(p)
+    b = _to_int_list(q)
     # strip trailing/leading zeros introduced by the shift
     while a and a[0] == 0:
         a.pop(0)
@@ -398,8 +403,7 @@ def _unitize(p: LaurentPoly) -> LaurentPoly:
     """Normalize a nonzero poly to min exponent 0 and positive primitive coefficients."""
     if p.is_zero():
         return p
-    cs, _ = _to_int_list(p)
-    return LaurentPoly.from_int_coeffs(_prim(_strip(cs)))
+    return LaurentPoly.from_int_coeffs(_prim(_strip(_to_int_list(p))))
 
 
 def exact_div_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -525,26 +529,12 @@ def _imul_school(a: dict, b: dict) -> dict:
                 out[e] = s
             elif e in out:
                 del out[e]
-    for e, c in out.items():
-        if type(c) is not int:
-            out[e] = _coerce(c)
     return out
-
-
-def _all_int(p: dict) -> bool:
-    return all(type(c) is int for c in p.values())
 
 
 def _imul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
-    if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS and _all_int(a) and _all_int(b):
-        return _imul_kron(a, b)
-    return _imul_school(a, b)
-
-
-def _imul_int(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """_imul of two nonzero int dicts, such as products of Phi_d, without the type scan."""
     if min(len(a), len(b)) >= _KRONECKER_MIN_TERMS:
         return _imul_kron(a, b)
     return _imul_school(a, b)
@@ -556,7 +546,7 @@ def _iadd_into(acc: dict, term: dict, sign: int, shift: int) -> None:
         k = e + shift
         s = acc.get(k, 0) + (c if sign > 0 else -c)
         if s:
-            acc[k] = s if type(s) is int else _coerce(s)
+            acc[k] = s
         elif k in acc:
             del acc[k]
 
@@ -569,9 +559,9 @@ def _phi_power_int(d: int, m: int) -> tuple[tuple[int, int], ...]:
     if m == 1:
         return tuple((e, c) for e, c in enumerate(_cyclo_int(d)) if c)
     half = dict(_phi_power_int(d, m // 2))
-    out = _imul_int(half, half)
+    out = _imul(half, half)
     if m % 2:
-        out = _imul_int(out, dict(_phi_power_int(d, 1)))
+        out = _imul(out, dict(_phi_power_int(d, 1)))
     return tuple(sorted(out.items()))
 
 
@@ -602,7 +592,7 @@ def _phi_product_sorted(factors: tuple[tuple[int, int], ...]) -> dict[int, int]:
     while len(heap) > 1:
         a = heappop(heap)[2]
         b = heappop(heap)[2]
-        c = _imul_int(a, b)
+        c = _imul(a, b)
         heappush(heap, (len(c), tick, c))
         tick += 1
     return heap[0][2]
@@ -613,8 +603,9 @@ def _idiv_exact(num: dict, den: dict) -> dict | None:
 
     One low-to-high pass over a dense copy of num: once the terms below have
     been subtracted, each entry over den's lowest coefficient is the next
-    quotient coefficient.  A lowest coefficient of 1, as every Phi_d has,
-    costs no division.
+    quotient coefficient, and a remainder there means den does not divide
+    num over Z.  A lowest coefficient of 1, as every Phi_d has, costs no
+    division.
     """
     if not num:
         return {}
@@ -632,8 +623,11 @@ def _idiv_exact(num: dict, den: dict) -> dict | None:
     for i in range(top + 1):
         q = cur[i]
         if q:
-            if lead != 1 or type(q) is not int:
-                q = cur[i] = _coerce(Fraction(q, lead))
+            if lead != 1:
+                q, r = divmod(q, lead)
+                if r:
+                    return None
+                cur[i] = q
             for j, c in tail:
                 cur[i + j] -= q * c
     if any(cur[top + 1 :]):
@@ -840,14 +834,14 @@ def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
     """(mult, cofactor) with p = cofactor * prod Phi_d^mult[d] over d >= 2.
 
     Trial division by every Phi_d no longer than what is left of p, so no
-    Phi_d divides the cofactor; the cofactor keeps p's lowest term c*v^k.
-    Where d is at most the degree left, each trial first tests the remainder
-    mod v^d - 1 (_phi_divides), so the full division runs only where Phi_d
-    is a factor.
+    Phi_d divides the cofactor; the cofactor keeps p's content and lowest
+    power v^k.  Every Phi_d has lowest coefficient 1, so the trial divisions
+    stay in the integers.  Where d is at most the degree left, each trial
+    first tests the remainder mod v^d - 1 (_phi_divides), so the full
+    division runs only where Phi_d is a factor.
     """
     lo = min(p)
-    unit = {lo: p[lo]}
-    rest = _idiv_exact(p, unit)  # lowest term 1 at v^0
+    rest = {e - lo: c for e, c in p.items()}  # lowest term at v^0
     mult: dict[int, int] = {}
     deg = max(rest)
     for d in range(2, _totient_cap(deg)):
@@ -862,7 +856,7 @@ def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
             rest = q
             deg -= step
             mult[d] = mult.get(d, 0) + 1
-    return mult, _imul(rest, unit)
+    return mult, {e + lo: c for e, c in rest.items()}
 
 
 def _sum_forms(forms: Iterable[tuple]) -> "LaurentRat":
@@ -938,10 +932,8 @@ def rat_dot_vanishes(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> bool
     """Whether sum a_i * b_i is zero, decided by one evaluation at v = 2^k.
 
     Equal to rat_dot(pairs).is_zero(), without expanding the sum; see the
-    module docstring for the bound that makes the test exact.  A Fraction
-    coefficient falls back to the expanded rat_dot.
+    module docstring for the bound that makes the test exact.
     """
-    pairs = list(pairs)
     terms = []  # (sign, shift, Phi_d exponents, polys) of each nonzero product
     for a, b in pairs:
         sa, ha, ea, pa = a._form
@@ -956,10 +948,7 @@ def rat_dot_vanishes(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> bool
     for term in terms:
         for p in term[3]:
             if id(p) not in norms:
-                n = sum(map(abs, p.values()))
-                if type(n) is not int:
-                    return rat_dot(pairs).is_zero()
-                norms[id(p)] = n
+                norms[id(p)] = sum(map(abs, p.values()))
     # over the lcm of the denominators, with the Phi_d powers that every
     # numerator shares factored out, term i keeps Phi_d^(phi_i[d] - floor[d]),
     # floor[d] the least phi_i[d] with a missing d read as 0
@@ -1092,6 +1081,8 @@ class LaurentRat:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Fraction) and other.denominator != 1:
+            return False
         o = _lift(other)
         if o is None:
             return NotImplemented
@@ -1149,7 +1140,7 @@ class LaurentRat:
         e2 = {d: -m for d, m in e2.items()}
         if p2 is not None:
             # p2 = cofactor * prod Phi_d^mult[d]: the Phi_d join the
-            # denominator, and the cofactor must divide p1 exactly
+            # denominator, and the cofactor must divide p1 over Z
             mult, cofactor = _phi_factor(p2)
             e2 = _add_exponents(e2, mult, -1)
             p1 = _idiv_exact({0: 1} if p1 is None else p1, cofactor)
@@ -1198,14 +1189,14 @@ class LaurentRat:
                 den = mpmath.mpc(0)
                 scale = mpmath.mpf(0)
                 for e, c in self.den.terms.items():
-                    t = mpmath.mpf(c.numerator) / c.denominator * vm ** e
+                    t = mpmath.mpf(c) * vm ** e
                     den += t
                     scale += abs(t)
                 if den == 0 or abs(den) < mpmath.mpf("1e-300") * max(scale, mpmath.mpf(1)):
                     raise PoleError(f"pole near v = {v0}")
                 num = mpmath.mpc(0)
                 for e, c in self.num.terms.items():
-                    num += mpmath.mpf(c.numerator) / c.denominator * vm ** e
+                    num += mpmath.mpf(c) * vm ** e
                 r = num / den
                 return complex(r)
         v0 = complex(v0)

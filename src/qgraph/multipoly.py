@@ -1,14 +1,16 @@
-"""Multivariate Laurent polynomials with exact rational coefficients.
+"""Multivariate Laurent polynomials with integer coefficients.
 
 Used for classical curve polynomials in the edge/twist variables and for
 quantum operator coefficients, where the half-integer power of q is carried
 by an ordinary variable "v" (v = q^(1/2), so q^k enters as v^(2k)).
 
-Terms are a sparse map {exponent tuple: coefficient} aligned with a sorted
-tuple of variable names.  A coefficient is an int when its value is an
-integer and a Fraction otherwise, the rule of qgraph.laurent.  Variables
-that appear only with exponent zero are dropped on construction, so
-structural equality is semantic equality.
+Terms are a sparse map {exponent tuple: int coefficient} aligned with a
+sorted tuple of variable names, so the ring is Z[x^+-1, ...].  As in
+qgraph.laurent, outside input (the constructors, the scalar operations and
+from_json_obj) takes an int or an integral Fraction and raises ValueError
+on a non-integral value; rational numbers appear only as the values of
+eval_fraction.  Variables that appear only with exponent zero are dropped
+on construction, so structural equality is semantic equality.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Mapping, Optional
 
-from .laurent import LaurentPoly, PoleError, _coerce
-
-Coeff = int | Fraction
+from .laurent import LaurentPoly, PoleError, _coeff, _exact_point
 
 
 def _drop_unused(vars: tuple[str, ...], data: dict) -> tuple[tuple[str, ...], dict]:
@@ -40,15 +40,13 @@ def _mul_terms(ta: dict, tb: dict) -> dict:
     """The product of two term maps over the same variables, like terms summed."""
     if len(ta) > len(tb):
         ta, tb = tb, ta
-    data: dict[tuple[int, ...], Coeff] = {}
+    data: dict[tuple[int, ...], int] = {}
     for e1, c1 in ta.items():
         for e2, c2 in tb.items():
             e = tuple(map(add, e1, e2))
             p = c1 * c2
             s = data.get(e)
             s = p if s is None else s + p
-            if type(s) is not int:
-                s = _coerce(s)
             if s:
                 data[e] = s
             else:
@@ -64,8 +62,6 @@ def _add_into(data: dict, terms: dict) -> None:
             data[e] = c
             continue
         s += c
-        if type(s) is not int:
-            s = _coerce(s)
         if s:
             data[e] = s
         else:
@@ -96,19 +92,19 @@ class MultiPoly:
     # _columns: weighted_degrees' packed exponent columns; both filled on first use
     __slots__ = ("vars", "terms", "_plan", "_columns")
 
-    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], Coeff] | None = None):
+    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         vars = tuple(vars)
-        data: dict[tuple[int, ...], Coeff] = {}
+        data: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, c in terms.items():
-                c = _coerce(c)
+                c = _coeff(c)
                 if not c:
                     continue
                 exps = tuple(exps)
                 if len(exps) != len(vars):
                     raise ValueError("exponent tuple length mismatch")
                 acc = data.get(exps)
-                c = c if acc is None else _coerce(acc + c)
+                c = c if acc is None else acc + c
                 if c:
                     data[exps] = c
                 elif exps in data:
@@ -142,7 +138,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        c = _coerce(c)
+        c = _coeff(c)
         if not c:
             return cls()
         return cls._make((), {(): c})
@@ -153,7 +149,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str, exp: int = 1, coeff=1) -> "MultiPoly":
-        coeff = _coerce(coeff)
+        coeff = _coeff(coeff)
         if not coeff:
             return cls()
         if exp == 0:
@@ -162,7 +158,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff=1) -> "MultiPoly":
-        coeff = _coerce(coeff)
+        coeff = _coeff(coeff)
         if not coeff:
             return cls()
         items = sorted((n, e) for n, e in exps.items() if e)
@@ -183,7 +179,7 @@ class MultiPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Coeff:
+    def constant_value(self) -> int:
         if self.vars:
             raise ValueError("not a constant")
         return self.terms.get((), 0)
@@ -193,6 +189,8 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
+            if other.denominator != 1:
+                return False
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -225,7 +223,7 @@ class MultiPoly:
         if i is None:
             return {0: self} if self.terms else {}
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
+        buckets: dict[int, dict[tuple[int, ...], int]] = {}
         for exps, c in self.terms.items():
             k = exps[i]
             key = exps[:i] + exps[i + 1:]
@@ -284,10 +282,10 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
+            c = _coeff(other)
             if not c:
                 return MultiPoly.zero()
-            return MultiPoly._make(self.vars, {e: _coerce(k * c) for e, k in self.terms.items()})
+            return MultiPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if not self.terms or not other.terms:
@@ -315,7 +313,7 @@ class MultiPoly:
         """Replace variables by polynomials.
 
         A variable appearing with negative exponents may only be bound to an
-        invertible value: a single-term polynomial (unit monomial).
+        invertible value: a unit of the ring, +-1 times a monomial.
         """
         if not bindings:
             return self
@@ -338,10 +336,11 @@ class MultiPoly:
             if e >= 0:
                 val = b ** e
             else:
-                if not b.is_monomial():
+                # the units are +-1 times a monomial, and 1/c = c for c = +-1
+                if not b.is_monomial() or abs(next(iter(b.terms.values()))) != 1:
                     raise ValueError(f"negative power of {self.vars[i]} needs invertible binding")
                 (exps, c), = b.terms.items()
-                inv = MultiPoly._make(b.vars, {tuple(-x for x in exps): _coerce(Fraction(1, c))})
+                inv = MultiPoly._make(b.vars, {tuple(-x for x in exps): c})
                 val = inv ** (-e)
             at = [pos[n] for n in val.vars]
             lifted = {}
@@ -353,7 +352,7 @@ class MultiPoly:
             pow_cache[key] = lifted
             return lifted
 
-        out: dict[tuple[int, ...], Coeff] = {}
+        out: dict[tuple[int, ...], int] = {}
         for exps, c in self.terms.items():
             base = [0] * len(space)
             for i, p in free_pos:
@@ -422,13 +421,12 @@ class MultiPoly:
                 return [e - offset for e in raw]
         return [sum(map(mul, ws, exps)) for exps in self.terms]
 
-    def eval_fraction(self, point: Mapping[str, Coeff]) -> Fraction:
+    def eval_fraction(self, point: Mapping[str, int | Fraction]) -> Fraction:
         missing = [n for n in self.vars if n not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
         total = Fraction(0)
-        # an int base to a negative power would give a float
-        vals = [Fraction(_coerce(point[n])) for n in self.vars]
+        vals = [_exact_point(point[n]) for n in self.vars]
         for exps, c in self.terms.items():
             t = c
             for vv, e in zip(vals, exps):
@@ -522,18 +520,20 @@ def exact_div_multi(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     vars, ta, tb = MultiPoly._unify(a1, b1)
     lead_b = max(tb)  # lex order on exponent tuples
     cb = tb[lead_b]
-    quot: dict[tuple[int, ...], Coeff] = {}
+    quot: dict[tuple[int, ...], int] = {}
     cur = dict(ta)
     while cur:
         lead = max(cur)
         qe = tuple(x - y for x, y in zip(lead, lead_b))
         if any(e < 0 for e in qe):
             raise ValueError("not divisible")
-        qc = _coerce(Fraction(cur[lead], cb))
+        qc, r = divmod(cur[lead], cb)
+        if r:
+            raise ValueError("not divisible")
         quot[qe] = qc
         for e, c in tb.items():
             t = tuple(map(add, e, qe))
-            s = _coerce(cur.get(t, 0) - qc * c)
+            s = cur.get(t, 0) - qc * c
             if s:
                 cur[t] = s
             elif t in cur:
@@ -559,7 +559,9 @@ def monomial_quotient(a: MultiPoly, b: MultiPoly) -> Optional[MultiPoly]:
     ea = max(ta)
     eb = max(tb)
     shift = tuple(x - y for x, y in zip(ea, eb))
-    ratio = _coerce(Fraction(ta[ea], tb[eb]))
+    ratio, r = divmod(ta[ea], tb[eb])
+    if r:
+        return None
     for e, c in tb.items():
         t = tuple(x + y for x, y in zip(e, shift))
         if ta.get(t) != ratio * c:

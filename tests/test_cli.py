@@ -428,6 +428,29 @@ def test_eval_at_pole_exit_2(capsys, precision):
     assert err.startswith("usage error: --eval 0:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--precision 53 theta -c 4,4,4 --eval 1e200",  # a power overflows the double
+        "--precision 53 tet -c 2,2,2,2,2,2 --eval 1e-200",  # a power underflows to 0
+    ],
+)
+def test_eval_out_of_double_range_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert err.startswith(f"usage error: --eval {argv.split()[-1]}:")
+
+
+@pytest.mark.parametrize("command", ["lagrangian", "residual"])
+def test_global_seed_matches_subcommand_seed(capsys, command):
+    args = [command, "--graph", "theta", "--samples", "2"]
+    code1, out1, _ = run(capsys, ["--format", "json", "--seed", "5"] + args)
+    code2, out2, _ = run(capsys, ["--format", "json"] + args + ["--seed", "5"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["seed"] == 5
+
+
 def test_lagrangian_theta(capsys):
     code, report = run_json(
         capsys, ["lagrangian", "--graph", "theta", "--samples", "10", "--seed", "7"]

@@ -40,14 +40,14 @@ from qgraph.laurent import (  # the integer kernel
 )
 
 
-def rand_poly(rng, max_terms=6, max_exp=8, allow_zero=True, ints=False):
+def rand_poly(rng, max_terms=6, max_exp=8, allow_zero=True):
     n = rng.randrange(0 if allow_zero else 1, max_terms + 1)
     terms = {}
     for _ in range(n):
         e = rng.randrange(-max_exp, max_exp + 1)
-        c = rng.randrange(-9, 10) if ints else Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        c = rng.randrange(-9, 10)
         if c:
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
     return LaurentPoly(terms)
 
 
@@ -58,15 +58,23 @@ def rand_nonzero(rng, **kw):
             return p
 
 
-def rand_den(rng, ints=False, max_factors=3):
-    """c * v^k * prod Phi_d^m over random d in [2, 12]: a denominator LaurentRat accepts."""
+def rand_den(rng, max_factors=3, unit=False):
+    """c * v^k * prod Phi_d^m over random d in [2, 12], c = +-1 for a unit: a denominator LaurentRat accepts."""
     c = 0
     while not c:
-        c = rng.randrange(-9, 10) if ints else Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        c = rng.choice((1, -1)) if unit else rng.randrange(-9, 10)
     den = LaurentPoly.v_power(rng.randrange(-4, 5), c)
     for _ in range(rng.randrange(0, max_factors + 1)):
         den = den * cyclotomic(rng.randrange(2, 13)) ** rng.randrange(1, 3)
     return den
+
+
+def rat_over(num, den):
+    """num * c / den for den = c * v^k * prod Phi_d^m: c must divide the numerator over Z.
+
+    c is den's lowest coefficient, since every Phi_d has lowest coefficient 1.
+    """
+    return LaurentRat(num * den.coefficient(den.min_exp()), den)
 
 
 def check_value(got, num, den):
@@ -76,10 +84,10 @@ def check_value(got, num, den):
     assert got.den.min_exp() == 0 and got.den.terms[0] == 1
 
 
-def assert_canonical(p, ints=False):
-    """Integer coefficients are stored as int, and only the others as Fraction."""
+def assert_canonical(p):
+    """Every coefficient is stored as an int."""
     for c in p.terms.values():
-        assert type(c) is int or (not ints and type(c) is Fraction and c.denominator != 1), repr(c)
+        assert type(c) is int, repr(c)
 
 
 # -- quantum integers ------------------------------------------------------
@@ -139,43 +147,89 @@ def test_factorial_ratio_is_bracket():
 
 def test_poly_ring_axioms_bulk():
     rng = random.Random(20240811)
-    int_rng = random.Random(811)
     one = LaurentPoly.one()
     zero = LaurentPoly.zero()
     # an int base to a negative power would be a float; the value stays exact
     assert LaurentPoly({-2: 1}).eval_exact(2) == Fraction(1, 4)
-    # dividing by a lowest coefficient of 2 gives Fractions, never floats
-    half = exact_div_poly(LaurentPoly({0: 1, 1: 1}), LaurentPoly({-1: 2, 0: 2}))
-    assert half.terms == {1: Fraction(1, 2)} and type(half.terms[1]) is Fraction
-    for trial in range(1000):
+    # a lowest coefficient of 2 divides over Z, or not at all
+    quot = exact_div_poly(LaurentPoly({0: 2, 1: 2}), LaurentPoly({-1: 2, 0: 2}))
+    assert quot.terms == {1: 1} and type(quot.terms[1]) is int
+    with pytest.raises(ValueError):
+        exact_div_poly(LaurentPoly({0: 1, 1: 1}), LaurentPoly({-1: 2, 0: 2}))
+    for _ in range(1000):
         a = rand_poly(rng)
         b = rand_poly(rng)
         c = rand_poly(rng)
-        # every other trial adds a draw of int-coefficient operands
-        for ints in (False, True) if trial % 2 else (False,):
-            if ints:
-                a, b, c = (rand_poly(int_rng, ints=True) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + zero == a
-            assert a * one == a
-            assert a - a == zero
-            assert a * zero == zero
-            twice = LaurentPoly(list(a.terms.items()) * 2)  # the constructor merges repeats
-            assert twice == a * 2
-            for p in (a, a + b, a - b, a * b, a * (b + c), -a, a * Fraction(3, 3), twice):
-                assert_canonical(p, ints)
-            if b:
-                # lowest coefficients other than 1 take the dividing branch
-                quot = exact_div_poly(a * b, b)
-                assert quot == a
-                assert_canonical(quot, ints)
-            for v0 in (2, -1):
-                value = a.eval_exact(v0)
-                assert type(value) is Fraction and value == a.eval_exact(Fraction(v0))
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a
+        assert a * one == a
+        assert a - a == zero
+        assert a * zero == zero
+        twice = LaurentPoly(list(a.terms.items()) * 2)  # the constructor merges repeats
+        assert twice == a * 2
+        for p in (a, a + b, a - b, a * b, a * (b + c), -a, a * Fraction(3, 3), twice):
+            assert_canonical(p)
+        if b:
+            # lowest coefficients other than 1 take the dividing branch
+            quot = exact_div_poly(a * b, b)
+            assert quot == a
+            assert_canonical(quot)
+        for v0 in (2, -1):
+            value = a.eval_exact(v0)
+            assert type(value) is Fraction and value == a.eval_exact(Fraction(v0))
+
+
+def test_coefficients_enter_as_integers():
+    """Every entry point of outside input rejects 3/2, and stores 4/2 as the int 2."""
+    p = LaurentPoly({0: 1, 1: 1})
+    r = LaurentRat.from_poly(p * 2)
+    polys = (
+        lambda c: LaurentPoly({1: c}),
+        lambda c: LaurentPoly([(1, c), (2, 1)]),
+        lambda c: LaurentPoly.v_power(1, c),
+        lambda c: LaurentPoly.from_int_coeffs([0, c]),
+        lambda c: LaurentPoly.from_json_obj({"terms": [[1, str(c)]]}),
+        lambda c: p + c,
+        lambda c: c + p,
+        lambda c: p - c,
+        lambda c: c - p,
+        lambda c: p * c,
+        lambda c: c * p,
+    )
+    rats = (
+        lambda c: LaurentRat(c),
+        lambda c: LaurentRat(p * 2, c),
+        lambda c: LaurentRat.from_json_obj({"num": {"terms": [[1, str(c)]]}, "den": {"terms": [[0, "1"]]}}),
+        lambda c: r + c,
+        lambda c: c + r,
+        lambda c: r - c,
+        lambda c: c - r,
+        lambda c: r * c,
+        lambda c: c * r,
+        lambda c: r / c,
+        lambda c: c / r,
+    )
+    for make in polys + rats:
+        with pytest.raises(ValueError):
+            make(Fraction(3, 2))
+        got = make(Fraction(4, 2))
+        got = got.num if isinstance(got, LaurentRat) else got
+        assert got and all(type(c) is int for c in got.terms.values())
+    assert LaurentPoly({0: 2}) == Fraction(4, 2) and LaurentRat(2) == Fraction(4, 2)
+    assert p != Fraction(3, 2) and not (r == Fraction(3, 2))
+    assert LaurentPoly({0: 3}) != Fraction(3, 2) and LaurentRat(3) != Fraction(3, 2)
+    # the denominator's cofactor must divide the numerator over Z
+    with pytest.raises(ValueError):
+        LaurentRat(1, 2)
+    assert LaurentRat(2, 2) == 1
+    # evaluation points are exact: an int or a Fraction, never a float
+    assert p.eval_exact(Fraction(1, 2)) == Fraction(3, 2) and r.eval_exact(1) == 4
+    with pytest.raises(TypeError):
+        p.eval_exact(0.5)
 
 
 def test_poly_pow_matches_repeated_mul():
@@ -231,17 +285,17 @@ def test_rat_field_axioms_bulk():
     thetas = (computed[0], computed[len(computed) // 2])  # theta(2, 3, 3) and its JSON copy
     for v in computed:
         assert not v.is_zero()
-        assert_canonical(v.num, ints=True)
-        assert_canonical(v.den, ints=True)
+        assert_canonical(v.num)
+        assert_canonical(v.den)
     for trial in range(1000):
-        a = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
-        b = LaurentRat(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
-        # one / u makes u's numerator a denominator, so it must factor too
-        u = LaurentRat(rand_den(rng, max_factors=2), rand_den(rng, max_factors=2))
-        # every tenth trial adds a draw of two computed values, whose
-        # sums, products and quotients keep int coefficients
-        for ints in (False, True) if trial % 10 == 0 else (False,):
-            if ints:
+        a = rat_over(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
+        b = rat_over(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
+        # one / u makes u's numerator a denominator, so it must factor, and
+        # its content must divide 1
+        u = LaurentRat(rand_den(rng, max_factors=2, unit=True), rand_den(rng, max_factors=2, unit=True))
+        # every tenth trial adds a draw of two computed values
+        for computed_draw in (False, True) if trial % 10 == 0 else (False,):
+            if computed_draw:
                 a, b = computed[trial // 10 % len(computed)], computed[trial // 100]
                 u = thetas[trial // 10 % 2]
             assert a + b == b + a
@@ -256,15 +310,15 @@ def test_rat_field_axioms_bulk():
             assert (a / u) * u == a
             assert (a + b) - b == a
             for r in (a, a + b, a * b, a - b, b / u):
-                assert_canonical(r.num, ints)
-                assert_canonical(r.den, ints)
+                assert_canonical(r.num)
+                assert_canonical(r.den)
 
 
 def test_rat_reduction_canonical():
     rng = random.Random(424242)
     for _ in range(300):
-        p = rand_poly(rng, max_terms=3, max_exp=3)
         q = rand_den(rng)
+        p = rand_poly(rng, max_terms=3, max_exp=3) * q.coefficient(q.min_exp())  # q's content divides p
         g = rand_den(rng)
         assert LaurentRat(p * g, q * g) == LaurentRat(p, q)
 
@@ -272,7 +326,7 @@ def test_rat_reduction_canonical():
 def test_rat_denominator_normalization():
     rng = random.Random(5150)
     for _ in range(300):
-        r = LaurentRat(rand_poly(rng), rand_den(rng))
+        r = rat_over(rand_poly(rng), rand_den(rng))
         if r.is_zero():
             assert r.den.is_one()
             continue
@@ -295,19 +349,23 @@ def test_rat_rejects_other_denominators(den):
 
 
 def test_rat_takes_out_unit_and_factors_den():
-    p = LaurentPoly({-1: 3, 0: 1, 4: -5})
+    half = LaurentPoly({-1: 3, 0: 1, 4: -5})
+    p = half * 2
     den = (q_int(3) * cyclotomic(2)).shifted(3) * 2
     r = LaurentRat(p, den)
     assert r.den == cyclotomic(2) * cyclotomic(3) * cyclotomic(6)
     assert r.den == (q_int(3) * cyclotomic(2)).shifted(2)  # [3] * Phi_2 starts at v^-2
-    assert r.num == (p * Fraction(1, 2)).shifted(-1)
+    assert r.num == half.shifted(-1)
     check_value(r, p, den)
+    # the cofactor 2 * v^3 must divide the numerator over Z
+    with pytest.raises(ValueError):
+        LaurentRat(half, den)
 
 
 def _phi_factor_plain(p):
     """Trial division of the whole poly by every Phi_d, without the mod v^d - 1 test."""
     lo = min(p)
-    unit = {lo: p[lo]}
+    unit = {lo: 1}
     rest = _idiv_exact(p, unit)
     mult = {}
     deg = max(rest)
@@ -328,7 +386,7 @@ def test_phi_factor_matches_plain_trial_division():
     rng = random.Random(31)
     fixed = [LaurentPoly({0: 1, 1: 2}), LaurentPoly({0: 1, 1: 1, 3: 1}), LaurentPoly({0: 3})]
     for i in range(60):
-        cofactor = fixed[i % 3] if i < 15 else rand_nonzero(rng, ints=i % 2 == 0)
+        cofactor = fixed[i % 3] if i < 15 else rand_nonzero(rng)
         p = cofactor.shifted(rng.randrange(-3, 4))
         for _ in range(rng.randrange(0, 5)):
             p = p * cyclotomic(rng.randrange(2, 41)) ** rng.randrange(1, 3)
@@ -382,14 +440,14 @@ def test_eval_at_zero_pole_or_constant_term(precision):
     with pytest.raises(PoleError):
         LaurentRat(LaurentPoly.one(), q_int(2).shifted(3)).eval_complex(0j, precision=precision)
     # without a pole the value at 0 is the constant term over the denominator's 1
-    r = LaurentRat(LaurentPoly({0: Fraction(3, 2), 2: Fraction(1)}), q_int(3).shifted(2))
-    assert r.eval_complex(0, precision=precision) == 1.5
+    r = LaurentRat(LaurentPoly({0: 3, 2: 1}), q_int(3).shifted(2))
+    assert r.eval_complex(0, precision=precision) == 3
 
 
 def test_rat_eval_matches_exact():
     rng = random.Random(8080)
     for _ in range(200):
-        r = LaurentRat(rand_poly(rng), rand_den(rng))
+        r = rat_over(rand_poly(rng), rand_den(rng))
         v0 = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
         try:
             ex = r.eval_exact(v0)
@@ -421,13 +479,15 @@ def test_exact_div_roundtrip():
 def test_exact_div_rejects_nondivisible():
     # v^2 + 1 does not divide v + 1
     with pytest.raises(ValueError):
-        exact_div_poly(LaurentPoly({1: Fraction(1), 0: Fraction(1)}), LaurentPoly({2: Fraction(1), 0: Fraction(1)}))
+        exact_div_poly(LaurentPoly({1: 1, 0: 1}), LaurentPoly({2: 1, 0: 1}))
 
 
 def test_poly_gcd_contains_common_factor():
     rng = random.Random(161803)
     for _ in range(150):
         g = rand_nonzero(rng, max_terms=3, max_exp=3)
+        # primitive, as poly_gcd's result is, so g divides it over Z (Gauss's lemma)
+        g = exact_div_poly(g, LaurentPoly({0: math.gcd(*g.terms.values())}))
         a = rand_nonzero(rng, max_terms=3, max_exp=3) * g
         b = rand_nonzero(rng, max_terms=3, max_exp=3) * g
         d = poly_gcd(a, b)
@@ -568,23 +628,6 @@ def test_imul_switches_at_cut_over():
     assert _imul({}, long) == {} and _imul(long, {}) == {}
 
 
-def test_imul_fraction_operand_takes_schoolbook():
-    """A non-integral coefficient keeps a long product off the int-only Kronecker path."""
-    rng = random.Random(17)
-    a = {e: rng.randrange(-(2**40), 2**40) or 1 for e in range(-9, 3 * _KRONECKER_MIN_TERMS)}
-    b = {e: rng.randrange(-99, 100) or 1 for e in range(-5, 2 * _KRONECKER_MIN_TERMS)}
-    b[0] = Fraction(1, 3)
-    want = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            want[e1 + e2] = want.get(e1 + e2, 0) + Fraction(c1) * c2
-    want = {e: c.numerator if c.denominator == 1 else c for e, c in want.items() if c}
-    for x, y in ((a, b), (b, a)):
-        got = _imul(x, y)
-        assert got == _imul_school(x, y) == want
-        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.values())
-
-
 def test_idiv_exact_inverts_imul():
     rng = random.Random(105)
     for trial in range(200):
@@ -622,7 +665,7 @@ def test_phi_divides_matches_trial_division():
         phi_d = dict(_phi_power_int(d, 1))
         p = _rand_laurent(rng)
         if trial % 4 == 3:
-            p = {e: Fraction(c, rng.randrange(1, 5)) for e, c in p.items()}
+            p = {e: c * rng.randrange(1, 5) for e, c in p.items()}
         if trial % 2:
             # Phi_d products times the cofactor, with or without Phi_d itself
             for _ in range(rng.randrange(1, 4)):
@@ -651,7 +694,7 @@ def test_cancel_phi_matches_plain_trial_division():
         den = {d: rng.randrange(1, 4) for d in rng.sample(range(2, 45), rng.randrange(1, 5))}
         num = _rand_laurent(rng, coeff=9)
         if trial % 5 == 4:
-            num = {e: Fraction(c, 7) for e, c in num.items()}
+            num = {e: c * 7 for e, c in num.items()}
         # some of den's Phi_d, some more often than den has them, and others
         for _ in range(rng.randrange(0, 5)):
             d = rng.choice(list(den)) if rng.random() < 0.7 else rng.randrange(2, 45)
@@ -817,22 +860,14 @@ def test_mutated_recursion_factor_fails_everywhere():
 # -- serialization ------------------------------------------------------------
 
 
-def rand_rat(rng, int_coeffs=False):
-    if int_coeffs:
-        num = LaurentPoly({rng.randrange(-6, 7): Fraction(rng.randrange(-9, 10)) for _ in range(rng.randrange(0, 5))})
-    else:
-        num = rand_poly(rng)
-    return LaurentRat(num, rand_den(rng, ints=int_coeffs))
+def rand_rat(rng):
+    return rat_over(rand_poly(rng), rand_den(rng))
 
 
 def test_rat_dot_matches_naive_sum():
     rng = random.Random(5150)
-    for trial in range(300):
-        int_coeffs = trial % 2 == 0  # alternate int and Fraction coefficients
-        pairs = [
-            (rand_rat(rng, int_coeffs), rand_rat(rng, int_coeffs))
-            for _ in range(rng.randrange(0, 5))
-        ]
+    for _ in range(300):
+        pairs = [(rand_rat(rng), rand_rat(rng)) for _ in range(rng.randrange(0, 5))]
         naive = LaurentRat.zero()
         for a, b in pairs:
             naive = naive + a * b
@@ -851,7 +886,7 @@ def rand_form_rat(rng):
     phi = {d: rng.choice((-2, -1, 1, 2)) for d in rng.sample(range(2, 13), rng.randrange(0, 4))}
     poly = None
     if rng.randrange(3):
-        poly = rand_nonzero(rng, ints=True).terms
+        poly = rand_nonzero(rng).terms
     return LaurentRat._product(rng.choice((1, -1)), rng.randrange(-4, 5), phi, poly)
 
 
@@ -894,23 +929,6 @@ def test_rat_dot_vanishes_evaluation_point_clears_the_bound():
         assert rat_dot_vanishes(pairs + [(v, one), (LaurentRat.from_poly(LaurentPoly({0: -(2**s)})), one)])
 
 
-def test_rat_dot_vanishes_falls_back_on_fraction_coefficients(monkeypatch):
-    from qgraph import laurent
-
-    calls = []
-    real = laurent.rat_dot
-    monkeypatch.setattr(laurent, "rat_dot", lambda pairs: calls.append(len(pairs)) or real(pairs))
-    one = LaurentRat.one()
-    half_v = LaurentRat.from_poly(LaurentPoly({1: Fraction(1, 2)}))
-    two = LaurentRat.from_poly(LaurentPoly({0: 2}))
-    v = LaurentRat.from_poly(LaurentPoly({1: 1}))
-    assert rat_dot_vanishes([(half_v, two), (-v, one)])
-    assert not rat_dot_vanishes([(half_v, one), (-v, one)])
-    assert calls == [2, 2]
-    assert rat_dot_vanishes([(two, v), (-v, two)])  # int coefficients are evaluated
-    assert calls == [2, 2]
-
-
 def test_poly_json_roundtrip():
     rng = random.Random(12)
     for _ in range(100):
@@ -922,7 +940,7 @@ def test_poly_json_roundtrip():
 def test_rat_json_roundtrip():
     rng = random.Random(13)
     for _ in range(100):
-        r = LaurentRat(rand_poly(rng), rand_den(rng))
+        r = rand_rat(rng)
         blob = json.dumps(r.to_json_obj())
         assert LaurentRat.from_json_obj(json.loads(blob)) == r
 
@@ -940,4 +958,4 @@ def test_str_rendering():
     assert str(-q_int(2)) == "-q^(-1/2) - q^(1/2)"
     assert str(q_int(3)) == "q^(-1) + 1 + q"
     assert str(LaurentPoly.zero()) == "0"
-    assert str(LaurentPoly({2: Fraction(3, 2)})) == "3/2*q"
+    assert str(LaurentPoly({2: 3, 1: -2})) == "-2*q^(1/2) + 3*q"
