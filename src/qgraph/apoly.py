@@ -13,9 +13,9 @@ operator moved to the right of its coefficient: applying an operator at a
 coloring evaluates each b_l at the UNSHIFTED colors and multiplies by the
 invariant at the l-times-shifted coloring.  Moving a shift operator left
 through x rescales x by q per step; forgetting that rescaling produces a
-"miscommuted" operator that must fail annihilation.  Both quantum builders
-expose miscommuted=True so tests can guard the convention with a variant
-that is known to be wrong.
+"miscommuted" operator that must fail annihilation.  The tests build that
+variant from _theta_quantum_raw and _tet_quantum_pieces to guard the
+convention with an operator that is known to be wrong.
 
 Normalization.  The relative normalization of the tetrahedron operator's
 three coefficients (and the relative sign of one summand in the middle
@@ -23,8 +23,8 @@ coefficient of both the operator and the classical curve) is pinned by two
 independent checks rather than taken from any single display: exact
 annihilation of the primed tetrahedron family on verification grids, and
 exact divisibility of the saddle-elimination resultant by the classical
-curve.  The miscommuted variants keep the uncorrected coefficients so the
-negative-control tests exercise a realistic failure mode.
+curve.  The miscommuted variants in the tests keep the uncorrected
+coefficients, so the negative controls exercise a realistic failure mode.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .invariants import (
-    TetColoring,
     ThetaColoring,
     enumerate_tet_colorings,
     enumerate_theta_colorings,
@@ -116,13 +115,12 @@ def _theta_quantum_raw() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def theta_quantum_A(edge: str, miscommuted: bool = False) -> OperatorPoly:
+def theta_quantum_A(edge: str) -> OperatorPoly:
     """Annihilating operator for one theta edge (first order in the shift)."""
     if edge not in THETA_EDGES:
         raise ValueError(f"unknown theta edge {edge!r}")
     b0, b1 = _theta_quantum_raw()
-    if not miscommuted:
-        b1 = _shift_edge_var(b1, "a", 1)
+    b1 = _shift_edge_var(b1, "a", 1)
     if edge != "a":
         b0 = _swap_vars(b0, [("a", edge)])
         b1 = _swap_vars(b1, [("a", edge)])
@@ -204,7 +202,7 @@ def _tet_quantum_pieces() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def tet_quantum_A(edge: str, miscommuted: bool = False) -> OperatorPoly:
+def tet_quantum_A(edge: str) -> OperatorPoly:
     """Annihilating operator for one tetrahedron edge (second order in the shift).
 
     The canonical form applies the normal-ordering rescale x -> q^l x to the
@@ -215,19 +213,13 @@ def tet_quantum_A(edge: str, miscommuted: bool = False) -> OperatorPoly:
     """
     if edge not in TET_EDGES:
         raise ValueError(f"unknown tetrahedron edge {edge!r}")
-    c2, (ta, tb, tc), c0 = _tet_quantum_pieces()
-    if miscommuted:
-        b2 = c2
-        b1 = -(ta + tb + tc)
-        b0 = c0
-    else:
-        b2 = _v(-12) * _shift_edge_var(c2, "1", 2)
-        b1 = (
-            _v(-6) * _shift_edge_var(ta, "1", 1)
-            - _v(-6) * _shift_edge_var(tb, "1", 1)
-            - _v(-4) * _shift_edge_var(tc, "1", 1)
-        )
-        b0 = c0
+    c2, (ta, tb, tc), b0 = _tet_quantum_pieces()
+    b2 = _v(-12) * _shift_edge_var(c2, "1", 2)
+    b1 = (
+        _v(-6) * _shift_edge_var(ta, "1", 1)
+        - _v(-6) * _shift_edge_var(tb, "1", 1)
+        - _v(-4) * _shift_edge_var(tc, "1", 1)
+    )
     if edge != "1":
         pairs = _TET_EDGE_SWAP[edge]
         swaps = [(pairs[0], pairs[1]), (pairs[2], pairs[3])]
@@ -294,20 +286,23 @@ def _bracket_product(ks) -> LaurentRat:
     return ratio.to_laurent_rat()
 
 
-def _tet_recursion_products(col, check_shifts: bool = True) -> tuple:
-    """(alpha, (beta_1, beta_2, beta_3), gamma), with beta = beta_1 + beta_2 - beta_3.
-
-    Every entry is a signed bracket product; see tet_recursion_coeffs.
-    """
-    col = TetColoring(*col)
+def _check_recursion_domain(col) -> None:
+    """Raise ValueError unless col and both of its j1 shifts by 2 are admissible."""
     if not tet_is_admissible(col):
         raise ValueError(f"inadmissible coloring {tuple(col)}")
+    for d in (2, -2):
+        shifted = (col[0] + d,) + tuple(col)[1:]
+        if not tet_is_admissible(shifted):
+            raise ValueError(f"shifted coloring {shifted} is inadmissible")
+
+
+def _tet_recursion_products(col) -> tuple:
+    """(alpha, (beta_1, beta_2, beta_3), gamma), with beta = beta_1 + beta_2 - beta_3.
+
+    Every entry is a signed bracket product; see tet_recursion_coeffs.  The
+    formulas take any coloring; the callers check the recursion's domain.
+    """
     j1, j2, j12, j3, j4, j23 = col
-    if check_shifts:
-        for d in (2, -2):
-            shifted = (j1 + d,) + tuple(col)[1:]
-            if not tet_is_admissible(shifted):
-                raise ValueError(f"shifted coloring {shifted} is inadmissible")
     alpha = _bracket_product(
         [
             j1,
@@ -358,18 +353,17 @@ def _tet_recursion_products(col, check_shifts: bool = True) -> tuple:
     return alpha, betas, gamma
 
 
-def tet_recursion_coeffs(col, check_shifts: bool = True) -> tuple:
+def tet_recursion_coeffs(col) -> tuple:
     """Coefficients (alpha, beta, gamma) of the centered three-term recursion.
 
     Contract: alpha * J'(j1+2) - beta * J'(j1) + gamma * J'(j1-2) = 0 on the
     primed family whenever both shifted colorings are admissible.  beta's
     middle summands carry the signs (+, +, -); that pattern is the unique one
     among the eight choices that annihilates the verification grid.
-
-    check_shifts=False skips the domain validation so the coefficient
-    formulas themselves can be inspected at boundary colorings.
+    Raises ValueError outside that domain.
     """
-    alpha, (b1, b2, b3), gamma = _tet_recursion_products(col, check_shifts)
+    _check_recursion_domain(col)
+    alpha, (b1, b2, b3), gamma = _tet_recursion_products(col)
     return alpha, b1 + b2 - b3, gamma
 
 
@@ -392,6 +386,7 @@ def tet_recursion_vanishes(col) -> bool:
 
     beta enters as its three bracket products, so it is never summed.
     """
+    _check_recursion_domain(col)
     alpha, (b1, b2, b3), gamma = _tet_recursion_products(col)
     up, mid, down = _tet_shifted_values(col)
     return rat_dot_vanishes([(alpha, up), (-b1, mid), (-b2, mid), (b3, mid), (gamma, down)])

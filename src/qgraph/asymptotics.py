@@ -125,13 +125,6 @@ def g_potential(u) -> complex:
 # -- point containers --------------------------------------------------------------------------
 
 
-class HolonomyPoint(NamedTuple):
-    """Holonomy eigenvalues keyed by edge label, plus the scale parameter."""
-
-    x: dict
-    hbar: complex = 0.0
-
-
 class TwistPoint(NamedTuple):
     """Twist variables keyed by edge label."""
 
@@ -158,8 +151,6 @@ class SaddleRecord(NamedTuple):
 
 
 def _coords(x, labels) -> tuple:
-    if isinstance(x, HolonomyPoint):
-        return tuple(complex(x.x[lab]) for lab in labels)
     vals = tuple(complex(v) for v in x)
     if len(vals) != len(labels):
         raise ValueError(f"expected {len(labels)} coordinates, got {len(vals)}")
@@ -414,16 +405,17 @@ def saddle_twists_tet(x, z) -> TwistPoint:
     z = complex(z)
     x1, x2, x12, x3, x4, x23 = xs
     (p1, p2, p3, p4), (r1, r2, r3) = _tet_products(xs)
-    for r in (r1, r2, r3):
-        if abs(z - r) < 1e-13 * abs(r):
-            raise SingularPointError("saddle collides with a twist pole")
+    d12, d13, d23 = (z - r1) * (z - r2), (z - r1) * (z - r3), (z - r2) * (z - r3)
+    # a product of two nonzero factors can still underflow to 0
+    if 0 in (d12, d13, d23) or any(abs(z - r) < 1e-13 * abs(r) for r in (r1, r2, r3)):
+        raise SingularPointError("saddle collides with a twist pole")
     y = {
-        "1": x3 * (z - p1) * (z - p3) / ((z - r1) * (z - r2)),
-        "2": x4 * (z - p1) * (z - p4) / ((z - r1) * (z - r3)),
-        "12": x23 * (z - p1) * (z - p2) / ((z - r2) * (z - r3)),
-        "3": x1 * (z - p2) * (z - p4) / ((z - r1) * (z - r2)),
-        "4": x2 * (z - p2) * (z - p3) / ((z - r1) * (z - r3)),
-        "23": x12 * (z - p3) * (z - p4) / ((z - r2) * (z - r3)),
+        "1": x3 * (z - p1) * (z - p3) / d12,
+        "2": x4 * (z - p1) * (z - p4) / d13,
+        "12": x23 * (z - p1) * (z - p2) / d23,
+        "3": x1 * (z - p2) * (z - p4) / d12,
+        "4": x2 * (z - p2) * (z - p3) / d13,
+        "23": x12 * (z - p3) * (z - p4) / d23,
     }
     return TwistPoint(y=y)
 

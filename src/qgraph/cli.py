@@ -557,7 +557,10 @@ _SADDLE_COLUMNS = ["index", "re", "im", "curve_residual", "lattice_residual", "c
 def cmd_saddle(args, cfg):
     x = _parse_floats(args.x, 6, "--x")
     tol = cfg.tolerances["saddle"]
-    rec = saddle_solve_tet(x)
+    try:
+        rec = saddle_solve_tet(x)
+    except SingularPointError as exc:
+        raise UsageError(f"--x {args.x} is a singular point: {exc}")
     if rec.degenerate:
         raise UsageError(f"--x {args.x} is a degenerate point: the saddle quadratic has no nonzero root")
     rows = []

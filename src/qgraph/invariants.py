@@ -5,15 +5,13 @@ meeting at a vertex must satisfy the fusion rule: triangle inequalities
 plus even total parity.  Inadmissible colorings evaluate to 0.
 
 The tetrahedron invariant is an alternating single sum over an index m.
-Two summand conventions are supported:
-
-* "triangle-sum" (default): the four lower factorial arguments are
-  m - (triangle half-sum) over the four vertex triples and the three
-  upper ones are (quadrilateral half-sum) - m.  This convention passes
-  the symmetry-orbit, theta-reduction, and hypergeometric cross-checks.
-* "printed": a variant whose lower arguments subtract pairwise color
-  differences instead of triangle sums.  It fails the cross-checks and
-  is retained only so the discrepancy can be demonstrated.
+Its summands follow the "triangle-sum" convention: the four lower
+factorial arguments are m - (triangle half-sum) over the four vertex
+triples and the three upper ones are (quadrilateral half-sum) - m.  This
+convention passes the symmetry-orbit, theta-reduction, and hypergeometric
+cross-checks.  The printed variant, whose lower arguments subtract
+pairwise color differences instead, fails them; the tests build it from
+_tet_summands as a negative control.
 
 Values live in the fraction field (LaurentRat): theta values are not
 always Laurent polynomials, e.g. the all-2 theta value -[4][3]/[2]^2.
@@ -27,7 +25,6 @@ from typing import Iterable, NamedTuple, Optional
 from .laurent import BracketRatio, LaurentRat, bracket_ratio_sum
 
 CONVENTION_TRIANGLE = "triangle-sum"
-CONVENTION_PRINTED = "printed"
 
 
 class ThetaColoring(NamedTuple):
@@ -135,26 +132,9 @@ def _quad_halves(col) -> list[int]:
     ]
 
 
-def _printed_lower_halves(col) -> list[int]:
-    # alternate convention: pairwise differences instead of triangle sums
-    j1, j2, j12, j3, j4, j23 = col
-    return [
-        (j1 - j2 - j12) // 2,
-        (j3 - j4 - j12) // 2,
-        (j1 - j4 - j23) // 2,
-        (j2 - j3 - j23) // 2,
-    ]
-
-
-def tet_sum_bounds(col, convention: str = CONVENTION_TRIANGLE) -> SumBounds:
+def tet_sum_bounds(col) -> SumBounds:
     """Range of the summation index: all factorial arguments nonnegative."""
-    if convention == CONVENTION_TRIANGLE:
-        lowers = _triangle_halves(col)
-    elif convention == CONVENTION_PRINTED:
-        lowers = _printed_lower_halves(col) + [0]
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return SumBounds(max(max(lowers), 0), min(_quad_halves(col)))
+    return SumBounds(max(max(_triangle_halves(col)), 0), min(_quad_halves(col)))
 
 
 def _tet_summands(
@@ -171,31 +151,26 @@ def _tet_summands(
     return out
 
 
-def _tet_sum(col: tuple, convention: str, with_prefactor: bool) -> LaurentRat:
+def _tet_sum(col: tuple, with_prefactor: bool) -> LaurentRat:
     if not tet_is_admissible(col):
         return LaurentRat.zero()
-    bounds = tet_sum_bounds(col, convention)
+    bounds = tet_sum_bounds(col)
     if bounds.is_empty():
         return LaurentRat.zero()
-    if convention == CONVENTION_TRIANGLE:
-        lowers = _triangle_halves(col)
-    else:
-        lowers = _printed_lower_halves(col)
+    lowers = _triangle_halves(col)
     # folding the prefactor into every summand keeps the sum gcd-free
     pre = _tet_prefactor_ratio(col) if with_prefactor else None
     return bracket_ratio_sum(_tet_summands(lowers, _quad_halves(col), bounds.m_min, bounds.m_max, pre))
 
 
 @lru_cache(maxsize=None)
-def _tet_primed_cached(col: tuple, convention: str) -> LaurentRat:
-    return _tet_sum(col, convention, with_prefactor=False)
+def _tet_primed_cached(col: tuple) -> LaurentRat:
+    return _tet_sum(col, with_prefactor=False)
 
 
-def tet_primed(col, convention: str = CONVENTION_TRIANGLE) -> LaurentRat:
+def tet_primed(col) -> LaurentRat:
     """Summation part of the tetrahedron invariant (prefactor stripped)."""
-    if convention not in (CONVENTION_TRIANGLE, CONVENTION_PRINTED):
-        raise ValueError(f"unknown convention {convention!r}")
-    return _tet_primed_cached(tuple(int(j) for j in col), convention)
+    return _tet_primed_cached(tuple(int(j) for j in col))
 
 
 def _tet_prefactor_ratio(col) -> BracketRatio:
@@ -212,15 +187,13 @@ def tet_prefactor(col) -> LaurentRat:
 
 
 @lru_cache(maxsize=None)
-def _tet_full_cached(col: tuple, convention: str) -> LaurentRat:
-    return _tet_sum(col, convention, with_prefactor=True)
+def _tet_full_cached(col: tuple) -> LaurentRat:
+    return _tet_sum(col, with_prefactor=True)
 
 
-def tet_full(col, convention: str = CONVENTION_TRIANGLE) -> LaurentRat:
+def tet_full(col) -> LaurentRat:
     """Full tetrahedron invariant: vertex prefactor times the primed sum."""
-    if convention not in (CONVENTION_TRIANGLE, CONVENTION_PRINTED):
-        raise ValueError(f"unknown convention {convention!r}")
-    return _tet_full_cached(tuple(int(j) for j in col), convention)
+    return _tet_full_cached(tuple(int(j) for j in col))
 
 
 def tet_symmetry_orbit(col) -> list[TetColoring]:
@@ -339,7 +312,7 @@ def theta_reduction_check(a: int, b: int, c: int) -> tuple[bool, Optional[Lauren
 # -- CLI-facing record -----------------------------------------------------------------
 
 
-def invariant_record(graph: str, colors, convention: str = CONVENTION_TRIANGLE) -> dict:
+def invariant_record(graph: str, colors) -> dict:
     colors = [int(x) for x in colors]
     if graph == "theta":
         if len(colors) != 3:
@@ -350,7 +323,7 @@ def invariant_record(graph: str, colors, convention: str = CONVENTION_TRIANGLE) 
         if len(colors) != 6:
             raise ValueError("tet takes 6 colors")
         adm = tet_is_admissible(colors)
-        value = tet_full(colors, convention)
+        value = tet_full(colors)
     else:
         raise ValueError(f"unknown graph {graph!r}")
     return {
@@ -358,5 +331,5 @@ def invariant_record(graph: str, colors, convention: str = CONVENTION_TRIANGLE) 
         "colors": colors,
         "value": value.to_json_obj(),
         "admissible": adm,
-        "convention": convention,
+        "convention": CONVENTION_TRIANGLE,
     }

@@ -155,9 +155,9 @@ class LaurentPoly:
         return cls({e: coeff})
 
     @classmethod
-    def from_int_coeffs(cls, coeffs: list[int], shift: int = 0) -> "LaurentPoly":
-        """coeffs[k] is the coefficient of v^(k+shift)."""
-        return cls((k + shift, c) for k, c in enumerate(coeffs))
+    def from_int_coeffs(cls, coeffs: list[int]) -> "LaurentPoly":
+        """coeffs[k] is the coefficient of v^k."""
+        return cls(enumerate(coeffs))
 
     # -- structure ----------------------------------------------------
 
@@ -760,23 +760,34 @@ def _cancel_phi(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
 
     Returns the stripped num and the form's exponent map of what is left of
     den (negative exponents).  The Phi_d are irreducible, so the two parts
-    are then coprime.  den is consumed.  Where d is at most num's span, each
-    trial first tests num mod v^d - 1 (_phi_divides), so the full division
-    runs only where Phi_d is a factor.
+    are then coprime.  den is consumed.
     """
     if not num:
         return {}, {}
     for d in sorted(den):
-        phi_d = dict(_phi_power_int(d, 1))
-        while den[d]:
-            if d <= max(num) - min(num) and not _phi_divides(num, d, phi_d):
-                break
-            q = _idiv_exact(num, phi_d)
-            if q is None:
-                break
-            num = q
-            den[d] -= 1
+        num, k = _strip_phi(num, d, den[d])
+        den[d] -= k
     return num, {d: -m for d, m in den.items() if m}
+
+
+def _strip_phi(p: dict, d: int, most: int) -> tuple[dict, int]:
+    """(p / Phi_d^k, k) for the largest k <= most with Phi_d^k dividing p, p nonzero.
+
+    Where d is at most the span of what is left of p, each trial first
+    tests it mod v^d - 1 (_phi_divides), so the full division runs only
+    where Phi_d is a factor; for d above the span the division is the test.
+    """
+    phi_d = dict(_phi_power_int(d, 1))
+    k = 0
+    while k < most:
+        if d <= max(p) - min(p) and not _phi_divides(p, d, phi_d):
+            break
+        q = _idiv_exact(p, phi_d)
+        if q is None:
+            break
+        p = q
+        k += 1
+    return p, k
 
 
 def _totient(d: int) -> int:
@@ -836,9 +847,7 @@ def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
     Trial division by every Phi_d no longer than what is left of p, so no
     Phi_d divides the cofactor; the cofactor keeps p's content and lowest
     power v^k.  Every Phi_d has lowest coefficient 1, so the trial divisions
-    stay in the integers.  Where d is at most the degree left, each trial
-    first tests the remainder mod v^d - 1 (_phi_divides), so the full
-    division runs only where Phi_d is a factor.
+    stay in the integers (_strip_phi).
     """
     lo = min(p)
     rest = {e - lo: c for e, c in p.items()}  # lowest term at v^0
@@ -850,13 +859,27 @@ def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
         step = _totient(d)
         if step > deg:
             continue
-        phi_d = dict(_phi_power_int(d, 1))
-        # for d above the degree, rest mod v^d - 1 is rest, so the division is the test
-        while (d > deg or _phi_divides(rest, d, phi_d)) and (q := _idiv_exact(rest, phi_d)) is not None:
-            rest = q
-            deg -= step
-            mult[d] = mult.get(d, 0) + 1
+        rest, k = _strip_phi(rest, d, deg // step)
+        if k:
+            mult[d] = k
+            deg -= k * step
     return mult, {e + lo: c for e, c in rest.items()}
+
+
+def _exponent_floor(maps: list[dict[int, int]]) -> dict[int, int]:
+    """The least exponent of each Phi_d over the maps, a missing d read as 0; zeros dropped."""
+    floor: dict[int, int] = {}
+    for phi in maps:
+        for d, m in phi.items():
+            if m < floor.get(d, 0):
+                floor[d] = m
+    # a positive least exponent needs d in every map, the shortest one too
+    for d, m in min(maps, key=len).items():
+        if m > 0 and d not in floor:
+            m = min(phi.get(d, 0) for phi in maps)
+            if m:
+                floor[d] = m
+    return floor
 
 
 def _sum_forms(forms: Iterable[tuple]) -> "LaurentRat":
@@ -872,23 +895,18 @@ def _sum_forms(forms: Iterable[tuple]) -> "LaurentRat":
         return LaurentRat.zero()
     if len(live) == 1 and live[0][3] is None:
         return LaurentRat._product(*live[0])
-    lcm: dict[int, int] = {}
-    for _, _, phi, _ in live:
-        for d, m in phi.items():
-            if m < 0 and -m > lcm.get(d, 0):
-                lcm[d] = -m
-    needs = [_add_exponents(lcm, phi) for _, _, phi, _ in live]  # each numerator over the lcm
-    # Phi_d powers every numerator shares are factored out of the sum; the
-    # term whose denominator holds the lcm's power of Phi_d has none of that
-    # Phi_d over the lcm, so these never cancel against the denominator
-    common = {}
-    for d in needs[0]:
-        m = min(n.get(d, 0) for n in needs)
-        if m:
-            common[d] = m
+    # the floor's negative part is the lcm of the denominators, and its
+    # positive part the Phi_d powers every numerator shares, which are
+    # factored out of the sum; the term whose denominator holds the lcm's
+    # power of Phi_d has none of that Phi_d over the lcm, so these never
+    # cancel against the denominator
+    floor = _exponent_floor([phi for _, _, phi, _ in live])
+    lcm = {d: -m for d, m in floor.items() if m < 0}
+    common = {d: m for d, m in floor.items() if m > 0}
     num: dict = {}
-    for (sign, shift, _, poly), need in zip(live, needs):
-        term = _phi_product(_add_exponents(need, common, -1))
+    for sign, shift, phi, poly in live:
+        # the term's numerator over the lcm, without the shared powers
+        term = _phi_product(_add_exponents(phi, floor, -1))
         if poly is not None:
             term = _imul(term, poly)
         _iadd_into(num, term, sign, shift)
@@ -950,18 +968,8 @@ def rat_dot_vanishes(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> bool
             if id(p) not in norms:
                 norms[id(p)] = sum(map(abs, p.values()))
     # over the lcm of the denominators, with the Phi_d powers that every
-    # numerator shares factored out, term i keeps Phi_d^(phi_i[d] - floor[d]),
-    # floor[d] the least phi_i[d] with a missing d read as 0
-    floor: dict[int, int] = {}
-    for term in terms:
-        for d, m in term[2].items():
-            if m < floor.get(d, 0):
-                floor[d] = m
-    for d, m in min((term[2] for term in terms), key=len).items():
-        if m > 0 and d not in floor:
-            m = min(term[2].get(d, 0) for term in terms)
-            if m:
-                floor[d] = m
+    # numerator shares factored out, term i keeps Phi_d^(phi_i[d] - floor[d])
+    floor = _exponent_floor([term[2] for term in terms])
     needs = [_add_exponents(term[2], floor, -1) for term in terms] if floor else [term[2] for term in terms]
     bound = 0
     for term, need in zip(terms, needs):

@@ -164,10 +164,6 @@ class MultiPoly:
         items = sorted((n, e) for n, e in exps.items() if e)
         return cls._make(tuple(n for n, _ in items), {tuple(e for _, e in items): coeff})
 
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly, name: str = "v") -> "MultiPoly":
-        return cls((name,), {(e,): c for e, c in p.terms.items()})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -178,11 +174,6 @@ class MultiPoly:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_value(self) -> int:
-        if self.vars:
-            raise ValueError("not a constant")
-        return self.terms.get((), 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -229,9 +220,6 @@ class MultiPoly:
             key = exps[:i] + exps[i + 1:]
             buckets.setdefault(k, {})[key] = c
         return {k: MultiPoly._make(rest, t) for k, t in buckets.items()}
-
-    def coeff_of(self, name: str, k: int) -> "MultiPoly":
-        return self.coeffs_in(name).get(k, MultiPoly.zero())
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -4,8 +4,9 @@ Expected facts are pinned by independent routes: a local bracket-product
 oracle for the three-term recursion summands, pointwise annihilation on
 admissibility grids, frozen rational evaluations of the classical curves,
 and exact divisibility of the saddle-elimination resultant.  Negative
-controls (miscommuted operators, wrong sign patterns, a sign-flipped
-curve) guard the conventions against silent regressions.
+controls (miscommuted operators, built here from the displayed
+coefficients; wrong sign patterns; a sign-flipped curve) guard the
+conventions against silent regressions.
 """
 
 import json
@@ -57,6 +58,18 @@ def bracket_product(ks):
     for k in ks:
         r = r.times_bracket(k)
     return r.to_laurent_rat()
+
+
+def miscommuted_theta(edge) -> OperatorPoly:
+    # negative control: the displayed coefficients without the normal-ordering rescale
+    b0, b1 = (apoly._swap_vars(b, [("a", edge)]) for b in apoly._theta_quantum_raw())
+    return OperatorPoly("theta", edge, (b0, b1))
+
+
+def miscommuted_tet_edge_1() -> OperatorPoly:
+    # negative control: the displayed pieces, unrescaled and without their relative units
+    c2, (ta, tb, tc), c0 = apoly._tet_quantum_pieces()
+    return OperatorPoly("tet", "1", (c0, -(ta + tb + tc), c2))
 
 
 def eval_coeff(poly, labels, col) -> LaurentRat:
@@ -139,7 +152,7 @@ def test_theta_annihilates_grid():
 
 def test_theta_miscommuted_operator_fails():
     # raw displayed coefficients without the normal-ordering rescale
-    bad = theta_quantum_A("b", miscommuted=True)
+    bad = miscommuted_theta("b")
     rep = annihilation_report("theta", "b", 8, operator=bad)
     assert len(rep["failures"]) == rep["tested"] > 0
 
@@ -188,9 +201,13 @@ def test_tet_recursion_coeffs_domain():
         tet_recursion_coeffs((1, 2, 5, 1, 1, 2))  # inadmissible
     with pytest.raises(ValueError):
         tet_recursion_coeffs((2, 1, 1, 1, 2, 2))  # up-shift breaks a triangle
-    # boundary inspection: at color 0 every summand of alpha and beta carries
-    # a vanishing bracket, while the down coefficient survives
-    alpha, beta, gamma = tet_recursion_coeffs((0, 2, 2, 2, 2, 2), check_shifts=False)
+    # boundary inspection of the formulas, outside the recursion's domain: at
+    # color 0 every summand of alpha and beta carries a vanishing bracket,
+    # while the down coefficient survives
+    with pytest.raises(ValueError):
+        tet_recursion_coeffs((0, 2, 2, 2, 2, 2))  # down-shift has a negative color
+    alpha, (b1, b2, b3), gamma = apoly._tet_recursion_products((0, 2, 2, 2, 2, 2))
+    beta = b1 + b2 - b3
     assert alpha.is_zero()
     assert beta.is_zero()
     assert not gamma.is_zero()
@@ -256,7 +273,7 @@ def test_tet_annihilates_grid_all_edges():
 
 
 def test_tet_miscommuted_operator_fails():
-    bad = tet_quantum_A("1", miscommuted=True)
+    bad = miscommuted_tet_edge_1()
     rep = annihilation_report("tet", "1", 5, operator=bad)
     assert len(rep["failures"]) == rep["tested"] > 0
 
@@ -268,7 +285,7 @@ def test_tet_operator_matches_recursion_pointwise():
     checked = 0
     for col in interior_colorings("tet", "1", 5, 2):
         center = (col[0] + 2,) + col[1:]
-        alpha, beta, gamma = tet_recursion_coeffs(center, check_shifts=False)
+        alpha, beta, gamma = tet_recursion_coeffs(center)  # both shifts of center are admissible
         if gamma.is_zero() or beta.is_zero() or alpha.is_zero():
             continue
         e0 = eval_coeff(op.coeffs[0], TET_EDGES, col)
@@ -344,7 +361,7 @@ def test_sweep_skips_out_of_domain_and_keeps_failure_order():
 
 
 def test_annihilation_report_records_failures_as_json():
-    bad = theta_quantum_A("a", miscommuted=True)
+    bad = miscommuted_theta("a")
     rep = annihilation_report("theta", "a", 4, operator=bad)
     assert rep["failures"]
     first = rep["failures"][0]
@@ -441,10 +458,10 @@ def test_annihilation_report_expands_only_failures(monkeypatch):
     monkeypatch.setattr(apoly, "rat_dot", lambda pairs: calls.append(1) or real(pairs))
     rep = annihilation_report("theta", "b", 8)
     assert rep["tested"] > 0 and rep["failures"] == [] and calls == []
-    rep = annihilation_report("theta", "a", 4, operator=theta_quantum_A("a", miscommuted=True))
+    rep = annihilation_report("theta", "a", 4, operator=miscommuted_theta("a"))
     assert len(calls) == len(rep["failures"]) > 0
     for record in rep["failures"]:
-        residual = apply_operator(theta_quantum_A("a", miscommuted=True), "theta", record["colors"])
+        residual = apply_operator(miscommuted_theta("a"), "theta", record["colors"])
         assert record["residual"] == residual.to_json_obj()
 
 
@@ -454,7 +471,7 @@ def test_annihilation_report_expands_only_failures(monkeypatch):
 def test_saddle_system_shape():
     balance, twist = saddle_system()
     assert balance.degree_in("z") == 3  # quartic terms cancel identically
-    assert balance.coeff_of("z", 0).is_zero()  # z = 0 is the spurious root
+    assert 0 not in balance.coeffs_in("z")  # z = 0 is the spurious root
     assert twist.degree_in("z") == 2
     assert twist.degree_in("y_1") == 1
 

@@ -21,7 +21,6 @@ from qgraph.apoly import TET_EDGES, THETA_EDGES, saddle_system, tet_classical_A,
 from qgraph.asymptotics import (
     GrowthRow,
     GrowthTable,
-    HolonomyPoint,
     SingularPointError,
     TwistPoint,
     _grad_log_y_theta_termwise,
@@ -213,11 +212,6 @@ def test_w_theta_permutation_invariant():
         base = w_theta(x)
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             assert abs(w_theta(tuple(x[i] for i in perm)) - base) < 1e-12
-
-
-def test_w_theta_accepts_holonomy_point():
-    pt = HolonomyPoint(x={"a": 0.5, "b": 0.6, "c": 0.7}, hbar=-0.01)
-    assert w_theta(pt) == w_theta((0.5, 0.6, 0.7))
 
 
 def test_theta_twists_at_symmetric_point_solve_the_curve():

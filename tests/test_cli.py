@@ -352,12 +352,30 @@ def test_non_finite_numbers_exit_2(capsys, argv):
         "asymptotics tet --x 1,1,1,1,1,1 --hbar -0.1,-0.05",
         # exp(709) is finite, but the shifted first sample reaches a zero argument
         "lagrangian --graph theta --step 709",
+        # every nonzero saddle root meets a twist pole whose denominator underflows to 0
+        "saddle --x 0.5,1e-200,0.5,0.5,0.5,1e-200",
+        "asymptotics tet --x 0.5,1e-200,0.5,0.5,0.5,1e-200 --hbar -1000,-2000",
     ],
 )
 def test_asymptotics_singular_point_exit_2(capsys, argv):
     code, out, err = run(capsys, argv.split())
     _assert_one_line_usage_error(code, out, err)
     assert "singular point" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # the tiny root's twist denominator underflows to 0; the other root solves the curve
+        ("saddle --x 0.5,0.5,0.5,0.5,0.5,1e-200", 0),
+        # the saddle gives the target, but both colorings round to 0, so no row is usable
+        ("asymptotics tet --x 0.5,0.5,0.5,0.5,0.5,1e-200 --hbar -1000,-2000", 1),
+    ],
+)
+def test_saddle_root_at_underflowing_pole_reports(capsys, argv, want):
+    code, out, err = run(capsys, ["--format", "json"] + argv.split())
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert (code, report["passed"], err) == (want, want == 0, "")
 
 
 @pytest.mark.parametrize(
@@ -605,3 +623,16 @@ def test_cli_runs_without_importing_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "numpy": False}
+
+
+def test_benchmark_span_targets_bind():
+    """perfbench/spans.py wraps package names by string; each must still resolve, and each cache keep cache_info."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "perfbench"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(); spans.cache_dump()"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

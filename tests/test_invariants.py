@@ -14,10 +14,9 @@ from functools import lru_cache
 
 import pytest
 
-from qgraph.laurent import LaurentPoly, LaurentRat, q_factorial, q_int
+from qgraph import invariants
+from qgraph.laurent import LaurentPoly, LaurentRat, bracket_ratio_sum, q_factorial, q_int
 from qgraph.invariants import (
-    CONVENTION_PRINTED,
-    CONVENTION_TRIANGLE,
     SumBounds,
     TetColoring,
     ThetaColoring,
@@ -284,10 +283,19 @@ def test_hypergeom_sampled_large():
 # -- summand-convention reconciliation -------------------------------------------------------
 
 
+def printed_primed(col) -> LaurentRat:
+    # negative control: the printed formula, whose lower factorial arguments
+    # subtract pairwise color differences instead of triangle half-sums
+    j1, j2, j12, j3, j4, j23 = col
+    lowers = [(j1 - j2 - j12) // 2, (j3 - j4 - j12) // 2, (j1 - j4 - j23) // 2, (j2 - j3 - j23) // 2]
+    uppers = invariants._quad_halves(col)
+    return bracket_ratio_sum(invariants._tet_summands(lowers, uppers, max(lowers + [0]), min(uppers)))
+
+
 def test_printed_convention_differs():
     # the alternate convention produces different values...
     col = (2, 2, 2, 2, 2, 2)
-    assert tet_primed(col, CONVENTION_PRINTED) != tet_primed(col, CONVENTION_TRIANGLE)
+    assert printed_primed(col) != tet_primed(col)
 
 
 def test_printed_convention_fails_crosschecks():
@@ -296,8 +304,8 @@ def test_printed_convention_fails_crosschecks():
     sym_breaks = 0
     hyp_breaks = 0
     for col in enumerate_tet_colorings(3):
-        v = tet_primed(col, CONVENTION_PRINTED)
-        if any(tet_primed(tuple(img), CONVENTION_PRINTED) != v for img in tet_symmetry_orbit(col)):
+        v = printed_primed(col)
+        if any(printed_primed(img) != v for img in tet_symmetry_orbit(col)):
             sym_breaks += 1
         if tet_hypergeom(col) != v:
             hyp_breaks += 1

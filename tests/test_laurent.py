@@ -257,12 +257,22 @@ def test_poly_eval_is_ring_hom():
 
 def _computed_values() -> list:
     """Nonzero values the package computes, and their JSON round trips."""
-    from qgraph.apoly import OperatorPoly, apply_operator, tet_quantum_A, tet_recursion_coeffs, theta_quantum_A
+    from qgraph.apoly import (
+        OperatorPoly,
+        _swap_vars,
+        _theta_quantum_raw,
+        apply_operator,
+        tet_quantum_A,
+        tet_recursion_coeffs,
+        theta_quantum_A,
+    )
     from qgraph.invariants import tet_full, tet_primed, theta_invariant
 
     col = (2, 2, 2, 2, 2, 2)  # j1 - 2 and j1 + 2 are admissible too
     theta_lead = OperatorPoly("theta", "a", theta_quantum_A("a").coeffs[:1])
     tet_lead = OperatorPoly("tet", "1", tet_quantum_A("1").coeffs[:1])
+    # the edge-b operator without its normal-ordering rescale, which annihilates nothing
+    miscommuted_b = OperatorPoly("theta", "b", tuple(_swap_vars(b, [("a", "b")]) for b in _theta_quantum_raw()))
     values = [
         theta_invariant(2, 3, 3),
         theta_invariant(4, 4, 2),
@@ -272,7 +282,7 @@ def _computed_values() -> list:
         *tet_recursion_coeffs(col),
         apply_operator(theta_lead, "theta", (4, 4, 2)),
         apply_operator(tet_lead, "tet-primed", col),
-        apply_operator(theta_quantum_A("b", miscommuted=True), "theta", (4, 4, 4)),
+        apply_operator(miscommuted_b, "theta", (4, 4, 4)),
     ]
     return values + [LaurentRat.from_json_obj(json.loads(json.dumps(v.to_json_obj()))) for v in values]
 

@@ -124,7 +124,7 @@ def test_to_laurent_roundtrip():
     for _ in range(100):
         terms = {rng.randrange(-6, 7): Fraction(rng.randrange(-5, 6)) for _ in range(4)}
         lp = LaurentPoly(terms)
-        assert MultiPoly.from_laurent(lp).to_laurent() == lp
+        assert MultiPoly(("v",), {(e,): c for e, c in lp.terms.items()}).to_laurent() == lp
     with pytest.raises(ValueError):
         (MultiPoly.var("x") + MultiPoly.var("v")).to_laurent()
 
@@ -279,7 +279,7 @@ def test_coefficients_enter_as_integers():
     assert MultiPoly.const(3) != Fraction(3, 2) and x != Fraction(3, 2)
     # quotients stay in Z[x^+-1, ...], with or without a unit shift
     q = exact_div_multi(x * 3 + y * 3, x + y)
-    assert q == MultiPoly.const(3) and type(q.constant_value()) is int
+    assert q == MultiPoly.const(3) and type(q.terms[()]) is int
     q = exact_div_multi(x * x * 3 + x * y * 3, x + y)
     assert q == x * 3 and type(q.terms[(1,)]) is int
     for a, b in ((x, 2 * x), (x + y, x * 3 + y * 3)):
