@@ -780,9 +780,9 @@ _DISPATCH = {
 }
 
 
-# long flags whose values may begin with a minus sign; joined with "=" so the
+# flags whose values may begin with a minus sign; joined with "=" so the
 # parser does not mistake a negative list for an option name
-_NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "--step")
+_NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "--step", "-c", "--colors")
 
 
 def _join_negative_values(argv):

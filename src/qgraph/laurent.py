@@ -47,6 +47,10 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
   factor is one pass over a dense int list (_cyclo_int).
 - Products of Phi_d^m run in a balanced product tree, and each power by
   squaring, so the big multiplications pair operands of similar size.
+  Factors that are polynomials in w = v^2 are first folded there:
+  Phi_d(v) * Phi_2d(v) = Phi_d(v^2) for odd d, and Phi_d(v) = Phi_(d/2)(v^2)
+  when 4 | d.  Their product is taken over w, recursively, where it packs
+  half the slots it would in v, and joins the tree as one factor.
 - A multiplication whose shorter operand has at least _KRONECKER_MIN_TERMS
   terms goes through Kronecker substitution: both operands are packed into
   one Python int, with a slot per exponent wide enough for any product
@@ -453,7 +457,9 @@ def _bracket_cyclo_divisors(k: int) -> tuple[int, ...]:
 # dicts a LaurentPoly holds.  Products of many Phi_d are built in a balanced
 # product tree (_phi_product) and powers by squaring (_phi_power_int), so
 # most of the work lands in a few multiplications of operands of similar size,
-# which Kronecker substitution (_imul_kron) does in one big-int multiply.
+# which Kronecker substitution (_imul_kron) does in one big-int multiply.  The
+# tree first folds each Phi_d * Phi_2d (d odd) and each Phi_d with 4 | d into
+# one product in v^2, which packs half the slots of the same product in v.
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -577,18 +583,41 @@ def _phi_product(mult: Mapping[int, int]) -> dict[int, int]:
 def _phi_product_sorted(factors: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """_phi_product over sorted (d, m) pairs.
 
+    First the factors that are polynomials in w = v^2 are folded there:
+    Phi_d(v) * Phi_2d(v) = Phi_d(w) for odd d, min(m_d, m_2d) times, and
+    Phi_d(v) = Phi_(d/2)(w) when 4 | d.  Their product is one recursive call
+    over w, past the cache, so w^2, w^4, ... fold as well, and enters the
+    tree as one factor with its exponents doubled.  Otherwise a product of a
+    Phi_d and its Phi_2d would only cancel the odd exponents in the last
+    multiplications, whose operands then pack twice the slots they need.
+
     The factors are multiplied in a balanced product tree, always the two
     with fewest terms, so the large multiplications pair operands of similar
     size, where Kronecker substitution pays most.
     """
     if not factors:
         return {0: 1}
-    heap = []
+    left = dict(factors)
+    in_w = {}
     for d, m in factors:
-        f = _phi_power_int(d, m)
-        heap.append((len(f), d, dict(f)))
-    heapify(heap)
+        if d % 4 == 0:
+            in_w[d // 2] = left.pop(d)
+        elif d % 2 and 2 * d in left:
+            k = in_w[d] = min(m, left[2 * d])
+            left[d] -= k
+            left[2 * d] -= k
+    heap = []
+    for d, m in left.items():
+        if m:
+            f = _phi_power_int(d, m)
+            heap.append((len(f), d, dict(f)))
     tick = factors[-1][0] + 1  # tie-break after the factor's d, never comparing dicts
+    if in_w:
+        # uncached: sweeps would fill the cache with these and miss twice as often
+        w = _phi_product_sorted.__wrapped__(tuple(sorted(in_w.items())))
+        heap.append((len(w), tick, {2 * e: c for e, c in w.items()}))
+        tick += 1
+    heapify(heap)
     while len(heap) > 1:
         a = heappop(heap)[2]
         b = heappop(heap)[2]

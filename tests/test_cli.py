@@ -86,6 +86,24 @@ def test_malformed_colors_exit_2(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "theta -c -2,2,2",
+        "theta --colors -2,2,2",
+        "tet -c -2,2,2,2,2,2",
+        "tet --primed --colors -2,2,2,2,2,2",
+    ],
+)
+def test_negative_colors_exit_2(capsys, argv):
+    # a leading minus must reach the package's own check, not argparse's
+    code, out, err = run(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --colors must be nonnegative\n"
+    assert "Traceback" not in err
+
+
 def test_unknown_edge_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "annihilation", "--graph", "theta", "--edge", "z"])
     assert code == 2

@@ -35,6 +35,7 @@ from qgraph.laurent import (  # the integer kernel
     _phi_divides,
     _phi_factor,
     _phi_power_int,
+    _phi_product,
     _totient,
     _totient_cap,
 )
@@ -553,6 +554,99 @@ def test_cyclotomic_105_is_first_with_coefficient_minus_two():
     want.update({e: Fraction(-1) for e in minus})
     want.update({7: Fraction(-2), 41: Fraction(-2)})
     assert cyclotomic(105).terms == want
+
+
+def _cyclo_dict(d, step=1):
+    """Phi_d(v^step) as an int dict."""
+    return {step * e: c for e, c in enumerate(_cyclo_int(d)) if c}
+
+
+def test_cyclo_int_v_squared_identities():
+    # the two identities _phi_product folds into products over w = v^2
+    for d in range(1, 200, 2):
+        assert _imul_school(_cyclo_dict(d), _cyclo_dict(2 * d)) == _cyclo_dict(d, 2), d
+    for k in range(1, 101):
+        assert _cyclo_dict(4 * k) == _cyclo_dict(2 * k, 2), 4 * k
+
+
+def _phi_product_oracle(mult):
+    """prod Phi_d^m by the schoolbook loop, one Phi_d at a time, with no fold."""
+    out = {0: 1}
+    for d in sorted(mult):
+        for _ in range(mult[d]):
+            out = _imul_school(out, _cyclo_dict(d))
+    return out
+
+
+def test_phi_product_matches_unfolded_oracle():
+    rng = random.Random(15)
+    for trial in range(150):
+        mult = {}
+        for _ in range(rng.randrange(1, 7)):
+            d = rng.randrange(1, 60)
+            mult[d] = rng.randrange(0, 4)
+            if rng.random() < 0.5:  # odd d with its 2d, at unequal powers
+                mult[2 * d] = rng.randrange(0, 4)
+            if rng.random() < 0.3:  # a 4 | d factor, folded twice when 16 | d
+                mult[4 * d] = rng.randrange(1, 3)
+        if trial % 5 == 0:
+            mult[2] = rng.randrange(1, 4)
+        assert _phi_product(mult) == _phi_product_oracle(mult), mult
+
+
+def _check_phi_maps(monkeypatch, build):
+    """Build a value and its num and den, checking every _phi_product call against the oracle."""
+    import qgraph.laurent
+
+    seen = []
+    real = qgraph.laurent._phi_product
+
+    def recorded(mult):
+        out = real(mult)
+        seen.append((dict(mult), dict(out)))
+        return out
+
+    monkeypatch.setattr(qgraph.laurent, "_phi_product", recorded)
+    qgraph.laurent._phi_product_sorted.cache_clear()
+    qgraph.laurent._phi_power_int.cache_clear()
+    value = build()
+    sign, shift, phi, poly = value._form
+    num = _phi_product_oracle({d: m for d, m in phi.items() if m > 0})
+    if poly is not None:
+        num = _imul_school(num, poly)
+    assert value.num.terms == {e + shift: sign * c for e, c in num.items()}
+    assert value.den.terms == _phi_product_oracle({d: -m for d, m in phi.items() if m < 0})
+    for mult, out in seen:
+        assert out == _phi_product_oracle(mult), mult
+    return value, seen
+
+
+def test_large_color_values_match_unfolded_oracle(monkeypatch):
+    from qgraph import invariants
+
+    # __wrapped__ skips the invariant caches, so the value is built here
+    theta, seen = _check_phi_maps(monkeypatch, lambda: invariants.theta_invariant.__wrapped__(56, 60, 64))
+    assert len(theta.num.terms) > 1000 and len(seen) >= 2
+    # the tet value is one poly: its large Phi_d products are the terms of the sum
+    col = (24, 26, 22, 20, 28, 22)
+    tet, seen = _check_phi_maps(monkeypatch, lambda: invariants._tet_primed_cached.__wrapped__(col))
+    assert tet == invariants.tet_primed(col)
+    assert max(len(out) for _, out in seen) > 500
+
+
+def test_phi_product_result_is_not_shared():
+    import qgraph.laurent
+
+    qgraph.laurent._phi_product_sorted.cache_clear()
+    # 3, 9 fold into w with 6, 18, and 12, 36 fold into w; the last map is all w
+    maps = ({3: 2, 6: 1, 9: 1, 18: 2, 12: 1, 36: 3}, {3: 2, 5: 1, 6: 1, 9: 1, 18: 2, 12: 1, 36: 3}, {12: 1, 36: 3})
+    for mult in maps:
+        want = _phi_product_oracle(mult)
+        first = _phi_product(mult)
+        assert first == want
+        for e in list(first):
+            first[2 * e + 1] = first.pop(e)
+        assert _phi_product(mult) == want, mult
 
 
 # -- integer kernel: Kronecker multiply and dense exact division --------------------

@@ -4,7 +4,9 @@ Times the two multiplication paths of `_imul` (dict schoolbook and Kronecker
 substitution) at several operand sizes and at 4-, 20-, 30-, 64- and 90-bit
 coefficients, which put the Kronecker slots (their width in bytes is on each
 row) below, at and above the 8-byte word, the cyclotomic construction
-`_cyclo_int(1..400)`, the LaurentRat layer (the whole check of
+`_cyclo_int(1..400)`, the Phi_d product tree (`_phi_product` on the
+numerator and denominator maps of theta(56,60,64), its caches cleared
+before each call), the LaurentRat layer (the whole check of
 `qgraph verify theta-recursion --max 12`: each recursion product compared
 with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
@@ -102,6 +104,20 @@ def bench_cyclo(repeat: int) -> None:
 
     med, spread = _time_call(build, repeat)
     _line("_cyclo_int(1..400), cold cache", med, spread)
+
+
+def bench_phi_product(repeat: int) -> None:
+    phi = invariants.theta_invariant(56, 60, 64)._form[2]
+    maps = [{d: m for d, m in phi.items() if m > 0}, {d: -m for d, m in phi.items() if m < 0}]
+
+    def build():
+        laurent._phi_product_sorted.cache_clear()
+        laurent._phi_power_int.cache_clear()
+        for mult in maps:
+            laurent._phi_product(mult)
+
+    med, spread = _time_call(build, repeat)
+    _line("_phi_product, theta(56,60,64) num and den, cold", med, spread)
 
 
 def _clear_caches() -> None:
@@ -258,6 +274,7 @@ def main() -> None:
         ap.error("--repeat must be at least 2")
     bench_imul(args.repeat)
     bench_cyclo(args.repeat)
+    bench_phi_product(args.repeat)
     bench_rat(args.repeat)
     bench_tet_sums(args.repeat)
     bench_log_abs_tet(args.repeat)
