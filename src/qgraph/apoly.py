@@ -41,7 +41,7 @@ from .invariants import (
     tet_primed,
     theta_invariant,
 )
-from .laurent import BracketRatio, LaurentPoly, LaurentRat, rat_dot, rat_dot_vanishes
+from .laurent import LaurentPoly, LaurentRat, rat_dot, rat_dot_vanishes
 from .multipoly import MultiPoly, exact_div_multi, resultant_in
 
 THETA_EDGES = ("a", "b", "c")
@@ -277,15 +277,6 @@ def tet_classical_A(edge: str) -> ClassicalAPoly:
 # -- three-term recursion contract --------------------------------------------------------
 
 
-def _bracket_product(ks) -> LaurentRat:
-    if any(k == 0 for k in ks):
-        return LaurentRat.zero()
-    ratio = BracketRatio()
-    for k in ks:
-        ratio = ratio.times_bracket(k)
-    return ratio.to_laurent_rat()
-
-
 def _check_recursion_domain(col) -> None:
     """Raise ValueError unless col and both of its j1 shifts by 2 are admissible."""
     if not tet_is_admissible(col):
@@ -299,56 +290,62 @@ def _check_recursion_domain(col) -> None:
 def _tet_recursion_products(col) -> tuple:
     """(alpha, (beta_1, beta_2, beta_3), gamma), with beta = beta_1 + beta_2 - beta_3.
 
-    Every entry is a signed bracket product; see tet_recursion_coeffs.  The
-    formulas take any coloring; the callers check the recursion's domain.
+    Every entry is a product of brackets (LaurentRat.brackets); see
+    tet_recursion_coeffs.  The formulas take any coloring; the callers check
+    the recursion's domain.
     """
     j1, j2, j12, j3, j4, j23 = col
-    alpha = _bracket_product(
+    alpha = LaurentRat.brackets(
+        1,
         [
             j1,
             (j1 + j4 - j23) // 2 + 1,
             (j1 + j23 - j4) // 2 + 1,
             (j1 + j2 - j12) // 2 + 1,
             (j1 + j12 - j2) // 2 + 1,
-        ]
+        ],
     )
     betas = (
-        _bracket_product(
+        LaurentRat.brackets(
+            1,
             [
                 j1 + 2,
                 (j1 + j23 - j4) // 2,
                 (j1 + j4 + j23) // 2 + 1,
                 (j1 + j2 - j12) // 2,
                 (j1 + j2 + j12) // 2 + 1,
-            ]
+            ],
         ),
-        _bracket_product(
+        LaurentRat.brackets(
+            1,
             [
                 j1,
                 (j1 + j4 - j23) // 2 + 1,
                 (j23 + j4 - j1) // 2,
                 (j2 + j12 - j1) // 2,
                 (j1 + j12 - j2) // 2 + 1,
-            ]
+            ],
         ),
-        _bracket_product(
+        LaurentRat.brackets(
+            1,
             [
                 j1,
                 j1 + 1,
                 j1 + 2,
                 (j3 + j2 + j23) // 2 + 1,
                 (j2 + j23 - j3) // 2,
-            ]
+            ],
         ),
     )
-    gamma = _bracket_product(
+    gamma = LaurentRat.brackets(
+        1,
         [
             j1 + 2,
             (j1 + j4 + j23) // 2 + 1,
             (j23 + j4 - j1) // 2 + 1,
             (j2 + j12 + j1) // 2 + 1,
             (j2 + j12 - j1) // 2 + 1,
-        ]
+        ],
     )
     return alpha, betas, gamma
 

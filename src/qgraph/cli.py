@@ -780,8 +780,9 @@ _DISPATCH = {
 }
 
 
-# flags whose values may begin with a minus sign; joined with "=" so the
-# parser does not mistake a negative list for an option name
+# flags that always take a value, which may begin with a minus sign (-2,
+# -inf, -nan); joined with "=" so the parser does not mistake the value for
+# an option name
 _NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "--step", "-c", "--colors")
 
 
@@ -791,13 +792,7 @@ def _join_negative_values(argv):
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _NEGATIVE_VALUE_FLAGS
-            and nxt is not None
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
+        if tok in _NEGATIVE_VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
             out.append(tok + "=" + nxt)
             i += 2
             continue

@@ -15,6 +15,10 @@ _tet_summands as a negative control.
 
 Values live in the fraction field (LaurentRat): theta values are not
 always Laurent polynomials, e.g. the all-2 theta value -[4][3]/[2]^2.
+Each theta value, recursion factor and summand is a signed ratio of
+q-factorials or brackets, built as a pure product by LaurentRat.factorials
+or LaurentRat.brackets without expanding anything; the alternating sums go
+through bracket_ratio_sum once, over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .laurent import BracketRatio, LaurentRat, bracket_ratio_sum
+from .laurent import LaurentRat, _form_mul, bracket_ratio_sum
 
 CONVENTION_TRIANGLE = "triangle-sum"
 
@@ -78,8 +82,7 @@ def theta_invariant(a: int, b: int, c: int) -> LaurentRat:
     if not is_admissible(a, b, c):
         return LaurentRat.zero()
     s = (a + b + c) // 2
-    br = BracketRatio.factorials(1 if s % 2 == 0 else -1, (s + 1, s - a, s - b, s - c), (a, b, c))
-    return br.to_laurent_rat()
+    return LaurentRat.factorials(1 if s % 2 == 0 else -1, (s + 1, s - a, s - b, s - c), (a, b, c))
 
 
 def theta_recursion_factor(a: int, b: int, c: int) -> LaurentRat:
@@ -90,14 +93,9 @@ def theta_recursion_factor(a: int, b: int, c: int) -> LaurentRat:
         raise ValueError(f"shifted coloring {(a + 2, b, c)} inadmissible")
     s = (a + b + c) // 2
     # the shift raises s by 1; all factorial ratios collapse to single brackets
-    br = BracketRatio(-1)
-    br = br.times_bracket(s + 2)
-    br = br.times_bracket((a - b + c) // 2 + 1)
-    br = br.times_bracket((a + b - c) // 2 + 1)
-    br = br.times_bracket((-a + b + c) // 2, -1)
-    br = br.times_bracket(a + 1, -1)
-    br = br.times_bracket(a + 2, -1)
-    return br.to_laurent_rat()
+    return LaurentRat.brackets(
+        -1, (s + 2, (a - b + c) // 2 + 1, (a + b - c) // 2 + 1), ((-a + b + c) // 2, a + 1, a + 2)
+    )
 
 
 def enumerate_theta_colorings(max_entry: int) -> list[ThetaColoring]:
@@ -137,17 +135,22 @@ def tet_sum_bounds(col) -> SumBounds:
     return SumBounds(max(max(_triangle_halves(col)), 0), min(_quad_halves(col)))
 
 
+def _times(a: LaurentRat, b: LaurentRat) -> LaurentRat:
+    """Product of two pure products: their exponent maps add, with no sum over an lcm."""
+    return LaurentRat._product(*_form_mul(a._form, b._form))
+
+
 def _tet_summands(
-    lowers: list[int], uppers: list[int], m_min: int, m_max: int, extra: BracketRatio | None = None
-) -> list[BracketRatio]:
-    """Summands (-1)^m [m+1]! / (prod [m-T]! prod [Q-m]!), times an optional factor."""
+    lowers: list[int], uppers: list[int], m_min: int, m_max: int, extra: LaurentRat | None = None
+) -> list[LaurentRat]:
+    """Summands (-1)^m [m+1]! / (prod [m-T]! prod [Q-m]!), times an optional pure product."""
     out = []
     for m in range(m_min, m_max + 1):
         downs = [m - t for t in lowers] + [q - m for q in uppers]
-        br = BracketRatio.factorials(1 if m % 2 == 0 else -1, (m + 1,), downs)
+        term = LaurentRat.factorials(1 if m % 2 == 0 else -1, (m + 1,), downs)
         if extra is not None:
-            br = br * extra
-        out.append(br)
+            term = _times(term, extra)
+        out.append(term)
     return out
 
 
@@ -159,7 +162,7 @@ def _tet_sum(col: tuple, with_prefactor: bool) -> LaurentRat:
         return LaurentRat.zero()
     lowers = _triangle_halves(col)
     # folding the prefactor into every summand keeps the sum gcd-free
-    pre = _tet_prefactor_ratio(col) if with_prefactor else None
+    pre = tet_prefactor(col) if with_prefactor else None
     return bracket_ratio_sum(_tet_summands(lowers, _quad_halves(col), bounds.m_min, bounds.m_max, pre))
 
 
@@ -173,17 +176,13 @@ def tet_primed(col) -> LaurentRat:
     return _tet_primed_cached(tuple(int(j) for j in col))
 
 
-def _tet_prefactor_ratio(col) -> BracketRatio:
+def tet_prefactor(col) -> LaurentRat:
+    """Product of the four vertex factors over the six edge factorials."""
     j1, j2, j12, j3, j4, j23 = col
     deltas = []
     for a, b, c in ((j1, j2, j12), (j3, j4, j12), (j1, j4, j23), (j2, j3, j23)):
         deltas += [(-a + b + c) // 2, (a - b + c) // 2, (a + b - c) // 2]
-    return BracketRatio.factorials(1, deltas, col)
-
-
-def tet_prefactor(col) -> LaurentRat:
-    """Product of the four vertex factors over the six edge factorials."""
-    return _tet_prefactor_ratio(col).to_laurent_rat()
+    return LaurentRat.factorials(1, deltas, col)
 
 
 @lru_cache(maxsize=None)
@@ -246,16 +245,16 @@ def _hypergeom_raw(col) -> Optional[LaurentRat]:
     if f2 < 0 or f3 < 0:
         return None
     # prefactor (-1)^{q1} [q1+1]! / ([e1]![e2]![e3]![e4]![f2]![f3]!)
-    pre = BracketRatio.factorials(1 if q1 % 2 == 0 else -1, (q1 + 1,), (e1, e2, e3, e4, f2, f3))
+    pre = LaurentRat.factorials(1 if q1 % 2 == 0 else -1, (q1 + 1,), (e1, e2, e3, e4, f2, f3))
     # series sum_n (-1)^n prod_i [e_i]!/[e_i-n]! / ([n]! [q1+1]!/[q1+1-n]! [f2+n]!/[f2]! [f3+n]!/[f3]!)
     terms = []
     for n in range(min(e1, e2, e3, e4) + 1):
-        term = BracketRatio.factorials(
+        term = LaurentRat.factorials(
             1 if n % 2 == 0 else -1,
             (e1, e2, e3, e4, q1 + 1 - n, f2, f3),
             (e1 - n, e2 - n, e3 - n, e4 - n, n, q1 + 1, f2 + n, f3 + n),
         )
-        terms.append(pre * term)
+        terms.append(_times(pre, term))
     return bracket_ratio_sum(terms)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Mapping, Optional
 
-from .laurent import LaurentPoly, PoleError, _coeff, _exact_point
+from .laurent import PoleError, _coeff, _exact_point
 
 
 def _drop_unused(vars: tuple[str, ...], data: dict) -> tuple[tuple[str, ...], dict]:
@@ -424,16 +424,6 @@ class MultiPoly:
                     t *= vv ** e
             total += t
         return total
-
-    def to_laurent(self, name: str = "v") -> LaurentPoly:
-        """Convert a univariate-in-`name` (or constant) polynomial to LaurentPoly."""
-        if not self.terms:
-            return LaurentPoly()
-        if self.vars == ():
-            return LaurentPoly({0: self.terms[()]})
-        if self.vars != (name,):
-            raise ValueError(f"polynomial in {self.vars} is not univariate in {name!r}")
-        return LaurentPoly({e[0]: c for e, c in self.terms.items()})
 
     # -- rendering -------------------------------------------------------------------
 

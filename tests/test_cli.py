@@ -104,6 +104,13 @@ def test_negative_colors_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_negative_exponent_value_still_parses(capsys):
+    # the value of a flag that always takes one is joined to it, whatever follows its minus sign
+    code, out, err = run(capsys, ["theta", "-c", "1,1,0", "--eval", "-1e3"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("evaluation: ")
+
+
 def test_unknown_edge_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "annihilation", "--graph", "theta", "--edge", "z"])
     assert code == 2
@@ -353,6 +360,10 @@ def test_saddle_degenerate_point_exit_2(capsys, x):
         "asymptotics tet --x 0.3,0.3,0.3,0.3,0.3,0.3 --hbar -0.1,-1e-17",
         "theta -c 1,1,0 --eval nan",
         "theta -c 1,1,0 --eval 1+infj",
+        # a minus sign before a letter: still the flag's value, not an option name
+        "asymptotics theta --x -inf,0.5,0.5 --hbar -0.1",
+        "asymptotics theta --x 0.5,0.5,0.5 --hbar -inf",
+        "theta -c 1,1,0 --eval -nan",
     ],
 )
 def test_non_finite_numbers_exit_2(capsys, argv):

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgraph.laurent import (
-    BracketRatio,
     LaurentPoly,
     LaurentRat,
     PoleError,
@@ -64,7 +63,7 @@ def rand_den(rng, max_factors=3, unit=False):
     c = 0
     while not c:
         c = rng.choice((1, -1)) if unit else rng.randrange(-9, 10)
-    den = LaurentPoly.v_power(rng.randrange(-4, 5), c)
+    den = LaurentPoly({rng.randrange(-4, 5): c})
     for _ in range(rng.randrange(0, max_factors + 1)):
         den = den * cyclotomic(rng.randrange(2, 13)) ** rng.randrange(1, 3)
     return den
@@ -191,7 +190,6 @@ def test_coefficients_enter_as_integers():
     polys = (
         lambda c: LaurentPoly({1: c}),
         lambda c: LaurentPoly([(1, c), (2, 1)]),
-        lambda c: LaurentPoly.v_power(1, c),
         lambda c: LaurentPoly.from_int_coeffs([0, c]),
         lambda c: LaurentPoly.from_json_obj({"terms": [[1, str(c)]]}),
         lambda c: p + c,
@@ -515,7 +513,7 @@ def test_monomials_are_units():
     p = q_int(3).shifted(5)
     r = LaurentRat(p, q_int(3))
     assert r.is_laurent_poly() or r.den.is_monomial() is False
-    assert r == LaurentRat.from_poly(LaurentPoly.v_power(5))
+    assert r == LaurentRat.from_poly(LaurentPoly({5: 1}))
 
 
 # -- cyclotomic factored ratios --------------------------------------------------
@@ -806,41 +804,64 @@ def test_cancel_phi_matches_plain_trial_division():
         assert _cancel_phi(dict(num), dict(den)) == _cancel_phi_plain(dict(num), dict(den)), trial
 
 
+def _expanded_ratio(sign, ups, downs, factor):
+    """sign * prod factor(k) over ups / prod factor(k) over downs, from the expanded polys."""
+    num, den = LaurentPoly({0: sign}), LaurentPoly.one()
+    for k in ups:
+        num = num * factor(k)
+    for k in downs:
+        den = den * factor(k)
+    return LaurentRat(num, den)
+
+
 def test_bracket_ratio_matches_direct():
     rng = random.Random(60221023)
     for _ in range(200):
-        br = BracketRatio()
-        num = LaurentPoly.one()
-        den = LaurentPoly.one()
-        for _ in range(rng.randrange(0, 5)):
-            k = rng.randrange(1, 13)
-            br = br.times_bracket(k)
-            num = num * q_int(k)
-        for _ in range(rng.randrange(0, 5)):
-            k = rng.randrange(1, 13)
-            br = br.times_bracket(k, -1)
-            den = den * q_int(k)
-        if rng.random() < 0.5:
-            br = -br
-            num = -num
-        assert br.to_laurent_rat() == LaurentRat(num, den)
+        ups = [rng.randrange(1, 13) for _ in range(rng.randrange(0, 5))]
+        downs = [rng.randrange(1, 13) for _ in range(rng.randrange(0, 5))]
+        sign = rng.choice((1, -1))
+        assert LaurentRat.brackets(sign, ups, downs) == _expanded_ratio(sign, ups, downs, q_int)
 
 
 def test_bracket_ratio_factorials():
     for n in range(0, 15):
-        br = BracketRatio.factorial(n)
-        assert br.to_laurent_rat() == LaurentRat.from_poly(q_factorial(n))
+        assert LaurentRat.factorials(1, (n,)) == LaurentRat.from_poly(q_factorial(n))
+        assert LaurentRat.factorials(-1, (), (n,)) == LaurentRat(-1, q_factorial(n))
+    # sign * prod [n]! / prod [n]! against the expanded factorials
+    rng = random.Random(1123)
+    for _ in range(50):
+        ups = [rng.randrange(0, 9) for _ in range(rng.randrange(0, 4))]
+        downs = [rng.randrange(0, 9) for _ in range(rng.randrange(0, 4))]
+        sign = rng.choice((1, -1))
+        assert LaurentRat.factorials(sign, ups, downs) == _expanded_ratio(sign, ups, downs, q_factorial)
 
 
 def test_bracket_ratio_negative_index():
-    # [-3] = -[3]
-    br = BracketRatio().times_bracket(-3)
-    assert br.to_laurent_rat() == LaurentRat.from_poly(-q_int(3))
+    # [-3] = -[3], in the numerator and in the denominator
+    assert LaurentRat.brackets(1, (-3,)) == LaurentRat.from_poly(-q_int(3))
+    assert LaurentRat.brackets(1, (2,), (-3,)) == LaurentRat(-q_int(2), q_int(3))
+    assert LaurentRat.brackets(-1, (-3, -4)) == LaurentRat.from_poly(-q_int(3) * q_int(4))
 
 
 def test_bracket_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        BracketRatio().times_bracket(0)
+        LaurentRat.brackets(1, (), (0,))
+    with pytest.raises(ZeroDivisionError):
+        LaurentRat.brackets(1, (0, 2), (3, 0))
+
+
+def test_bracket_zero_in_numerator_is_zero():
+    for ups in ((0,), (3, 0), (0, -2, 5)):
+        value = LaurentRat.brackets(-1, ups, (4,))
+        assert value.is_zero() and value == 0
+
+
+def test_pure_product_sign_must_be_a_unit():
+    for sign in (0, 2, -3):
+        with pytest.raises(ValueError):
+            LaurentRat.brackets(sign, (2,))
+        with pytest.raises(ValueError):
+            LaurentRat.factorials(sign, (2,))
 
 
 def test_factorial_exponents_closed_form():
@@ -859,12 +880,16 @@ def test_factorial_exponents_closed_form():
 
 
 def _rand_bracket_ratio(rng):
-    br = BracketRatio(rng.choice((1, -1)))
+    sign = rng.choice((1, -1))
+    ups, downs = [], []
     for _ in range(rng.randrange(0, 4)):
-        br = br.times_bracket(rng.choice((1, -1)) * rng.randrange(1, 13), rng.choice((1, -1, 2)))
+        k = rng.choice((1, -1)) * rng.randrange(1, 13)
+        power = rng.choice((1, -1, 2))
+        (ups if power > 0 else downs).extend([k] * abs(power))
+    value = LaurentRat.brackets(sign, ups, downs)
     if rng.random() < 0.5:
-        br = br * BracketRatio.factorials(1, [rng.randrange(0, 9)], [rng.randrange(0, 9)])
-    return br
+        value = value * LaurentRat.factorials(1, [rng.randrange(0, 9)], [rng.randrange(0, 9)])
+    return value
 
 
 def _check_factored_ops(x, y, divide=True):
@@ -886,8 +911,8 @@ def _check_factored_ops(x, y, divide=True):
 def test_factored_ops_match_gcd_route():
     rng = random.Random(4669)
     for _ in range(300):
-        x = _rand_bracket_ratio(rng).to_laurent_rat()
-        y = _rand_bracket_ratio(rng).to_laurent_rat()
+        x = _rand_bracket_ratio(rng)
+        y = _rand_bracket_ratio(rng)
         _check_factored_ops(x, y)
         _check_factored_ops(x * y, x + y, divide=False)
         _check_factored_ops(x / y, x - y, divide=False)
@@ -906,8 +931,8 @@ def test_rat_dot_factored_matches_gcd_route():
     for _ in range(100):
         pairs = []
         for _ in range(rng.randrange(0, 5)):
-            a = _rand_bracket_ratio(rng).to_laurent_rat()
-            b = rng.choice(computed) if rng.random() < 0.5 else _rand_bracket_ratio(rng).to_laurent_rat()
+            a = _rand_bracket_ratio(rng)
+            b = rng.choice(computed) if rng.random() < 0.5 else _rand_bracket_ratio(rng)
             pairs.append((a, b))
         num, den = LaurentPoly(), LaurentPoly.one()
         for a, b in pairs:
@@ -917,10 +942,9 @@ def test_rat_dot_factored_matches_gcd_route():
 
 
 def test_factored_equality_cases():
-    q = lambda k: BracketRatio().times_bracket(k)  # noqa: E731
     # [4]!/[2]! = [3][4], reached through different exponent maps
-    x = (BracketRatio.factorial(4) / BracketRatio.factorial(2)).to_laurent_rat()
-    y = (q(3) * q(4)).to_laurent_rat()
+    x = LaurentRat.factorials(1, (4,)) / LaurentRat.factorials(1, (2,))
+    y = LaurentRat.brackets(1, (3,)) * LaurentRat.brackets(1, (4,))
     assert x == y and y == x
     assert x == LaurentRat.from_poly(q_int(3) * q_int(4))
     check_value(x, q_int(3) * q_int(4), LaurentPoly.one())
@@ -946,10 +970,8 @@ def test_mutated_recursion_factor_fails_everywhere():
     def factor(a, b, c, bump):
         # theta_recursion_factor with its [(a + b - c)/2 + 1] raised by bump
         s = (a + b + c) // 2
-        br = BracketRatio(-1).times_bracket(s + 2).times_bracket((a - b + c) // 2 + 1)
-        br = br.times_bracket((a + b - c) // 2 + 1 + bump)
-        br = br.times_bracket((-a + b + c) // 2, -1).times_bracket(a + 1, -1).times_bracket(a + 2, -1)
-        return br.to_laurent_rat()
+        ups = (s + 2, (a - b + c) // 2 + 1, (a + b - c) // 2 + 1 + bump)
+        return LaurentRat.brackets(-1, ups, ((-a + b + c) // 2, a + 1, a + 2))
 
     grid = interior_colorings("theta", "a", 6, 1)
     assert grid

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgraph.laurent import LaurentPoly, PoleError
+from qgraph.laurent import PoleError
 from qgraph.multipoly import MultiPoly, compare_up_to_unit, exact_div_multi, monomial_quotient, resultant_in
 
 VARS = ("u", "w", "x", "y", "z")
@@ -117,16 +117,6 @@ def test_substitute_monomial_consistent_with_eval():
         t0 = Fraction(rng.randrange(1, 6), rng.randrange(1, 6))
         pt = {n: b.eval_fraction({"t": t0}) for n, b in sub.items()}
         assert q.eval_fraction({"t": t0}) == p.eval_fraction(pt)
-
-
-def test_to_laurent_roundtrip():
-    rng = random.Random(5)
-    for _ in range(100):
-        terms = {rng.randrange(-6, 7): Fraction(rng.randrange(-5, 6)) for _ in range(4)}
-        lp = LaurentPoly(terms)
-        assert MultiPoly(("v",), {(e,): c for e, c in lp.terms.items()}).to_laurent() == lp
-    with pytest.raises(ValueError):
-        (MultiPoly.var("x") + MultiPoly.var("v")).to_laurent()
 
 
 def test_exact_div_roundtrip():
