@@ -782,17 +782,34 @@ _DISPATCH = {
 
 # flags that always take a value, which may begin with a minus sign (-2,
 # -inf, -nan); joined with "=" so the parser does not mistake the value for
-# an option name
+# an option name.  A following token that is one of the parser's own option
+# names is left alone, so the parser reports the flag's missing value.
 _NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "--step", "-c", "--colors")
 
 
-def _join_negative_values(argv):
+def _option_names(parser) -> set[str]:
+    """Every option string of the parser and of its subcommands."""
+    names = set()
+    for action in parser._actions:
+        names.update(action.option_strings)
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                names |= _option_names(sub)
+    return names
+
+
+def _join_negative_values(argv, options):
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _NEGATIVE_VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
+        if (
+            tok in _NEGATIVE_VALUE_FLAGS
+            and nxt is not None
+            and nxt.startswith("-")
+            and nxt.partition("=")[0] not in options
+        ):
             out.append(tok + "=" + nxt)
             i += 2
             continue
@@ -805,7 +822,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_values(list(argv)))
+    args = parser.parse_args(_join_negative_values(list(argv), _option_names(parser)))
     if getattr(args, "samples", None) is not None and args.samples < 1:
         print("usage error: --samples must be at least 1", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .laurent import LaurentRat, _form_mul, bracket_ratio_sum
+from .laurent import LaurentRat, bracket_ratio_sum, mul_products
 
 CONVENTION_TRIANGLE = "triangle-sum"
 
@@ -135,11 +135,6 @@ def tet_sum_bounds(col) -> SumBounds:
     return SumBounds(max(max(_triangle_halves(col)), 0), min(_quad_halves(col)))
 
 
-def _times(a: LaurentRat, b: LaurentRat) -> LaurentRat:
-    """Product of two pure products: their exponent maps add, with no sum over an lcm."""
-    return LaurentRat._product(*_form_mul(a._form, b._form))
-
-
 def _tet_summands(
     lowers: list[int], uppers: list[int], m_min: int, m_max: int, extra: LaurentRat | None = None
 ) -> list[LaurentRat]:
@@ -149,7 +144,7 @@ def _tet_summands(
         downs = [m - t for t in lowers] + [q - m for q in uppers]
         term = LaurentRat.factorials(1 if m % 2 == 0 else -1, (m + 1,), downs)
         if extra is not None:
-            term = _times(term, extra)
+            term = mul_products(term, extra)
         out.append(term)
     return out
 
@@ -254,7 +249,7 @@ def _hypergeom_raw(col) -> Optional[LaurentRat]:
             (e1, e2, e3, e4, q1 + 1 - n, f2, f3),
             (e1 - n, e2 - n, e3 - n, e4 - n, n, q1 + 1, f2 + n, f3 + n),
         )
-        terms.append(_times(pre, term))
+        terms.append(mul_products(pre, term))
     return bracket_ratio_sum(terms)
 
 

@@ -711,6 +711,11 @@ def _form_mul(a: tuple, b: tuple) -> tuple:
     return sa * sb, ha + hb, _add_exponents(ea, eb), poly
 
 
+def mul_products(a: "LaurentRat", b: "LaurentRat") -> "LaurentRat":
+    """Product of two pure products: their exponent maps add, with no sum over an lcm."""
+    return LaurentRat._product(*_form_mul(a._form, b._form))
+
+
 def _cancel_phi(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
     """num / prod Phi_d^den[d] with every Phi_d the two share divided out of both.
 

@@ -111,6 +111,16 @@ def test_negative_exponent_value_still_parses(capsys):
     assert out.splitlines()[-1].startswith("evaluation: ")
 
 
+@pytest.mark.parametrize("argv", ["theta --eval -c 1,1,0", "theta -c 1,1,0 --eval --format=json"])
+def test_flag_followed_by_option_exit_2(capsys, argv):
+    # an option name after a value flag is not taken as its value: the parser names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --eval: expected one argument" in captured.err
+
+
 def test_unknown_edge_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "annihilation", "--graph", "theta", "--edge", "z"])
     assert code == 2

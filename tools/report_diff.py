@@ -8,7 +8,7 @@ empty working directory and without QGRAPH_CONFIG, and prints every argv
 whose stdout or exit code differs.  Exits 1 if any does, 0 otherwise.  The
 sweep does not depend on the seed, so repeated argvs run once per tree.
 
-    python3 tools/report_diff.py PARENT_TREE [--jobs 2]
+    python3 tools/report_diff.py PARENT_TREE
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 7)
+JOBS = 2  # CLI processes run at once
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -51,14 +52,13 @@ def run(tree: Path, argv: tuple, cwd: str) -> tuple[int, bytes]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the other source tree, with the package under src/")
-    parser.add_argument("--jobs", type=int, default=2, help="processes run at once (default 2)")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
     if not (parent / "src" / "qgraph").is_dir():
         parser.error(f"{parent} has no src/qgraph")
     listed = argvs()
     distinct = list(dict.fromkeys(listed))
-    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(JOBS) as pool:
         ours = pool.map(lambda a: run(ROOT, a, cwd), distinct)
         theirs = pool.map(lambda a: run(parent, a, cwd), distinct)
         differ = {a for a, x, y in zip(distinct, ours, theirs) if x != y}
