@@ -31,6 +31,11 @@ def _dense(p: dict, lo: int, span: int) -> list:
     return dense
 
 
+def _sparse(dense, lo: int) -> dict:
+    """{lo + k: dense[k]} over the nonzero entries of dense, the inverse of _dense."""
+    return dict(compress(zip(count(lo), dense), dense))
+
+
 def _reslot(raw, src: int, dst: int, n: int):
     """n two's complement slots of src bytes each, cut to dst bytes each.
 
@@ -118,4 +123,4 @@ def multiply(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         size = width * span
         slots = map(raw.__getitem__, map(slice, range(0, size, width), range(width, size + width, width)))
         coeffs = list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(1 << 8 * width - 1)))
-    return dict(compress(zip(count(alo + blo), coeffs), coeffs))
+    return _sparse(coeffs, alo + blo)

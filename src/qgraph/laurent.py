@@ -44,7 +44,8 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
 
 - Phi_d comes from the Moebius identity Phi_d(v) = Phi_r(v^(d/r)), r the
   radical of d, with Phi_r = prod over e | r of (1 - v^e)^mu(r/e); each
-  factor is one pass over a dense int list (_cyclo_int).
+  factor is one pass over a dense int list (_mobius_steps lists the factors,
+  and _cyclo_int runs them on a power series cut after deg Phi_d).
 - Products of Phi_d^m run in a balanced product tree, and each power by
   squaring, so the big multiplications pair operands of similar size.
   Factors that are polynomials in w = v^2 are first folded there:
@@ -59,11 +60,17 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
   with no Python loop over the coefficients).  Shorter operands stay on the
   schoolbook loop, which the layer timings in tools/kernel_bench.py show to
   be faster for short operands.
-- Exact division is one low-to-high pass over a dense list; it divides by
-  the divisor's lowest coefficient, with divmod, only when that is not 1,
-  and a remainder means the divisor does not divide over Z.  A trial
-  division by Phi_d that may fail (_cancel_phi, _phi_factor) first reduces
-  the dividend mod v^d - 1, of degree below d (_phi_divides).
+- Division by Phi_d (_cancel_phi, _phi_factor, both through _strip_phi)
+  runs the same passes swapped on one dense list: times each 1 - v^e with
+  mu = -1, one map(sub) pass, then over each 1 - v^e with mu = +1, a running
+  sum along each class of exponents mod e whose top e sums must be 0.  That
+  is 2^w passes for w primes of d, no Python loop over the coefficients and
+  no bound on the quotient's.  A long dividend is first reduced mod
+  v^d - 1, which Phi_d divides, so a trial that fails costs a division of
+  d entries.  Any other exact division (a LaurentRat divisor's cofactor) is
+  one low-to-high pass over a dense list (_idiv_exact); it divides by the
+  divisor's lowest coefficient, with divmod, only when that is not 1, and a
+  remainder means the divisor does not divide over Z.
 
 Zero tests by evaluation.  rat_dot_vanishes(pairs) decides whether
 sum a_i * b_i is zero without expanding it.  Each product keeps its two polys
@@ -87,10 +94,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd as int_gcd, log
+from operator import add, sub
 from typing import Collection, Iterable, Mapping
 
-from .kronecker import multiply as _imul_kron
+from .kronecker import _dense, _sparse, multiply as _imul_kron
 
 
 class PoleError(ZeroDivisionError):
@@ -473,40 +482,84 @@ def _prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _mobius_steps(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(ups, downs) with Phi_d(v) = prod (1 - v^e) over ups / prod (1 - v^e) over downs, d >= 2.
+
+    Phi_d(v) = prod over the divisors k of d of (1 - v^(d/k))^mu(k), and
+    mu(k) = 0 unless k is squarefree: ups are the d/k with mu(k) = 1, downs
+    those with mu(k) = -1, 2^(w-1) each for w primes of d.  This is
+    Phi_r(v^(d/r)) for r = rad(d), with Phi_r = prod over e | r of
+    (1 - v^e)^mu(r/e).
+    """
+    ups, downs = [d], []  # k = 1; then each prime p gives k * p, with mu(k * p) = -mu(k)
+    for p in _prime_factors(d):
+        ups, downs = ups + [e // p for e in downs], downs + [e // p for e in ups]
+    return tuple(ups), tuple(downs)
+
+
+def _running_sums(c: list, e: int) -> None:
+    """c[k] += c[k - e] from low k to high, in place: c times 1 + v^e + v^2e + ...
+
+    One accumulate per class of exponents mod e, or, when the list holds
+    fewer than e blocks of e entries, one map(add) per block.
+    """
+    n = len(c)
+    if e * e <= n:
+        for r in range(e):
+            c[r::e] = accumulate(c[r::e])
+    else:
+        for i in range(e, n, e):
+            c[i : i + e] = map(add, c[i : i + e], c[i - e : i])
+
+
+def _mobius_quotient(c: list, times: Iterable[int], over: Iterable[int]) -> list | None:
+    """c * prod (1 - v^e) over times / prod (1 - v^e) over over, or None if not exact.
+
+    c is a dense coefficient list, entry k the coefficient of v^k, and times
+    must not be empty.  Each factor of times is one map(sub) pass over the
+    list.  Dividing by 1 - v^e is a running sum, q[k] = c[k] + q[k - e],
+    whose top e entries are the remainder, which must be 0.  If the result
+    is exact, every intermediate division is, since the factors of over
+    divide the product left after the others, so any order gives the same
+    answer.  The list must be longer than the result's degree.
+    """
+    for e in times:
+        pad = [0] * e
+        c = list(map(sub, c + pad, pad + c))  # a new list, which the passes below may change
+    for e in over:
+        _running_sums(c, e)
+        if any(c[-e:]):
+            return None
+        del c[-e:]
+    return c
+
+
+@lru_cache(maxsize=None)
 def _cyclo_int(d: int) -> tuple[int, ...]:
     """Dense coefficients of Phi_d(v): entry k is the coefficient of v^k.
 
-    With r = rad(d), Phi_d(v) = Phi_r(v^(d/r)), and for r > 1
-    Phi_r(v) = prod over e | r of (1 - v^e)^mu(r/e).  Each factor is one pass
-    over a power series cut off at deg Phi_r = prod (p - 1), so the
-    construction needs neither long division nor smaller Phi_e.
+    For d >= 2, the factors of _mobius_steps(d) are those of Phi_r, r the
+    radical of d, at v^step with step = d/r, their least exponent.  Phi_r is
+    the power series of prod (1 - v^e) over its ups / prod (1 - v^e) over
+    its downs, cut after deg Phi_r: one map(sub) pass per up and one running
+    sum per down, then spread to every step-th entry.  Dividing by Phi_d
+    (_strip_phi) runs the same factors swapped, so the two cannot drift
+    apart.  No long division and no smaller Phi_e.
     """
     if d < 1:
         raise ValueError("d must be positive")
     if d == 1:
         return (-1, 1)
-    primes = _prime_factors(d)
-    rad = 1
-    deg = 1
-    for p in primes:
-        rad *= p
-        deg *= p - 1
+    ups, downs = _mobius_steps(d)
+    step = min(min(ups), min(downs))
+    deg = (sum(ups) - sum(downs)) // step
     series = [1] + [0] * deg
-    for mask in range(1 << len(primes)):
-        e = 1
-        missing = 0  # primes of r/e; mu(r/e) = (-1)^missing
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                e *= p
-            else:
-                missing += 1
-        if missing % 2 == 0:  # times (1 - v^e)
-            for k in range(deg, e - 1, -1):
-                series[k] -= series[k - e]
-        else:  # divided by (1 - v^e), i.e. times 1 + v^e + v^2e + ...
-            for k in range(e, deg + 1):
-                series[k] += series[k - e]
-    step = d // rad
+    for e in ups:
+        e //= step
+        if e <= deg:
+            series[e:] = map(sub, series[e:], series[:-e])
+    for e in downs:
+        _running_sums(series, e // step)
     if step == 1:
         return tuple(series)
     out = [0] * (deg * step + 1)
@@ -716,46 +769,53 @@ def mul_products(a: "LaurentRat", b: "LaurentRat") -> "LaurentRat":
     return LaurentRat._product(*_form_mul(a._form, b._form))
 
 
+# Measured (tools/kernel_bench.py): a trial on a list shorter than this many
+# blocks of d runs the full quotient without the mod v^d - 1 test first.
+_FOLD_BLOCKS = 8
+
+
 def _cancel_phi(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
     """num / prod Phi_d^den[d] with every Phi_d the two share divided out of both.
 
     Returns the stripped num and the form's exponent map of what is left of
     den (negative exponents).  The Phi_d are irreducible, so the two parts
-    are then coprime.  den is consumed.
+    are then coprime.  den is consumed.  num becomes one dense list, which
+    every d of den strips in turn; each Phi_d has constant term 1, so the
+    lowest exponent stays.
     """
-    if not num:
-        return {}, {}
+    if not num or not den:
+        return num, {}
+    lo = min(num)
+    c = _dense(num, lo, max(num) - lo + 1)
     for d in sorted(den):
-        num, k = _strip_phi(num, d, den[d])
+        c, k = _strip_phi(c, d, den[d])
         den[d] -= k
-    return num, {d: -m for d, m in den.items() if m}
+    return _sparse(c, lo), {d: -m for d, m in den.items() if m}
 
 
-def _strip_phi(p: dict, d: int, most: int) -> tuple[dict, int]:
-    """(p / Phi_d^k, k) for the largest k <= most with Phi_d^k dividing p, p nonzero.
+def _strip_phi(c: list, d: int, most: int) -> tuple[list, int]:
+    """(c / Phi_d^k, k) for the largest k <= most with Phi_d^k dividing c.
 
-    Where d is at most the span of what is left of p, each trial first
-    tests it mod v^d - 1 (_phi_divides), so the full division runs only
-    where Phi_d is a factor; for d above the span the division is the test.
+    c is a dense coefficient list whose first and last entries are nonzero,
+    and so is the quotient.  Each division is _mobius_quotient with the
+    passes of Phi_d swapped: times its downs, over its ups.  A list no
+    longer than deg Phi_d cannot be divided.  A long list, of at least
+    _FOLD_BLOCKS * d entries, is first reduced mod v^d - 1, which Phi_d
+    divides, by summing each class of exponents mod d, and the same quotient
+    of that length-d list decides whether the full division runs.
     """
-    phi_d = dict(_phi_power_int(d, 1))
+    ups, downs = _mobius_steps(d)
+    deg = sum(ups) - sum(downs)
     k = 0
-    while k < most:
-        if d <= max(p) - min(p) and not _phi_divides(p, d, phi_d):
+    while k < most and len(c) > deg:
+        if len(c) >= _FOLD_BLOCKS * d and _mobius_quotient([sum(c[r::d]) for r in range(d)], downs, ups) is None:
             break
-        q = _idiv_exact(p, phi_d)
+        q = _mobius_quotient(c, downs, ups)
         if q is None:
             break
-        p = q
+        c = q
         k += 1
-    return p, k
-
-
-def _totient(d: int) -> int:
-    out = d
-    for p in _prime_factors(d):
-        out -= out // p
-    return out
+    return c, k
 
 
 def _totient_cap(deg: int) -> int:
@@ -789,42 +849,24 @@ def _totient_cap(deg: int) -> int:
     return hi
 
 
-def _phi_divides(p: dict, d: int, phi_d: dict) -> bool:
-    """Whether Phi_d divides p, a Laurent poly.
-
-    Phi_d divides v^d - 1, so it divides p exactly when it divides p mod
-    v^d - 1, which has degree below d.  v is a unit mod v^d - 1, so v^e
-    reduces to v^(e mod d) for negative e too, and p needs no shift first.
-    """
-    folded = [0] * d
-    for e, c in p.items():
-        folded[e % d] += c
-    return _idiv_exact({e: c for e, c in enumerate(folded) if c}, phi_d) is not None
-
-
 def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
     """(mult, cofactor) with p = cofactor * prod Phi_d^mult[d] over d >= 2.
 
-    Trial division by every Phi_d no longer than what is left of p, so no
-    Phi_d divides the cofactor; the cofactor keeps p's content and lowest
-    power v^k.  Every Phi_d has lowest coefficient 1, so the trial divisions
-    stay in the integers (_strip_phi).
+    Trial division of one dense list by every Phi_d no longer than what is
+    left of it (_strip_phi), so no Phi_d divides the cofactor; the cofactor
+    keeps p's content and lowest power v^k.  Every Phi_d has constant term
+    1, so the divisions stay in the integers.
     """
     lo = min(p)
-    rest = {e - lo: c for e, c in p.items()}  # lowest term at v^0
+    c = _dense(p, lo, max(p) - lo + 1)
     mult: dict[int, int] = {}
-    deg = max(rest)
-    for d in range(2, _totient_cap(deg)):
-        if not deg:
+    for d in range(2, _totient_cap(len(c) - 1)):
+        if len(c) == 1:
             break
-        step = _totient(d)
-        if step > deg:
-            continue
-        rest, k = _strip_phi(rest, d, deg // step)
+        c, k = _strip_phi(c, d, len(c))
         if k:
             mult[d] = k
-            deg -= k * step
-    return mult, {e + lo: c for e, c in rest.items()}
+    return mult, _sparse(c, lo)
 
 
 def _exponent_floor(maps: list[dict[int, int]]) -> dict[int, int]:

@@ -31,13 +31,15 @@ from qgraph.laurent import (  # the integer kernel
     _imul,
     _imul_kron,
     _imul_school,
-    _phi_divides,
+    _mobius_quotient,
+    _mobius_steps,
     _phi_factor,
     _phi_power_int,
     _phi_product,
-    _totient,
+    _strip_phi,
     _totient_cap,
 )
+from qgraph.kronecker import _dense
 
 
 def rand_poly(rng, max_terms=6, max_exp=8, allow_zero=True):
@@ -372,7 +374,7 @@ def test_rat_takes_out_unit_and_factors_den():
 
 
 def _phi_factor_plain(p):
-    """Trial division of the whole poly by every Phi_d, without the mod v^d - 1 test."""
+    """Trial division of the whole poly by every Phi_d with _idiv_exact, without the mod v^d - 1 test."""
     lo = min(p)
     unit = {lo: 1}
     rest = _idiv_exact(p, unit)
@@ -381,12 +383,12 @@ def _phi_factor_plain(p):
     for d in range(2, _totient_cap(deg)):
         if not deg:
             break
-        if _totient(d) > deg:
-            continue
         phi_d = dict(_phi_power_int(d, 1))
+        if max(phi_d) > deg:
+            continue
         while (q := _idiv_exact(rest, phi_d)) is not None:
             rest = q
-            deg -= _totient(d)
+            deg -= max(phi_d)
             mult[d] = mult.get(d, 0) + 1
     return mult, _imul(rest, unit)
 
@@ -760,20 +762,52 @@ def _rand_laurent(rng, lo_min=-30, hi_max=40, coeff=50) -> dict:
     return {e: c for e, c in p.items() if c} or {-3: 1}
 
 
-def test_phi_divides_matches_trial_division():
+def _dense_of(p: dict) -> list:
+    return _dense(p, min(p), max(p) - min(p) + 1)
+
+
+# d = 2, prime powers, and d with three primes
+QUOTIENT_DS = (2, 4, 8, 9, 25, 27, 30, 42, 60, 105)
+
+
+def test_phi_quotient_matches_idiv_exact():
+    """The dense Moebius quotient by Phi_d against _idiv_exact, the oracle.
+
+    The dividends have negative exponents; some are shorter than Phi_d, and
+    some have one coefficient bumped, so that Phi_d does not divide them.
+    Long ones (above 8 d entries) take _strip_phi's mod v^d - 1 test first.
+    """
     rng = random.Random(2014)
-    for trial in range(400):
-        d = rng.randrange(2, 60)
+    for d in QUOTIENT_DS:
         phi_d = dict(_phi_power_int(d, 1))
-        p = _rand_laurent(rng)
-        if trial % 4 == 3:
-            p = {e: c * rng.randrange(1, 5) for e, c in p.items()}
-        if trial % 2:
-            # Phi_d products times the cofactor, with or without Phi_d itself
-            for _ in range(rng.randrange(1, 4)):
-                e = d if rng.random() < 0.5 else rng.randrange(2, 60)
-                p = _imul(p, dict(_phi_power_int(e, rng.randrange(1, 3))))
-        assert _phi_divides(p, d, phi_d) == (_idiv_exact(p, phi_d) is not None), (trial, d)
+        ups, downs = _mobius_steps(d)
+        assert list(_cyclo_int(d)) == _mobius_quotient([1], ups, downs)
+        for trial in range(24):
+            a = _rand_laurent(rng, lo_min=-40, hi_max=rng.choice((5, 60, 400)))
+            m = rng.randrange(1, 4)
+            p = _imul(a, dict(_phi_power_int(d, m)))
+            if trial % 3 == 2:
+                # one coefficient off, below, inside or at the top of p
+                e = rng.choice((min(p), rng.randrange(min(p), max(p) + 1), max(p)))
+                p = dict(p)
+                p[e] = p.get(e, 0) + rng.choice((-1, 1))
+                p = {e: c for e, c in p.items() if c}
+                m = 0
+            q = _idiv_exact(p, phi_d)
+            assert _mobius_quotient(_dense_of(p), downs, ups) == (None if q is None else _dense_of(q)), (d, trial)
+            assert (q is None) == (m == 0), (d, trial)
+            # _strip_phi takes out as many Phi_d as divide p, up to most
+            chain = [p]
+            while (q := _idiv_exact(chain[-1], phi_d)) is not None:
+                chain.append(q)
+            for most in range(len(chain) + 1):
+                k = min(most, len(chain) - 1)
+                assert _strip_phi(_dense_of(p), d, most) == (_dense_of(chain[k]), k), (d, trial, most)
+        # dividends no longer than Phi_d: never divisible
+        for span in range(1, max(phi_d) + 1):
+            p = {e - 7: rng.randrange(1, 9) for e in range(span)}
+            assert _idiv_exact(p, phi_d) is None
+            assert _strip_phi(_dense_of(p), d, 3) == (_dense_of(p), 0)
 
 
 def _cancel_phi_plain(num: dict, den: dict[int, int]) -> tuple[dict, dict[int, int]]:
@@ -801,6 +835,21 @@ def test_cancel_phi_matches_plain_trial_division():
         for _ in range(rng.randrange(0, 5)):
             d = rng.choice(list(den)) if rng.random() < 0.7 else rng.randrange(2, 45)
             num = _imul(num, dict(_phi_power_int(d, rng.randrange(1, 4))))
+        assert _cancel_phi(dict(num), dict(den)) == _cancel_phi_plain(dict(num), dict(den)), trial
+    # the shape of a large-color tet lcm: numerators of 400-900 slots with
+    # 10- to 60-bit coefficients, d up to 60 with multiplicities up to 4
+    for trial in range(8):
+        den = {d: rng.randrange(1, 5) for d in rng.sample(range(2, 61), rng.randrange(10, 25))}
+        num = _rand_laurent(rng, lo_min=-60, hi_max=rng.randrange(60, 200), coeff=2 ** rng.choice((10, 60)))
+        target = rng.randrange(400, 900)
+        while max(num) - min(num) < target:
+            d = rng.choice(list(den)) if rng.random() < 0.8 else rng.randrange(2, 61)
+            factor = dict(_phi_power_int(d, rng.randrange(1, 5)))
+            if max(num) - min(num) + max(factor) < 900:
+                num = _imul(num, factor)
+            elif max(num) - min(num) >= 400:
+                break
+        assert 400 <= max(num) - min(num) < 900
         assert _cancel_phi(dict(num), dict(den)) == _cancel_phi_plain(dict(num), dict(den)), trial
 
 

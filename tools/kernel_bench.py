@@ -6,7 +6,11 @@ coefficients, which put the Kronecker slots (their width in bytes is on each
 row) below, at and above the 8-byte word, the cyclotomic construction
 `_cyclo_int(1..400)`, the Phi_d product tree (`_phi_product` on the
 numerator and denominator maps of theta(56,60,64), its caches cleared
-before each call), the LaurentRat layer (the whole check of
+before each call), the Phi_d stripping (`_cancel_phi` on the numerator and
+lcm of tet_full((22,24,26,20,28,26)) and of tet_full((30,)*6), and on the
+short ones of `qgraph verify symmetry --max 4`, with cold Phi_d caches, at
+several `_FOLD_BLOCKS` lengths from which it tests a dividend mod v^d - 1
+first, the module's own marked *), the LaurentRat layer (the whole check of
 `qgraph verify theta-recursion --max 12`: each recursion product compared
 with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
@@ -21,7 +25,8 @@ expanded to their coefficients, each in a fresh interpreter so its lru
 caches start cold, and the CPU time of a fresh interpreter that runs
 `import qgraph.cli` (the set-up every CLI call pays).
 Prints the median and the spread (interquartile range over the median) of
-each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS`:
+each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS` and
+`laurent._FOLD_BLOCKS`:
 
     PYTHONPATH=src python3 tools/kernel_bench.py [--repeat 7] [--skip-large]
 """
@@ -118,6 +123,74 @@ def bench_phi_product(repeat: int) -> None:
 
     med, spread = _time_call(build, repeat)
     _line("_phi_product, theta(56,60,64) num and den, cold", med, spread)
+
+
+def _cancel_phi_inputs(build) -> list[tuple[dict, dict]]:
+    """The (num, den) pairs that build() passes to laurent._cancel_phi with a nonempty den, from cold caches."""
+    seen = []
+    cancel = laurent._cancel_phi
+
+    def record(num, den):
+        if num and den:
+            seen.append((dict(num), dict(den)))
+        return cancel(num, den)
+
+    _clear_caches()
+    laurent._cancel_phi = record
+    try:
+        build()
+    finally:
+        laurent._cancel_phi = cancel
+    return seen
+
+
+def _symmetry_grid_4() -> None:
+    """The values `qgraph verify symmetry --max 4` computes."""
+    for col in invariants.enumerate_tet_colorings(4):
+        for img in [col, *invariants.tet_symmetry_orbit(col)]:
+            invariants.tet_full(tuple(img))
+            invariants.tet_primed(tuple(img))
+
+
+# (label, the calls whose _cancel_phi inputs are timed)
+CANCEL_ROWS = (
+    ("tet_full 22,24,26,20,28,26", lambda: invariants.tet_full((22, 24, 26, 20, 28, 26))),
+    ("tet_full 30^6", lambda: invariants.tet_full((30,) * 6)),
+    ("symmetry grid 4", _symmetry_grid_4),
+)
+# laurent._FOLD_BLOCKS values of the fold rows; None never folds
+FOLD_BLOCKS = (2, 4, 8, 16, None)
+
+
+def bench_cancel_phi(repeat: int) -> None:
+    """_cancel_phi on the numerators and lcms of CANCEL_ROWS, Phi_d caches cleared before each sample.
+
+    Each row is timed at every FOLD_BLOCKS setting, one sample of each in
+    turn, so drift of the machine's speed hits them alike; the row at the
+    module's own setting shows where the mod v^d - 1 test pays.
+    """
+    default = laurent._FOLD_BLOCKS
+    for label, build in CANCEL_ROWS:
+        calls = _cancel_phi_inputs(build)
+        span = max(max(num) - min(num) + 1 for num, _ in calls)
+        samples = {blocks: [] for blocks in FOLD_BLOCKS}
+        try:
+            for _ in range(repeat):
+                for blocks in FOLD_BLOCKS:
+                    laurent._FOLD_BLOCKS = blocks or float("inf")
+                    laurent._cyclo_int.cache_clear()
+                    laurent._mobius_steps.cache_clear()
+                    t0 = time.perf_counter()
+                    for num, den in calls:
+                        laurent._cancel_phi(dict(num), dict(den))
+                    samples[blocks].append(time.perf_counter() - t0)
+        finally:
+            laurent._FOLD_BLOCKS = default
+        for blocks in FOLD_BLOCKS:
+            fold = f"fold >= {blocks}d" if blocks else "no fold"
+            mark = " *" if blocks == default else ""
+            _line(f"_cancel_phi {label} x{len(calls)}, {fold}{mark}", *_spread(samples[blocks]))
+        print(f"#   spans up to {span} slots")
 
 
 def _clear_caches() -> None:
@@ -275,6 +348,7 @@ def main() -> None:
     bench_imul(args.repeat)
     bench_cyclo(args.repeat)
     bench_phi_product(args.repeat)
+    bench_cancel_phi(args.repeat)
     bench_rat(args.repeat)
     bench_tet_sums(args.repeat)
     bench_log_abs_tet(args.repeat)
