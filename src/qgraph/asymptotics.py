@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from itertools import product as _iterproduct
 from typing import NamedTuple, Optional
 
@@ -532,8 +533,12 @@ def tet_summation_floor(x) -> Optional[tuple]:
     fb = w_tet_slope(xs, b).real
     if not fa < 0.0 < fb:
         return None
+    # the slope is negative at a and not at b, so once mid rounds onto either
+    # end no further step changes a or b
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         if w_tet_slope(xs, mid).real < 0.0:
             a = mid
         else:
@@ -722,6 +727,9 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
       |signed| / total > 2^(60-bits) holds, signed is good to 2^-64 relative.
     - The error of T(lo) multiplies signed and total alike.  It leaves their
       ratio alone and moves log|signed| by far less than a double's ulp.
+
+    By that bound a computed signed == 0 only says |true signed| <=
+    2^(-bits-4) total: it fails the trust test like any small survivor.
     """
     lo, hi = max(taus), min(ups)
     n = hi - lo
@@ -799,19 +807,38 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     return signed, total, log_scale
 
 
-# the precision ladder's first rung, in nominal bits
+# the precision ladder's first and last rungs, in nominal bits
 _START_BITS = 320
+_TOP_BITS = _START_BITS << 7
+
+# bits by which a hint must fall below a rung's trust threshold to skip it: over
+# 28 growth_check_tet rows at five points the measured log2 cancellation
+# exceeded the hint by at most 0.7 bits (near interference nodes it falls up
+# to 9 bits below, which only costs a climb)
+_HINT_MARGIN = 2.0
 
 
-def log_abs_tet(colors, hbar: float) -> tuple:
+def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
     """log of the normalized tetrahedron invariant magnitude at v = exp(hbar/2).
 
     The alternating sum cancels catastrophically in the growth regime (the
     surviving fraction shrinks like exp(-gap/|hbar|)), so each rung sums it
     at `bits` nominal bits plus guard bits (see `_tet_rung`), starting at
-    _START_BITS and doubling until |signed| / total > 2^(60 - bits).
-    Returns (log magnitude, diagnostics dict) with the measured cancellation
-    |signed| / total and the nominal bits of the trusted rung.
+    _START_BITS and doubling until |signed| / total > 2^(60 - bits), or
+    raising LadderExhaustedError after the _TOP_BITS rung.  A computed zero
+    is never trusted.  Returns (log magnitude, diagnostics dict) with the
+    measured cancellation |signed| / total and the nominal bits of the
+    trusted rung.
+
+    log2_hint, a predicted log2(|signed| / total), only saves work: the
+    ladder starts at the lowest rung the hint does not say fails by
+    _HINT_MARGIN bits (a hint that is None or not finite skips nothing).  A
+    rung trusted above skipped ones must also certify that the highest
+    skipped rung s fails: |signed| 2^(s+1) < total 2^60.  By `_tet_rung`'s
+    error bound, rung s then computes a ratio below 2^(59-s) + 2^(-bits-4) +
+    2^(-s-4) < 2^(60-s), and lower rungs fail alike.  Without the
+    certificate the ladder reruns from _START_BITS, so a wrong hint costs
+    time but never changes the value or the diagnostics.
     """
     col = TetColoring(*(int(v) for v in colors))
     if not tet_is_admissible(col):
@@ -821,26 +848,33 @@ def log_abs_tet(colors, hbar: float) -> tuple:
     if max(taus) > min(ups):
         raise ValueError("empty summation range")
     hbar = float(hbar)
-    bits = _START_BITS
-    for _ in range(8):
+    start = _START_BITS
+    if log2_hint is not None and math.isfinite(log2_hint):
+        while start < _TOP_BITS and log2_hint + _HINT_MARGIN <= 60 - start:
+            start *= 2
+    bits = start
+    while True:
         signed, total, log_scale = _tet_rung(taus, ups, hbar, bits)
-        if signed == 0:
-            return -math.inf, {"cancellation": 0.0, "precision_bits": bits}
         if abs(signed) << bits > total << 60:
+            if start > _START_BITS and abs(signed) << (start // 2 + 1) >= total << 60:
+                bits = start = _START_BITS  # a skipped rung might have trusted its sum
+                continue
             with mpmath.workprec(bits):
                 val = float(mpmath.log(abs(signed)) + log_scale)
             return val, {"cancellation": abs(signed) / total, "precision_bits": bits}
+        if bits == _TOP_BITS:
+            raise LadderExhaustedError("cancellation exhausted the precision ladder")
         bits *= 2
-    raise LadderExhaustedError("cancellation exhausted the precision ladder")
 
 
 # -- color rounding ----------------------------------------------------------------------------
 
 
 # Largest color the command line lets a growth table round to.  Timed on a
-# 2-vCPU VM (Python 3.11): log_abs_tet at (10000,)*6, x = 0.35, climbs to the
-# 2560-bit rung and takes 1.6 s; the cost grows about fivefold each time the
-# colors double, since the bits needed grow with them.
+# 2-vCPU VM (Python 3.11): log_abs_tet at (10000,)*6, x = 0.35, trusts the
+# 2560-bit rung; it takes 1.2 s when growth_check_tet's hint starts it there,
+# 1.8-1.9 s when it climbs from 320 bits.  The cost grows about fivefold each
+# time the colors double, since the bits needed grow with them.
 MAX_GROWTH_COLOR = 10_000
 
 
@@ -879,8 +913,24 @@ def round_colors_theta(x, hbar: float) -> tuple:
     return cand, tuple(notes)
 
 
+def _face_parities(c) -> tuple:
+    # parity of each triangle sum, in the order of invariants._triangle_halves
+    j1, j2, j12, j3, j4, j23 = c
+    return ((j1 + j2 + j12) % 2, (j3 + j4 + j12) % 2, (j1 + j4 + j23) % 2, (j2 + j3 + j23) % 2)
+
+
+@lru_cache(maxsize=1)
+def _unit_shifts_by_parity() -> dict:
+    # the 729 unit shifts in product order, grouped by the face parities they
+    # flip: 8 groups of 81 to 108, since the four parities always sum to 0
+    groups = {}
+    for deltas in _iterproduct((-1, 0, 1), repeat=6):
+        groups.setdefault(_face_parities(deltas), []).append(deltas)
+    return groups
+
+
 def round_colors_tet(x, hbar: float) -> tuple:
-    """Nearest admissible tetrahedron coloring, brute-forced over unit shifts."""
+    """Nearest admissible tetrahedron coloring, over the unit shifts that make every face sum even."""
     if not hbar < 0:
         raise ValueError("growth regime needs negative hbar")
     xs = tuple(float(v.real) for v in _coords(x, TET_EDGES))
@@ -897,7 +947,7 @@ def round_colors_tet(x, hbar: float) -> tuple:
         cand, notes = tuple(base), []
     else:
         best = None
-        for deltas in _iterproduct((-1, 0, 1), repeat=6):
+        for deltas in _unit_shifts_by_parity()[_face_parities(base)]:
             trial = [b + d for b, d in zip(base, deltas)]
             if min(trial) < 0 or not usable(trial):
                 continue
@@ -1022,32 +1072,38 @@ def growth_check_tet(x, hbars) -> GrowthTable:
         if all(c == 0 for c in colors):
             rows.append(GrowthRow(hb, colors, 0.0, target, math.nan, tuple(notes)))
             continue
-        val_log, diag = log_abs_tet(colors, hb)
+        x_eff = tuple(math.exp(hb * n / 2.0) for n in colors)
+        try:
+            rec_eff = saddle_solve_tet(x_eff)
+            z0 = rec_eff.z_roots[rec_eff.chosen]
+            w_eff = w_tet(x_eff, z0)
+            curv = w_tet_curvature(x_eff, z0)
+            shape = w_tet_one_loop_shape(x_eff, z0)
+            phase = w_eff.imag / hb + 0.5 * cmath.phase(shape) - 0.5 * cmath.phase(curv)
+            cosine = abs(math.cos(phase))
+            mag = (
+                math.log(2.0)
+                + 0.5 * math.log(TWO_PI / (-hb * abs(curv)))
+                + 0.5 * math.log(abs(shape))
+                - 3.0 * math.log(TWO_PI)
+                + (math.log(cosine) if cosine > 0 else -math.inf)
+            )
+            floor = tet_summation_floor(x_eff)
+        except Exception:
+            log_abs_tet(colors, hb)  # the sum runs first, so its own exception comes out first
+            raise
+        # the floor-to-saddle gap predicts the sum's cancellation, exp(-gap / |hbar|)
+        hint = None if floor is None else (w_eff.real - floor[1]) / (hb * math.log(2.0))
+        val_log, diag = log_abs_tet(colors, hb, hint)
         val = hb * val_log
         notes.append(f"cancellation {diag['cancellation']:.3e}")
-        x_eff = tuple(math.exp(hb * n / 2.0) for n in colors)
-        rec_eff = saddle_solve_tet(x_eff)
-        z0 = rec_eff.z_roots[rec_eff.chosen]
         if abs(z0.imag) < 1e-12:
             notes.append("real saddle branch, interference model approximate")
-        w_eff = w_tet(x_eff, z0)
-        curv = w_tet_curvature(x_eff, z0)
-        shape = w_tet_one_loop_shape(x_eff, z0)
-        phase = w_eff.imag / hb + 0.5 * cmath.phase(shape) - 0.5 * cmath.phase(curv)
-        cosine = abs(math.cos(phase))
         if cosine < 0.2:
             notes.append("interference node nearby, one-loop magnitude unstable")
-        mag = (
-            math.log(2.0)
-            + 0.5 * math.log(TWO_PI / (-hb * abs(curv)))
-            + 0.5 * math.log(abs(shape))
-            - 3.0 * math.log(TWO_PI)
-            + (math.log(cosine) if cosine > 0 else -math.inf)
-        )
         norm = -math.pi * math.pi + 2.0 * hb * math.log(-hb) + hb * mag
         shift = w_eff.real - target
         err = val - norm - shift - target
-        floor = tet_summation_floor(x_eff)
         if floor is not None:
             notes.append(f"max-term floor {floor[1]:.6f}")
         rows.append(GrowthRow(hb, colors, val, target, err, tuple(notes)))

@@ -9,6 +9,7 @@ term-by-term summation with the oracle pieces only.
 """
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from qgraph.apoly import TET_EDGES, THETA_EDGES, saddle_system, tet_classical_A,
 from qgraph.asymptotics import (
     GrowthRow,
     GrowthTable,
+    LadderExhaustedError,
     SingularPointError,
     TwistPoint,
     _grad_log_y_theta_termwise,
@@ -520,6 +522,48 @@ def test_summation_floor_sits_under_the_saddle():
         assert abs(gap - gap_ref) < 1e-3
 
 
+def _summation_floor_200(x):
+    """tet_summation_floor with all 200 bisection steps: the oracle of its fixed-point exit."""
+    seg = tet_real_segment(x)
+    if seg is None:
+        return None
+    xs = tuple(float(abs(v)) for v in x)
+    lo, hi = seg
+    pad = (hi - lo) * 1e-9
+    a, b = lo + pad, hi - pad
+    if not w_tet_slope(xs, a).real < 0.0 < w_tet_slope(xs, b).real:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if w_tet_slope(xs, mid).real < 0.0:
+            a = mid
+        else:
+            b = mid
+    zs = 0.5 * (a + b)
+    return zs, w_tet(xs, zs).real
+
+
+def test_summation_floor_stops_at_its_fixed_point(monkeypatch):
+    # the effective eigenvalues of the benchmark's growth rows, then random points
+    points = [tuple(math.exp(hb * n / 2.0) for n in col) for col, hb in NUMERIC_BENCH_ROWS]
+    rng = random.Random(11)
+    for _ in range(200):
+        t = rng.uniform(0.02, 0.98)
+        points.append(tuple(min(0.999, t * rng.uniform(0.85, 1.15)) for _ in range(6)))
+    found = 0
+    for x in points:
+        want = _summation_floor_200(x)
+        slopes = []
+        real = asymptotics.w_tet_slope
+        monkeypatch.setattr(asymptotics, "w_tet_slope", lambda *a: slopes.append(1) or real(*a))
+        assert tet_summation_floor(x) == want
+        monkeypatch.undo()
+        if want is not None:
+            found += 1
+            assert len(slopes) < 70
+    assert found >= len(NUMERIC_BENCH_ROWS) + 100
+
+
 # -- exact magnitude evaluators --
 
 
@@ -633,6 +677,89 @@ def test_log_abs_tet_bench_rows_take_both_rungs():
     assert bits == {-(2.0**-k): 320 if k < 9 else 640 for k in range(5, 11)}
 
 
+def _counting_rungs(monkeypatch) -> list:
+    # the bits of every _tet_rung call, in order
+    rungs = []
+    real = asymptotics._tet_rung
+    monkeypatch.setattr(asymptotics, "_tet_rung", lambda *a: rungs.append(a[3]) or real(*a))
+    return rungs
+
+
+def _predicted_hint(colors, hbar):
+    # growth_check_tet's hint: the floor-to-saddle gap of Re W over hbar ln 2
+    x_eff = tuple(math.exp(hbar * n / 2.0) for n in colors)
+    rec = saddle_solve_tet(x_eff)
+    try:
+        floor = tet_summation_floor(x_eff)
+    except ValueError:  # x_eff within rounding of 1, as in the tiny-hbar rows
+        return None
+    if rec.degenerate or floor is None:
+        return None
+    return (w_tet(x_eff, rec.z_roots[rec.chosen]).real - floor[1]) / (hbar * math.log(2.0))
+
+
+def _hint_starting_at(bits):
+    # a hint under which the ladder starts at the rung of `bits`
+    return 60 - 0.75 * bits - asymptotics._HINT_MARGIN
+
+
+@pytest.mark.parametrize(
+    "colors, hbar",
+    NUMERIC_BENCH_ROWS + TINY_HBAR_ROWS,
+    ids=lambda v: str(v[0]) if isinstance(v, tuple) else repr(v),
+)
+def test_log_abs_tet_hint_never_changes_the_result(monkeypatch, colors, hbar):
+    want = log_abs_tet(colors, hbar)
+    bits = want[1]["precision_bits"]
+    rungs = _counting_rungs(monkeypatch)
+    predicted = _predicted_hint(colors, hbar)
+    assert log_abs_tet(colors, hbar, predicted) == want
+    if (colors, hbar) in NUMERIC_BENCH_ROWS:
+        assert rungs == [bits]
+    # one rung too high: trusted there, but the skipped rung cannot be ruled out
+    del rungs[:]
+    assert log_abs_tet(colors, hbar, _hint_starting_at(2 * bits)) == want
+    assert rungs[:2] == [2 * bits, asymptotics._START_BITS] and rungs[-1] == bits
+    low = _hint_starting_at(max(asymptotics._START_BITS, bits // 2))
+    for hint in (low, math.inf, -math.inf, math.nan, 1e9):
+        assert log_abs_tet(colors, hbar, hint) == want
+
+
+def test_numeric_growth_tables_run_ten_rungs(monkeypatch):
+    # the benchmark's two tet tables: each row runs only the rung it trusts
+    rungs = _counting_rungs(monkeypatch)
+    growth_check_tet((0.35,) * 6, [-(2.0**-k) for k in range(5, 11)])
+    growth_check_tet((0.3, 0.35, 0.4, 0.3, 0.35, 0.4), [-(2.0**-k) for k in range(7, 11)])
+    assert rungs == [320] * 4 + [640] * 2 + [320] * 3 + [640]
+
+
+def test_growth_check_tet_sum_raises_before_the_potential(monkeypatch):
+    # the hint's inputs are computed ahead of the sum, but a failing sum still reports first
+    def broken_floor(x):
+        raise RuntimeError("floor")
+
+    monkeypatch.setattr(asymptotics, "tet_summation_floor", broken_floor)
+    with pytest.raises(RuntimeError, match="floor"):
+        growth_check_tet((0.35,) * 6, (-0.1, -0.05))
+    monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (1, 1 << 50000, 0))
+    with pytest.raises(LadderExhaustedError):
+        growth_check_tet((0.35,) * 6, (-0.1, -0.05))
+
+
+def test_log_abs_tet_zero_survivor_climbs(monkeypatch):
+    # a computed zero is an untrusted survivor: the next rung decides
+    zero = mpmath.mpf(0)
+    monkeypatch.setattr(
+        asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (0, 1 << 10, zero) if bits == 320 else (3, 4, zero)
+    )
+    val, diag = log_abs_tet((4,) * 6, -0.1)
+    assert abs(val - math.log(3.0)) <= 1e-15
+    assert diag == {"cancellation": 0.75, "precision_bits": 640}
+    monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (0, 1, zero))
+    with pytest.raises(LadderExhaustedError):
+        log_abs_tet((4,) * 6, -0.1)
+
+
 def test_log_abs_tet_rejects_inadmissible():
     with pytest.raises(ValueError):
         log_abs_tet((1, 2, 2, 2, 2, 2), -0.1)
@@ -674,6 +801,49 @@ def test_round_colors_tet_plain_and_repaired():
     assert tet_is_admissible(col)
     assert any("adjust" in n for n in notes)
     assert sum(abs(c - 2.0 * math.log(0.35) / (-1.0 / 32.0)) for c in colors) <= 3.0
+
+
+def _round_colors_tet_brute(x, hbar):
+    """round_colors_tet over all 729 unit shifts: the oracle of its parity filter."""
+    exact = [2.0 * math.log(v) / hbar for v in x]
+    base = [max(0, round(e)) for e in exact]
+
+    def usable(c):
+        col = TetColoring(*c)
+        return tet_is_admissible(col) and max(_triangle_halves(col)) <= min(_quad_halves(col))
+
+    if usable(base):
+        cand, notes = tuple(base), []
+    else:
+        best = None
+        for deltas in itertools.product((-1, 0, 1), repeat=6):
+            trial = [b + d for b, d in zip(base, deltas)]
+            if min(trial) < 0 or not usable(trial):
+                continue
+            cost = (sum(abs(t - e) for t, e in zip(trial, exact)), tuple(trial))
+            if best is None or cost < best:
+                best = cost
+        if best is None:
+            return None, ("no admissible coloring near the requested point",)
+        cand, notes = best[1], ["rounding adjusted to restore admissibility"]
+    if all(c == 0 for c in cand):
+        notes.append("trivial coloring, invariant equals 1")
+    return cand, tuple(notes)
+
+
+def test_round_colors_tet_matches_brute_force():
+    cases = [((0.35,) * 6, -(2.0**-k)) for k in range(5, 11)]
+    cases += [((0.3, 0.35, 0.4, 0.3, 0.35, 0.4), -(2.0**-k)) for k in range(7, 11)]
+    rng = random.Random(3)
+    cases += [
+        (tuple(rng.uniform(0.2, 0.95) for _ in range(6)), -(2.0 ** -rng.uniform(2.0, 8.0))) for _ in range(300)
+    ]
+    repaired = 0
+    for x, hb in cases:
+        want = _round_colors_tet_brute(x, hb)
+        assert round_colors_tet(x, hb) == want
+        repaired += want[0] is not None and "rounding adjusted to restore admissibility" in want[1]
+    assert repaired >= 30
 
 
 # -- growth tables --

@@ -442,6 +442,14 @@ def test_asymptotics_exhausted_ladder_exit_2(capsys, monkeypatch):
     assert "precision ladder" in err
 
 
+def test_asymptotics_zero_survivor_exit_2(capsys, monkeypatch):
+    # a sum computed as 0 on every rung is never trusted: it used to report log|tet| = -inf
+    monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (0, 1, 0))
+    code, out, err = run(capsys, "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -0.1,-0.05".split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "precision ladder" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,13 +16,14 @@ with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
 the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
-320- and 640-bit rungs), the exact zero test (`rat_dot_vanishes` against
-`rat_dot(...).is_zero()` over the pairs of both `verify recursum` routes on
-grid 4, with cold caches), the MultiPoly layer (the classical limits of the six
-tet operators and the saddle elimination, with cold caches, and 20
-evaluations of the saddle resultant), two large-color evaluations
-expanded to their coefficients, each in a fresh interpreter so its lru
-caches start cold, and the CPU time of a fresh interpreter that runs
+320- and 640-bit rungs) and in the two tet growth tables of the benchmark's
+numeric workload (`growth_check_tet`, 6 and 4 rows), the exact zero test
+(`rat_dot_vanishes` against `rat_dot(...).is_zero()` over the pairs of both
+`verify recursum` routes on grid 4, with cold caches), the MultiPoly layer
+(the classical limits of the six tet operators and the saddle elimination,
+with cold caches, and 20 evaluations of the saddle resultant), two
+large-color evaluations expanded to their coefficients, each in a fresh
+interpreter so its lru caches start cold, and the CPU time of a fresh interpreter that runs
 `import qgraph.cli` (the set-up every CLI call pays).
 Prints the median and the spread (interquartile range over the median) of
 each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS` and
@@ -269,12 +270,19 @@ def bench_zero_test(repeat: int) -> None:
 # (colors, hbar) of the log_abs_tet rows: one rung, then two
 GROWTH_ROWS = (((538,) * 6, -(2.0**-8)), ((2150,) * 6, -(2.0**-10)))
 
+# (x, hbar exponents) of the two tet growth tables of the benchmark's numeric workload
+GROWTH_TABLES = (((0.35,) * 6, range(5, 11)), ((0.3, 0.35, 0.4, 0.3, 0.35, 0.4), range(7, 11)))
+
 
 def bench_log_abs_tet(repeat: int) -> None:
     for colors, hbar in GROWTH_ROWS:
         bits = asymptotics.log_abs_tet(colors, hbar)[1]["precision_bits"]
         med, spread = _time_call(lambda: asymptotics.log_abs_tet(colors, hbar), repeat)
         _line(f"log_abs_tet {colors[0]}^6, hbar={hbar!r}, {bits}-bit rung", med, spread)
+    for x, ks in GROWTH_TABLES:
+        hbars = [-(2.0**-k) for k in ks]
+        med, spread = _time_call(lambda: asymptotics.growth_check_tet(x, hbars), repeat)
+        _line(f"growth_check_tet x={x[0]},{x[1]},{x[2]},.., {len(hbars)} rows", med, spread)
 
 
 def bench_multipoly(repeat: int) -> None:
