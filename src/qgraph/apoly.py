@@ -413,7 +413,15 @@ def _eval_coeff(poly: MultiPoly, graph: str, col) -> LaurentRat:
     labels = THETA_EDGES if graph == "theta" else TET_EDGES
     weight = {"x_" + lab: n for lab, n in zip(labels, col)}
     weight["v"] = 1
-    return LaurentRat.from_poly(LaurentPoly(zip(poly.weighted_degrees(weight), poly.terms.values())))
+    # the MultiPoly's coefficients are canonical ints; only colliding terms need merging
+    out: dict[int, int] = {}
+    for e, c in zip(poly.weighted_degrees(weight), poly.terms.values()):
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return LaurentRat.from_poly(LaurentPoly._wrap(out))
 
 
 def _operator_pairs(op: OperatorPoly, family: str, col) -> list:

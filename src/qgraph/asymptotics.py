@@ -520,7 +520,8 @@ def tet_summation_floor(x) -> Optional[tuple]:
     real part is smooth with a unique interior minimum; the minimum is the
     magnitude floor of the largest summand.  Located by bisecting the real
     part of the slope, which runs from -inf to +inf across the segment.
-    Returns (z, Re potential) or None when the segment is empty.
+    Returns (z, Re potential) or None when the segment is empty, or so
+    short against its ends that the pad off them rounds away.
     """
     seg = tet_real_segment(x)
     if seg is None:
@@ -529,6 +530,9 @@ def tet_summation_floor(x) -> Optional[tuple]:
     lo, hi = seg
     pad = (hi - lo) * 1e-9
     a, b = lo + pad, hi - pad
+    if not lo < a < b < hi:
+        # an end's potential argument would round onto 1, outside the logs' domain
+        return None
     fa = w_tet_slope(xs, a).real
     fb = w_tet_slope(xs, b).real
     if not fa < 0.0 < fb:
@@ -1075,6 +1079,8 @@ def growth_check_tet(x, hbars) -> GrowthTable:
         x_eff = tuple(math.exp(hb * n / 2.0) for n in colors)
         try:
             rec_eff = saddle_solve_tet(x_eff)
+            if rec_eff.degenerate:
+                raise SingularPointError(f"degenerate saddle polynomial at the rounded colors {colors}")
             z0 = rec_eff.z_roots[rec_eff.chosen]
             w_eff = w_tet(x_eff, z0)
             curv = w_tet_curvature(x_eff, z0)

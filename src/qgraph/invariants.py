@@ -98,14 +98,15 @@ def theta_recursion_factor(a: int, b: int, c: int) -> LaurentRat:
     )
 
 
+def _third_colors(a: int, b: int, max_entry: int) -> range:
+    """The c <= max_entry with (a, b, c) admissible, in increasing order."""
+    return range(abs(a - b), min(a + b, max_entry) + 1, 2)
+
+
 def enumerate_theta_colorings(max_entry: int) -> list[ThetaColoring]:
-    out = []
-    for a in range(max_entry + 1):
-        for b in range(max_entry + 1):
-            for c in range(max_entry + 1):
-                if is_admissible(a, b, c):
-                    out.append(ThetaColoring(a, b, c))
-    return out
+    """Admissible colorings with entries up to max_entry, in lexicographic order."""
+    rng = range(max_entry + 1)
+    return [ThetaColoring(a, b, c) for a in rng for b in rng for c in _third_colors(a, b, max_entry)]
 
 
 # -- tetrahedron graph ------------------------------------------------------------
@@ -203,20 +204,22 @@ def tet_symmetry_orbit(col) -> list[TetColoring]:
 
 
 def enumerate_tet_colorings(max_entry: int) -> list[TetColoring]:
+    """Admissible colorings with entries up to max_entry, in lexicographic order.
+
+    Each entry runs over its admissible range given the ones before it; the
+    first two triangles make j1 + j4 and j2 + j3 of equal parity, so the
+    ranges of j23 in the last two triangles line up.
+    """
     out = []
     rng = range(max_entry + 1)
     for j1 in rng:
         for j2 in rng:
-            for j12 in rng:
-                if not is_admissible(j1, j2, j12):
-                    continue
+            for j12 in _third_colors(j1, j2, max_entry):
                 for j3 in rng:
-                    for j4 in rng:
-                        if not is_admissible(j3, j4, j12):
-                            continue
-                        for j23 in rng:
-                            if is_admissible(j1, j4, j23) and is_admissible(j2, j3, j23):
-                                out.append(TetColoring(j1, j2, j12, j3, j4, j23))
+                    for j4 in _third_colors(j3, j12, max_entry):
+                        top = min(j1 + j4, j2 + j3, max_entry)
+                        for j23 in range(max(abs(j1 - j4), abs(j2 - j3)), top + 1, 2):
+                            out.append(TetColoring(j1, j2, j12, j3, j4, j23))
     return out
 
 

@@ -716,6 +716,21 @@ def _idiv_exact(num: dict, den: dict) -> dict | None:
 def _factorial_exponents(ups: Iterable[int], downs: Iterable[int] = ()) -> tuple[int, dict[int, int]]:
     """(v-shift, Phi_d exponents) of prod [n]! over ups divided by prod over downs.
 
+    The map is shared with every other call on the same multisets, so it
+    must not be changed in place.
+    """
+    return _factorial_exponents_sorted(tuple(sorted(ups)), tuple(sorted(downs)))
+
+
+# Keyed by the sorted multisets: a theta value is symmetric in its colors and
+# the tet symmetry images reuse the same factorials.  The cached map itself is
+# handed out, which is safe because no form's exponent map is ever mutated in
+# place: _add_exponents copies, and _cancel_phi consumes only the lcm map that
+# _sum_forms builds.  The bound keeps the memory of long sweeps flat.
+@lru_cache(maxsize=1024)
+def _factorial_exponents_sorted(ups: tuple[int, ...], downs: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    """_factorial_exponents over sorted tuples, in closed form.
+
     [n]! = prod_{k<=n} v^(1-k) prod_{d>=3, d | 2k} Phi_d, and d divides 2k for
     floor(n/d) of the k <= n when d is odd and for floor(2n/d) when d is even,
     so the exponents are written down without expanding any bracket.

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgraph import cli
+from qgraph import cli, laurent
 from qgraph.apoly import (
     TET_EDGES,
     THETA_EDGES,
@@ -134,6 +134,9 @@ def test_gate_05_tet_symmetry_grid_8(gate):
     elapsed = time.monotonic() - t0
     ok = tested > 0 and failures == 0 and elapsed < 120.0
     assert gate(5, "tet symmetry grid 8", ok, f"{tested} colorings x5 images, {failures} failures, {elapsed:.1f}s")
+    # the factorial exponent cache stays within its bound over the whole sweep
+    info = laurent._factorial_exponents_sorted.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_gate_06_recursion_operator_equivalence(gate):

@@ -78,6 +78,36 @@ def eval_coeff(poly, labels, col) -> LaurentRat:
     return LaurentRat.from_poly(LaurentPoly({e[0] if e else 0: c for e, c in value.terms.items()}))
 
 
+def _eval_coeff_by_constructor(poly, graph, col) -> LaurentRat:
+    # the LaurentPoly constructor route: every coefficient checked and merged one by one
+    labels = THETA_EDGES if graph == "theta" else TET_EDGES
+    weight = {"x_" + lab: n for lab, n in zip(labels, col)}
+    weight["v"] = 1
+    return LaurentRat.from_poly(LaurentPoly(zip(poly.weighted_degrees(weight), poly.terms.values())))
+
+
+def test_eval_coeff_matches_constructor_route():
+    # every coefficient of the swept operators over the benchmark's sweep grids
+    cases = [(theta_quantum_A(e), 10) for e in THETA_EDGES] + [(tet_quantum_A("1"), 4)]
+    checked = 0
+    for op, grid in cases:
+        for col in interior_colorings(op.graph, op.edge, grid, len(op.coeffs) - 1):
+            for coeff in op.coeffs:
+                assert apoly._eval_coeff(coeff, op.graph, col) == _eval_coeff_by_constructor(coeff, op.graph, col)
+                checked += 1
+    assert checked > 500
+    # colliding terms: v^2 - x_a cancels at a = 2, and v^2 + x_a + 3 v merges to 2 v^2 + 3 v
+    v, x_a = MultiPoly.var("v"), MultiPoly.var("x_a")
+    for poly, want in (
+        (v**2 - x_a, {}),
+        (v**2 + x_a + 3 * v, {2: 2, 1: 3}),
+        (v**2 - x_a + 5 * MultiPoly.var("x_b"), {3: 5}),
+    ):
+        got = apoly._eval_coeff(poly, "theta", (2, 3, 1))
+        assert got.num.terms == want == _eval_coeff_by_constructor(poly, "theta", (2, 3, 1)).num.terms
+        assert got.is_zero() == (not want)
+
+
 # -- operator shapes ---------------------------------------------------------
 
 

@@ -522,6 +522,14 @@ def test_summation_floor_sits_under_the_saddle():
         assert abs(gap - gap_ref) < 1e-3
 
 
+def test_summation_floor_of_a_segment_below_the_pad_resolution():
+    # the segment is 6e-9 wide at 1: a pad of 1e-9 of it rounds away at both ends
+    x = (0.9999999940000001,) * 6
+    lo, hi = tet_real_segment(x)
+    assert lo + (hi - lo) * 1e-9 == lo
+    assert tet_summation_floor(x) is None
+
+
 def _summation_floor_200(x):
     """tet_summation_floor with all 200 bisection steps: the oracle of its fixed-point exit."""
     seg = tet_real_segment(x)

@@ -394,6 +394,8 @@ def test_non_finite_numbers_exit_2(capsys, argv):
         # every nonzero saddle root meets a twist pole whose denominator underflows to 0
         "saddle --x 0.5,1e-200,0.5,0.5,0.5,1e-200",
         "asymptotics tet --x 0.5,1e-200,0.5,0.5,0.5,1e-200 --hbar -1000,-2000",
+        # the colors round to 12 and 6, where the saddle quadratic of x_eff degenerates
+        "asymptotics tet --x " + ",".join(["0.999999994"] * 6) + " --hbar -1e-9,-2e-9",
     ],
 )
 def test_asymptotics_singular_point_exit_2(capsys, argv):

@@ -106,6 +106,35 @@ def test_admissibility():
     assert not tet_is_admissible((1, 2, 5, 1, 1, 2))
 
 
+def _filtered_theta_colorings(max_entry):
+    # oracle: every triple of the box, kept when admissible
+    rng = range(max_entry + 1)
+    return [ThetaColoring(a, b, c) for a in rng for b in rng for c in rng if is_admissible(a, b, c)]
+
+
+def _filtered_tet_colorings(max_entry):
+    # oracle: the box walked entry by entry, each triangle tested once it is complete
+    out = []
+    rng = range(max_entry + 1)
+    for j1, j2, j12 in itertools.product(rng, repeat=3):
+        if not is_admissible(j1, j2, j12):
+            continue
+        for j3, j4 in itertools.product(rng, repeat=2):
+            if not is_admissible(j3, j4, j12):
+                continue
+            for j23 in rng:
+                if is_admissible(j1, j4, j23) and is_admissible(j2, j3, j23):
+                    out.append(TetColoring(j1, j2, j12, j3, j4, j23))
+    return out
+
+
+@pytest.mark.parametrize("max_entry", range(9))
+def test_enumerations_match_filtered_loops(max_entry):
+    # the same colorings in the same order
+    assert enumerate_theta_colorings(max_entry) == _filtered_theta_colorings(max_entry)
+    assert enumerate_tet_colorings(max_entry) == _filtered_tet_colorings(max_entry)
+
+
 # -- theta invariant ------------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from qgraph.laurent import (  # the integer kernel
     _cancel_phi,
     _cyclo_int,
     _factorial_exponents,
+    _factorial_exponents_sorted,
     _idiv_exact,
     _imul,
     _imul_kron,
@@ -923,6 +924,68 @@ def test_factorial_exponents_closed_form():
         assert _factorial_exponents((n,)) == (-n * (n - 1) // 2, want), n
     with pytest.raises(ValueError):
         _factorial_exponents((3,), (-1,))
+
+
+def test_factorial_exponents_cache_ignores_order():
+    # every order of ups and downs gives the uncached closed form, and one key
+    from itertools import permutations
+
+    uncached = _factorial_exponents_sorted.__wrapped__
+    _factorial_exponents_sorted.cache_clear()
+    for n in range(41):
+        ups, downs = (n, n // 2, 1, n // 3), (n // 2, n // 4 + 1, 0)
+        want = uncached(ups, downs)
+        for u in permutations(ups):
+            for d in permutations(downs):
+                assert _factorial_exponents(u, d) == want == uncached(u, d), (n, u, d)
+    assert _factorial_exponents_sorted.cache_info().currsize <= 41
+    # an error is raised on every call, never cached away
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _factorial_exponents((-1, 3))
+        with pytest.raises(ValueError):
+            _factorial_exponents((3,), (2, -2))
+
+
+def test_factorial_exponents_cache_is_bounded():
+    maxsize = _factorial_exponents_sorted.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 10**5
+
+
+def test_shared_factorial_maps_stay_intact():
+    # theta(a, b, c) and theta(c, a, b) hold the same cached exponent map, and so
+    # do the prefactors of two tet images; no operation may change it in place
+    from qgraph.invariants import tet_prefactor, tet_symmetry_orbit, theta_invariant
+
+    _factorial_exponents_sorted.cache_clear()
+    col = (4, 6, 8, 6, 4, 6)
+    image = tuple(tet_symmetry_orbit(col)[2])
+    assert image != col
+    pairs = [
+        (theta_invariant.__wrapped__(5, 7, 8), theta_invariant.__wrapped__(8, 5, 7)),
+        (tet_prefactor(col), tet_prefactor(image)),
+    ]
+    for x, y in pairs:
+        assert x._form[2] is y._form[2]
+        saved = [(dict(v._form[2]), v.num, v.den) for v in (x, y)]
+        other = LaurentRat.brackets(-1, (3, 5), (2, 7))
+        sum_num, sum_den = x.num * y.den + y.num * x.den, x.den * y.den
+        results = [
+            (x * y, x.num * y.num, x.den * y.den),
+            (x / y, x.num * y.den, x.den * y.num),
+            (x + y, sum_num, sum_den),
+            (rat_dot([(x, other), (y, other)]), sum_num * other.num, sum_den * other.den),
+        ]
+        # the two are equal values
+        assert x == y
+        assert rat_dot_vanishes([(x, other), (-y, other)])
+        assert not rat_dot_vanishes([(x, other), (y, other)])
+        for got, num, den in results:
+            check_value(got, num, den)
+        for v, (phi, num, den) in zip((x, y), saved):
+            assert v._form[2] == phi
+            fresh = LaurentRat._product(*v._form)
+            assert (fresh.num, fresh.den) == (num, den)
 
 
 # -- factored routes against cross-multiplication in the ring ---------------------

@@ -19,7 +19,9 @@ the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 320- and 640-bit rungs) and in the two tet growth tables of the benchmark's
 numeric workload (`growth_check_tet`, 6 and 4 rows), the exact zero test
 (`rat_dot_vanishes` against `rat_dot(...).is_zero()` over the pairs of both
-`verify recursum` routes on grid 4, with cold caches), the MultiPoly layer
+`verify recursum` routes on grid 4, with cold caches), the per-coloring
+operator application (`operator_vanishes` of theta's edge-a operator over
+`interior_colorings("theta", "a", 10, 2)`, with cold caches), the MultiPoly layer
 (the classical limits of the six tet operators and the saddle elimination,
 with cold caches, and 20 evaluations of the saddle resultant), two
 large-color evaluations expanded to their coefficients, each in a fresh
@@ -235,6 +237,18 @@ def bench_tet_sums(repeat: int) -> None:
     _line(f"tet sums, {len(grid)} colorings, cold caches", *_spread(_cold_samples(sums, repeat)))
 
 
+def bench_operator(repeat: int) -> None:
+    """operator_vanishes of theta's edge-a operator at each coloring of its interior grid 10."""
+    grid = apoly.interior_colorings("theta", "a", 10, 2)
+
+    def run():
+        op = apoly.theta_quantum_A("a")
+        for col in grid:
+            assert apoly.operator_vanishes(op, "theta", col)
+
+    _line(f"operator_vanishes theta a x{len(grid)}, grid 10, cold", *_spread(_cold_samples(run, repeat)))
+
+
 def _recursum_pairs(grid_max: int) -> list:
     """The rat_dot pairs of both `verify recursum` routes at every coloring it tests."""
     op = apoly.tet_quantum_A("1")
@@ -361,6 +375,7 @@ def main() -> None:
     bench_tet_sums(args.repeat)
     bench_log_abs_tet(args.repeat)
     bench_zero_test(args.repeat)
+    bench_operator(args.repeat)
     bench_multipoly(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
