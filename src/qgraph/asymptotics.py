@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iterproduct
 from typing import NamedTuple, Optional
@@ -126,12 +128,6 @@ def g_potential(u) -> complex:
 # -- point containers --------------------------------------------------------------------------
 
 
-class TwistPoint(NamedTuple):
-    """Twist variables keyed by edge label."""
-
-    y: dict
-
-
 class SaddleRecord(NamedTuple):
     """Roots of the tetrahedron saddle polynomial and the selected branch.
 
@@ -185,7 +181,7 @@ def _require_regular_theta(xa, xb, xc):
             raise SingularPointError("argument on the unit locus")
 
 
-def grad_log_y_theta(x) -> TwistPoint:
+def grad_log_y_theta(x) -> dict:
     """Twists of the theta graph as exponentiated potential gradients.
 
     Differentiating the potential in log x_j makes every squared-log piece
@@ -212,39 +208,13 @@ def grad_log_y_theta(x) -> TwistPoint:
         u4 = p * s / t
         return -(1 - u1) * (1 - u3) * (1 - u4) / ((1 - u2) * (1 - p * p) ** 2)
 
-    return TwistPoint(
-        y={"a": one(xa, xb, xc), "b": one(xb, xc, xa), "c": one(xc, xa, xb)}
-    )
-
-
-def _grad_log_y_theta_termwise(x, flip_negative_cut: bool = False) -> dict:
-    """Literal term-by-term log-gradient of the theta potential, exponentiated.
-
-    With flip_negative_cut the opposite branch of log(1 - u) is taken whenever
-    1 - u lands on the negative real axis.  The exponentiated twists must not
-    depend on that choice; tests compare both against grad_log_y_theta.
-    """
-    xa, xb, xc = _coords(x, THETA_EDGES)
-    _require_regular_theta(xa, xb, xc)
-
-    def lg(u):
-        v = 1 - u
-        val = cmath.log(v)
-        if flip_negative_cut and v.imag == 0 and v.real < 0:
-            val = complex(val.real, -math.pi)
-        return val
-
-    def slope(u):
-        return -0.5 * cmath.log(u) + lg(u)
-
-    def one(p, s, t):
-        u1, u2, u3, u4 = p * s * t, s * t / p, p * t / s, p * s / t
-        total = 1j * math.pi
-        total += slope(u1) - slope(u2) + slope(u3) + slope(u4)
-        total -= 2 * slope(p * p)
-        return cmath.exp(total)
-
     return {"a": one(xa, xb, xc), "b": one(xb, xc, xa), "c": one(xc, xa, xb)}
+
+
+def _curve_residuals(classical_A, labels, xs, ys) -> dict:
+    # |classical curve of each edge of ys| at the eigenvalues xs and that edge's twist
+    base = {"x_" + lab: v for lab, v in zip(labels, xs)}
+    return {edge: abs(classical_A(edge).poly.evaluate({**base, "y_" + edge: y})) for edge, y in ys.items()}
 
 
 def check_residual_theta(x) -> dict:
@@ -254,18 +224,12 @@ def check_residual_theta(x) -> dict:
     returned map then carries NaN for every edge, which is the diagnostic
     callers should report instead of a residual.
     """
-    xa, xb, xc = _coords(x, THETA_EDGES)
+    xs = _coords(x, THETA_EDGES)
     try:
-        ys = grad_log_y_theta((xa, xb, xc)).y
+        ys = grad_log_y_theta(xs)
     except SingularPointError:
         return {edge: math.nan for edge in THETA_EDGES}
-    base = {"x_a": xa, "x_b": xb, "x_c": xc}
-    out = {}
-    for edge in THETA_EDGES:
-        point = dict(base)
-        point["y_" + edge] = ys[edge]
-        out[edge] = abs(theta_classical_A(edge).poly.evaluate(point))
-    return out
+    return _curve_residuals(theta_classical_A, THETA_EDGES, xs, ys)
 
 
 # -- tetrahedron potential and saddles ---------------------------------------------------------
@@ -395,7 +359,7 @@ def saddle_cubic_tet(x) -> tuple:
     return (s1 - r1 - 1.0, r1 + r2 - s2, s3 - r2 - r3, 0.0)
 
 
-def saddle_twists_tet(x, z) -> TwistPoint:
+def saddle_twists_tet(x, z) -> dict:
     """All six twist variables determined by one saddle value.
 
     Each twist is an eigenvalue times a cross-ratio of the saddle against the
@@ -410,7 +374,7 @@ def saddle_twists_tet(x, z) -> TwistPoint:
     # a product of two nonzero factors can still underflow to 0
     if 0 in (d12, d13, d23) or any(abs(z - r) < 1e-13 * abs(r) for r in (r1, r2, r3)):
         raise SingularPointError("saddle collides with a twist pole")
-    y = {
+    return {
         "1": x3 * (z - p1) * (z - p3) / d12,
         "2": x4 * (z - p1) * (z - p4) / d13,
         "12": x23 * (z - p1) * (z - p2) / d23,
@@ -418,7 +382,6 @@ def saddle_twists_tet(x, z) -> TwistPoint:
         "4": x2 * (z - p2) * (z - p3) / d13,
         "23": x12 * (z - p3) * (z - p4) / d23,
     }
-    return TwistPoint(y=y)
 
 
 def _lattice_error(xs, z) -> float:
@@ -435,12 +398,10 @@ def _lattice_error(xs, z) -> float:
 
 def _curve_error_tet(xs, z) -> float:
     try:
-        y1 = saddle_twists_tet(xs, z).y["1"]
+        y1 = saddle_twists_tet(xs, z)["1"]
     except SingularPointError:
         return math.inf
-    point = {"x_" + lab: val for lab, val in zip(TET_EDGES, xs)}
-    point["y_1"] = y1
-    return abs(tet_classical_A("1").poly.evaluate(point))
+    return _curve_residuals(tet_classical_A, TET_EDGES, xs, {"1": y1})["1"]
 
 
 def saddle_solve_tet(x) -> SaddleRecord:
@@ -490,7 +451,7 @@ def saddle_solve_tet(x) -> SaddleRecord:
     candidates = [i for i, z in enumerate(roots) if z != 0]
     chosen = min(candidates, key=sel_key)
     zc = roots[chosen]
-    y1 = saddle_twists_tet(xs, zc).y["1"]
+    y1 = saddle_twists_tet(xs, zc)["1"]
     return SaddleRecord(
         z_roots=roots,
         chosen=chosen,
@@ -500,6 +461,15 @@ def saddle_solve_tet(x) -> SaddleRecord:
         lattice_errors=lattice_errors,
         degenerate=False,
     )
+
+
+def check_residual_tet(x) -> dict:
+    """Absolute value of each tetrahedron classical curve at the selected saddle's twists."""
+    xs = _coords(x, TET_EDGES)
+    rec = saddle_solve_tet(xs)
+    if rec.degenerate:
+        raise SingularPointError("degenerate saddle polynomial")
+    return _curve_residuals(tet_classical_A, TET_EDGES, xs, saddle_twists_tet(xs, rec.z_roots[rec.chosen]))
 
 
 def tet_real_segment(x) -> Optional[tuple]:
@@ -566,10 +536,8 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
     if graph == "theta":
         labels = THETA_EDGES
         xs = tuple(float(v.real) for v in _coords(x, THETA_EDGES))
-        y_ref = grad_log_y_theta(xs).y
-
-        def twists_at(pt):
-            return grad_log_y_theta(pt).y
+        twists_at = grad_log_y_theta
+        y_ref = twists_at(xs)
 
     elif graph == "tet":
         labels = TET_EDGES
@@ -578,13 +546,13 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
         if rec.degenerate:
             raise SingularPointError("degenerate saddle polynomial")
         z_ref = rec.z_roots[rec.chosen]
-        y_ref = saddle_twists_tet(xs, z_ref).y
+        y_ref = saddle_twists_tet(xs, z_ref)
 
         def twists_at(pt):
             a, b, c, _ = saddle_cubic_tet(pt)
             roots = _quadratic_roots(a, b, c)
             z = min(roots, key=lambda r: abs(r - z_ref))
-            return saddle_twists_tet(pt, z).y
+            return saddle_twists_tet(pt, z)
 
     else:
         raise ValueError(f"unknown graph {graph!r}")
@@ -605,35 +573,26 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
     )
 
 
-def sample_theta_point(
-    rng, delta: float = 0.1, lo: float = 0.15, hi: float = 0.85, subunit: bool = False
-):
-    """Random eigenvalue triple bounded away from the singular loci.
-
-    With subunit=True every potential argument must also stay below 1, which
-    keeps the point inside the region where w_theta is analytic along real
-    perturbations (needed for finite-difference comparisons).
-    """
+def sample_theta_point(rng):
+    """Random eigenvalue triple in [0.15, 0.85]^3 whose potential arguments all keep 0.1 from 1."""
     for _ in range(100000):
-        xa, xb, xc = (rng.uniform(lo, hi) for _ in range(3))
+        xa, xb, xc = (rng.uniform(0.15, 0.85) for _ in range(3))
         args = _theta_args(xa, xb, xc) + (xa * xa, xb * xb, xc * xc)
-        if any(abs(1 - u) < delta for u in args):
-            continue
-        if subunit and any(u > 1.0 for u in args):
+        if any(abs(1 - u) < 0.1 for u in args):
             continue
         return (xa, xb, xc)
     raise RuntimeError("theta point sampler starved")
 
 
-def sample_tet_point(rng, delta: float = 0.15, lo: float = 0.2, hi: float = 0.8):
-    """Random eigenvalue six-tuple whose saddle sits away from degeneracies.
+def sample_tet_point(rng):
+    """Random eigenvalue six-tuple in [0.2, 0.8]^6 whose saddle sits away from degeneracies.
 
-    The saddle must keep a relative distance delta from every product it can
+    The saddle must keep a relative distance 0.15 from every product it can
     collide with, and the balance quadratic must be comfortably nondegenerate.
-    Acceptance runs near ten percent on the default box.
+    Acceptance runs near ten percent.
     """
     for _ in range(100000):
-        xs = tuple(rng.uniform(lo, hi) for _ in range(6))
+        xs = tuple(rng.uniform(0.2, 0.8) for _ in range(6))
         a, b, c, _ = saddle_cubic_tet(xs)
         if abs(a) < 0.05 * max(abs(b), abs(c), 1e-30):
             continue
@@ -642,11 +601,9 @@ def sample_tet_point(rng, delta: float = 0.15, lo: float = 0.2, hi: float = 0.8)
             continue
         z = rec.z_roots[rec.chosen]
         triples, quads = _tet_products(xs)
-        if any(abs(z - p) < delta * abs(p) for p in triples):
+        if any(abs(z - p) < 0.15 * abs(p) for p in triples + quads):
             continue
-        if any(abs(z - r) < delta * abs(r) for r in quads):
-            continue
-        if abs(1 - z) < delta or abs(z) < 1e-4:
+        if abs(1 - z) < 0.15 or abs(z) < 1e-4:
             continue
         return xs
     raise RuntimeError("tet point sampler starved")
@@ -831,8 +788,9 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
     _START_BITS and doubling until |signed| / total > 2^(60 - bits), or
     raising LadderExhaustedError after the _TOP_BITS rung.  A computed zero
     is never trusted.  Returns (log magnitude, diagnostics dict) with the
-    measured cancellation |signed| / total and the nominal bits of the
-    trusted rung.
+    measured cancellation |signed| / total, an exact Fraction (as a float it
+    would read 0 below about 2^-1075), and the nominal bits of the trusted
+    rung.
 
     log2_hint, a predicted log2(|signed| / total), only saves work: the
     ladder starts at the lowest rung the hint does not say fails by
@@ -865,7 +823,7 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
                 continue
             with mpmath.workprec(bits):
                 val = float(mpmath.log(abs(signed)) + log_scale)
-            return val, {"cancellation": abs(signed) / total, "precision_bits": bits}
+            return val, {"cancellation": Fraction(abs(signed), total), "precision_bits": bits}
         if bits == _TOP_BITS:
             raise LadderExhaustedError("cancellation exhausted the precision ladder")
         bits *= 2
@@ -882,39 +840,42 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
 MAX_GROWTH_COLOR = 10_000
 
 
-def round_colors_theta(x, hbar: float) -> tuple:
-    """Nearest admissible theta coloring for the requested eigenvalues.
+def _round_colors(x, labels, hbar: float, usable, shifts) -> tuple:
+    """Nearest usable coloring for the requested eigenvalues.
 
-    Colors solve x = exp(hbar n / 2).  When plain rounding breaks parity the
-    cheapest single-entry adjustment that restores admissibility is taken.
-    Returns (colors or None, notes).
+    Colors solve x = exp(hbar n / 2).  When the plain rounding `base` is not
+    usable, the cheapest of the unit shifts shifts(base) that gives a usable
+    coloring is taken, ties going to the smaller coloring.  Returns (colors
+    or None, notes).
     """
     if not hbar < 0:
         raise ValueError("growth regime needs negative hbar")
-    xs = tuple(float(v.real) for v in _coords(x, THETA_EDGES))
+    xs = tuple(float(v.real) for v in _coords(x, labels))
     exact = [2.0 * math.log(v) / hbar for v in xs]
     base = [max(0, round(e)) for e in exact]
-    notes = []
-    if is_admissible(*base):
-        cand = tuple(base)
+    if usable(base):
+        cand, notes = tuple(base), []
     else:
         best = None
-        for i in range(3):
-            for d in (-1, 1):
-                trial = list(base)
-                trial[i] += d
-                if min(trial) < 0 or not is_admissible(*trial):
-                    continue
-                cost = (sum(abs(t - e) for t, e in zip(trial, exact)), tuple(trial))
-                if best is None or cost < best:
-                    best = cost
+        for deltas in shifts(base):
+            trial = [b + d for b, d in zip(base, deltas)]
+            if min(trial) < 0 or not usable(trial):
+                continue
+            cost = (sum(abs(t - e) for t, e in zip(trial, exact)), tuple(trial))
+            if best is None or cost < best:
+                best = cost
         if best is None:
             return None, ("no admissible coloring near the requested point",)
-        cand = best[1]
-        notes.append("rounding adjusted to restore admissibility")
+        cand, notes = best[1], ["rounding adjusted to restore admissibility"]
     if all(c == 0 for c in cand):
         notes.append("trivial coloring, invariant equals 1")
     return cand, tuple(notes)
+
+
+def round_colors_theta(x, hbar: float) -> tuple:
+    """Nearest admissible theta coloring, over the six single-entry unit shifts."""
+    shifts = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
+    return _round_colors(x, THETA_EDGES, hbar, lambda c: is_admissible(*c), lambda base: shifts)
 
 
 def _face_parities(c) -> tuple:
@@ -933,37 +894,15 @@ def _unit_shifts_by_parity() -> dict:
     return groups
 
 
+def _tet_usable(c) -> bool:
+    # admissible, with a nonempty summation range
+    col = TetColoring(*c)
+    return tet_is_admissible(col) and max(_triangle_halves(col)) <= min(_quad_halves(col))
+
+
 def round_colors_tet(x, hbar: float) -> tuple:
     """Nearest admissible tetrahedron coloring, over the unit shifts that make every face sum even."""
-    if not hbar < 0:
-        raise ValueError("growth regime needs negative hbar")
-    xs = tuple(float(v.real) for v in _coords(x, TET_EDGES))
-    exact = [2.0 * math.log(v) / hbar for v in xs]
-    base = [max(0, round(e)) for e in exact]
-
-    def usable(c):
-        col = TetColoring(*c)
-        if not tet_is_admissible(col):
-            return False
-        return max(_triangle_halves(col)) <= min(_quad_halves(col))
-
-    if usable(base):
-        cand, notes = tuple(base), []
-    else:
-        best = None
-        for deltas in _unit_shifts_by_parity()[_face_parities(base)]:
-            trial = [b + d for b, d in zip(base, deltas)]
-            if min(trial) < 0 or not usable(trial):
-                continue
-            cost = (sum(abs(t - e) for t, e in zip(trial, exact)), tuple(trial))
-            if best is None or cost < best:
-                best = cost
-        if best is None:
-            return None, ("no admissible coloring near the requested point",)
-        cand, notes = best[1], ["rounding adjusted to restore admissibility"]
-    if all(c == 0 for c in cand):
-        notes.append("trivial coloring, invariant equals 1")
-    return cand, tuple(notes)
+    return _round_colors(x, TET_EDGES, hbar, _tet_usable, lambda base: _unit_shifts_by_parity()[_face_parities(base)])
 
 
 # -- growth tables -----------------------------------------------------------------------------
@@ -1011,6 +950,18 @@ def _summarize(graph: str, target: float, rows: list) -> GrowthTable:
     else:
         rich, rel = math.nan, math.nan
     return GrowthTable(graph, target, tuple(rows), ratios, monotone, rich, rel)
+
+
+def _ratio_e3(num: int, den: int) -> str:
+    """num / den, for ints 0 <= num <= den, as format(num / den, ".3e") spells it.
+
+    Below a double's normal range, where that float loses digits or
+    underflows to 0, the quotient is first scaled by 10^k into the range and
+    k comes off the printed exponent.
+    """
+    k = 0 if num == 0 or num / den >= sys.float_info.min else (den.bit_length() - num.bit_length()) * 30103 // 100000
+    mant, ex = f"{num * 10**k / den:.3e}".split("e")
+    return f"{mant}e{int(ex) - k:+03d}"
 
 
 # subtracting these normalizations leaves a residual linear in hbar
@@ -1102,7 +1053,8 @@ def growth_check_tet(x, hbars) -> GrowthTable:
         hint = None if floor is None else (w_eff.real - floor[1]) / (hb * math.log(2.0))
         val_log, diag = log_abs_tet(colors, hb, hint)
         val = hb * val_log
-        notes.append(f"cancellation {diag['cancellation']:.3e}")
+        canc = diag["cancellation"]
+        notes.append(f"cancellation {_ratio_e3(canc.numerator, canc.denominator)}")
         if abs(z0.imag) < 1e-12:
             notes.append("real saddle branch, interference model approximate")
         if cosine < 0.2:
@@ -1114,36 +1066,3 @@ def growth_check_tet(x, hbars) -> GrowthTable:
             notes.append(f"max-term floor {floor[1]:.6f}")
         rows.append(GrowthRow(hb, colors, val, target, err, tuple(notes)))
     return _summarize("tet", target, rows)
-
-
-def gx_self_check(x, hbars) -> GrowthTable:
-    """First-order convergence of hbar*log [n]! to the factorial potential.
-
-    Rounds n from x = exp(hbar n), subtracts the known pi^2/6 constant, the
-    log(-hbar) terms, and the square-root measure, and reports the residual,
-    which must shrink linearly in hbar with a clean Richardson limit.
-    """
-    xv = float(x)
-    if not 0.0 < xv < 1.0:
-        raise ValueError("self check needs 0 < x < 1")
-    target = g_potential(xv).real
-    rows = []
-    for hb in hbars:
-        hb = float(hb)
-        n = round(math.log(xv) / hb)
-        if n <= 0:
-            rows.append(
-                GrowthRow(hb, (0,), 0.0, target, math.nan, ("trivial rounding",))
-            )
-            continue
-        x_eff = math.exp(hb * n)
-        val = hb * _log_bracket_prefix(n, hb)[n]
-        corr = (
-            PI_SQ_OVER_6
-            - math.log(x_eff) * math.log(-hb)
-            + 0.5 * hb * math.log(TWO_PI / -hb)
-        )
-        shift = g_potential(x_eff).real - target
-        err = val - corr - shift - target
-        rows.append(GrowthRow(hb, (n,), val, target, err, ()))
-    return _summarize("bracket-factorial", target, rows)

@@ -41,6 +41,7 @@ from .asymptotics import (
     MAX_GROWTH_COLOR,
     LadderExhaustedError,
     SingularPointError,
+    check_residual_tet,
     check_residual_theta,
     growth_check_tet,
     growth_check_theta,
@@ -48,7 +49,6 @@ from .asymptotics import (
     sample_tet_point,
     sample_theta_point,
     saddle_solve_tet,
-    saddle_twists_tet,
 )
 from .invariants import (
     CONVENTION_TRIANGLE,
@@ -165,6 +165,13 @@ def _envelope(cfg, **payload) -> dict:
     }
     out.update(payload)
     return out
+
+
+def _verdict(cfg, payload: dict, passed: bool, rows) -> tuple:
+    # a check's (exit code, report, rows); "passed" comes last, as text reports show it
+    report = _envelope(cfg, **payload)
+    report["passed"] = passed
+    return (0 if passed else 1), report, rows
 
 
 def _render(report: dict, rows, fmt: str) -> str:
@@ -462,10 +469,7 @@ def cmd_verify(args, cfg):
         raise UsageError(
             f"verify {args.check} tested no colorings at grid bound {payload['grid_max']}"
         )
-    report = _envelope(cfg, **payload)
-    code = 0 if not report.get("failures") else 1
-    report["passed"] = code == 0
-    return code, report, None
+    return _verdict(cfg, payload, not payload.get("failures"), None)
 
 
 # -- numeric checks ----------------------------------------------------------------------------
@@ -485,9 +489,11 @@ def cmd_asymptotics(args, cfg):
             raise UsageError(
                 f"--hbar {h!r} is too close to 0: exp(hbar) rounds to 1, so log(1 - exp(hbar)) is not finite"
             )
-    # colors solve x = exp(hbar * n / 2), which only a positive x can meet
+    # colors solve x = exp(hbar * n / 2) with n >= 0, which only an x in (0, 1] can meet
     if any(v <= 0 for v in x):
         raise UsageError(f"--x entries must be positive (0 is a singular point of the potential), got {args.x}")
+    if any(v > 1 for v in x):
+        raise UsageError(f"--x entries must be at most 1 (no color n >= 0 has exp(hbar * n / 2) > 1), got {args.x}")
     for h in hbars:
         top = max(max(0, round(2.0 * math.log(v) / h)) for v in x)
         if top > MAX_GROWTH_COLOR:
@@ -546,9 +552,7 @@ def cmd_asymptotics(args, cfg):
         "richardson_tolerance": rich_tol,
         "problems": problems,
     }
-    report = _envelope(cfg, **payload)
-    report["passed"] = not problems
-    return (0 if not problems else 1), report, (_GROWTH_COLUMNS, rows)
+    return _verdict(cfg, payload, not problems, (_GROWTH_COLUMNS, rows))
 
 
 _SADDLE_COLUMNS = ["index", "re", "im", "curve_residual", "lattice_residual", "chosen"]
@@ -584,10 +588,7 @@ def cmd_saddle(args, cfg):
         "tolerance": tol,
         "y1": _complex_obj(rec.y1),
     }
-    report = _envelope(cfg, **payload)
-    passed = rec.residual <= tol
-    report["passed"] = passed
-    return (0 if passed else 1), report, (_SADDLE_COLUMNS, rows)
+    return _verdict(cfg, payload, rec.residual <= tol, (_SADDLE_COLUMNS, rows))
 
 
 _LAGRANGIAN_COLUMNS = ["index", "x", "asymmetry"]
@@ -623,10 +624,7 @@ def cmd_lagrangian(args, cfg):
         "max_asymmetry": worst,
         "tolerance": tol,
     }
-    report = _envelope(cfg, **payload)
-    passed = worst <= tol
-    report["passed"] = passed
-    return (0 if passed else 1), report, (_LAGRANGIAN_COLUMNS, rows)
+    return _verdict(cfg, payload, worst <= tol, (_LAGRANGIAN_COLUMNS, rows))
 
 
 _RESIDUAL_COLUMNS = ["index", "x", "residual", "status"]
@@ -652,14 +650,7 @@ def cmd_residual(args, cfg):
             value = max(vals)
         else:
             x = sample_tet_point(rng)
-            rec = saddle_solve_tet(x)
-            ys = saddle_twists_tet(x, rec.z_roots[rec.chosen]).y
-            base = {"x_" + lab: complex(v) for lab, v in zip(TET_EDGES, x)}
-            value = 0.0
-            for edge in TET_EDGES:
-                point = dict(base)
-                point["y_" + edge] = ys[edge]
-                value = max(value, abs(tet_classical_A(edge).poly.evaluate(point)))
+            value = max(0.0, *check_residual_tet(x).values())
         worst = max(worst, value)
         rows.append(
             {"index": i, "x": ",".join(repr(v) for v in x), "residual": value, "status": "ok"}
@@ -673,10 +664,7 @@ def cmd_residual(args, cfg):
         "max_residual": worst,
         "tolerance": tol,
     }
-    report = _envelope(cfg, **payload)
-    passed = worst <= tol
-    report["passed"] = passed
-    return (0 if passed else 1), report, (_RESIDUAL_COLUMNS, rows)
+    return _verdict(cfg, payload, worst <= tol, (_RESIDUAL_COLUMNS, rows))
 
 
 # -- argument plumbing -------------------------------------------------------------------------

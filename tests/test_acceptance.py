@@ -244,7 +244,7 @@ def test_gate_11_gradient_variety_consistency(gate):
         evaluated += 1
         worst = max(worst, max(vals))
     sweep_ok = worst <= 1e-9
-    ya = grad_log_y_theta((0.5, 0.5, 0.5)).y["a"]
+    ya = grad_log_y_theta((0.5, 0.5, 0.5))["a"]
     # the curve is linear in y_a and forces -7/9 here; the q -> 1 limit of
     # theta_recursion_factor(N, N, N) lands on the same value
     pinned = -Fraction(7, 9)

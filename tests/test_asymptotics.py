@@ -20,20 +20,28 @@ import pytest
 from qgraph import asymptotics
 from qgraph.apoly import TET_EDGES, THETA_EDGES, saddle_system, tet_classical_A, theta_classical_A
 from qgraph.asymptotics import (
+    PI_SQ_OVER_6,
+    TWO_PI,
     GrowthRow,
     GrowthTable,
     LadderExhaustedError,
     SingularPointError,
-    TwistPoint,
-    _grad_log_y_theta_termwise,
+    _coords,
+    _face_parities,
+    _log_bracket_prefix,
     _quadratic_roots,
+    _ratio_e3,
+    _require_regular_theta,
+    _summarize,
+    _theta_args,
+    _unit_shifts_by_parity,
+    check_residual_tet,
     check_residual_theta,
     dilog,
     g_potential,
     grad_log_y_theta,
     growth_check_tet,
     growth_check_theta,
-    gx_self_check,
     lagrangian_residual,
     log_abs_tet,
     log_abs_theta,
@@ -219,7 +227,7 @@ def test_w_theta_permutation_invariant():
 def test_theta_twists_at_symmetric_point_solve_the_curve():
     # the curve is linear in its twist, so it pins the value; the gradient
     # must reproduce exactly what the curve forces
-    ys = grad_log_y_theta((0.5, 0.5, 0.5)).y
+    ys = grad_log_y_theta((0.5, 0.5, 0.5))
     poly = theta_classical_A("a").poly
     base = {"x_a": 0.5, "x_b": 0.5, "x_c": 0.5}
     c0 = poly.evaluate({**base, "y_a": 0.0})
@@ -240,15 +248,28 @@ def test_theta_twist_at_symmetric_point_from_exact_recursion():
     )
     limit = 2.0 * r128 - r64
     assert abs(limit - float(Fraction(-7, 9))) < 1e-3
-    assert abs(limit - grad_log_y_theta((0.5, 0.5, 0.5)).y["a"]) < 1e-3
+    assert abs(limit - grad_log_y_theta((0.5, 0.5, 0.5))["a"]) < 1e-3
+
+
+def _sample_theta_point_subunit(rng):
+    """sample_theta_point redrawn until every potential argument is at most 1.
+
+    That keeps the point inside the region where w_theta is analytic along
+    real perturbations, as finite differences need.  Each draw consumes the
+    rng as the sampler's old subunit option did, so the points are the same.
+    """
+    while True:
+        xa, xb, xc = x = sample_theta_point(rng)
+        if all(u <= 1.0 for u in _theta_args(xa, xb, xc) + (xa * xa, xb * xb, xc * xc)):
+            return x
 
 
 def test_theta_twists_match_finite_differences():
     rng = random.Random(11)
     h = 1e-6
     for _ in range(20):
-        x = sample_theta_point(rng, subunit=True)
-        ys = grad_log_y_theta(x).y
+        x = _sample_theta_point_subunit(rng)
+        ys = grad_log_y_theta(x)
         for i, edge in enumerate(THETA_EDGES):
             up = list(x)
             dn = list(x)
@@ -258,12 +279,42 @@ def test_theta_twists_match_finite_differences():
             assert abs(cmath.exp(fd) - ys[edge]) <= 1e-8 * abs(ys[edge])
 
 
+def _grad_log_y_theta_termwise(x, flip_negative_cut: bool = False) -> dict:
+    """Literal term-by-term log-gradient of the theta potential, exponentiated.
+
+    With flip_negative_cut the opposite branch of log(1 - u) is taken whenever
+    1 - u lands on the negative real axis.  The exponentiated twists must not
+    depend on that choice; tests compare both against grad_log_y_theta.
+    """
+    xa, xb, xc = _coords(x, THETA_EDGES)
+    _require_regular_theta(xa, xb, xc)
+
+    def lg(u):
+        v = 1 - u
+        val = cmath.log(v)
+        if flip_negative_cut and v.imag == 0 and v.real < 0:
+            val = complex(val.real, -math.pi)
+        return val
+
+    def slope(u):
+        return -0.5 * cmath.log(u) + lg(u)
+
+    def one(p, s, t):
+        u1, u2, u3, u4 = p * s * t, s * t / p, p * t / s, p * s / t
+        total = 1j * math.pi
+        total += slope(u1) - slope(u2) + slope(u3) + slope(u4)
+        total -= 2 * slope(p * p)
+        return cmath.exp(total)
+
+    return {"a": one(xa, xb, xc), "b": one(xb, xc, xa), "c": one(xc, xa, xb)}
+
+
 def test_theta_twists_branch_independent():
     pts = [(0.2, 0.8, 0.8)]
     rng = random.Random(21)
     pts += [sample_theta_point(rng) for _ in range(20)]
     for x in pts:
-        base = grad_log_y_theta(x).y
+        base = grad_log_y_theta(x)
         for flip in (False, True):
             alt = _grad_log_y_theta_termwise(x, flip_negative_cut=flip)
             for edge in THETA_EDGES:
@@ -274,8 +325,8 @@ def test_theta_twists_permutation_equivariant():
     rng = random.Random(13)
     for _ in range(30):
         xa, xb, xc = sample_theta_point(rng)
-        ys = grad_log_y_theta((xa, xb, xc)).y
-        swapped = grad_log_y_theta((xb, xa, xc)).y
+        ys = grad_log_y_theta((xa, xb, xc))
+        swapped = grad_log_y_theta((xb, xa, xc))
         assert abs(ys["a"] - swapped["b"]) < 1e-13 * abs(ys["a"])
 
 
@@ -498,12 +549,39 @@ def test_saddle_twists_satisfy_all_six_curves():
     for _ in range(20):
         x = sample_tet_point(rng)
         rec = saddle_solve_tet(x)
-        ys = saddle_twists_tet(x, rec.z_roots[rec.chosen]).y
+        ys = saddle_twists_tet(x, rec.z_roots[rec.chosen])
         base = {"x_" + lab: complex(v) for lab, v in zip(TET_EDGES, x)}
         for edge in TET_EDGES:
             point = dict(base)
             point["y_" + edge] = ys[edge]
             assert abs(tet_classical_A(edge).poly.evaluate(point)) <= 1e-8
+
+
+def _residual_tet_looped(x):
+    """The residual command's tet loop written out: the largest curve residual, maximized from 0.0 edge by edge."""
+    rec = saddle_solve_tet(x)
+    ys = saddle_twists_tet(x, rec.z_roots[rec.chosen])
+    base = {"x_" + lab: complex(v) for lab, v in zip(TET_EDGES, x)}
+    value = 0.0
+    for edge in TET_EDGES:
+        point = dict(base)
+        point["y_" + edge] = ys[edge]
+        value = max(value, abs(tet_classical_A(edge).poly.evaluate(point)))
+    return value
+
+
+def test_check_residual_tet_matches_the_looped_residual():
+    rng = random.Random(4)
+    for _ in range(30):
+        x = sample_tet_point(rng)
+        res = check_residual_tet(x)
+        assert tuple(res) == TET_EDGES
+        assert max(0.0, *res.values()) == _residual_tet_looped(x)
+
+
+def test_check_residual_tet_rejects_a_degenerate_saddle():
+    with pytest.raises(SingularPointError):
+        check_residual_tet((1,) * 6)
 
 
 def test_summation_floor_sits_under_the_saddle():
@@ -854,6 +932,97 @@ def test_round_colors_tet_matches_brute_force():
     assert repaired >= 30
 
 
+def _round_colors_theta_looped(x, hbar):
+    """round_colors_theta written out as its own loop over the six single-entry shifts: the shared routine's oracle."""
+    if not hbar < 0:
+        raise ValueError("growth regime needs negative hbar")
+    xs = tuple(float(v.real) for v in _coords(x, THETA_EDGES))
+    exact = [2.0 * math.log(v) / hbar for v in xs]
+    base = [max(0, round(e)) for e in exact]
+    notes = []
+    if is_admissible(*base):
+        cand = tuple(base)
+    else:
+        best = None
+        for i in range(3):
+            for d in (-1, 1):
+                trial = list(base)
+                trial[i] += d
+                if min(trial) < 0 or not is_admissible(*trial):
+                    continue
+                cost = (sum(abs(t - e) for t, e in zip(trial, exact)), tuple(trial))
+                if best is None or cost < best:
+                    best = cost
+        if best is None:
+            return None, ("no admissible coloring near the requested point",)
+        cand = best[1]
+        notes.append("rounding adjusted to restore admissibility")
+    if all(c == 0 for c in cand):
+        notes.append("trivial coloring, invariant equals 1")
+    return cand, tuple(notes)
+
+
+def _round_colors_tet_looped(x, hbar):
+    """round_colors_tet written out as its own loop over the parity-filtered shifts: the shared routine's oracle."""
+    if not hbar < 0:
+        raise ValueError("growth regime needs negative hbar")
+    xs = tuple(float(v.real) for v in _coords(x, TET_EDGES))
+    exact = [2.0 * math.log(v) / hbar for v in xs]
+    base = [max(0, round(e)) for e in exact]
+
+    def usable(c):
+        col = TetColoring(*c)
+        if not tet_is_admissible(col):
+            return False
+        return max(_triangle_halves(col)) <= min(_quad_halves(col))
+
+    if usable(base):
+        cand, notes = tuple(base), []
+    else:
+        best = None
+        for deltas in _unit_shifts_by_parity()[_face_parities(base)]:
+            trial = [b + d for b, d in zip(base, deltas)]
+            if min(trial) < 0 or not usable(trial):
+                continue
+            cost = (sum(abs(t - e) for t, e in zip(trial, exact)), tuple(trial))
+            if best is None or cost < best:
+                best = cost
+        if best is None:
+            return None, ("no admissible coloring near the requested point",)
+        cand, notes = best[1], ["rounding adjusted to restore admissibility"]
+    if all(c == 0 for c in cand):
+        notes.append("trivial coloring, invariant equals 1")
+    return cand, tuple(notes)
+
+
+@pytest.mark.parametrize(
+    "rounded, looped, n",
+    [(round_colors_theta, _round_colors_theta_looped, 3), (round_colors_tet, _round_colors_tet_looped, 6)],
+    ids=["theta", "tet"],
+)
+def test_shared_rounding_matches_the_looped_routines(rounded, looped, n):
+    # entries spread 2%, 10% or 60% around a center in (0.05, 0.99), hbar from
+    # -2 to -2^-8: plain picks, adjusted picks, points with no admissible
+    # candidate and trivial colorings all occur
+    rng = random.Random(20)
+    seen = {"plain": 0, "adjusted": 0, "none": 0, "trivial": 0}
+    for _ in range(400):
+        t, w = rng.uniform(0.05, 0.99), rng.choice((0.02, 0.1, 0.6))
+        x = tuple(min(1.0, t * rng.uniform(1.0 - w, 1.0 + w)) for _ in range(n))
+        hb = -(2.0 ** -rng.uniform(-1.0, 8.0))
+        want = looped(x, hb)
+        assert rounded(x, hb) == want
+        colors, notes = want
+        if colors is None:
+            seen["none"] += 1
+        elif any("adjusted" in note for note in notes):
+            seen["adjusted"] += 1
+        else:
+            seen["plain"] += 1
+        seen["trivial"] += colors is not None and not any(colors)
+    assert min(seen.values()) >= 10, seen
+
+
 # -- growth tables --
 
 
@@ -902,6 +1071,68 @@ def test_growth_check_tet_reports_cancellation_scaling():
     note = next(n for n in row.notes if n.startswith("cancellation"))
     measured = float(note.split()[1])
     assert measured < 1e-5
+
+
+def test_ratio_e3_spells_ratios_below_a_doubles_range():
+    assert _ratio_e3(1, 2**4000) == "7.586e-1205"
+    assert _ratio_e3(1, 2**10**6) == "1.010e-301030"
+    assert _ratio_e3(1, 10**400) == "1.000e-400"
+    assert _ratio_e3(123456, 10**321) == "1.235e-316"  # subnormal: the float keeps fewer digits
+    assert _ratio_e3(99996, 10**313) == "1.000e-308"  # rounds up into the next decade
+    assert _ratio_e3(1, 2**1074) == "4.941e-324"
+    assert _ratio_e3(0, 7) == "0.000e+00"
+    assert _ratio_e3(3, 4) == "7.500e-01"
+
+
+def test_ratio_e3_matches_float_format_on_bench_rows():
+    for colors, hbar in NUMERIC_BENCH_ROWS:
+        canc = log_abs_tet(colors, hbar)[1]["cancellation"]
+        num, den = canc.numerator, canc.denominator
+        want = f"{num / den:.3e}"
+        assert _ratio_e3(num, den) == want
+        # 400 decades lower, below a double's range, the scaled route spells the same digits
+        mant, ex = want.split("e")
+        assert _ratio_e3(num, den * 10**400) == f"{mant}e{int(ex) - 400:+03d}"
+
+
+def test_growth_check_tet_notes_a_cancellation_below_a_doubles_range(monkeypatch):
+    # a survivor of 2^-4000 of the total, trusted at 5120 bits: as a float it read 0.000e+00
+    monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (1, 1 << 4000, 0))
+    row = growth_check_tet((0.35,) * 6, (-1.0 / 32.0,)).rows[0]
+    assert "cancellation 7.586e-1205" in row.notes
+
+
+def gx_self_check(x, hbars) -> GrowthTable:
+    """First-order convergence of hbar*log [n]! to the factorial potential.
+
+    Rounds n from x = exp(hbar n), subtracts the known pi^2/6 constant, the
+    log(-hbar) terms, and the square-root measure, and reports the residual,
+    which must shrink linearly in hbar with a clean Richardson limit.
+    """
+    xv = float(x)
+    if not 0.0 < xv < 1.0:
+        raise ValueError("self check needs 0 < x < 1")
+    target = g_potential(xv).real
+    rows = []
+    for hb in hbars:
+        hb = float(hb)
+        n = round(math.log(xv) / hb)
+        if n <= 0:
+            rows.append(
+                GrowthRow(hb, (0,), 0.0, target, math.nan, ("trivial rounding",))
+            )
+            continue
+        x_eff = math.exp(hb * n)
+        val = hb * _log_bracket_prefix(n, hb)[n]
+        corr = (
+            PI_SQ_OVER_6
+            - math.log(x_eff) * math.log(-hb)
+            + 0.5 * hb * math.log(TWO_PI / -hb)
+        )
+        shift = g_potential(x_eff).real - target
+        err = val - corr - shift - target
+        rows.append(GrowthRow(hb, (n,), val, target, err, ()))
+    return _summarize("bracket-factorial", target, rows)
 
 
 def test_gx_self_check_first_order():
@@ -962,7 +1193,7 @@ def test_lagrangian_rejects_unknown_graph():
 def test_sample_theta_point_respects_constraints():
     rng = random.Random(1)
     for _ in range(50):
-        x = sample_theta_point(rng, subunit=True)
+        x = _sample_theta_point_subunit(rng)
         assert all(0.15 <= v <= 0.85 for v in x)
         xa, xb, xc = x
         args = (xa * xb * xc, xb * xc / xa, xa * xc / xb, xa * xb / xc, xa * xa, xb * xb, xc * xc)

@@ -469,6 +469,21 @@ def test_asymptotics_nonpositive_x_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # no color reaches x = 2: used to exit 1 with "needs at least two usable rows"
+        "asymptotics tet --x 2,2,2,2,2,2 --hbar -0.1,-0.05",
+        # used to exit 1 with target nan
+        "asymptotics theta --x 1e300,1,1 --hbar -0.1,-0.05",
+    ],
+)
+def test_asymptotics_x_above_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "must be at most 1" in err
+
+
+@pytest.mark.parametrize(
     "argv, option",
     [
         ("verify classical-limit --graph theta --max 0", "--max"),

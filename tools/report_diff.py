@@ -2,11 +2,13 @@
 
 Builds every operation of the three benchmark workloads (sweep, large-color
 and numeric in perfbench/workloads.py, imported read-only) for seeds 1, 2
-and 7, each in text and with `--format json`: 132 argvs.  Runs each once with
+and 7, each in text and with `--format json`: 132 argvs.  EXTRA adds a fixed
+list of argvs for what those never run.  Runs each once with
 PYTHONPATH=<this tree>/src and once with PYTHONPATH=PARENT_TREE/src, from an
 empty working directory and without QGRAPH_CONFIG, and prints every argv
-whose stdout or exit code differs.  Exits 1 if any does, 0 otherwise.  The
-sweep does not depend on the seed, so repeated argvs run once per tree.
+whose stdout or exit code differs, with a count for each list.  Exits 1 if
+any differs, 0 otherwise.  The sweep does not depend on the seed, so
+repeated argvs run once per tree.
 
     python3 tools/report_diff.py PARENT_TREE
 """
@@ -27,6 +29,44 @@ JOBS = 2  # CLI processes run at once
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
+
+
+X_TET = "0.35,0.35,0.35,0.35,0.35,0.35"
+
+# argvs the benchmark never runs: theta residual and lagrangian sweeps, csv
+# output, the theta classical limit, --eval at two precisions, the injected
+# bad operator (exit 1), a growth table whose cancellation falls below a
+# double's range, and --x entries above 1
+EXTRA = [
+    tuple(a.split())
+    for a in (
+        "residual --graph theta --samples 50 --seed 3",
+        "--format json residual --graph theta --samples 50 --seed 3",
+        "--format csv residual --graph theta --samples 50 --seed 3",
+        "lagrangian --graph theta --samples 20 --seed 3",
+        "--format json lagrangian --graph theta --samples 20 --seed 3",
+        "--format csv residual --graph tet --samples 5 --seed 3",
+        "--format csv lagrangian --graph tet --samples 5 --seed 3",
+        "--format csv saddle --x " + X_TET,
+        "--format csv asymptotics theta --x 0.4,0.5,0.6 --hbar -0.03125,-0.015625,-0.0078125",
+        "--format csv asymptotics tet --x 0.3,0.35,0.4,0.3,0.35,0.4 --hbar -0.0078125,-0.00390625",
+        "--format csv verify eliminate --samples 5",
+        "--format csv verify classical-limit --graph tet",
+        "verify classical-limit --graph theta",
+        "--format json verify classical-limit --graph theta",
+        "verify annihilation --graph theta --edge b --max 6 --inject-bad-operator",
+        "--format json verify annihilation --graph tet --edge 2 --max 3 --inject-bad-operator",
+        "--precision 53 theta -c 4,6,8 --eval 0.9",
+        "--precision 120 theta -c 4,6,8 --eval 0.9",
+        "--precision 53 --format json tet -c 2,3,3,2,3,3 --eval 0.7+0.2j",
+        "--precision 120 --format json tet -c 2,3,3,2,3,3 --eval 0.7+0.2j",
+        "--precision 120 tet --primed -c 2,3,3,2,3,3 --eval 0.7+0.2j",
+        "--precision 53 --format csv tet -c 4,4,4,4,4,4 --eval 1.1",
+        "asymptotics tet --x " + X_TET + " --hbar -0.00047,-0.00042",
+        "asymptotics tet --x 2,2,2,2,2,2 --hbar -0.1,-0.05",
+        "asymptotics theta --x 1e300,1,1 --hbar -0.1,-0.05",
+    )
+]
 
 
 def argvs() -> list[tuple]:
@@ -56,17 +96,21 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     if not (parent / "src" / "qgraph").is_dir():
         parser.error(f"{parent} has no src/qgraph")
-    listed = argvs()
-    distinct = list(dict.fromkeys(listed))
+    bench = argvs()
+    distinct = list(dict.fromkeys(bench + EXTRA))
     with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(JOBS) as pool:
         ours = pool.map(lambda a: run(ROOT, a, cwd), distinct)
         theirs = pool.map(lambda a: run(parent, a, cwd), distinct)
         differ = {a for a, x, y in zip(distinct, ours, theirs) if x != y}
-    bad = [a for a in listed if a in differ]
-    for a in bad:
-        print("differs:", " ".join(a))
-    print(f"{len(bad)} of {len(listed)} argvs differ ({len(distinct)} distinct, each run once per tree)")
-    return 1 if bad else 0
+    failed = False
+    for name, listed in (("benchmark", bench), ("extra", EXTRA)):
+        bad = [a for a in listed if a in differ]
+        for a in bad:
+            print("differs:", " ".join(a))
+        print(f"{len(bad)} of {len(listed)} {name} argvs differ")
+        failed = failed or bool(bad)
+    print(f"{len(distinct)} distinct argvs, each run once per tree")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
