@@ -202,10 +202,7 @@ def grad_log_y_theta(x) -> dict:
     _require_regular_theta(xa, xb, xc)
 
     def one(p, s, t):
-        u1 = p * s * t
-        u2 = s * t / p
-        u3 = p * t / s
-        u4 = p * s / t
+        u1, u2, u3, u4 = _theta_args(p, s, t)
         return -(1 - u1) * (1 - u3) * (1 - u4) / ((1 - u2) * (1 - p * p) ** 2)
 
     return {"a": one(xa, xb, xc), "b": one(xb, xc, xa), "c": one(xc, xa, xb)}
@@ -464,12 +461,16 @@ def saddle_solve_tet(x) -> SaddleRecord:
 
 
 def check_residual_tet(x) -> dict:
-    """Absolute value of each tetrahedron classical curve at the selected saddle's twists."""
+    """Absolute value of each tetrahedron classical curve at the selected saddle's twists.
+
+    The edge-1 curve is saddle_solve_tet's own residual at that root.
+    """
     xs = _coords(x, TET_EDGES)
     rec = saddle_solve_tet(xs)
     if rec.degenerate:
         raise SingularPointError("degenerate saddle polynomial")
-    return _curve_residuals(tet_classical_A, TET_EDGES, xs, saddle_twists_tet(xs, rec.z_roots[rec.chosen]))
+    ys = saddle_twists_tet(xs, rec.z_roots[rec.chosen])
+    return {"1": rec.residual, **_curve_residuals(tet_classical_A, TET_EDGES, xs, {e: ys[e] for e in TET_EDGES[1:]})}
 
 
 def tet_real_segment(x) -> Optional[tuple]:

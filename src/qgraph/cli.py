@@ -235,7 +235,7 @@ def cmd_invariant(args, cfg):
     if args.eval is not None:
         v0 = _parse_complex(args.eval, "--eval")
         try:
-            num = value.eval_complex(v0, precision=cfg.precision)
+            num = value.eval_complex(v0)
         except (ZeroDivisionError, OverflowError) as exc:  # PoleError is a ZeroDivisionError
             raise UsageError(f"--eval {args.eval}: {exc}")
         report["evaluation"] = {"v0": _complex_obj(v0), "value": _complex_obj(num)}
@@ -565,6 +565,8 @@ def cmd_saddle(args, cfg):
         rec = saddle_solve_tet(x)
     except SingularPointError as exc:
         raise UsageError(f"--x {args.x} is a singular point: {exc}")
+    except OverflowError as exc:
+        raise UsageError(f"--x {args.x} is out of range: {exc}")
     if rec.degenerate:
         raise UsageError(f"--x {args.x} is a degenerate point: the saddle quadratic has no nonzero root")
     rows = []
@@ -680,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=cfgmod.OUTPUT_FORMATS, help="output format override"
     )
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--precision", type=int, help="evaluation precision bits")
     parser.add_argument(
         "--tol",
         action="append",
@@ -739,8 +740,6 @@ def _flag_overrides(args) -> dict:
         overrides["output_format"] = args.format
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.precision is not None:
-        overrides["precision"] = args.precision
     if args.grid_max is not None:
         overrides["grid_max"] = args.grid_max
     if args.tol:

@@ -46,7 +46,6 @@ class RunConfig(NamedTuple):
     grid_max: Optional[int] = None
     tolerances: dict = None  # normalized by default_config / merge
     seed: int = 7
-    precision: int = 120
     output_format: str = "text"
 
 
@@ -70,8 +69,6 @@ def validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"tolerance {name!r} must be positive")
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must fit in 64 bits")
-    if not isinstance(cfg.precision, int) or cfg.precision < 16:
-        raise ConfigError("precision must be at least 16 bits")
     if cfg.output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
     return cfg
@@ -121,13 +118,8 @@ def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> RunCo
 
 
 def to_json_obj(cfg: RunConfig) -> dict:
-    return {
-        "grid_max": cfg.grid_max,
-        "tolerances": dict(sorted(cfg.tolerances.items())),
-        "seed": cfg.seed,
-        "precision": cfg.precision,
-        "output_format": cfg.output_format,
-    }
+    """Every field of cfg, so the hash covers exactly RunConfig's fields."""
+    return {**cfg._asdict(), "tolerances": dict(sorted(cfg.tolerances.items()))}
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -5,11 +5,11 @@ of n/2 is stored as the integer v-exponent n and no fractional exponents
 ever appear.  Coefficients are Python ints, so the ring is Z[v^+-1]: the
 invariants are ratios whose denominators are products of Phi_d with
 constant term 1, and their numerators have integer coefficients.  Rational
-numbers appear only as the values of exact evaluations (eval_exact), at an
-int or Fraction point.  Outside input enters through the constructors, the
-scalar operations and from_json_obj; each takes an int or an integral
-Fraction, stores an int and raises ValueError on a non-integral value
-(_coeff), so nothing below them checks coefficient types.
+numbers appear only as the values of exact evaluations (eval_exact, and
+eval_complex before it rounds).  Outside input enters through the
+constructors, the scalar operations and from_json_obj; each takes an int or
+an integral Fraction, stores an int and raises ValueError on a non-integral
+value (_coeff), so nothing below them checks coefficient types.
 
 A LaurentPoly is a sparse map {v-exponent: coefficient}.  A LaurentRat is
 a reduced fraction num/den of LaurentPolys whose denominator is a product of
@@ -87,6 +87,13 @@ deterministic.  Phi_d(2^k) comes from _cyclo_int by shifts, each poly by one
 sum of shifted coefficients, and the terms are aligned by shifts of k times
 their exponent difference, so the whole test is a few big-int products and
 one compare.
+
+Evaluation at a point.  A float or complex point is (x + iy)/2^m exactly, and
+an int or Fraction point x/s, so eval_complex and eval_exact run one exact
+kernel (_eval_ratio): num and den over Gaussian integers by halving
+(_homogeneous), and their quotient a Gaussian rational.  eval_complex rounds
+its real and imaginary parts once each, so the caller sets no bits, and raises
+OverflowError when one is beyond a double's range.
 """
 
 from __future__ import annotations
@@ -224,13 +231,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        data = dict(self.terms)
-        _iadd_into(data, other.terms, -1, 0)
-        return LaurentPoly._wrap(data)
+        return self + -other if isinstance(other, (int, Fraction, LaurentPoly)) else NotImplemented
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -268,32 +269,18 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------
 
     def eval_exact(self, v0: int | Fraction) -> Fraction:
-        v0 = _exact_point(v0)
-        if v0 == 0 and self.terms and self.min_exp() < 0:
-            raise PoleError("evaluation at v=0 with negative exponents")
-        return sum((c * v0 ** e for e, c in self.terms.items()), Fraction(0))
+        return LaurentRat.from_poly(self).eval_exact(v0)
 
     def eval_complex(self, v0: complex) -> complex:
-        v0 = complex(v0)
-        if v0 == 0:
-            if self.terms and self.min_exp() < 0:
-                raise PoleError("evaluation at v=0 with negative exponents")
-            return complex(self.terms.get(0, 0))
-        total = 0j
-        for e, c in self.terms.items():
-            total += complex(c) * v0 ** e
-        return total
+        return LaurentRat.from_poly(self).eval_complex(v0)
 
     # -- rendering ------------------------------------------------------
-
-    def _term_strings(self) -> list[tuple[int, int]]:
-        return sorted(self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for e, c in self._term_strings():
+        for e, c in sorted(self.terms.items()):
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -332,29 +319,11 @@ class LaurentPoly:
 def _to_int_list(p: LaurentPoly) -> list[int]:
     """Shift to ordinary polynomial form: list[0] is the v^min term."""
     lo = p.min_exp()
-    out = [0] * (p.max_exp() - lo + 1)
-    for e, c in p.terms.items():
-        out[e - lo] = c
-    return out
-
-
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = int_gcd(g, c)
-        if g == 1:
-            break
-    return g or 1
-
-
-def _strip(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+    return _dense(p.terms, lo, p.max_exp() - lo + 1)
 
 
 def _prim(cs: list[int]) -> list[int]:
-    g = _int_content(cs)
+    g = int_gcd(*cs)
     if g > 1:
         cs = [c // g for c in cs]
     if cs and cs[-1] < 0:
@@ -373,11 +342,10 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         a = [c * lb for c in a]
         for i, bc in enumerate(b):
             a[shift + i] -= la * bc
-        _strip(a)
+        while a and not a[-1]:
+            a.pop()
         if len(a) - 1 >= db:
-            g = _int_content(a)
-            if g > 1:
-                a = [c // g for c in a]
+            a = _prim(a)  # a unit factor, which poly_gcd's _prim of the remainder undoes
     return a
 
 
@@ -392,19 +360,12 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return _unitize(q)
     if q.is_zero():
         return _unitize(p)
-    a = _to_int_list(p)
-    b = _to_int_list(q)
-    # strip trailing/leading zeros introduced by the shift
-    while a and a[0] == 0:
-        a.pop(0)
-    while b and b[0] == 0:
-        b.pop(0)
-    a, b = _prim(_strip(a)), _prim(_strip(b))
+    # the first and last entries of each list are nonzero
+    a, b = _prim(_to_int_list(p)), _prim(_to_int_list(q))
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _prim(r)
+        a, b = b, _prim(_pseudo_rem(a, b))
     return LaurentPoly.from_int_coeffs(a)
 
 
@@ -412,7 +373,7 @@ def _unitize(p: LaurentPoly) -> LaurentPoly:
     """Normalize a nonzero poly to min exponent 0 and positive primitive coefficients."""
     if p.is_zero():
         return p
-    return LaurentPoly.from_int_coeffs(_prim(_strip(_to_int_list(p))))
+    return LaurentPoly.from_int_coeffs(_prim(_to_int_list(p)))
 
 
 def exact_div_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -456,15 +417,6 @@ def _bracket_cyclo_divisors(k: int) -> tuple[int, ...]:
     """Divisors d >= 3 of 2k: [k] = v^(1-k) * prod Phi_d(v) over these d."""
     n = 2 * k
     return tuple(d for d in range(3, n + 1) if n % d == 0)
-
-
-# The kernel works on coefficient dicts {exponent: coefficient}, the same
-# dicts a LaurentPoly holds.  Products of many Phi_d are built in a balanced
-# product tree (_phi_product) and powers by squaring (_phi_power_int), so
-# most of the work lands in a few multiplications of operands of similar size,
-# which Kronecker substitution (_imul_kron) does in one big-int multiply.  The
-# tree first folds each Phi_d * Phi_2d (d odd) and each Phi_d with 4 | d into
-# one product in v^2, which packs half the slots of the same product in v.
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -766,12 +718,6 @@ def _add_exponents(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[
     return out
 
 
-# A form (sign, shift, phi, poly) is the value sign * v^shift * poly * prod
-# Phi_d^phi[d], phi a signed exponent map and poly a coefficient dict, or None
-# for 1; it is what a LaurentRat holds.  Products of forms add exponents;
-# _sum_forms turns any list of forms into one canonical LaurentRat.
-
-
 def _form_mul(a: tuple, b: tuple) -> tuple:
     sa, ha, ea, pa = a
     sb, hb, eb, pb = b
@@ -1027,6 +973,85 @@ def rat_dot_vanishes(pairs: Iterable[tuple["LaurentRat", "LaurentRat"]]) -> bool
     return not sum(value << k * (e - base) for e, value in placed)
 
 
+# -- exact evaluation at a Gaussian-rational point -------------------------------
+
+# A block of fewer terms runs Horner directly; cut-overs from 8 to 64 timed
+# alike on the values of theta(56,60,64) and tet_primed((40,)*6).
+_HORNER_TERMS = 24
+
+
+def _gmul(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:
+    """(ar + i ai)(br + i bi), by three products unless both are real."""
+    if not (ai or bi):
+        return ar * br, 0
+    k = br * (ar + ai)
+    return k - ai * (br + bi), k + ar * (bi - br)
+
+
+def _gpow(x: int, y: int, k: int) -> tuple[int, int]:
+    """(x + iy)^k for k >= 0, by binary powering from the top bit."""
+    out = (1, 0)
+    for bit in bin(k)[2:]:
+        out = _gmul(*out, *out)
+        if bit == "1":
+            out = _gmul(*out, x, y)
+    return out
+
+
+def _homogeneous(terms: dict, lo: int, x: int, y: int, s: int) -> tuple[int, int]:
+    """sum c * g^(e - lo) * s^(hi - e) over terms, g = x + iy, hi the greatest exponent, lo <= every e.
+
+    On the dense list c of n entries, H(c) = s^(n-h) H(c[:h]) + g^h H(c[h:])
+    with h = n // 2, each g^h taken once per call; a block of fewer than
+    _HORNER_TERMS entries runs Horner, and s^k is a shift when s = 2^m.
+    """
+    c = _dense(terms, lo, max(terms) - lo + 1)
+    m = s.bit_length() - 1
+    shift = s == 1 << m
+    gpow: dict[int, tuple[int, int]] = {}
+
+    def up(a: int, k: int) -> int:  # a * s^k
+        return a << m * k if shift else a * s**k
+
+    def run(i: int, n: int) -> tuple[int, int]:
+        if n < _HORNER_TERMS:
+            re, im = c[i + n - 1], 0
+            for k in range(1, n):
+                re, im = re * x - im * y + up(c[i + n - 1 - k], k), re * y + im * x
+            return re, im
+        h = n // 2
+        if h not in gpow:
+            gpow[h] = _gpow(x, y, h)
+        ar, ai = run(i, h)
+        br, bi = _gmul(*run(i + h, n - h), *gpow[h])
+        return up(ar, n - h) + br, up(ai, n - h) + bi
+
+    return run(0, len(c))
+
+
+def _eval_ratio(num: dict, den: dict, x: int, y: int, s: int) -> tuple[int, int, int]:
+    """(re, im, d) with num / den = (re + i im) / d at v = (x + iy) / s, and d > 0.
+
+    Each dict is g^lo s^-hi times its _homogeneous value over one lo, so the
+    quotient is a Gaussian rational, and its denominator's conjugate leaves
+    the integer d.  Raises PoleError when den vanishes at v, or v = 0 meets a
+    negative exponent of num.
+    """
+    if not num:
+        return 0, 0, 1
+    lo = min(min(num), min(den))
+    nr, ni = _homogeneous(num, lo, x, y, s)
+    dr, di = _homogeneous(den, lo, x, y, s)
+    t = max(den) - max(num)
+    f = s ** abs(t)
+    nr, ni, dr, di = (nr * f, ni * f, dr, di) if t >= 0 else (nr, ni, dr * f, di * f)
+    if not (dr or di):
+        raise PoleError("pole at the evaluation point")
+    if di:
+        return (*_gmul(nr, ni, dr, -di), dr * dr + di * di)
+    return (nr, ni, dr) if dr > 0 else (-nr, -ni, -dr)
+
+
 class LaurentRat:
     """Element of the fraction field of Laurent polynomials in v, over a product of Phi_d.
 
@@ -1223,51 +1248,24 @@ class LaurentRat:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_exact(self, v0: Fraction) -> Fraction:
-        d = self.den.eval_exact(v0)
-        if d == 0:
-            raise PoleError(f"pole at v = {v0}")
-        return self.num.eval_exact(v0) / d
+    def eval_exact(self, v0: int | Fraction) -> Fraction:
+        v0 = _exact_point(v0)
+        re, _, d = _eval_ratio(self.num.terms, self.den.terms, v0.numerator, 0, v0.denominator)
+        return Fraction(re, d)
 
-    def eval_complex(self, v0: complex, precision: int = 53) -> complex:
-        """Evaluate at a complex point.
+    def eval_complex(self, v0: complex) -> complex:
+        """The value at v0, each part rounded once (CPython's int / int is correctly rounded).
 
-        precision is in bits; above 53 the evaluation runs through mpmath
-        and is rounded back to a double complex.  The pole threshold scales
-        with the magnitude of the denominator's terms.
+        A float or complex v0 is (x + iy) / 2^m exactly, by as_integer_ratio.
         """
-        if v0 == 0:
-            # the canonical denominator has constant term 1, so the value at
-            # 0 is the numerator's constant term, or a pole
-            return self.num.eval_complex(0)
-        if precision > 53:
-            import mpmath
-
-            with mpmath.workprec(precision):
-                vm = mpmath.mpc(v0)
-                den = mpmath.mpc(0)
-                scale = mpmath.mpf(0)
-                for e, c in self.den.terms.items():
-                    t = mpmath.mpf(c) * vm ** e
-                    den += t
-                    scale += abs(t)
-                if den == 0 or abs(den) < mpmath.mpf("1e-300") * max(scale, mpmath.mpf(1)):
-                    raise PoleError(f"pole near v = {v0}")
-                num = mpmath.mpc(0)
-                for e, c in self.num.terms.items():
-                    num += mpmath.mpf(c) * vm ** e
-                r = num / den
-                return complex(r)
-        v0 = complex(v0)
-        scale = 0.0
-        den = 0j
-        for e, c in self.den.terms.items():
-            t = complex(c) * v0 ** e
-            den += t
-            scale += abs(t)
-        if den == 0 or abs(den) < 1e-300 * max(scale, 1.0):
-            raise PoleError(f"pole near v = {v0}")
-        return self.num.eval_complex(v0) / den
+        z = complex(v0)
+        (x, a), (y, b) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        s = max(a, b)
+        re, im, d = _eval_ratio(self.num.terms, self.den.terms, x * (s // a), y * (s // b), s)
+        try:
+            return complex(re / d, im / d)
+        except OverflowError:
+            raise OverflowError(f"the value at v = {v0} is beyond a double's range") from None
 
     # -- rendering -------------------------------------------------------------
 

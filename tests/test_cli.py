@@ -346,6 +346,13 @@ def _assert_one_line_usage_error(code, out, err):
     assert "Traceback" not in err
 
 
+def test_saddle_overflow_exit_2(capsys):
+    # a power of the huge eigenvalue overflows a complex double in the classical curve
+    code, out, err = run(capsys, ["saddle", "--x", "0.5,0.5,1e300,0.5,0.5,0.5"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "out of range" in err
+
+
 @pytest.mark.parametrize("x", ["0,0,0,0,0,0", "1,1,1,1,1,1"])
 def test_saddle_degenerate_point_exit_2(capsys, x):
     # x = 0: both quadratic roots vanish; x = 1: the quadratic itself does
@@ -503,9 +510,8 @@ def test_verify_rejects_options_of_other_checks(capsys, argv, option):
     assert err == f"usage error: verify {check} does not take {option}\n"
 
 
-@pytest.mark.parametrize("precision", ["53", "120"])
-def test_eval_at_pole_exit_2(capsys, precision):
-    code, out, err = run(capsys, ["--precision", precision, "theta", "-c", "1,1,0", "--eval", "0"])
+def test_eval_at_pole_exit_2(capsys):
+    code, out, err = run(capsys, ["theta", "-c", "1,1,0", "--eval", "0"])
     _assert_one_line_usage_error(code, out, err)
     assert err.startswith("usage error: --eval 0:")
 
@@ -513,14 +519,25 @@ def test_eval_at_pole_exit_2(capsys, precision):
 @pytest.mark.parametrize(
     "argv",
     [
-        "--precision 53 theta -c 4,4,4 --eval 1e200",  # a power overflows the double
-        "--precision 53 tet -c 2,2,2,2,2,2 --eval 1e-200",  # a power underflows to 0
+        # each value is beyond a double's range, where a float sum would give inf
+        "theta -c 4,4,4 --eval 1e200",
+        "tet -c 2,2,2,2,2,2 --eval 1e-200",
+        "tet --primed -c 40,40,40,40,40,40 --eval 0.7+0.2j",
     ],
 )
 def test_eval_out_of_double_range_exit_2(capsys, argv):
     code, out, err = run(capsys, argv.split())
     _assert_one_line_usage_error(code, out, err)
     assert err.startswith(f"usage error: --eval {argv.split()[-1]}:")
+
+
+def test_precision_is_no_longer_an_option(capsys):
+    # --eval is exact and correctly rounded, so there is no precision to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision=120", "theta", "-c", "1,1,0", "--eval", "0.9"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --precision=120" in captured.err
 
 
 @pytest.mark.parametrize("command", ["lagrangian", "residual"])

@@ -22,7 +22,7 @@ def test_defaults_are_valid():
     assert cfg.grid_max is None
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.output_format == "text"
-    assert RunConfig._fields == ("grid_max", "tolerances", "seed", "precision", "output_format")
+    assert RunConfig._fields == ("grid_max", "tolerances", "seed", "output_format")
 
 
 def test_merge_updates_tolerances_per_key():
@@ -38,9 +38,11 @@ def test_merge_updates_tolerances_per_key():
 def test_merge_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         merge(default_config(), {"gridmax": 3})
-    # the former parallelism setting is no longer a config key
+    # the former parallelism and precision settings are no longer config keys
     with pytest.raises(ConfigError, match="unknown config keys"):
         merge(default_config(), {"parallelism": 1})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        merge(default_config(), {"precision": 120})
 
 
 def test_unknown_tolerance_names_rejected():
@@ -55,7 +57,6 @@ def test_validate_rejects_bad_values():
         {"grid_max": -1},
         {"seed": -1},
         {"seed": 2**64},
-        {"precision": 8},
         {"output_format": "yaml"},
         {"tolerances": {"saddle": 0.0}},
     ):

@@ -34,9 +34,10 @@ from workloads import WORKLOADS  # noqa: E402
 X_TET = "0.35,0.35,0.35,0.35,0.35,0.35"
 
 # argvs the benchmark never runs: theta residual and lagrangian sweeps, csv
-# output, the theta classical limit, --eval at two precisions, the injected
-# bad operator (exit 1), a growth table whose cancellation falls below a
-# double's range, and --x entries above 1
+# output, the theta classical limit, --eval (also beyond a double's range),
+# the injected bad operator (exit 1), a growth table whose cancellation falls
+# below a double's range, --x entries above 1, and a saddle point whose
+# curve overflows
 EXTRA = [
     tuple(a.split())
     for a in (
@@ -56,12 +57,12 @@ EXTRA = [
         "--format json verify classical-limit --graph theta",
         "verify annihilation --graph theta --edge b --max 6 --inject-bad-operator",
         "--format json verify annihilation --graph tet --edge 2 --max 3 --inject-bad-operator",
-        "--precision 53 theta -c 4,6,8 --eval 0.9",
-        "--precision 120 theta -c 4,6,8 --eval 0.9",
-        "--precision 53 --format json tet -c 2,3,3,2,3,3 --eval 0.7+0.2j",
-        "--precision 120 --format json tet -c 2,3,3,2,3,3 --eval 0.7+0.2j",
-        "--precision 120 tet --primed -c 2,3,3,2,3,3 --eval 0.7+0.2j",
-        "--precision 53 --format csv tet -c 4,4,4,4,4,4 --eval 1.1",
+        "theta -c 4,6,8 --eval 0.9",
+        "--format json tet -c 2,3,3,2,3,3 --eval 0.7+0.2j",
+        "tet --primed -c 2,3,3,2,3,3 --eval 0.7+0.2j",
+        "--format csv tet -c 4,4,4,4,4,4 --eval 1.1",
+        "theta -c 4,4,4 --eval 1e200",
+        "saddle --x 0.5,0.5,1e300,0.5,0.5,0.5",
         "asymptotics tet --x " + X_TET + " --hbar -0.00047,-0.00042",
         "asymptotics tet --x 2,2,2,2,2,2 --hbar -0.1,-0.05",
         "asymptotics theta --x 1e300,1,1 --hbar -0.1,-0.05",
