@@ -444,15 +444,20 @@ def test_pole_error():
         LaurentPoly({-1: Fraction(1)}).eval_exact(Fraction(0))
 
 
-def test_eval_at_zero_pole_or_constant_term():
-    # [2] = v^-1 + v and 1/(v^2 + v^4) have poles at 0
+@pytest.mark.parametrize("span", [53, 200])
+def test_eval_at_zero_pole_or_constant_term(span):
+    # [2] = v^-1 + v, 1/(v^2 + v^4) and 1/(v^span + v^(span+2)) have poles at 0
     with pytest.raises(PoleError):
         LaurentRat.from_poly(q_int(2)).eval_complex(0)
     with pytest.raises(PoleError):
         LaurentRat(LaurentPoly.one(), q_int(2).shifted(3)).eval_complex(0j)
-    # without a pole the value at 0 is the constant term over the denominator's 1
-    r = LaurentRat(LaurentPoly({0: 3, 2: 1}), q_int(3).shifted(2))
+    with pytest.raises(PoleError):
+        LaurentRat(LaurentPoly.one(), q_int(2).shifted(span + 1)).eval_complex(0)
+    # without a pole the value at 0 is the constant term over the denominator's 1,
+    # also when the numerator spans more terms than Horner's rule takes
+    r = LaurentRat(LaurentPoly({0: 3, 2: 1, span: 5}), q_int(3).shifted(2))
     assert r.eval_complex(0) == 3
+    assert r.eval_exact(Fraction(0)) == 3
 
 
 def test_rat_eval_matches_exact():
