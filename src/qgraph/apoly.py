@@ -1,7 +1,7 @@
 """Classical and quantum A-polynomial families for the theta and tetrahedron graphs.
 
 Each edge of a graph carries a holonomy variable x and a conjugate twist
-variable y.  A ClassicalAPoly is a polynomial in (y, x-labels) whose zero
+variable y.  A classical curve is a MultiPoly in (y, x-labels) whose zero
 locus is one defining equation of the character variety.  An OperatorPoly is
 its quantization: a q-difference operator sum_l b_l(x; q) * y^l that
 annihilates the family of quantum invariants, where y now shifts the edge's
@@ -30,13 +30,13 @@ coefficients, so the negative controls exercise a realistic failure mode.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .invariants import (
-    ThetaColoring,
     enumerate_tet_colorings,
     enumerate_theta_colorings,
     is_admissible,
+    tet_full,
     tet_is_admissible,
     tet_primed,
     theta_invariant,
@@ -46,10 +46,6 @@ from .multipoly import MultiPoly, exact_div_multi, resultant_in
 
 THETA_EDGES = ("a", "b", "c")
 TET_EDGES = ("1", "2", "12", "3", "4", "23")
-
-# slot of each edge's color in the coloring tuple
-_THETA_SLOT = {"a": 0, "b": 1, "c": 2}
-_TET_SLOT = {"1": 0, "2": 1, "12": 2, "3": 3, "4": 4, "23": 5}
 
 # variable swaps mapping edge 1 data to the other tetrahedron edges
 _TET_EDGE_SWAP = {
@@ -67,14 +63,6 @@ class OperatorPoly(NamedTuple):
     graph: str
     edge: str
     coeffs: tuple
-
-
-class ClassicalAPoly(NamedTuple):
-    """One character-variety equation: a polynomial in y_<edge> and the x-labels."""
-
-    graph: str
-    edge: str
-    poly: MultiPoly
 
 
 def _v(k: int) -> MultiPoly:
@@ -128,7 +116,7 @@ def theta_quantum_A(edge: str) -> OperatorPoly:
 
 
 @lru_cache(maxsize=None)
-def theta_classical_A(edge: str) -> ClassicalAPoly:
+def theta_classical_A(edge: str) -> MultiPoly:
     """Classical curve for one theta edge, linear in the twist variable."""
     if edge not in THETA_EDGES:
         raise ValueError(f"unknown theta edge {edge!r}")
@@ -141,7 +129,7 @@ def theta_classical_A(edge: str) -> ClassicalAPoly:
     if edge != "a":
         poly = _swap_vars(poly, [("a", edge)])
         poly = poly.substitute({"y_a": MultiPoly.var("y_" + edge)})
-    return ClassicalAPoly("theta", edge, poly)
+    return poly
 
 
 # -- tetrahedron operators ---------------------------------------------------------------
@@ -230,7 +218,7 @@ def tet_quantum_A(edge: str) -> OperatorPoly:
 
 
 @lru_cache(maxsize=None)
-def tet_classical_A(edge: str) -> ClassicalAPoly:
+def tet_classical_A(edge: str) -> MultiPoly:
     """Classical curve for one tetrahedron edge, quadratic in the twist variable.
 
     The relative sign of the x4*x12 summand in the linear coefficient is fixed
@@ -271,7 +259,7 @@ def tet_classical_A(edge: str) -> ClassicalAPoly:
         pairs = _TET_EDGE_SWAP[edge]
         poly = _swap_vars(poly, [(pairs[0], pairs[1]), (pairs[2], pairs[3])])
         poly = poly.substitute({"y_1": MultiPoly.var("y_" + edge)})
-    return ClassicalAPoly("tet", edge, poly)
+    return poly
 
 
 # -- three-term recursion contract --------------------------------------------------------
@@ -366,9 +354,8 @@ def tet_recursion_coeffs(col) -> tuple:
 
 def _tet_shifted_values(col) -> tuple:
     """J'(j1 + 2), J'(col), J'(j1 - 2) on the primed family."""
-    j1 = col[0]
-    rest = tuple(col)[1:]
-    return tet_primed((j1 + 2,) + rest), tet_primed(tuple(col)), tet_primed((j1 - 2,) + rest)
+    col = tuple(col)
+    return tet_primed(_shifted(col, 0, 1)), tet_primed(col), tet_primed(_shifted(col, 0, -1))
 
 
 def tet_recursion_residual(col) -> LaurentRat:
@@ -389,29 +376,63 @@ def tet_recursion_vanishes(col) -> bool:
     return rat_dot_vanishes([(alpha, up), (-b1, mid), (-b2, mid), (b3, mid), (gamma, down)])
 
 
+# -- the two graphs ---------------------------------------------------------------------------
+
+
+class Graph(NamedTuple):
+    """One graph as every layer sees it.
+
+    Entries that name a traced function call it through its module
+    attribute, so a span wrapper installed there sees each call.
+    """
+
+    edges: tuple  # edge labels, in coloring order
+    admissible: Callable  # coloring tuple -> bool
+    colorings: Callable  # grid bound -> admissible colorings, in lexicographic order
+    value: Callable  # coloring -> the invariant, as the graph's value command prints it
+    family: Callable  # coloring -> the family the operators annihilate
+    quantum_A: Callable  # edge -> OperatorPoly
+    classical_A: Callable  # edge -> classical curve (MultiPoly)
+
+
+class _Graphs(dict):
+    def __missing__(self, name):
+        raise ValueError(f"unknown graph {name!r}")
+
+
+GRAPHS = _Graphs(
+    theta=Graph(
+        THETA_EDGES,
+        lambda col: is_admissible(*col),
+        enumerate_theta_colorings,
+        lambda col: theta_invariant(*col),
+        lambda col: theta_invariant(*col),
+        lambda edge: theta_quantum_A(edge),
+        lambda edge: theta_classical_A(edge),
+    ),
+    tet=Graph(
+        TET_EDGES,
+        tet_is_admissible,
+        enumerate_tet_colorings,
+        lambda col: tet_full(col),
+        lambda col: tet_primed(col),
+        lambda edge: tet_quantum_A(edge),
+        lambda edge: tet_classical_A(edge),
+    ),
+)
+
+
+def _shifted(col: tuple, slot: int, step: int) -> tuple:
+    """col with the color at slot raised by 2 * step."""
+    return col[:slot] + (col[slot] + 2 * step,) + col[slot + 1 :]
+
+
 # -- operator application ------------------------------------------------------------------
-
-
-_FAMILIES = {
-    "theta": ("theta", 3, THETA_EDGES, _THETA_SLOT),
-    "tet-primed": ("tet", 6, TET_EDGES, _TET_SLOT),
-}
-
-
-def _family_value(family: str, col) -> LaurentRat:
-    if family == "theta":
-        if not is_admissible(*col):
-            return LaurentRat.zero()
-        return theta_invariant(*col)
-    if not tet_is_admissible(col):
-        return LaurentRat.zero()
-    return tet_primed(col)
 
 
 def _eval_coeff(poly: MultiPoly, graph: str, col) -> LaurentRat:
     """b(x = v^colors): each term's v-exponent plus its x-exponents times the colors."""
-    labels = THETA_EDGES if graph == "theta" else TET_EDGES
-    weight = {"x_" + lab: n for lab, n in zip(labels, col)}
+    weight = {"x_" + lab: n for lab, n in zip(GRAPHS[graph].edges, col)}
     weight["v"] = 1
     # the MultiPoly's coefficients are canonical ints; only colliding terms need merging
     out: dict[int, int] = {}
@@ -424,44 +445,44 @@ def _eval_coeff(poly: MultiPoly, graph: str, col) -> LaurentRat:
     return LaurentRat.from_poly(LaurentPoly._wrap(out))
 
 
-def _operator_pairs(op: OperatorPoly, family: str, col) -> list:
-    """The (b_l(x = v^colors), invariant(col shifted l times by 2)) pairs of an application."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    graph, arity, _, slots = _FAMILIES[family]
-    if op.graph != graph:
-        raise ValueError(f"operator for graph {op.graph!r} applied to family {family!r}")
+def _operator_pairs(op: OperatorPoly, col) -> list:
+    """The (b_l(x = v^colors), family value at col shifted l times by 2) pairs of an application."""
+    graph = GRAPHS[op.graph]
     col = tuple(col)
-    if len(col) != arity:
-        raise ValueError(f"expected {arity} colors, got {len(col)}")
-    slot = slots[op.edge]
+    if len(col) != len(graph.edges):
+        raise ValueError(f"expected {len(graph.edges)} colors, got {len(col)}")
+    slot = graph.edges.index(op.edge)
     pairs = []
     for step, coeff in enumerate(op.coeffs):
         if coeff.is_zero():
             continue
-        shifted = col[:slot] + (col[slot] + 2 * step,) + col[slot + 1 :]
-        value = _family_value(family, shifted)
+        shifted = _shifted(col, slot, step)
+        if not graph.admissible(shifted):
+            continue
+        value = graph.family(shifted)
         if value.is_zero():
             continue
-        pairs.append((_eval_coeff(coeff, graph, col), value))
+        pairs.append((_eval_coeff(coeff, op.graph, col), value))
     return pairs
 
 
-def apply_operator(op: OperatorPoly, family: str, col) -> LaurentRat:
-    """Evaluate sum_l b_l(x = v^colors) * invariant(col shifted l times by 2).
+def apply_operator(op: OperatorPoly, col) -> LaurentRat:
+    """Evaluate sum_l b_l(x = v^colors) * family value at col shifted l times by 2.
 
-    Coefficients always see the unshifted colors; colorings outside the
-    admissible set contribute zero through the invariant factor.
+    The family is the one op.graph's operators annihilate: the theta value,
+    or the primed tetrahedron sum.  Coefficients always see the unshifted
+    colors; colorings outside the admissible set contribute zero through the
+    invariant factor.
     """
-    return rat_dot(_operator_pairs(op, family, col))
+    return rat_dot(_operator_pairs(op, col))
 
 
-def operator_vanishes(op: OperatorPoly, family: str, col) -> bool:
-    """Whether apply_operator(op, family, col) is zero, decided by rat_dot_vanishes."""
-    return rat_dot_vanishes(_operator_pairs(op, family, col))
+def operator_vanishes(op: OperatorPoly, col) -> bool:
+    """Whether apply_operator(op, col) is zero, decided by rat_dot_vanishes."""
+    return rat_dot_vanishes(_operator_pairs(op, col))
 
 
-def classical_limit(op: OperatorPoly) -> ClassicalAPoly:
+def classical_limit(op: OperatorPoly) -> MultiPoly:
     """Send q to 1 and replace the shift operator by a commuting twist variable."""
     limit = MultiPoly.zero()
     y = MultiPoly.var("y_" + op.edge)
@@ -471,7 +492,7 @@ def classical_limit(op: OperatorPoly) -> ClassicalAPoly:
         power = power * y
     if limit.is_zero():
         raise ValueError("operator collapsed to zero in the classical limit")
-    return ClassicalAPoly(op.graph, op.edge, limit)
+    return limit
 
 
 # -- saddle elimination ---------------------------------------------------------------------
@@ -512,7 +533,7 @@ def eliminate_saddle() -> MultiPoly:
     """
     balance, twist = saddle_system()
     res = resultant_in(balance, twist, "z")
-    curve = tet_classical_A("1").poly
+    curve = tet_classical_A("1")
     try:
         exact_div_multi(res, curve)
     except ValueError as exc:
@@ -546,26 +567,10 @@ def sweep(check, colorings) -> dict:
 
 def interior_colorings(graph: str, edge: str, grid_max: int, order: int) -> list:
     """Base colorings whose first `order` shifts along `edge` stay admissible."""
-    if graph == "theta":
-        slot = _THETA_SLOT[edge]
-        cols = enumerate_theta_colorings(grid_max)
-        admissible = lambda c: is_admissible(*c)
-    else:
-        slot = _TET_SLOT[edge]
-        cols = enumerate_tet_colorings(grid_max)
-        admissible = tet_is_admissible
-    out = []
-    for col in cols:
-        col = tuple(col)
-        ok = True
-        for step in range(1, order + 1):
-            shifted = col[:slot] + (col[slot] + 2 * step,) + col[slot + 1 :]
-            if not admissible(shifted):
-                ok = False
-                break
-        if ok:
-            out.append(col)
-    return out
+    g = GRAPHS[graph]
+    slot = g.edges.index(edge)
+    cols = map(tuple, g.colorings(grid_max))
+    return [col for col in cols if all(g.admissible(_shifted(col, slot, step)) for step in range(1, order + 1))]
 
 
 def annihilation_report(
@@ -575,21 +580,14 @@ def annihilation_report(
     operator: Optional[OperatorPoly] = None,
 ) -> dict:
     """Sweep the interior grid and report any nonzero operator applications."""
-    if graph == "theta":
-        op = operator if operator is not None else theta_quantum_A(edge)
-        family = "theta"
-    elif graph == "tet":
-        op = operator if operator is not None else tet_quantum_A(edge)
-        family = "tet-primed"
-    else:
-        raise ValueError(f"unknown graph {graph!r}")
+    op = operator if operator is not None else GRAPHS[graph].quantum_A(edge)
     order = len(op.coeffs) - 1
 
     def check(col):
         # zero is decided by evaluation; only a failure expands its residual
-        if operator_vanishes(op, family, col):
+        if operator_vanishes(op, col):
             return []
-        return [{"colors": list(col), "residual": apply_operator(op, family, col).to_json_obj()}]
+        return [{"colors": list(col), "residual": apply_operator(op, col).to_json_obj()}]
 
     return {
         "check": "annihilation",

@@ -27,13 +27,14 @@ from typing import NamedTuple, Optional
 
 import mpmath
 
-from .apoly import TET_EDGES, THETA_EDGES, tet_classical_A, theta_classical_A
+from .apoly import GRAPHS, TET_EDGES, THETA_EDGES
 from .invariants import (
     TetColoring,
     _quad_halves,
     _triangle_halves,
     is_admissible,
     tet_is_admissible,
+    tet_sum_bounds,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -167,7 +168,9 @@ def w_theta(x) -> complex:
     if 0 in (xa, xb, xc):
         raise SingularPointError("theta potential needs nonzero eigenvalues")
     u1, u2, u3, u4 = _theta_args(xa, xb, xc)
-    total = 1j * math.pi * cmath.log(xa * xb * xc)
+    if u1 == 0:
+        raise SingularPointError("the product of the theta eigenvalues underflows to 0")
+    total = 1j * math.pi * cmath.log(u1)
     total += g_potential(u1) + g_potential(u2) + g_potential(u3) + g_potential(u4)
     total -= g_potential(xa * xa) + g_potential(xb * xb) + g_potential(xc * xc)
     return total
@@ -208,10 +211,11 @@ def grad_log_y_theta(x) -> dict:
     return {"a": one(xa, xb, xc), "b": one(xb, xc, xa), "c": one(xc, xa, xb)}
 
 
-def _curve_residuals(classical_A, labels, xs, ys) -> dict:
+def _curve_residuals(graph: str, xs, ys) -> dict:
     # |classical curve of each edge of ys| at the eigenvalues xs and that edge's twist
-    base = {"x_" + lab: v for lab, v in zip(labels, xs)}
-    return {edge: abs(classical_A(edge).poly.evaluate({**base, "y_" + edge: y})) for edge, y in ys.items()}
+    g = GRAPHS[graph]
+    base = {"x_" + lab: v for lab, v in zip(g.edges, xs)}
+    return {edge: abs(g.classical_A(edge).evaluate({**base, "y_" + edge: y})) for edge, y in ys.items()}
 
 
 def check_residual_theta(x) -> dict:
@@ -226,7 +230,7 @@ def check_residual_theta(x) -> dict:
         ys = grad_log_y_theta(xs)
     except SingularPointError:
         return {edge: math.nan for edge in THETA_EDGES}
-    return _curve_residuals(theta_classical_A, THETA_EDGES, xs, ys)
+    return _curve_residuals("theta", xs, ys)
 
 
 # -- tetrahedron potential and saddles ---------------------------------------------------------
@@ -345,8 +349,7 @@ def saddle_cubic_tet(x) -> tuple:
     constant coefficient is kept so the tuple matches the displayed cubic.
     """
     xs = _coords(x, TET_EDGES)
-    p1, p2, p3, p4 = _tet_products(xs)[0]
-    q1, q2, q3 = _tet_products(xs)[1]
+    (p1, p2, p3, p4), (q1, q2, q3) = _tet_products(xs)
     s1 = p1 + p2 + p3 + p4
     s2 = p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4
     s3 = p1 * p2 * p3 + p1 * p2 * p4 + p1 * p3 * p4 + p2 * p3 * p4
@@ -389,6 +392,8 @@ def _lattice_error(xs, z) -> float:
         d = w_tet_slope(xs, z)
     except (SingularPointError, ValueError, ZeroDivisionError):
         return math.inf
+    if not cmath.isfinite(d):  # the logs of products that overflow or underflow
+        return math.inf
     k = round(d.imag / TWO_PI)
     return abs(d - complex(0.0, TWO_PI * k))
 
@@ -398,7 +403,7 @@ def _curve_error_tet(xs, z) -> float:
         y1 = saddle_twists_tet(xs, z)["1"]
     except SingularPointError:
         return math.inf
-    return _curve_residuals(tet_classical_A, TET_EDGES, xs, {"1": y1})["1"]
+    return _curve_residuals("tet", xs, {"1": y1})["1"]
 
 
 def saddle_solve_tet(x) -> SaddleRecord:
@@ -470,7 +475,7 @@ def check_residual_tet(x) -> dict:
     if rec.degenerate:
         raise SingularPointError("degenerate saddle polynomial")
     ys = saddle_twists_tet(xs, rec.z_roots[rec.chosen])
-    return {"1": rec.residual, **_curve_residuals(tet_classical_A, TET_EDGES, xs, {e: ys[e] for e in TET_EDGES[1:]})}
+    return {"1": rec.residual, **_curve_residuals("tet", xs, {e: ys[e] for e in TET_EDGES[1:]})}
 
 
 def tet_real_segment(x) -> Optional[tuple]:
@@ -534,15 +539,12 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
     statement that the twist pairing closes the symplectic form on the curve
     family.
     """
+    labels = GRAPHS[graph].edges
+    xs = tuple(float(v.real) for v in _coords(x, labels))
     if graph == "theta":
-        labels = THETA_EDGES
-        xs = tuple(float(v.real) for v in _coords(x, THETA_EDGES))
         twists_at = grad_log_y_theta
         y_ref = twists_at(xs)
-
-    elif graph == "tet":
-        labels = TET_EDGES
-        xs = tuple(float(v.real) for v in _coords(x, TET_EDGES))
+    else:
         rec = saddle_solve_tet(xs)
         if rec.degenerate:
             raise SingularPointError("degenerate saddle polynomial")
@@ -554,9 +556,6 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
             roots = _quadratic_roots(a, b, c)
             z = min(roots, key=lambda r: abs(r - z_ref))
             return saddle_twists_tet(pt, z)
-
-    else:
-        raise ValueError(f"unknown graph {graph!r}")
 
     n = len(labels)
     jac = [[0j] * n for _ in range(n)]
@@ -806,10 +805,10 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
     col = TetColoring(*(int(v) for v in colors))
     if not tet_is_admissible(col):
         raise ValueError(f"inadmissible coloring {tuple(col)}")
+    if tet_sum_bounds(col).is_empty():
+        raise ValueError("empty summation range")
     taus = _triangle_halves(col)
     ups = _quad_halves(col)
-    if max(taus) > min(ups):
-        raise ValueError("empty summation range")
     hbar = float(hbar)
     start = _START_BITS
     if log2_hint is not None and math.isfinite(log2_hint):
@@ -876,7 +875,7 @@ def _round_colors(x, labels, hbar: float, usable, shifts) -> tuple:
 def round_colors_theta(x, hbar: float) -> tuple:
     """Nearest admissible theta coloring, over the six single-entry unit shifts."""
     shifts = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
-    return _round_colors(x, THETA_EDGES, hbar, lambda c: is_admissible(*c), lambda base: shifts)
+    return _round_colors(x, THETA_EDGES, hbar, GRAPHS["theta"].admissible, lambda base: shifts)
 
 
 def _face_parities(c) -> tuple:
@@ -898,7 +897,7 @@ def _unit_shifts_by_parity() -> dict:
 def _tet_usable(c) -> bool:
     # admissible, with a nonempty summation range
     col = TetColoring(*c)
-    return tet_is_admissible(col) and max(_triangle_halves(col)) <= min(_quad_halves(col))
+    return tet_is_admissible(col) and not tet_sum_bounds(col).is_empty()
 
 
 def round_colors_tet(x, hbar: float) -> tuple:

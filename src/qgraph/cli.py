@@ -2,9 +2,11 @@
 
 Exit codes follow one contract everywhere: 0 means every check passed,
 1 means a mathematical verification failed, 2 means the invocation or
-configuration was malformed.  Reports embed the adopted summand convention,
-the tool version, and a hash of the effective configuration, and identical
-configuration produces byte-identical output.
+configuration was malformed, and 3 means the program itself failed: any
+other exception, reported as one `internal error:` line on stderr.
+Reports embed the adopted summand convention, the tool version, and a hash
+of the effective configuration, and identical configuration produces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import json
 import math
 import random
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import config as cfgmod
 from .apoly import (
+    GRAPHS,
     TET_EDGES,
-    THETA_EDGES,
     OperatorPoly,
     annihilation_report,
     classical_limit,
@@ -31,11 +33,8 @@ from .apoly import (
     interior_colorings,
     operator_vanishes,
     sweep,
-    tet_classical_A,
     tet_quantum_A,
     tet_recursion_vanishes,
-    theta_classical_A,
-    theta_quantum_A,
 )
 from .asymptotics import (
     MAX_GROWTH_COLOR,
@@ -52,7 +51,6 @@ from .asymptotics import (
 )
 from .invariants import (
     CONVENTION_TRIANGLE,
-    TetColoring,
     enumerate_tet_colorings,
     enumerate_theta_colorings,
     invariant_record,
@@ -213,24 +211,11 @@ def _render(report: dict, rows, fmt: str) -> str:
 
 
 def cmd_invariant(args, cfg):
-    graph = args.command
-    want = 3 if graph == "theta" else 6
-    colors = _parse_ints(args.colors, want, "--colors")
-    if graph == "tet" and args.primed:
-        col = TetColoring(*colors)
-        value = tet_primed(col)
-        record = {
-            "graph": "tet",
-            "colors": list(colors),
-            "value": value.to_json_obj(),
-            "admissible": tet_is_admissible(col),
-            "convention": CONVENTION_TRIANGLE,
-            "primed": True,
-        }
-    else:
-        record = invariant_record(graph, colors)
-        value = theta_invariant(*colors) if graph == "theta" else tet_full(colors)
-    report = _envelope(cfg, **record)
+    graph = GRAPHS[args.command]
+    colors = _parse_ints(args.colors, len(graph.edges), "--colors")
+    primed = getattr(args, "primed", False)  # only tet has the flag
+    report = _envelope(cfg, **invariant_record(args.command, colors, primed))
+    value = (graph.family if primed else graph.value)(colors)
     report["text"] = str(value)
     if args.eval is not None:
         v0 = _parse_complex(args.eval, "--eval")
@@ -300,14 +285,11 @@ def _verify_theta_recursion(args, cfg):
 def _verify_annihilation(args, cfg):
     mx = _effective_max(args, cfg, "annihilation")
     graph = args.graph or "theta"
-    edges = THETA_EDGES if graph == "theta" else TET_EDGES
+    edges = GRAPHS[graph].edges
     edge = args.edge or edges[0]
     if edge not in edges:
         raise UsageError(f"unknown {graph} edge {edge!r}")
-    operator = None
-    if args.inject_bad_operator:
-        base = theta_quantum_A(edge) if graph == "theta" else tet_quantum_A(edge)
-        operator = _sign_flipped(base)
+    operator = _sign_flipped(GRAPHS[graph].quantum_A(edge)) if args.inject_bad_operator else None
     report = annihilation_report(graph, edge, mx, operator=operator)
     report["injected_bad_operator"] = bool(args.inject_bad_operator)
     return report
@@ -315,34 +297,28 @@ def _verify_annihilation(args, cfg):
 
 def _verify_classical_limit(args, cfg):
     graph = args.graph or "theta"
+    g = GRAPHS[graph]
     failures = []
     units = {}
-    if graph == "theta":
-        for edge in THETA_EDGES:
-            lim = classical_limit(theta_quantum_A(edge)).poly
-            unit = compare_up_to_unit(lim, theta_classical_A(edge).poly)
-            if unit is None:
-                failures.append({"edge": edge})
-            else:
-                units[edge] = str(unit)
-    else:
-        for edge in TET_EDGES:
-            lim = classical_limit(tet_quantum_A(edge)).poly
-            cur = tet_classical_A(edge).poly
-            expected = MultiPoly.one() - MultiPoly.var("x_" + edge, 2)
+    for edge in g.edges:
+        lim, curve = classical_limit(g.quantum_A(edge)), g.classical_A(edge)
+        if graph == "theta":  # the limit is the curve up to a unit
+            unit = compare_up_to_unit(lim, curve)
+        else:  # the limit is the curve times 1 - x_edge^2
             try:
-                cofactor = exact_div_multi(lim, cur)
+                unit = exact_div_multi(lim, curve)
             except ValueError:
-                failures.append({"edge": edge})
-                continue
-            if cofactor != expected:
-                failures.append({"edge": edge})
-            else:
-                units[edge] = str(cofactor)
+                unit = None
+            if unit is not None and unit != MultiPoly.one() - MultiPoly.var("x_" + edge, 2):
+                unit = None
+        if unit is None:
+            failures.append({"edge": edge})
+        else:
+            units[edge] = str(unit)
     return {
         "check": "classical-limit",
         "graph": graph,
-        "tested": len(THETA_EDGES if graph == "theta" else TET_EDGES),
+        "tested": len(g.edges),
         "units": units,
         "failures": failures,
     }
@@ -399,16 +375,13 @@ def _verify_recursum(args, cfg):
     op = tet_quantum_A("1")
 
     def check(col):
-        j1 = col[0]
         rest = tuple(col)[1:]
-        if not (
-            tet_is_admissible((j1 + 2,) + rest) and tet_is_admissible((j1 - 2,) + rest)
-        ):
+        if not (tet_is_admissible((col[0] + 2,) + rest) and tet_is_admissible((col[0] - 2,) + rest)):
             return None
         failures = []
         if not tet_recursion_vanishes(col):
             failures.append({"colors": list(col), "route": "recursion"})
-        if not operator_vanishes(op, "tet-primed", col):
+        if not operator_vanishes(op, col):
             failures.append({"colors": list(col), "route": "operator"})
         return failures
 
@@ -475,12 +448,43 @@ def cmd_verify(args, cfg):
 # -- numeric checks ----------------------------------------------------------------------------
 
 
+class _Numeric(NamedTuple):
+    """A graph's numeric routines, each called through this module's attribute for span tracing."""
+
+    growth: Callable  # (x, hbars) -> GrowthTable
+    lagrangian_point: Callable  # rng -> sample point
+    residual_point: Callable  # rng -> sample point
+    residual: Callable  # x -> {edge: |classical curve|}, NaN where skipped
+    lagrangian_samples: int  # default sample counts
+    residual_samples: int
+
+
+_NUMERIC = {
+    "theta": _Numeric(
+        lambda x, hbars: growth_check_theta(x, hbars),
+        lambda rng: sample_theta_point(rng),
+        lambda rng: tuple(rng.uniform(0.1, 0.9) for _ in range(3)),
+        lambda x: check_residual_theta(x),
+        50, 100,
+    ),
+    "tet": _Numeric(
+        lambda x, hbars: growth_check_tet(x, hbars),
+        lambda rng: sample_tet_point(rng),
+        lambda rng: sample_tet_point(rng),
+        lambda x: check_residual_tet(x),
+        20, 20,
+    ),
+}
+
+# central differences with a smaller log step are rounding noise: sqrt of a double's epsilon
+_MIN_STEP = 2.0**-26
+
+
 _GROWTH_COLUMNS = ["hbar", "colors", "scaled_log_abs", "target", "error", "status", "notes"]
 
 
 def cmd_asymptotics(args, cfg):
-    want = 3 if args.graph == "theta" else 6
-    x = _parse_floats(args.x, want, "--x")
+    x = _parse_floats(args.x, len(GRAPHS[args.graph].edges), "--x")
     hbars = _parse_floats(args.hbar, None, "--hbar")
     if not hbars or any(h >= 0 for h in hbars):
         raise UsageError("--hbar needs a nonempty list of negative reals")
@@ -504,11 +508,13 @@ def cmd_asymptotics(args, cfg):
     if len(hbars) < 2:
         raise UsageError(f"--hbar needs at least two values, got {args.hbar}")
     try:
-        table = growth_check_theta(x, hbars) if args.graph == "theta" else growth_check_tet(x, hbars)
+        table = _NUMERIC[args.graph].growth(x, hbars)
     except SingularPointError as exc:
         raise UsageError(f"--x {args.x} is a singular point: {exc}")
     except LadderExhaustedError as exc:
         raise UsageError(f"--x {args.x} with --hbar {args.hbar}: {exc}")
+    except (OverflowError, ZeroDivisionError) as exc:  # products of the eigenvalues beyond a double's range
+        raise UsageError(f"--x {args.x} is out of range: {exc}")
     rows = []
     usable = 0
     for r in table.rows:
@@ -565,7 +571,7 @@ def cmd_saddle(args, cfg):
         rec = saddle_solve_tet(x)
     except SingularPointError as exc:
         raise UsageError(f"--x {args.x} is a singular point: {exc}")
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # products of the eigenvalues beyond a double's range
         raise UsageError(f"--x {args.x} is out of range: {exc}")
     if rec.degenerate:
         raise UsageError(f"--x {args.x} is a degenerate point: the saddle quadratic has no nonzero root")
@@ -598,25 +604,24 @@ _LAGRANGIAN_COLUMNS = ["index", "x", "asymmetry"]
 
 def cmd_lagrangian(args, cfg):
     graph = args.graph
-    samples = args.samples if args.samples is not None else (50 if graph == "theta" else 20)
+    num = _NUMERIC[graph]
+    samples = args.samples if args.samples is not None else num.lagrangian_samples
     step = args.step
     # the differences step log x by +-step, so exp(+-step) must be finite and nonzero
-    if not 0 < step <= math.log(sys.float_info.max):
-        raise UsageError(f"--step must be positive, with exp(step) finite, got {step!r}")
-    tol = cfg.tolerances["lagrangian_theta" if graph == "theta" else "lagrangian_tet"]
+    if not _MIN_STEP <= step <= math.log(sys.float_info.max):
+        raise UsageError(f"--step must be at least 2^-26 (about 1.5e-08), with exp(step) finite, got {step!r}")
+    tol = cfg.tolerances["lagrangian_" + graph]
     rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0
     for i in range(samples):
-        x = sample_theta_point(rng) if graph == "theta" else sample_tet_point(rng)
+        x = num.lagrangian_point(rng)
         try:
             asym = lagrangian_residual(graph, x, step=step)
         except SingularPointError as exc:
             raise UsageError(f"--step {step!r} moves sample {i} onto a singular point: {exc}")
         worst = max(worst, asym)
-        rows.append(
-            {"index": i, "x": ",".join(repr(v) for v in x), "asymmetry": asym}
-        )
+        rows.append({"index": i, "x": ",".join(repr(v) for v in x), "asymmetry": asym})
     payload = {
         "check": "lagrangian",
         "graph": graph,
@@ -634,29 +639,27 @@ _RESIDUAL_COLUMNS = ["index", "x", "residual", "status"]
 
 def cmd_residual(args, cfg):
     graph = args.graph
-    samples = args.samples if args.samples is not None else (100 if graph == "theta" else 20)
-    tol = cfg.tolerances["residual_theta" if graph == "theta" else "residual_tet"]
+    num = _NUMERIC[graph]
+    samples = args.samples if args.samples is not None else num.residual_samples
+    tol = cfg.tolerances["residual_" + graph]
     rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0
     skipped = 0
     for i in range(samples):
-        if graph == "theta":
-            x = tuple(rng.uniform(0.1, 0.9) for _ in range(3))
-            res = check_residual_theta(x)
-            vals = list(res.values())
-            if any(v != v for v in vals):
-                skipped += 1
-                rows.append({"index": i, "x": ",".join(repr(v) for v in x), "residual": None, "status": "skipped"})
-                continue
-            value = max(vals)
-        else:
-            x = sample_tet_point(rng)
-            value = max(0.0, *check_residual_tet(x).values())
+        x = num.residual_point(rng)
+        vals = list(num.residual(x).values())
+        row = {"index": i, "x": ",".join(repr(v) for v in x)}
+        # a NaN residual (theta twists at a singular locus) is no evidence either way
+        if any(v != v for v in vals):
+            skipped += 1
+            rows.append({**row, "residual": None, "status": "skipped"})
+            continue
+        value = max(vals)
         worst = max(worst, value)
-        rows.append(
-            {"index": i, "x": ",".join(repr(v) for v in x), "residual": value, "status": "ok"}
-        )
+        rows.append({**row, "residual": value, "status": "ok"})
+    if skipped == samples:
+        raise UsageError(f"residual --graph {graph} skipped all {samples} samples: no residual was finite")
     payload = {
         "check": "residual",
         "graph": graph,
@@ -814,21 +817,22 @@ def main(argv=None) -> int:
         print("usage error: --samples must be at least 1", file=sys.stderr)
         return 2
     try:
-        cfg = cfgmod.load_config(path=args.config)
-        cfg = cfgmod.merge(cfg, _flag_overrides(args))
+        cfg = cfgmod.merge(cfgmod.load_config(path=args.config), _flag_overrides(args))
+        code, report, rows = _DISPATCH[args.command](args, cfg)
+        if cfg.output_format == "text" and args.command in ("theta", "tet"):
+            out = _render_invariant_text(report)
+        else:
+            out = _render(report, rows, cfg.output_format)
     except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        code, report, rows = _DISPATCH[args.command](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    fmt = cfg.output_format
-    if fmt == "text" and args.command in ("theta", "tet"):
-        sys.stdout.write(_render_invariant_text(report))
-    else:
-        sys.stdout.write(_render(report, rows, fmt))
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(out)
     return code
 
 

@@ -24,7 +24,7 @@ through bracket_ratio_sum once, over the lcm of their denominators.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .laurent import LaurentRat, bracket_ratio_sum, mul_products
 
@@ -309,24 +309,21 @@ def theta_reduction_check(a: int, b: int, c: int) -> tuple[bool, Optional[Lauren
 # -- CLI-facing record -----------------------------------------------------------------
 
 
-def invariant_record(graph: str, colors) -> dict:
+def invariant_record(graph: str, colors, primed: bool = False) -> dict:
+    """Report record of a value command: the graph's value, or with primed its annihilated family."""
+    from .apoly import GRAPHS  # apoly imports this module, so its table is read at call time
+
+    g = GRAPHS[graph]
     colors = [int(x) for x in colors]
-    if graph == "theta":
-        if len(colors) != 3:
-            raise ValueError("theta takes 3 colors")
-        adm = is_admissible(*colors)
-        value = theta_invariant(*colors)
-    elif graph == "tet":
-        if len(colors) != 6:
-            raise ValueError("tet takes 6 colors")
-        adm = tet_is_admissible(colors)
-        value = tet_full(colors)
-    else:
-        raise ValueError(f"unknown graph {graph!r}")
-    return {
+    if len(colors) != len(g.edges):
+        raise ValueError(f"{graph} takes {len(g.edges)} colors")
+    record = {
         "graph": graph,
         "colors": colors,
-        "value": value.to_json_obj(),
-        "admissible": adm,
+        "value": (g.family if primed else g.value)(colors).to_json_obj(),
+        "admissible": g.admissible(colors),
         "convention": CONVENTION_TRIANGLE,
     }
+    if primed:
+        record["primed"] = True
+    return record

@@ -17,7 +17,6 @@ import pytest
 
 from qgraph import apoly
 from qgraph.apoly import (
-    ClassicalAPoly,
     OperatorPoly,
     TET_EDGES,
     THETA_EDGES,
@@ -133,13 +132,13 @@ def test_operator_shapes():
 def test_classical_curve_shapes():
     for e in THETA_EDGES:
         cur = theta_classical_A(e)
-        assert cur.poly.degree_in("y_" + e) == 1
-        assert set(cur.poly.vars) == {"x_a", "x_b", "x_c", "y_" + e}
+        assert cur.degree_in("y_" + e) == 1
+        assert set(cur.vars) == {"x_a", "x_b", "x_c", "y_" + e}
     for e in TET_EDGES:
         cur = tet_classical_A(e)
-        assert cur.poly.degree_in("y_" + e) == 2
-        assert set(cur.poly.vars) == {"x_" + lab for lab in TET_EDGES} | {"y_" + e}
-        assert len(cur.poly.terms) == 60
+        assert cur.degree_in("y_" + e) == 2
+        assert set(cur.vars) == {"x_" + lab for lab in TET_EDGES} | {"y_" + e}
+        assert len(cur.terms) == 60
 
 
 # -- theta: classical curve ---------------------------------------------------
@@ -147,7 +146,7 @@ def test_classical_curve_shapes():
 
 def test_theta_classical_frozen_point():
     # at x = (1/2, 1/2, 1/2) the curve is linear in y with root -7/9
-    parts = theta_classical_A("a").poly.coeffs_in("y_a")
+    parts = theta_classical_A("a").coeffs_in("y_a")
     h = Fraction(1, 2)
     pt = {"x_a": h, "x_b": h, "x_c": h}
     c0 = parts[0].eval_fraction(pt)
@@ -158,15 +157,15 @@ def test_theta_classical_frozen_point():
 
 
 def test_theta_classical_relabel_symmetry():
-    base = theta_classical_A("a").poly
+    base = theta_classical_A("a")
     swap_b = base.substitute(
         {"x_a": MultiPoly.var("x_b"), "x_b": MultiPoly.var("x_a"), "y_a": MultiPoly.var("y_b")}
     )
-    assert theta_classical_A("b").poly == swap_b
+    assert theta_classical_A("b") == swap_b
     swap_c = base.substitute(
         {"x_a": MultiPoly.var("x_c"), "x_c": MultiPoly.var("x_a"), "y_a": MultiPoly.var("y_c")}
     )
-    assert theta_classical_A("c").poly == swap_c
+    assert theta_classical_A("c") == swap_c
 
 
 # -- theta: quantum operator ---------------------------------------------------
@@ -208,8 +207,8 @@ def test_theta_operator_ratio_is_recursion_factor():
 
 def test_theta_classical_limit_is_curve():
     for e in THETA_EDGES:
-        lim = classical_limit(theta_quantum_A(e)).poly
-        assert compare_up_to_unit(lim, theta_classical_A(e).poly) == MultiPoly.one()
+        lim = classical_limit(theta_quantum_A(e))
+        assert compare_up_to_unit(lim, theta_classical_A(e)) == MultiPoly.one()
 
 
 # -- tetrahedron: three-term recursion ----------------------------------------
@@ -331,8 +330,8 @@ def test_tet_operator_matches_recursion_pointwise():
 def test_tet_classical_limit_is_curve_times_even_factor():
     # q -> 1 collapse acquires one palindromic factor (1 - x^2) on the edge
     for e in TET_EDGES:
-        lim = classical_limit(tet_quantum_A(e)).poly
-        cur = tet_classical_A(e).poly
+        lim = classical_limit(tet_quantum_A(e))
+        cur = tet_classical_A(e)
         factor = MultiPoly.one() - MultiPoly.var("x_" + e, 2)
         assert exact_div_multi(lim, cur) == factor
 
@@ -342,27 +341,25 @@ def test_tet_classical_limit_is_curve_times_even_factor():
 
 def test_apply_identity_operator():
     ident = OperatorPoly("theta", "a", (MultiPoly.one(),))
-    assert apply_operator(ident, "theta", (2, 2, 2)) == theta_invariant(2, 2, 2)
+    assert apply_operator(ident, (2, 2, 2)) == theta_invariant(2, 2, 2)
     ident6 = OperatorPoly("tet", "1", (MultiPoly.one(),))
     col = (2, 2, 2, 2, 2, 2)
-    assert apply_operator(ident6, "tet-primed", col) == tet_primed(col)
+    assert apply_operator(ident6, col) == tet_primed(col)
 
 
 def test_apply_operator_rejects_mismatches():
     op = theta_quantum_A("a")
     with pytest.raises(ValueError):
-        apply_operator(op, "tet-primed", (2, 2, 2, 2, 2, 2))
+        apply_operator(op, (2, 2))
     with pytest.raises(ValueError):
-        apply_operator(op, "nope", (2, 2, 2))
-    with pytest.raises(ValueError):
-        apply_operator(op, "theta", (2, 2))
+        apply_operator(OperatorPoly("cube", "a", op.coeffs), (2, 2, 2))
 
 
 def test_apply_operator_outside_domain_is_zero_sum():
     # when the coloring and its shift are both inadmissible every term
     # vanishes; no admissibility errors are raised
     op = theta_quantum_A("a")
-    assert apply_operator(op, "theta", (1, 2, 7)).is_zero()
+    assert apply_operator(op, (1, 2, 7)).is_zero()
 
 
 # -- report shape -----------------------------------------------------------------
@@ -427,7 +424,7 @@ def test_zero_test_matches_rat_dot_on_recursum_grid_6():
     perturbed_nonzero = 0
     for col in cols:
         assert tet_recursion_vanishes(col) and tet_recursion_residual(col).is_zero(), col
-        assert operator_vanishes(op, "tet-primed", col) and apply_operator(op, "tet-primed", col).is_zero(), col
+        assert operator_vanishes(op, col) and apply_operator(op, col).is_zero(), col
         alpha, beta, gamma = tet_recursion_coeffs(col)
         up, mid, down = shifted_primed(col)
         pairs = [(alpha, up), (-beta, mid), (gamma + 1, down)]
@@ -445,9 +442,9 @@ def test_zero_test_matches_rat_dot_on_theta_grid_12():
         cols = interior_colorings("theta", edge, 12, 1)
         assert len(cols) > 100
         for col in cols:
-            assert operator_vanishes(op, "theta", col) and apply_operator(op, "theta", col).is_zero(), col
-            assert not operator_vanishes(flipped, "theta", col), col
-            assert not apply_operator(flipped, "theta", col).is_zero(), col
+            assert operator_vanishes(op, col) and apply_operator(op, col).is_zero(), col
+            assert not operator_vanishes(flipped, col), col
+            assert not apply_operator(flipped, col).is_zero(), col
 
 
 def bump_top(value, delta):
@@ -491,7 +488,7 @@ def test_annihilation_report_expands_only_failures(monkeypatch):
     rep = annihilation_report("theta", "a", 4, operator=miscommuted_theta("a"))
     assert len(calls) == len(rep["failures"]) > 0
     for record in rep["failures"]:
-        residual = apply_operator(miscommuted_theta("a"), "theta", record["colors"])
+        residual = apply_operator(miscommuted_theta("a"), record["colors"])
         assert record["residual"] == residual.to_json_obj()
 
 
@@ -508,7 +505,7 @@ def test_saddle_system_shape():
 
 def test_eliminate_saddle_divisibility():
     res = eliminate_saddle()
-    cur = tet_classical_A("1").poly
+    cur = tet_classical_A("1")
     assert res.degree_in("y_1") == 3
     assert len(res.terms) == 1132
     quo = exact_div_multi(res, cur)
@@ -525,7 +522,7 @@ def test_eliminate_saddle_rejects_flipped_sign_curve():
     mid_a = (
         x4 * x12 * (one - x1 * x1) ** 2 * (x3 - x2 * x23) * (one - x3 * x2 * x23)
     )
-    flipped = tet_classical_A("1").poly - 2 * mid_a * MultiPoly.var("y_1")
+    flipped = tet_classical_A("1") - 2 * mid_a * MultiPoly.var("y_1")
     res = eliminate_saddle()
     with pytest.raises(ValueError):
         exact_div_multi(res, flipped)

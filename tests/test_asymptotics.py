@@ -228,7 +228,7 @@ def test_theta_twists_at_symmetric_point_solve_the_curve():
     # the curve is linear in its twist, so it pins the value; the gradient
     # must reproduce exactly what the curve forces
     ys = grad_log_y_theta((0.5, 0.5, 0.5))
-    poly = theta_classical_A("a").poly
+    poly = theta_classical_A("a")
     base = {"x_a": 0.5, "x_b": 0.5, "x_c": 0.5}
     c0 = poly.evaluate({**base, "y_a": 0.0})
     c1 = poly.evaluate({**base, "y_a": 1.0}) - c0
@@ -467,7 +467,7 @@ def test_saddle_solve_random_points():
         assert rec.lattice_errors[rec.chosen] <= 1e-6
         point = {"x_" + lab: complex(v) for lab, v in zip(TET_EDGES, x)}
         point["y_1"] = rec.y1
-        assert abs(tet_classical_A("1").poly.evaluate(point)) <= 1e-8
+        assert abs(tet_classical_A("1").evaluate(point)) <= 1e-8
 
 
 def test_saddle_solve_degenerate_report():
@@ -554,7 +554,7 @@ def test_saddle_twists_satisfy_all_six_curves():
         for edge in TET_EDGES:
             point = dict(base)
             point["y_" + edge] = ys[edge]
-            assert abs(tet_classical_A(edge).poly.evaluate(point)) <= 1e-8
+            assert abs(tet_classical_A(edge).evaluate(point)) <= 1e-8
 
 
 def _residual_tet_looped(x):
@@ -566,7 +566,7 @@ def _residual_tet_looped(x):
     for edge in TET_EDGES:
         point = dict(base)
         point["y_" + edge] = ys[edge]
-        value = max(value, abs(tet_classical_A(edge).poly.evaluate(point)))
+        value = max(value, abs(tet_classical_A(edge).evaluate(point)))
     return value
 
 

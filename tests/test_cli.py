@@ -1,15 +1,18 @@
 """Command line surface: exit codes, report envelopes, determinism, config plumbing."""
 
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from qgraph import asymptotics
+from qgraph import asymptotics, cli
 from qgraph.asymptotics import MAX_GROWTH_COLOR
 from qgraph.cli import VERSION, main
 from qgraph.invariants import TetColoring, tet_primed, theta_invariant
@@ -403,6 +406,8 @@ def test_non_finite_numbers_exit_2(capsys, argv):
         "asymptotics tet --x 0.5,1e-200,0.5,0.5,0.5,1e-200 --hbar -1000,-2000",
         # the colors round to 12 and 6, where the saddle quadratic of x_eff degenerates
         "asymptotics tet --x " + ",".join(["0.999999994"] * 6) + " --hbar -1e-9,-2e-9",
+        # the product of the three eigenvalues underflows to 0, the log's singular point
+        "asymptotics theta --x 0.3,1e-200,1e-200 --hbar -0.2,-0.1",
     ],
 )
 def test_asymptotics_singular_point_exit_2(capsys, argv):
@@ -418,12 +423,29 @@ def test_asymptotics_singular_point_exit_2(capsys, argv):
         ("saddle --x 0.5,0.5,0.5,0.5,0.5,1e-200", 0),
         # the saddle gives the target, but both colorings round to 0, so no row is usable
         ("asymptotics tet --x 0.5,0.5,0.5,0.5,0.5,1e-200 --hbar -1000,-2000", 1),
+        # a subnormal root's slope is NaN: its lattice error is inf, where rounding it raised
+        ("saddle --x 2,1e-300,0.9,0.9,1e-10,0.7", 0),
     ],
 )
 def test_saddle_root_at_underflowing_pole_reports(capsys, argv, want):
     code, out, err = run(capsys, ["--format", "json"] + argv.split())
     report = json.loads(out, parse_constant=_reject_constant)
     assert (code, report["passed"], err) == (want, want == 0, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a triple product of the eigenvalues underflows to 0, and the potential divides by it
+        "asymptotics tet --x 1e-10,0.3,0.9,0.3,5e-324,0.999999999 --hbar -50,-1000",
+        # a power in the classical curve overflows a complex double
+        "asymptotics tet --x 0.3,1e-160,5e-324,0.9,0.7,0.9 --hbar -0.5,-1000",
+    ],
+)
+def test_asymptotics_products_out_of_range_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "out of range" in err
 
 
 @pytest.mark.parametrize(
@@ -580,6 +602,132 @@ def test_residual_tet(capsys):
     code, report = run_json(capsys, ["residual", "--graph", "tet", "--samples", "5"])
     assert code == 0
     assert report["max_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("graph", ["theta", "tet"])
+def test_residual_nan_is_skipped(capsys, monkeypatch, graph):
+    # a NaN on any curve, not only on the first, makes the sample skipped rather than a pass
+    results = iter([{"1": 1e-12, "2": math.nan}, {"1": 1e-12, "2": 2e-12}])
+    monkeypatch.setattr(cli, f"check_residual_{graph}", lambda x: next(results))
+    code, report = run_json(capsys, ["residual", "--graph", graph, "--samples", "2"])
+    assert code == 0
+    assert report["skipped"] == 1 and report["max_residual"] == 2e-12
+    assert [(r["status"], r["residual"]) for r in report["rows"]] == [("skipped", None), ("ok", 2e-12)]
+
+
+@pytest.mark.parametrize("graph", ["theta", "tet"])
+def test_residual_every_sample_skipped_exit_2(capsys, monkeypatch, graph):
+    monkeypatch.setattr(cli, f"check_residual_{graph}", lambda x: {"1": 0.0, "2": math.nan})
+    code, out, err = run(capsys, ["residual", "--graph", graph, "--samples", "3"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "skipped all 3 samples" in err
+
+
+def test_lagrangian_step_below_rounding_noise_exit_2(capsys):
+    # at 1e-12 the central differences are rounding noise (tet max asymmetry 0.024)
+    code, out, err = run(capsys, ["lagrangian", "--graph", "tet", "--samples", "3", "--step", "1e-12"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "2^-26" in err
+    # the bound itself is accepted
+    code, report = run_json(capsys, ["lagrangian", "--graph", "tet", "--samples", "3", "--step", repr(2.0**-26)])
+    assert code == 0 and report["max_asymmetry"] <= report["tolerance"]
+
+
+def test_unexpected_error_exit_3(capsys, monkeypatch):
+    def boom(x):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "saddle_solve_tet", boom)
+    code, out, err = run(capsys, ["saddle", "--x", "0.35,0.35,0.35,0.35,0.35,0.35"])
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+
+# each field draws from a list of ordinary values, and now and then from a list of odd ones
+_FUZZ_X = (("0.3", "0.35", "0.4", "0.5", "0.6", "0.7"), ("1", "0", "-0.2", "1.5", "nan", "1e-200", "x"))
+_FUZZ_HBAR = (("-0.2", "-0.1", "-0.05"), ("0.1", "0", "-1e-17", "nan", "-1000"))
+_FUZZ_STEP = (("1e-5", "1e-3", "1e-7"), ("1e-12", "0", "700", "-1", "inf"))
+_FUZZ_EVAL = (("0.9", "0.5+0.5j", "-0.7", "1.1"), ("0", "1", "-1", "1e200", "abc", "nan"))
+_FUZZ_CHECK = (
+    ("theta-recursion", "annihilation", "classical-limit", "symmetry", "reduction", "hypergeom", "recursum", "eliminate"),
+    ("bogus",),
+)
+_FUZZ_EDGE = (("a", "b", "c", "1", "2", "12", "3", "4", "23"), ("z", ""))
+_FUZZ_TOL = (("saddle=1e-6", "residual_tet=1e-30", "lagrangian_theta=1"), ("lagrangian_theta=0", "bogus=1", "saddle=x", "saddle"))
+
+
+def _random_argv(rng, odd):
+    """One invocation from a bounded space: small colors, grids and sample counts."""
+
+    def draw(field):
+        return rng.choice(field[rng.random() < odd])
+
+    def count(n):
+        return n if rng.random() >= odd else rng.choice((n - 1, n + 1))
+
+    out = []
+    if rng.random() < 0.7:
+        out += ["--format", rng.choice(("text", "json", "csv"))]
+    if rng.random() < 0.2:
+        out += ["--seed", str(rng.randint(-3, 9))]
+    if rng.random() < 0.15:
+        out += ["--tol", draw(_FUZZ_TOL)]
+    if rng.random() < 0.1:
+        out += ["--grid-max", str(rng.randint(-1, 2))]
+    command = rng.choice(("theta", "tet", "verify", "asymptotics", "saddle", "lagrangian", "residual"))
+    if command in ("theta", "tet"):
+        top, n = (8, 3) if command == "theta" else (5, 6)
+        out += [command, "-c", ",".join(str(rng.randint(-(rng.random() < odd), top)) for _ in range(count(n)))]
+        if command == "tet" and rng.random() < 0.5:
+            out.append("--primed")
+        if rng.random() < 0.4:
+            out += ["--eval", draw(_FUZZ_EVAL)]
+    elif command == "verify":
+        check = draw(_FUZZ_CHECK)
+        out += ["verify", check]
+        # grid checks always get a small bound: their default grids take seconds
+        if check not in ("classical-limit", "eliminate") or rng.random() < odd:
+            out += ["--max", str(rng.randint(-1, 3))]
+        if rng.random() < 0.5:
+            out += ["--graph", rng.choice(("theta", "tet"))]
+        if rng.random() < 0.3:
+            out += ["--edge", draw(_FUZZ_EDGE)]
+        if rng.random() < 0.3:
+            out += ["--samples", str(rng.randint(0, 2))]
+        if rng.random() < 0.2:
+            out.append("--inject-bad-operator")
+    elif command in ("asymptotics", "saddle"):
+        graph = rng.choice(("theta", "tet")) if command == "asymptotics" else "tet"
+        x = ",".join(draw(_FUZZ_X) for _ in range(count(3 if graph == "theta" else 6)))
+        if command == "asymptotics":
+            out += ["asymptotics", graph, "--x", x, "--hbar", ",".join(draw(_FUZZ_HBAR) for _ in range(rng.randint(1, 3)))]
+        else:
+            out += ["saddle", "--x", x]
+    else:
+        out += [command, "--graph", rng.choice(("theta", "tet")), "--samples", str(rng.randint(0, 3))]
+        if command == "lagrangian" and rng.random() < 0.6:
+            out += ["--step", draw(_FUZZ_STEP)]
+        if rng.random() < 0.3:
+            out += ["--seed", str(rng.randint(0, 9))]
+    return out
+
+
+@pytest.mark.parametrize("seed, odd", [(1, 0.1), (2, 0.1), (3, 0.35), (4, 0.35)])
+def test_generated_argvs_exit_0_1_or_2(capsys, seed, odd):
+    """Any argv ends in a verdict or a usage error: no traceback, no exit 3, strict JSON."""
+    rng = random.Random(seed)
+    start = time.perf_counter()
+    for _ in range(250):
+        argv = _random_argv(rng, odd)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, captured.err)
+        assert "Traceback" not in captured.err, argv
+        if code != 2 and argv[:2] == ["--format", "json"]:
+            json.loads(captured.out, parse_constant=_reject_constant)
+    assert time.perf_counter() - start < 10
 
 
 # -- determinism -------------------------------------------------------------------------------

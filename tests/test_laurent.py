@@ -282,9 +282,9 @@ def _computed_values() -> list:
         tet_full(col),
         tet_full((3, 3, 2, 3, 3, 2)),
         *tet_recursion_coeffs(col),
-        apply_operator(theta_lead, "theta", (4, 4, 2)),
-        apply_operator(tet_lead, "tet-primed", col),
-        apply_operator(miscommuted_b, "theta", (4, 4, 4)),
+        apply_operator(theta_lead, (4, 4, 2)),
+        apply_operator(tet_lead, col),
+        apply_operator(miscommuted_b, (4, 4, 4)),
     ]
     return values + [LaurentRat.from_json_obj(json.loads(json.dumps(v.to_json_obj()))) for v in values]
 

@@ -244,7 +244,7 @@ def bench_operator(repeat: int) -> None:
     def run():
         op = apoly.theta_quantum_A("a")
         for col in grid:
-            assert apoly.operator_vanishes(op, "theta", col)
+            assert apoly.operator_vanishes(op, col)
 
     _line(f"operator_vanishes theta a x{len(grid)}, grid 10, cold", *_spread(_cold_samples(run, repeat)))
 
@@ -262,7 +262,7 @@ def _recursum_pairs(grid_max: int) -> list:
         alpha, (b1, b2, b3), gamma = apoly._tet_recursion_products(col)
         up, mid, down = apoly._tet_shifted_values(col)
         out.append([(alpha, up), (-b1, mid), (-b2, mid), (b3, mid), (gamma, down)])
-        out.append(apoly._operator_pairs(op, "tet-primed", col))
+        out.append(apoly._operator_pairs(op, col))
     return out
 
 

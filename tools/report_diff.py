@@ -36,8 +36,9 @@ X_TET = "0.35,0.35,0.35,0.35,0.35,0.35"
 # argvs the benchmark never runs: theta residual and lagrangian sweeps, csv
 # output, the theta classical limit, --eval (also beyond a double's range),
 # the injected bad operator (exit 1), a growth table whose cancellation falls
-# below a double's range, --x entries above 1, and a saddle point whose
-# curve overflows
+# below a double's range, --x entries above 1, a saddle point whose curve
+# overflows, the default graph and edge of each graph-dispatching command,
+# tet annihilation along the edges other than 1 and 2, and csv tet --primed
 EXTRA = [
     tuple(a.split())
     for a in (
@@ -66,6 +67,15 @@ EXTRA = [
         "asymptotics tet --x " + X_TET + " --hbar -0.00047,-0.00042",
         "asymptotics tet --x 2,2,2,2,2,2 --hbar -0.1,-0.05",
         "asymptotics theta --x 1e300,1,1 --hbar -0.1,-0.05",
+        "verify annihilation --max 4",
+        "verify classical-limit",
+        "lagrangian --samples 5",
+        "residual --samples 5",
+        "verify annihilation --graph tet --edge 12 --max 3",
+        "verify annihilation --graph tet --edge 3 --max 3",
+        "verify annihilation --graph tet --edge 4 --max 3",
+        "verify annihilation --graph tet --edge 23 --max 3",
+        "--format csv tet --primed -c 2,3,3,2,3,3",
     )
 ]
 
