@@ -25,8 +25,6 @@ from functools import lru_cache
 from itertools import product as _iterproduct
 from typing import NamedTuple, Optional
 
-import mpmath
-
 from .apoly import GRAPHS, TET_EDGES, THETA_EDGES
 from .invariants import (
     TetColoring,
@@ -640,17 +638,134 @@ def log_abs_theta(colors, hbar: float) -> float:
     )
 
 
-def _mantissa(x, p: int) -> tuple:
-    # positive mpf x as (man, ex) with man an int of exactly p bits and
-    # man * 2^ex = x up to a relative 2^(1-p)
-    frac, ex = mpmath.frexp(x)
-    return int(mpmath.ldexp(frac, p)), ex - p
+def _exp_mantissa(a: int, b: int, p: int) -> tuple:
+    """e^x for the exact dyadic x = a / 2^b, as (man, ex): man = floor(e^x / 2^ex), of exactly p bits.
+
+    x is halved s times, to the still exact r = a / 2^(b+s) with |r| < 2^-8,
+    so each Taylor term costs a product with the short a and a division by
+    a small int rather than a full product (at 41000 bits, 18 us against
+    0.9 ms on a 2-vCPU VM).  For the same reason a large |x| is halved
+    further instead of reduced by k ln 2, which would make r full length.
+    s squarings undo the halvings.
+
+    Error, at w = p + guard fractional bits: each term is floored twice and
+    so stays within 4 units of 2^-w of its true value; the terms at least
+    halve, so the N terms summed and the tail dropped are within 4N + 8
+    units of e^r 2^w > 2^(w-1).  Each squaring doubles the relative error
+    and its truncation to w bits adds 2^(1-w), so the result is within
+    2^(s+2) (4N + 10) 2^-w relative, and R, twice that times the mantissa
+    plus 1, covers the second-order terms as well.  When the mantissa minus R
+    and plus R floor to different p-bit ints, the guard bits double and it
+    runs again, so man is exact.  x = 0 returns at once.
+    """
+    if a == 0:
+        return 1 << (p - 1), 1 - p
+    s = max(0, a.bit_length() - b + 8)
+    c = b + s
+    m = abs(a)
+    guard = s + p.bit_length() + 24
+    while True:
+        w = p + guard
+        term = total = 1 << w
+        n = 0
+        while term:
+            n += 1
+            term = (term * m >> c) // n
+            total += -term if a < 0 and n % 2 else term
+        man, ex = total, -w
+        for _ in range(s):
+            x = man * man
+            d = x.bit_length() - w
+            man, ex = x >> d, 2 * ex + d
+        r = ((4 * n + 10 << s + 3) * man >> w) + 1
+        d = man.bit_length() - p
+        low, high = (man - r) >> d, (man + r) >> d
+        if low == high and low.bit_length() == p:
+            return low, ex + d
+        guard *= 2
+
+
+# (bits, ln 2 in fixed point at those bits, within 1.5 units and not above);
+# a tuple rebound whole, so a reader never sees one half of an update
+_LN2_CACHE = (0, 0)
+
+
+def _ln2(w: int) -> int:
+    """floor(ln 2 * 2^w), exactly.
+
+    Shifted down from the cached value, which is at least 1 bit longer and
+    within 1.5 units below ln 2.  Only when more bits are asked for, or the
+    shift leaves the floor in doubt, is it summed again, 64 bits (then 128,
+    ...) longer: 2 atanh(1/3) = sum_j 2 / ((2j+1) 3^(2j+1)) at g more bits,
+    each term floored twice, under 2 units each and 2^(g-1) in all with
+    g = bit_length(bits) + 4.
+    """
+    global _LN2_CACHE
+    have, val = _LN2_CACHE
+    extra = 64
+    while have <= w or val >> have - w != val + 1 >> have - w:
+        have = max(have, w) + extra
+        extra *= 2
+        g = have.bit_length() + 4
+        term = (2 << have + g) // 3
+        val, j = 0, 0
+        while term:
+            val += term // (2 * j + 1)
+            term //= 9
+            j += 1
+        val >>= g
+        _LN2_CACHE = have, val
+    return val >> have - w
+
+
+def _log_fixed(n: int, w: int) -> int:
+    """log n for an int n >= 1, in fixed point: an int within 2 of log n * 2^w.
+
+    n = m 2^k with m in [1/sqrt 2, sqrt 2), and log m = 2 atanh(z) with
+    z = (m - 1)/(m + 1), |z| < 0.172, so each term of the series gives over
+    five bits.  m is taken to wg = w + g bits and k ln 2 at wg + bit_length(k);
+    the truncations of m, z, z^2 and every term stay under 2^(g-2) units of
+    2^-wg, so the result is within 1 unit before its final floor.
+    """
+    k = n.bit_length()
+    if n * n < 1 << 2 * k - 1:  # m = n / 2^k < 1/sqrt 2
+        k -= 1
+    g = w.bit_length() + 8
+    wg = w + g
+    one = 1 << wg
+    x = n << wg - k if wg >= k else n >> k - wg
+    z = ((x - one) << wg) // (x + one)
+    z2 = z * z >> wg
+    term, total, j = abs(z), 0, 1
+    while term:
+        total += term // j
+        term = term * z2 >> wg
+        j += 2
+    if z < 0:
+        total = -total
+    kb = k.bit_length()
+    return (2 * total + (k * _ln2(wg + kb) >> kb)) >> g
+
+
+def _log1m_exp(a: int, b: int, w: int) -> int:
+    """log(1 - e^x) for the dyadic x = a / 2^b < 0, in fixed point: an int within 6 of it times 2^w.
+
+    1 - e^x is num 2^ex, up to one unit of num, from a mantissa of e^x at
+    enough bits that num >= 2^(w+2); so num's log is off by under a unit.
+    """
+    man, ex = _exp_mantissa(a, b, w + 5 + max(0, b - a.bit_length()))
+    eb = (-ex).bit_length()
+    return _log_fixed((1 << -ex) - man, w) + (ex * _ln2(w + eb) >> eb)
+
+
+# fractional bits of log_scale and of the final log, which only feed one float
+_LOG_BITS = 160
 
 
 def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     """One rung of the log_abs_tet ladder, in integer arithmetic.
 
-    Returns (signed, total, log_scale): Python ints and an mpf with
+    Returns (signed, total, log_scale): Python ints and an exact Fraction with
     signed * e^log_scale = sum_m (-1)^m T(m) and total * e^log_scale =
     sum_m T(m), where T(m) = [m+1]! / (prod_t [m-t]! prod_u [u-m]!) for
     lo = max t <= m <= hi = min u, at v = exp(hbar/2), q = v^2.
@@ -669,6 +784,14 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     the summands by that ratio.  The v^E(lo) (1 - q)^-1 factor, which every
     summand shares, stays in log_scale.  Every value is an int mantissa with
     a binary exponent, so no logarithm or exponential is taken per term.
+
+    The rung's constants are integer fixed point as well.  hbar is an exact
+    dyadic, and `_exp_mantissa` gives q = e^hbar truncated to p fractional
+    bits, and v^(6 lo + 2 - sum t - sum u) and q^3 as truncated p-bit
+    mantissas, exactly as the bound below assumes.  In log_scale, v^E(lo)
+    gives hbar E(lo) / 2 exactly, and ln 2 and log(1 - q) are taken at
+    _LOG_BITS plus the bit length of the smallest exponent: log_scale is off
+    by under 2^-150, far below the one float it feeds.
 
     The working precision is p = bits + g guard bits, with n = hi - lo, K the
     largest k used, and g = bit_length(n (16 (ceil(1/|hbar|) + K) + 2n + 258)) + 4:
@@ -697,11 +820,12 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     top = max(hi + 1, max(ups) - lo, hi - min(taus))
     p = bits + (n * (16 * (math.ceil(-1.0 / hbar) + top) + 2 * n + 258)).bit_length() + 4
     one = 1 << p
-    with mpmath.workprec(p + 16):
-        h = mpmath.mpf(hbar)
-        q = int(mpmath.ldexp(mpmath.exp(h), p))
-        vp, ve = _mantissa(mpmath.exp(h * (6 * lo + 2 - 2 * sum(taus)) / 2), p)
-        q3, e3 = _mantissa(mpmath.exp(3 * h), p)
+    ha, hb = hbar.as_integer_ratio()
+    hb = hb.bit_length() - 1  # hbar = ha / 2^hb exactly
+    man, ex = _exp_mantissa(ha, hb, p)
+    q = man >> -p - ex
+    vp, ve = _exp_mantissa(ha * (6 * lo + 2 - 2 * sum(taus)), hb + 1, p)
+    q3, e3 = _exp_mantissa(3 * ha, hb, p)
     # 1 - q^k = af[k] * 2^(-p - z[k]) for k >= 1, each af[k] an int of exactly
     # p bits; q^k is kept at 2^-p or more, which is within the bound above
     af, z = [one], [0]
@@ -762,9 +886,8 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
         total += x
         signed += -x if m % 2 else x
     big_e = -lo * (lo + 1) + sum((lo - t) * (lo - t - 1) for t in taus) + sum((u - lo) * (u - lo - 1) for u in ups)
-    with mpmath.workprec(p):
-        h = mpmath.mpf(hbar)
-        log_scale = low * mpmath.ln2 + h * big_e / 4 - mpmath.log1p(-mpmath.exp(h))
+    w = _LOG_BITS + abs(low).bit_length()
+    log_scale = Fraction(low * _ln2(w) - _log1m_exp(ha, hb, w), 1 << w) + Fraction(ha * big_e, 1 << hb + 2)
     return signed, total, log_scale
 
 
@@ -821,8 +944,7 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
             if start > _START_BITS and abs(signed) << (start // 2 + 1) >= total << 60:
                 bits = start = _START_BITS  # a skipped rung might have trusted its sum
                 continue
-            with mpmath.workprec(bits):
-                val = float(mpmath.log(abs(signed)) + log_scale)
+            val = float(Fraction(_log_fixed(abs(signed), _LOG_BITS), 1 << _LOG_BITS) + log_scale)
             return val, {"cancellation": Fraction(abs(signed), total), "precision_bits": bits}
         if bits == _TOP_BITS:
             raise LadderExhaustedError("cancellation exhausted the precision ladder")

@@ -309,18 +309,23 @@ def theta_reduction_check(a: int, b: int, c: int) -> tuple[bool, Optional[Lauren
 # -- CLI-facing record -----------------------------------------------------------------
 
 
-def invariant_record(graph: str, colors, primed: bool = False) -> dict:
-    """Report record of a value command: the graph's value, or with primed its annihilated family."""
+def invariant_record(graph: str, colors, primed: bool = False, value=None) -> dict:
+    """Report record of a value command: the graph's value, or with primed its annihilated family.
+
+    A caller that already holds that value passes it, so the table is not asked twice.
+    """
     from .apoly import GRAPHS  # apoly imports this module, so its table is read at call time
 
     g = GRAPHS[graph]
     colors = [int(x) for x in colors]
     if len(colors) != len(g.edges):
         raise ValueError(f"{graph} takes {len(g.edges)} colors")
+    if value is None:
+        value = (g.family if primed else g.value)(colors)
     record = {
         "graph": graph,
         "colors": colors,
-        "value": (g.family if primed else g.value)(colors).to_json_obj(),
+        "value": value.to_json_obj(),
         "admissible": g.admissible(colors),
         "convention": CONVENTION_TRIANGLE,
     }

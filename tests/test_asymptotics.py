@@ -848,6 +848,94 @@ def test_log_abs_tet_zero_survivor_climbs(monkeypatch):
         log_abs_tet((4,) * 6, -0.1)
 
 
+# -- the ladder's fixed-point exp and log, against mpmath --
+
+
+# hbar from -2^-60 to -700, times the rung's multipliers: 1 (q), 3 (q^3) and
+# 6 lo + 2 - 2 sum t (with half of hbar), which reaches +-10^5 near the color cap
+_EXP_HBARS = (-(2.0**-60), -1e-9, -(2.0**-10), -0.1, -(2.0**-1), -1.0, -7.5, -700.0)
+_EXP_MULTS = (1, 3, -2, 5, -99_999, 100_000)
+# bits of the top rung plus guard bits of the benchmark rows
+_TOP_P = asymptotics._TOP_BITS + 31
+
+
+def _dyadic(x: float) -> tuple:
+    a, d = x.as_integer_ratio()
+    return a, d.bit_length() - 1
+
+
+def _mp_floor_mantissa(a: int, b: int, p: int) -> tuple:
+    # floor(e^x / 2^ex) at p bits, from mpmath 64 bits beyond
+    with mpmath.workprec(p + 64):
+        frac, ex = mpmath.frexp(mpmath.exp(mpmath.ldexp(a, -b)))
+        return int(mpmath.floor(mpmath.ldexp(frac, p))), ex - p
+
+
+@pytest.mark.parametrize("p", [64, 353, 2591])
+@pytest.mark.parametrize("hbar", _EXP_HBARS)
+def test_exp_mantissa_is_the_truncated_mantissa(p, hbar):
+    a, b = _dyadic(hbar)
+    for mult in _EXP_MULTS:
+        for shift in (0, 1):
+            man, ex = asymptotics._exp_mantissa(a * mult, b + shift, p)
+            assert man.bit_length() == p
+            assert (man, ex) == _mp_floor_mantissa(a * mult, b + shift, p)
+
+
+@pytest.mark.parametrize("hbar, mult", [(-(2.0**-10), 1), (-(2.0**-10), -2345), (-(2.0**-60), 3), (-700.0, 100_000)])
+def test_exp_mantissa_at_the_top_rung(hbar, mult):
+    a, b = _dyadic(hbar)
+    assert asymptotics._exp_mantissa(a * mult, b + 1, _TOP_P) == _mp_floor_mantissa(a * mult, b + 1, _TOP_P)
+
+
+def test_exp_mantissa_of_zero():
+    assert asymptotics._exp_mantissa(0, 5, 64) == (1 << 63, -63)
+
+
+def test_rung_q_is_truncated_to_p_fractional_bits():
+    # q = man >> (-p - ex) is floor(e^hbar 2^p), as the rung's bound assumes, also when it underflows to 0
+    for hbar in _EXP_HBARS:
+        a, b = _dyadic(hbar)
+        man, ex = asymptotics._exp_mantissa(a, b, 353)
+        with mpmath.workprec(353 + 64):
+            want = int(mpmath.floor(mpmath.ldexp(mpmath.exp(mpmath.mpf(hbar)), 353)))
+        assert man >> -353 - ex == want
+
+
+@pytest.mark.parametrize("w", [64, 160, 1000, _TOP_P + 64])
+def test_ln2_is_the_floor(monkeypatch, w):
+    monkeypatch.setattr(asymptotics, "_LN2_CACHE", (0, 0))
+    got = asymptotics._ln2(w)
+    with mpmath.workprec(w + 64):
+        assert got == int(mpmath.floor(mpmath.ldexp(mpmath.ln2, w)))
+    # a later call for fewer bits shifts the cached value; only more bits sum again
+    have = asymptotics._LN2_CACHE[0]
+    assert asymptotics._ln2(w // 2) == got >> (w - w // 2)
+    assert asymptotics._LN2_CACHE[0] == have
+    assert asymptotics._ln2(have + 1) >> (have + 1 - w) == got
+    assert asymptotics._LN2_CACHE[0] > have
+
+
+@pytest.mark.parametrize("w", [64, 160, 351, 2000])
+def test_log_fixed_error_bound(w):
+    rng = random.Random(w)
+    ints = [1, 2, 3, 5, 7, (1 << 64) - 1, 1 << 64, 3 << 999]
+    ints += [rng.getrandbits(k) | 1 << (k - 1) for k in (20, 53, 300, 5000, 100_000)]
+    for n in ints:
+        got = asymptotics._log_fixed(n, w)
+        with mpmath.workprec(w + n.bit_length().bit_length() + 64):
+            assert abs(mpmath.mpf(got) - mpmath.ldexp(mpmath.log(n), w)) < 2
+
+
+@pytest.mark.parametrize("w", [64, 160, 200, 2000])
+def test_log1m_exp_error_bound(w):
+    for hbar in _EXP_HBARS:
+        got = asymptotics._log1m_exp(*_dyadic(hbar), w)
+        with mpmath.workprec(w + 2200):
+            want = mpmath.ldexp(mpmath.log(-mpmath.expm1(mpmath.mpf(hbar))), w)
+            assert abs(mpmath.mpf(got) - want) < 6
+
+
 def test_log_abs_tet_rejects_inadmissible():
     with pytest.raises(ValueError):
         log_abs_tet((1, 2, 2, 2, 2, 2), -0.1)

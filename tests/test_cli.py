@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from qgraph import asymptotics, cli
-from qgraph.asymptotics import MAX_GROWTH_COLOR
+from qgraph.apoly import GRAPHS
+from qgraph.asymptotics import MAX_GROWTH_COLOR, SingularPointError
 from qgraph.cli import VERSION, main
 from qgraph.invariants import TetColoring, tet_primed, theta_invariant
 
@@ -53,6 +54,19 @@ def test_theta_inadmissible_text(capsys):
     code, out, err = run(capsys, ["theta", "-c", "1,2,5"])
     assert code == 0
     assert out == "0\nadmissible: false\n"
+
+
+@pytest.mark.parametrize("argv, entry", [("theta -c 2,2,2", "value"), ("tet -c 2,2,2,2,2,2 --primed", "family")])
+def test_invariant_asks_the_table_once(capsys, monkeypatch, argv, entry):
+    # the record, the text and --eval share one value
+    graph = argv.split()[0]
+    real = getattr(GRAPHS[graph], entry)
+    calls = []
+    monkeypatch.setitem(GRAPHS, graph, GRAPHS[graph]._replace(**{entry: lambda col: calls.append(col) or real(col)}))
+    for fmt in ("text", "json"):
+        del calls[:]
+        code, out, err = run(capsys, ["--format", fmt] + argv.split() + ["--eval", "0.9"])
+        assert (code, err, len(calls)) == (0, "", 1)
 
 
 def test_invariant_json_envelope(capsys):
@@ -399,8 +413,6 @@ def test_non_finite_numbers_exit_2(capsys, argv):
         "asymptotics theta --x 0,0,0 --hbar -0.1",
         # the tet saddle polynomial vanishes identically at x = 1
         "asymptotics tet --x 1,1,1,1,1,1 --hbar -0.1,-0.05",
-        # exp(709) is finite, but the shifted first sample reaches a zero argument
-        "lagrangian --graph theta --step 709",
         # every nonzero saddle root meets a twist pole whose denominator underflows to 0
         "saddle --x 0.5,1e-200,0.5,0.5,0.5,1e-200",
         "asymptotics tet --x 0.5,1e-200,0.5,0.5,0.5,1e-200 --hbar -1000,-2000",
@@ -633,6 +645,40 @@ def test_lagrangian_step_below_rounding_noise_exit_2(capsys):
     assert code == 0 and report["max_asymmetry"] <= report["tolerance"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the step^2 truncation error alone fails the check: max asymmetry 10.7 against 1e-6
+        "lagrangian --graph theta --step 0.5",
+        # exp(709) is still finite, so the bound, not the overflow check, refuses it
+        "lagrangian --graph theta --step 709",
+        # one doubling above the bound: theta fails at seeds 0 and 4
+        "lagrangian --graph theta --step " + repr(2.0**-15),
+    ],
+)
+def test_lagrangian_step_above_bound_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "2^-16" in err
+
+
+@pytest.mark.parametrize("graph", ["theta", "tet"])
+def test_lagrangian_step_bound_passes(capsys, graph):
+    code, report = run_json(capsys, ["lagrangian", "--graph", graph, "--step", repr(2.0**-16)])
+    assert code == 0 and report["max_asymmetry"] <= report["tolerance"]
+
+
+def test_lagrangian_singular_point_exit_2(capsys, monkeypatch):
+    # no step within the bounds reaches a singular point from the sampler's points, so one is injected
+    def singular(graph, x, step):
+        raise SingularPointError("twist pole")
+
+    monkeypatch.setattr(cli, "lagrangian_residual", singular)
+    code, out, err = run(capsys, ["lagrangian", "--graph", "tet", "--samples", "2"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "moves sample 0 onto a singular point: twist pole" in err
+
+
 def test_unexpected_error_exit_3(capsys, monkeypatch):
     def boom(x):
         raise RuntimeError("boom")
@@ -855,6 +901,24 @@ def test_cli_runs_without_importing_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "numpy": False}
+
+
+_NO_MPMATH_SCRIPT = """
+import contextlib, io, sys
+import qgraph.cli as cli
+imported = "mpmath" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["asymptotics", "tet", "--x", "0.35,0.35,0.35,0.35,0.35,0.35", "--hbar", "-0.03125,-0.015625"])
+print(imported, code, "mpmath" in sys.modules)
+"""
+
+
+def test_cli_runs_without_importing_mpmath():
+    """mpmath is a test-only oracle: importing the CLI and running the precision ladder leave it out."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_MPMATH_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 def test_benchmark_span_targets_bind():

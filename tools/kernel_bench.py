@@ -17,7 +17,9 @@ with the shifted theta value, on factored values), the cold tet sums
 the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
 320- and 640-bit rungs) and in the two tet growth tables of the benchmark's
-numeric workload (`growth_check_tet`, 6 and 4 rows), the exact zero test
+numeric workload (`growth_check_tet`, 6 and 4 rows), one rung's constants
+(the integer fixed-point exp and log against mpmath, at every rung of the
+ladder from 320 to 40960 bits), the exact zero test
 (`rat_dot_vanishes` against `rat_dot(...).is_zero()` over the pairs of both
 `verify recursum` routes on grid 4, with cold caches), the per-coloring
 operator application (`operator_vanishes` of theta's edge-a operator over
@@ -44,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 from qgraph import apoly, asymptotics, invariants, laurent
 
@@ -299,6 +302,62 @@ def bench_log_abs_tet(repeat: int) -> None:
         _line(f"growth_check_tet x={x[0]},{x[1]},{x[2]},.., {len(hbars)} rows", med, spread)
 
 
+# guard bits of the log_abs_tet rows' rungs: 27 at (538,)^6 and 31 at (2150,)^6
+RUNG_GUARD = 31
+
+
+def bench_rung_constants(repeat: int) -> None:
+    """One rung's constants at each ladder rung, integer fixed point against mpmath.
+
+    The constants of the (2150,)^6, hbar = -2^-10 rung: q, the first ratio's
+    power of v and q^3 as p-bit mantissas, log_scale and the final log.  The
+    mpmath route is the one the rung used before it went to fixed point.
+    low and the summed survivor are stand-ins of a rung's size: -2p and a
+    p-bit int.
+    """
+    import mpmath  # a test dependency, so only this row needs it
+
+    colors, hbar = GROWTH_ROWS[1]
+    col = invariants.TetColoring(*colors)
+    taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
+    lo = max(taus)
+    mult = 6 * lo + 2 - 2 * sum(taus)
+    big_e = -lo * (lo + 1) + sum((lo - t) * (lo - t - 1) for t in taus) + sum((u - lo) * (u - lo - 1) for u in ups)
+    ha, hb = hbar.as_integer_ratio()
+    hb = hb.bit_length() - 1
+    rng = random.Random(1)
+
+    def fixed(p, low, signed):
+        asymptotics._exp_mantissa(ha, hb, p)
+        asymptotics._exp_mantissa(ha * mult, hb + 1, p)
+        asymptotics._exp_mantissa(3 * ha, hb, p)
+        w = asymptotics._LOG_BITS + abs(low).bit_length()
+        log_scale = Fraction(low * asymptotics._ln2(w) - asymptotics._log1m_exp(ha, hb, w), 1 << w)
+        log_scale += Fraction(ha * big_e, 1 << hb + 2)
+        bits = asymptotics._LOG_BITS
+        return float(Fraction(asymptotics._log_fixed(signed, bits), 1 << bits) + log_scale)
+
+    def with_mpmath(p, low, signed):
+        with mpmath.workprec(p + 16):
+            h = mpmath.mpf(hbar)
+            mpmath.frexp(mpmath.exp(h))
+            mpmath.frexp(mpmath.exp(h * mult / 2))
+            mpmath.frexp(mpmath.exp(3 * h))
+        with mpmath.workprec(p):
+            log_scale = low * mpmath.ln2 + mpmath.mpf(hbar) * big_e / 4 - mpmath.log1p(-mpmath.exp(mpmath.mpf(hbar)))
+        with mpmath.workprec(p - RUNG_GUARD):
+            return float(mpmath.log(signed) + log_scale)
+
+    print(f"# one rung's constants, (2150,)^6 at hbar = -2^-10, bits + {RUNG_GUARD} guard bits")
+    for k in range(8):
+        bits = asymptotics._START_BITS << k
+        p = bits + RUNG_GUARD
+        args = (p, -2 * p, rng.getrandbits(p) | 1 << (p - 1))
+        assert abs(fixed(*args) - with_mpmath(*args)) <= 1e-12 * abs(fixed(*args))
+        for label, fn in (("fixed point", fixed), ("mpmath", with_mpmath)):
+            _line(f"rung constants, {bits}-bit rung, {label}", *_time_call(lambda fn=fn: fn(*args), repeat))
+
+
 def bench_multipoly(repeat: int) -> None:
     def limits():
         for edge in apoly.TET_EDGES:
@@ -374,6 +433,7 @@ def main() -> None:
     bench_rat(args.repeat)
     bench_tet_sums(args.repeat)
     bench_log_abs_tet(args.repeat)
+    bench_rung_constants(args.repeat)
     bench_zero_test(args.repeat)
     bench_operator(args.repeat)
     bench_multipoly(args.repeat)
