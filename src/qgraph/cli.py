@@ -14,12 +14,15 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import gc
 import io
 import json
 import math
 import random
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from . import config as cfgmod
@@ -130,11 +133,66 @@ def _json_safe(obj):
     return obj
 
 
-def _dumps(obj, **kwargs) -> str:
+def _nulled(write, obj) -> str:
+    """write(obj), with every non-finite float of obj written as null."""
     try:
-        return json.dumps(obj, allow_nan=False, sort_keys=True, **kwargs)
+        return write(obj)
     except ValueError:  # a non-finite float; walking every report for one would cost large values
-        return json.dumps(_json_safe(obj), allow_nan=False, sort_keys=True, **kwargs)
+        return write(_json_safe(obj))
+
+
+_compact = json.JSONEncoder(allow_nan=False, sort_keys=True).encode
+
+
+def _dumps(obj) -> str:
+    return _nulled(_compact, obj)
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
+
+
+@functools.lru_cache(maxsize=32)
+def _flat_encoder(sep: str):
+    return json.JSONEncoder(separators=(sep, ": "), allow_nan=False).encode
+
+
+def _key(k) -> str:
+    # a dict key as json converts it: a number, bool or None to its JSON text
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return _compact(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _pretty(obj, pad: str) -> str:
+    """obj in json's indented layout, at indentation pad: two spaces a level, sorted keys, ASCII escapes.
+
+    An indent makes json use its pure-Python encoder, so every flat run goes
+    through the C encoder in one call instead, with the newline and the next
+    line's indentation as its item separator.  The C encoder escapes newlines
+    inside strings, so a raw newline in its output comes from a separator,
+    and a "]" before one and a "[" after it can only be a boundary between
+    two flat lists.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{encode_basestring_ascii(_key(k))}: {_pretty(v, inner)}" for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        types = set(map(type, obj))
+        if types <= _SCALARS:
+            flat = _flat_encoder(",\n" + inner)(obj)
+            return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+        # a list of nonempty flat lists, such as the [exponent, "coeff"] terms of a polynomial
+        if types <= _LISTS and min(map(len, obj)) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
+            deep = inner + "  "
+            sep = ",\n" + deep
+            flat = _flat_encoder(sep)(obj)[2:-2].replace("]" + sep + "[", "\n" + inner + "],\n" + inner + "[\n" + deep)
+            return "[\n" + inner + "[\n" + deep + flat + "\n" + inner + "]\n" + pad + "]"
+        return "[\n" + inner + (",\n" + inner).join(_pretty(v, inner) for v in obj) + "\n" + pad + "]"
+    return _compact(obj)
 
 
 def _fmt_scalar(v) -> str:
@@ -179,7 +237,7 @@ def _render(report: dict, rows, fmt: str) -> str:
         if rows is not None:
             cols, data = rows
             obj["rows"] = [{c: r.get(c) for c in cols} for r in data]
-        return _dumps(obj, indent=2) + "\n"
+        return _nulled(lambda o: _pretty(o, ""), obj) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         for key in sorted(report):
@@ -480,8 +538,24 @@ _NUMERIC = {
 _MIN_STEP = 2.0**-26
 # with a larger one their step^2 truncation error fails the default tolerances: at
 # 2^-16 the 20 default samples of seeds 0-7 read at most theta 3.0e-7 and tet
-# 2.9e-7 against 1e-6 and 1e-5; at 2^-15 theta reads 1.2e-6 at seeds 0 and 4
+# 2.9e-7 against 1e-6 and 1e-5; at 2^-15 theta reads 1.2e-6 at seeds 0 and 4.
+# A configured tolerance scales it by sqrt(tolerance / default) (_max_step)
 _MAX_STEP = 2.0**-16
+
+
+def _max_step(graph: str, tol: float) -> tuple:
+    """The largest --step whose step^2 truncation error fits tol, and how to name it."""
+    name = "lagrangian_" + graph
+    default = cfgmod.DEFAULT_TOLERANCES[name]
+    if tol == default:
+        return _MAX_STEP, "2^-16 (about 1.5e-05)"
+    top = _MAX_STEP * math.sqrt(tol / default)
+    if top < _MIN_STEP:
+        raise UsageError(
+            f"tolerance {name} = {tol!r} is too tight for any --step: the bound 2^-16 scaled by "
+            f"sqrt({tol!r} / {default!r}) falls below 2^-26 (about 1.5e-08)"
+        )
+    return top, f"{top:.3g} (2^-16 scaled by sqrt of tolerance {name} = {tol!r} over its default {default!r})"
 
 
 _GROWTH_COLUMNS = ["hbar", "colors", "scaled_log_abs", "target", "error", "status", "notes"]
@@ -611,11 +685,10 @@ def cmd_lagrangian(args, cfg):
     num = _NUMERIC[graph]
     samples = args.samples if args.samples is not None else num.lagrangian_samples
     step = args.step
-    if not _MIN_STEP <= step <= _MAX_STEP:
-        raise UsageError(
-            f"--step must be a finite number from 2^-26 (about 1.5e-08) to 2^-16 (about 1.5e-05), got {step!r}"
-        )
     tol = cfg.tolerances["lagrangian_" + graph]
+    top, top_text = _max_step(graph, tol)
+    if not _MIN_STEP <= step <= top:
+        raise UsageError(f"--step must be a finite number from 2^-26 (about 1.5e-08) to {top_text}, got {step!r}")
     rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0
@@ -625,6 +698,8 @@ def cmd_lagrangian(args, cfg):
             asym = lagrangian_residual(graph, x, step=step)
         except SingularPointError as exc:
             raise UsageError(f"--step {step!r} moves sample {i} onto a singular point: {exc}")
+        except (OverflowError, ZeroDivisionError) as exc:  # exp(step) beyond a double's range
+            raise UsageError(f"--step {step!r} is out of range: {exc}")
         worst = max(worst, asym)
         rows.append({"index": i, "x": ",".join(repr(v) for v in x), "asymmetry": asym})
     payload = {

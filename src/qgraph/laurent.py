@@ -101,7 +101,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd as int_gcd, log
 from operator import add, sub
 from typing import Collection, Iterable, Mapping
@@ -998,14 +998,13 @@ def _gpow(x: int, y: int, k: int) -> tuple[int, int]:
     return out
 
 
-def _homogeneous(terms: dict, lo: int, x: int, y: int, s: int) -> tuple[int, int]:
-    """sum c * g^(e - lo) * s^(hi - e) over terms, g = x + iy, hi the greatest exponent, lo <= every e.
+def _homogeneous(c: list, x: int, y: int, s: int) -> tuple[int, int]:
+    """sum c[k] * g^k * s^(n-1-k) over the n entries of c, g = x + iy.
 
-    On the dense list c of n entries, H(c) = s^(n-h) H(c[:h]) + g^h H(c[h:])
-    with h = n // 2, each g^h taken once per call; a block of fewer than
-    _HORNER_TERMS entries runs Horner, and s^k is a shift when s = 2^m.
+    H(c) = s^(n-h) H(c[:h]) + g^h H(c[h:]) with h = n // 2, each g^h taken
+    once per call; a block of fewer than _HORNER_TERMS entries runs Horner,
+    and s^k is a shift when s = 2^m.
     """
-    c = _dense(terms, lo, max(terms) - lo + 1)
     m = s.bit_length() - 1
     shift = s == 1 << m
     gpow: dict[int, tuple[int, int]] = {}
@@ -1032,16 +1031,21 @@ def _homogeneous(terms: dict, lo: int, x: int, y: int, s: int) -> tuple[int, int
 def _eval_ratio(num: dict, den: dict, x: int, y: int, s: int) -> tuple[int, int, int]:
     """(re, im, d) with num / den = (re + i im) / d at v = (x + iy) / s, and d > 0.
 
-    Each dict is g^lo s^-hi times its _homogeneous value over one lo, so the
-    quotient is a Gaussian rational, and its denominator's conjugate leaves
-    the integer d.  Raises PoleError when den vanishes at v, or v = 0 meets a
-    negative exponent of num.
+    Each dict is g^lo s^-hi times the _homogeneous value of its dense list
+    from one lo, so the quotient is a Gaussian rational, and its
+    denominator's conjugate leaves the integer d.  When every exponent has
+    the parity of lo, as in tet_primed's values, the lists keep every other
+    slot and run in w = v^2, at g^2 over s^2.  Raises PoleError when den
+    vanishes at v, or v = 0 meets a negative exponent of num.
     """
     if not num:
         return 0, 0, 1
     lo = min(min(num), min(den))
-    nr, ni = _homogeneous(num, lo, x, y, s)
-    dr, di = _homogeneous(den, lo, x, y, s)
+    gx, gy, gs, step = x, y, s, 1
+    if len(set(map((1).__and__, chain(num, den)))) == 1:
+        gx, gy, gs, step = x * x - y * y, 2 * x * y, s * s, 2
+    nr, ni = _homogeneous(_dense(num, lo, max(num) - lo + 1)[::step], gx, gy, gs)
+    dr, di = _homogeneous(_dense(den, lo, max(den) - lo + 1)[::step], gx, gy, gs)
     t = max(den) - max(num)
     f = s ** abs(t)
     nr, ni, dr, di = (nr * f, ni * f, dr, di) if t >= 0 else (nr, ni, dr * f, di * f)

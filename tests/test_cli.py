@@ -1,5 +1,6 @@
 """Command line surface: exit codes, report envelopes, determinism, config plumbing."""
 
+import inspect
 import json
 import math
 import os
@@ -11,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgraph import asymptotics, cli
 from qgraph.apoly import GRAPHS
@@ -668,6 +671,30 @@ def test_lagrangian_step_bound_passes(capsys, graph):
     assert code == 0 and report["max_asymmetry"] <= report["tolerance"]
 
 
+def test_lagrangian_step_bound_scales_with_config_tolerance(capsys, tmp_path):
+    # the step^2 truncation error at 2^-16 reads 2.3e-7 for theta at seed 7: a configured 1e-7
+    # lowers the bound by sqrt(1e-7 / 1e-6), so the step is refused, not the check failed
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({"tolerances": {"lagrangian_theta": 1e-7}}))
+    argv = ["--config", str(path), "lagrangian", "--graph", "theta", "--seed", "7"]
+    code, out, err = run(capsys, argv + ["--step", repr(2.0**-16)])
+    _assert_one_line_usage_error(code, out, err)
+    assert "tolerance lagrangian_theta = 1e-07" in err
+    code, report = run_json(capsys, argv + ["--step", repr(2.0**-16 * math.sqrt(0.1))])
+    assert code == 0 and report["max_asymmetry"] <= report["tolerance"] == 1e-7
+    # below 2^-26 no step is left
+    path.write_text(json.dumps({"tolerances": {"lagrangian_theta": 1e-13}}))
+    code, out, err = run(capsys, argv)
+    _assert_one_line_usage_error(code, out, err)
+    assert "tolerance lagrangian_theta = 1e-13 is too tight for any --step" in err
+    # a looser one raises the bound, up to where exp(step) leaves a double's range
+    code, report = run_json(capsys, ["--tol", "lagrangian_tet=1e-3", "lagrangian", "--graph", "tet", "--step", "1e-4"])
+    assert code == 0 and report["max_asymmetry"] <= 1e-3
+    code, out, err = run(capsys, ["--tol", "lagrangian_theta=1e300", "lagrangian", "--graph", "theta", "--step", "800"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "--step 800.0 is out of range" in err
+
+
 def test_lagrangian_singular_point_exit_2(capsys, monkeypatch):
     # no step within the bounds reaches a singular point from the sampler's points, so one is injected
     def singular(graph, x, step):
@@ -786,6 +813,105 @@ def test_json_output_is_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
+def _indent_oracle(obj) -> str:
+    """The JSON layout of every report: json's pure-Python indent=2 encoder, non-finite floats as null."""
+    return json.dumps(_finite_or_none(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# the four large-color operations of the benchmark at seed 1
+LARGE_COLOR_ARGVS = [
+    "theta -c 56,64,60",
+    "theta -c 58,62,66",
+    "tet --primed -c 26,22,20,28,22,24",
+    "tet -c 26,22,28,26,20,24",
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_COLOR_ARGVS)
+def test_json_layout_matches_indent_oracle_on_large_reports(capsys, monkeypatch, argv):
+    seen = []
+    real = cli._render
+    monkeypatch.setattr(cli, "_render", lambda report, rows, fmt: seen.append(report) or real(report, rows, fmt))
+    code, out, err = run(capsys, ["--format", "json"] + argv.split())
+    assert code == 0 and len(seen) == 1
+    assert out == _indent_oracle(seen[0])
+    assert len(seen[0]["value"]["num"]["terms"]) > 500
+
+
+# each piece a string the writer must escape, or the raw text of one of its separators
+_AWKWARD_TEXT = st.lists(
+    st.sampled_from(["]", "[", ",", '"', "\\", "\n", "\x00", "\x1f", "\t", "é", " ", "\U0001f600", "\ud800",
+                     ",\n  ", "],\n    [", "]\n  ]", ": ", "null", "1e5"]),
+    max_size=6,
+).map("".join)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-8, 8),
+    st.integers(-(2**300), 2**300),
+    st.floats(),
+    st.text(max_size=8),
+    _AWKWARD_TEXT,
+)
+# json sorts a dict's keys before converting them, so one dict holds str keys or number keys, never both
+_DICT_KEYS = st.sampled_from([
+    st.text(max_size=6) | _AWKWARD_TEXT,
+    st.integers(-(2**70), 2**70) | st.floats(allow_nan=False, allow_infinity=False) | st.booleans(),
+])
+_FLAT = st.lists(_SCALAR, max_size=4)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _DICT_KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+        st.dictionaries(st.none(), children, max_size=1),
+        st.lists(_FLAT, max_size=4),  # flat lists, empty ones among them
+        st.lists(st.one_of(_FLAT, st.lists(_FLAT, max_size=2), st.dictionaries(st.text(max_size=3), _SCALAR)), max_size=4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALAR | _FLAT, _containers, max_leaves=24))
+@example([[0, "1"], [2, "-1"], [True, 1], [False, 0.5, None]])
+@example([[], []])
+@example([[1], []])
+@example([[1, "a"], {"k": 1}])
+@example([[1], [[2]]])
+@example({"a": [1.0, float("nan")], "b": {"c": float("inf")}, "d": -float("inf"), "e": [[float("-inf"), 1]]})
+@example({1: "x", 2.5: [], False: {}, -3: ()})
+@example({None: [["]\n  [", "],\n    ["]]})
+def test_json_layout_matches_indent_oracle(value):
+    assert cli._render({"v": value}, None, "json") == _indent_oracle({"v": value})
+    assert cli._render({"v": value}, (["c"], [{"c": value}]), "json") == _indent_oracle(
+        {"v": value, "rows": [{"c": value}]}
+    )
+
+
+def test_json_non_finite_floats_are_null():
+    report = {"a": [1.0, float("nan")], "b": {"c": float("inf")}, "d": [[-float("inf"), "x"]]}
+    want = '{\n  "a": [\n    1.0,\n    null\n  ],\n  "b": {\n    "c": null\n  },\n  "d": [\n    [\n      null,\n      "x"\n    ]\n  ]\n}\n'
+    assert cli._render(report, None, "json") == want
+
+
+def test_no_second_indented_writer_in_src():
+    # the indent=2 encoder is this file's oracle only
+    src = Path(cli.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if "indent=" in p.read_text()]
+    assert list(inspect.signature(cli._dumps).parameters) == ["obj"]
 
 
 def test_csv_output_is_byte_identical_and_tabular(capsys):

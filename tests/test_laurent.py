@@ -26,8 +26,10 @@ from qgraph.laurent import (  # the integer kernel
     _bracket_cyclo_divisors,
     _cancel_phi,
     _cyclo_int,
+    _eval_ratio,
     _factorial_exponents,
     _factorial_exponents_sorted,
+    _homogeneous,
     _idiv_exact,
     _imul,
     _imul_kron,
@@ -544,6 +546,43 @@ def test_eval_exact_matches_naive_sum_at_odd_denominators():
                 r.eval_exact(v0)
             continue
         assert r.eval_exact(v0) == want.re and want.im == 0
+
+
+def test_single_parity_values_evaluate_in_v_squared():
+    # when every exponent of num and den has lo's parity, _eval_ratio keeps every other slot and
+    # walks it at g^2 over s^2; the walk over every slot at g over s gives the same Gaussian integers
+    rng = random.Random(20261020)
+    for i in range(300):
+        dense = [rng.randrange(-(2**60), 2**60) if rng.random() < 0.7 else 0 for _ in range(rng.randrange(1, 80))]
+        spread = [0] * (2 * len(dense) - 1)
+        spread[::2] = dense
+        x, y = rng.randrange(-(2**53), 2**53), 0 if i % 3 == 0 else rng.randrange(-(2**53), 2**53)
+        s = 1 << rng.randrange(0, 60) if i % 2 else rng.randrange(1, 99, 2)
+        assert _homogeneous(dense, x * x - y * y, 2 * x * y, s * s) == _homogeneous(spread, x, y, s)
+    poles = 0
+    for i in range(300):
+        parity = i % 2
+
+        def single_parity(size):
+            terms = {2 * rng.randrange(-8, 9) + parity: rng.randrange(-9, 10) for _ in range(size)}
+            return {e: c for e, c in terms.items() if c} or {parity: 1}
+
+        num, den = single_parity(rng.randrange(1, 12)), single_parity(rng.randrange(1, 4))
+        x, y, s = rng.randrange(-40, 41), 0 if i % 3 == 0 else rng.randrange(-40, 41), rng.choice((1, 2, 8, 3, 7))
+        if i % 10 < 2:  # v^parity (1 + v^2) at 0, i or -i
+            den = {parity: 1, parity + 2: 1}
+            x, y, s = 0, rng.choice((0, 1, -1)), 1
+        point = GaussQ(Fraction(x, s), Fraction(y, s))
+        try:
+            want = naive_value(num, point) / naive_value(den, point)
+        except ZeroDivisionError:
+            poles += 1
+            with pytest.raises(PoleError):
+                _eval_ratio(num, den, x, y, s)
+            continue
+        re, im, d = _eval_ratio(num, den, x, y, s)
+        assert (Fraction(re, d), Fraction(im, d)) == (want.re, want.im)
+    assert poles
 
 
 # -- gcd / division ------------------------------------------------------------

@@ -25,7 +25,9 @@ ladder from 320 to 40960 bits), the exact zero test
 operator application (`operator_vanishes` of theta's edge-a operator over
 `interior_colorings("theta", "a", 10, 2)`, with cold caches), the MultiPoly layer
 (the classical limits of the six tet operators and the saddle elimination,
-with cold caches, and 20 evaluations of the saddle resultant), two
+with cold caches, and 20 evaluations of the saddle resultant), the JSON
+rendering of two large-color reports (`cli._render` against json's
+pure-Python indent=2 encoder, whose text it must equal), two
 large-color evaluations expanded to their coefficients, each in a fresh
 interpreter so its lru caches start cold, and the CPU time of a fresh interpreter that runs
 `import qgraph.cli` (the set-up every CLI call pays).
@@ -39,6 +41,7 @@ each.  Use it to re-measure `laurent._KRONECKER_MIN_TERMS` and
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import resource
@@ -376,6 +379,29 @@ def bench_multipoly(repeat: int) -> None:
     _line(f"20 evaluate() of the saddle resultant, {len(res.terms)} terms", *_time_call(evaluate, repeat))
 
 
+# operations whose --format json reports bench_render writes
+RENDER_ARGVS = ("theta -c 56,64,60", "tet --primed -c 24,26,22,20,28,22")
+
+
+def bench_render(repeat: int) -> None:
+    """Each report rendered by cli._render and by json.dumps with indent=2, which must agree."""
+    from qgraph import cli, config  # cli freezes the collector on import, so only this row loads it
+
+    for argv in RENDER_ARGVS:
+        args = cli.build_parser().parse_args(argv.split())
+        _, report, rows = cli._DISPATCH[args.command](args, config.default_config())
+
+        def pure(report=report):
+            return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+        def fast(report=report, rows=rows):
+            return cli._render(report, rows, "json")
+
+        assert fast() == pure()
+        for label, fn in (("cli._render", fast), ("json indent=2", pure)):
+            _line(f"{argv} JSON ({len(pure()) // 1000} kB), {label}", *_time_call(fn, repeat))
+
+
 # (function in qgraph.invariants, its argument tuple)
 LARGE = (("theta_invariant", (80, 80, 80)), ("tet_primed", ((20,) * 6,)))
 
@@ -437,6 +463,7 @@ def main() -> None:
     bench_zero_test(args.repeat)
     bench_operator(args.repeat)
     bench_multipoly(args.repeat)
+    bench_render(args.repeat)
     if not args.skip_large:
         bench_large(args.repeat)
     bench_import(args.repeat)
