@@ -8,6 +8,10 @@ annihilates the family of quantum invariants, where y now shifts the edge's
 color by 2 and x multiplies by v^color (v = q^(1/2), so q-exponents stay
 integral in v).
 
+Edges.  Only edge a (theta) and edge 1 (tetrahedron) are built from their
+displayed factors; every other edge's operator and curve is the cached
+base one's image under x-label swaps and the y relabel (_edge_image).
+
 Ordering contract.  Coefficients are stored normal ordered, with every shift
 operator moved to the right of its coefficient: applying an operator at a
 coloring evaluates each b_l at the UNSHIFTED colors and multiplies by the
@@ -47,13 +51,16 @@ from .multipoly import MultiPoly, exact_div_multi, resultant_in
 THETA_EDGES = ("a", "b", "c")
 TET_EDGES = ("1", "2", "12", "3", "4", "23")
 
-# variable swaps mapping edge 1 data to the other tetrahedron edges
-_TET_EDGE_SWAP = {
-    "2": ("1", "2", "4", "3"),
-    "3": ("1", "3", "12", "23"),
-    "4": ("2", "3", "1", "4"),
-    "12": ("3", "23", "1", "12"),
-    "23": ("3", "12", "1", "23"),
+# the x-label pairs whose swaps carry the base edge's operator and curve (edge
+# a's for theta, edge 1's for the tetrahedron) to each other edge
+_EDGE_SWAPS = {
+    "b": (("a", "b"),),
+    "c": (("a", "c"),),
+    "2": (("1", "2"), ("4", "3")),
+    "3": (("1", "3"), ("12", "23")),
+    "4": (("2", "3"), ("1", "4")),
+    "12": (("3", "23"), ("1", "12")),
+    "23": (("3", "12"), ("1", "23")),
 }
 
 
@@ -73,19 +80,19 @@ def _x(label: str, exp: int = 1) -> MultiPoly:
     return MultiPoly.var("x_" + label, exp)
 
 
-def _swap_vars(poly: MultiPoly, pairs) -> MultiPoly:
-    """Exchange variable pairs, e.g. x_1 <-> x_3, leaving other labels alone."""
-    binding = {}
-    for left, right in pairs:
-        binding["x_" + left] = _x(right)
-        binding["x_" + right] = _x(left)
-    return poly.substitute(binding)
+def _edge_image(value, base: str, edge: str):
+    """The base edge's operator or curve carried to edge: each x-label pair of
+    _EDGE_SWAPS[edge] exchanged, and y_base renamed y_edge."""
+    binding = {"y_" + base: MultiPoly.var("y_" + edge)}
+    for left, right in _EDGE_SWAPS[edge]:
+        binding["x_" + left], binding["x_" + right] = _x(right), _x(left)
+    if isinstance(value, OperatorPoly):
+        return value._replace(edge=edge, coeffs=tuple(b.substitute(binding) for b in value.coeffs))
+    return value.substitute(binding)
 
 
 def _shift_edge_var(poly: MultiPoly, label: str, steps: int) -> MultiPoly:
     # x_label -> q^steps * x_label; one step per shift operator commuted past
-    if steps == 0:
-        return poly
     return poly.substitute({"x_" + label: _v(2 * steps) * _x(label)})
 
 
@@ -104,32 +111,28 @@ def _theta_quantum_raw() -> tuple:
 
 @lru_cache(maxsize=None)
 def theta_quantum_A(edge: str) -> OperatorPoly:
-    """Annihilating operator for one theta edge (first order in the shift)."""
+    """Annihilating operator for one theta edge, first order in the shift: edge a's or its image."""
     if edge not in THETA_EDGES:
         raise ValueError(f"unknown theta edge {edge!r}")
-    b0, b1 = _theta_quantum_raw()
-    b1 = _shift_edge_var(b1, "a", 1)
     if edge != "a":
-        b0 = _swap_vars(b0, [("a", edge)])
-        b1 = _swap_vars(b1, [("a", edge)])
-    return OperatorPoly("theta", edge, (b0, b1))
+        return _edge_image(theta_quantum_A("a"), "a", edge)
+    b0, b1 = _theta_quantum_raw()
+    return OperatorPoly("theta", "a", (b0, _shift_edge_var(b1, "a", 1)))
 
 
 @lru_cache(maxsize=None)
 def theta_classical_A(edge: str) -> MultiPoly:
-    """Classical curve for one theta edge, linear in the twist variable."""
+    """Classical curve for one theta edge, linear in the twist variable: edge a's or its image."""
     if edge not in THETA_EDGES:
         raise ValueError(f"unknown theta edge {edge!r}")
+    if edge != "a":
+        return _edge_image(theta_classical_A("a"), "a", edge)
     xa, xb, xc = _x("a"), _x("b"), _x("c")
     one = MultiPoly.one()
     ya = MultiPoly.var("y_a")
-    poly = xa * (xa * xb - xc) * (xa * xc - xb) * (one - xa * xb * xc) + xb * xc * (
+    return xa * (xa * xb - xc) * (xa * xc - xb) * (one - xa * xb * xc) + xb * xc * (
         one - xa * xa
     ) ** 2 * (xa - xb * xc) * ya
-    if edge != "a":
-        poly = _swap_vars(poly, [("a", edge)])
-        poly = poly.substitute({"y_a": MultiPoly.var("y_" + edge)})
-    return poly
 
 
 # -- tetrahedron operators ---------------------------------------------------------------
@@ -197,10 +200,13 @@ def tet_quantum_A(edge: str) -> OperatorPoly:
     coefficient of the l-th shift power and fixes the relative units of the
     pieces (q^-6 on the top coefficient; q^-3, q^-3, q^-2 and a relative sign
     flip on the three middle summands).  These units are forced by exact
-    annihilation of the primed family; see the module docstring.
+    annihilation of the primed family; see the module docstring.  Every other
+    edge's operator is edge 1's image.
     """
     if edge not in TET_EDGES:
         raise ValueError(f"unknown tetrahedron edge {edge!r}")
+    if edge != "1":
+        return _edge_image(tet_quantum_A("1"), "1", edge)
     c2, (ta, tb, tc), b0 = _tet_quantum_pieces()
     b2 = _v(-12) * _shift_edge_var(c2, "1", 2)
     b1 = (
@@ -208,13 +214,7 @@ def tet_quantum_A(edge: str) -> OperatorPoly:
         - _v(-6) * _shift_edge_var(tb, "1", 1)
         - _v(-4) * _shift_edge_var(tc, "1", 1)
     )
-    if edge != "1":
-        pairs = _TET_EDGE_SWAP[edge]
-        swaps = [(pairs[0], pairs[1]), (pairs[2], pairs[3])]
-        b0 = _swap_vars(b0, swaps)
-        b1 = _swap_vars(b1, swaps)
-        b2 = _swap_vars(b2, swaps)
-    return OperatorPoly("tet", edge, (b0, b1, b2))
+    return OperatorPoly("tet", "1", (b0, b1, b2))
 
 
 @lru_cache(maxsize=None)
@@ -223,10 +223,13 @@ def tet_classical_A(edge: str) -> MultiPoly:
 
     The relative sign of the x4*x12 summand in the linear coefficient is fixed
     by requiring the curve to divide the saddle-elimination resultant; the
-    other two summands keep their displayed sign.
+    other two summands keep their displayed sign.  Every other edge's curve is
+    edge 1's image.
     """
     if edge not in TET_EDGES:
         raise ValueError(f"unknown tetrahedron edge {edge!r}")
+    if edge != "1":
+        return _edge_image(tet_classical_A("1"), "1", edge)
     one = MultiPoly.one()
     x1, x2, x12 = _x("1"), _x("2"), _x("12")
     x3, x4, x23 = _x("3"), _x("4"), _x("23")
@@ -254,12 +257,7 @@ def tet_classical_A(edge: str) -> MultiPoly:
         * (x1 - x2 * x12)
         * (one - x1 * x2 * x12)
     )
-    poly = const + (mid_a - mid_b - mid_c) * y1 + lead * y1 * y1
-    if edge != "1":
-        pairs = _TET_EDGE_SWAP[edge]
-        poly = _swap_vars(poly, [(pairs[0], pairs[1]), (pairs[2], pairs[3])])
-        poly = poly.substitute({"y_1": MultiPoly.var("y_" + edge)})
-    return poly
+    return const + (mid_a - mid_b - mid_c) * y1 + lead * y1 * y1
 
 
 # -- three-term recursion contract --------------------------------------------------------

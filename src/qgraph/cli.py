@@ -308,14 +308,28 @@ _VERIFY_DEFAULT_MAX = {
 }
 
 
-def _effective_max(args, cfg, check: str) -> int:
+# the largest grid bound a sweep over each graph's colorings takes: the
+# grid is enumerated whole before the sweep starts, and at these bounds the
+# slowest sweep (verify annihilation --graph theta, verify symmetry) takes
+# about 16 s and 40 s on one core of a 2-core x86-64 machine
+GRID_CAP = {"theta": 60, "tet": 12}
+
+
+def _effective_max(args, cfg, check: str, graph: str) -> int:
     if getattr(args, "max", None) is not None:
         if args.max < 0:
             raise UsageError("--max must be nonnegative")
-        return args.max
-    if cfg.grid_max is not None:
-        return cfg.grid_max
-    return _VERIFY_DEFAULT_MAX.get(check, 8)
+        mx, source = args.max, "--max"
+    elif cfg.grid_max is not None:
+        mx, source = cfg.grid_max, "grid_max"
+    else:
+        return _VERIFY_DEFAULT_MAX.get(check, 8)
+    if mx > GRID_CAP[graph]:
+        raise UsageError(
+            f"{source} {mx} is above the {graph} grid cap {GRID_CAP[graph]}: "
+            f"verify {check} lists the whole grid before it sweeps it"
+        )
+    return mx
 
 
 def _sign_flipped(op: OperatorPoly) -> OperatorPoly:
@@ -327,7 +341,7 @@ def _sign_flipped(op: OperatorPoly) -> OperatorPoly:
 
 
 def _verify_theta_recursion(args, cfg):
-    mx = _effective_max(args, cfg, "theta-recursion")
+    mx = _effective_max(args, cfg, "theta-recursion", "theta")
 
     def check(col):
         a, b, c = col
@@ -341,8 +355,8 @@ def _verify_theta_recursion(args, cfg):
 
 
 def _verify_annihilation(args, cfg):
-    mx = _effective_max(args, cfg, "annihilation")
     graph = args.graph or "theta"
+    mx = _effective_max(args, cfg, "annihilation", graph)
     edges = GRAPHS[graph].edges
     edge = args.edge or edges[0]
     if edge not in edges:
@@ -383,7 +397,7 @@ def _verify_classical_limit(args, cfg):
 
 
 def _verify_symmetry(args, cfg):
-    mx = _effective_max(args, cfg, "symmetry")
+    mx = _effective_max(args, cfg, "symmetry", "tet")
 
     def check(col):
         full = tet_full(col)
@@ -398,7 +412,7 @@ def _verify_symmetry(args, cfg):
 
 
 def _verify_reduction(args, cfg):
-    mx = _effective_max(args, cfg, "reduction")
+    mx = _effective_max(args, cfg, "reduction", "theta")
     units = set()
 
     def check(col):
@@ -420,7 +434,7 @@ def _verify_reduction(args, cfg):
 
 
 def _verify_hypergeom(args, cfg):
-    mx = _effective_max(args, cfg, "hypergeom")
+    mx = _effective_max(args, cfg, "hypergeom", "tet")
 
     def check(col):
         return [{"colors": list(col)}] if tet_hypergeom(col) != tet_primed(col) else []
@@ -429,7 +443,7 @@ def _verify_hypergeom(args, cfg):
 
 
 def _verify_recursum(args, cfg):
-    mx = _effective_max(args, cfg, "recursum")
+    mx = _effective_max(args, cfg, "recursum", "tet")
     op = tet_quantum_A("1")
 
     def check(col):
@@ -539,23 +553,45 @@ _MIN_STEP = 2.0**-26
 # with a larger one their step^2 truncation error fails the default tolerances: at
 # 2^-16 the 20 default samples of seeds 0-7 read at most theta 3.0e-7 and tet
 # 2.9e-7 against 1e-6 and 1e-5; at 2^-15 theta reads 1.2e-6 at seeds 0 and 4.
-# A configured tolerance scales it by sqrt(tolerance / default) (_max_step)
+# A configured tolerance scales it by sqrt(tolerance / default) (_step_bounds)
 _MAX_STEP = 2.0**-16
+# the rounding error of the central differences is at least about this over the
+# step: max asymmetry times step over the default samples of seeds 0-7 reads
+# theta 7.1e-16 to 1.8e-15 and tet 2.2e-14 to 6.6e-14 at steps 2^-26 and 1e-7;
+# a step whose floor exceeds the tolerance fails at every seed
+_ROUNDING = {"theta": 7e-16, "tet": 2e-14}
 
 
-def _max_step(graph: str, tol: float) -> tuple:
-    """The largest --step whose step^2 truncation error fits tol, and how to name it."""
+def _step_bounds(graph: str, tol: float) -> tuple:
+    """The --step range that can meet tol, and how to name it.
+
+    It runs from 2^-26, or higher where the rounding floor _ROUNDING / step
+    exceeds tol, up to the largest step whose step^2 truncation error fits
+    tol.  A tol that leaves no step is a usage error.
+    """
     name = "lagrangian_" + graph
     default = cfgmod.DEFAULT_TOLERANCES[name]
     if tol == default:
-        return _MAX_STEP, "2^-16 (about 1.5e-05)"
-    top = _MAX_STEP * math.sqrt(tol / default)
+        top, top_text = _MAX_STEP, "2^-16 (about 1.5e-05)"
+    else:
+        top = _MAX_STEP * math.sqrt(tol / default)
+        top_text = f"{top:.3g} (2^-16 scaled by sqrt of tolerance {name} = {tol!r} over its default {default!r})"
     if top < _MIN_STEP:
         raise UsageError(
             f"tolerance {name} = {tol!r} is too tight for any --step: the bound 2^-16 scaled by "
             f"sqrt({tol!r} / {default!r}) falls below 2^-26 (about 1.5e-08)"
         )
-    return top, f"{top:.3g} (2^-16 scaled by sqrt of tolerance {name} = {tol!r} over its default {default!r})"
+    low = max(_MIN_STEP, _ROUNDING[graph] / tol)
+    if low > top:
+        raise UsageError(
+            f"tolerance {name} = {tol!r} is too tight for any --step: it is below the rounding floor "
+            f"of the central differences, about {_ROUNDING[graph]!r} / step, at every step up to {top_text}"
+        )
+    if low == _MIN_STEP:
+        low_text = "2^-26 (about 1.5e-08)"
+    else:
+        low_text = f"{low:.3g} (where the rounding floor {_ROUNDING[graph]!r} / step meets the tolerance)"
+    return low, top, f"from {low_text} to {top_text}"
 
 
 _GROWTH_COLUMNS = ["hbar", "colors", "scaled_log_abs", "target", "error", "status", "notes"]
@@ -686,9 +722,9 @@ def cmd_lagrangian(args, cfg):
     samples = args.samples if args.samples is not None else num.lagrangian_samples
     step = args.step
     tol = cfg.tolerances["lagrangian_" + graph]
-    top, top_text = _max_step(graph, tol)
-    if not _MIN_STEP <= step <= top:
-        raise UsageError(f"--step must be a finite number from 2^-26 (about 1.5e-08) to {top_text}, got {step!r}")
+    low, top, bounds = _step_bounds(graph, tol)
+    if not low <= step <= top:
+        raise UsageError(f"--step must be a finite number {bounds}, got {step!r}")
     rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0

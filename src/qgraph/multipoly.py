@@ -54,9 +54,10 @@ def _mul_terms(ta: dict, tb: dict) -> dict:
     return data
 
 
-def _add_into(data: dict, terms: dict) -> None:
-    """data += terms, dropping the coefficients that cancel."""
-    for e, c in terms.items():
+def _add_into(data: dict, terms) -> None:
+    """data += the (exponents, coefficient) pairs of terms, in order, dropping
+    the coefficients that cancel."""
+    for e, c in terms:
         s = data.get(e)
         if s is None:
             data[e] = c
@@ -172,9 +173,6 @@ class MultiPoly:
     def is_one(self) -> bool:
         return self.terms == {(): 1}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -253,7 +251,7 @@ class MultiPoly:
             return NotImplemented
         vars, ta, tb = self._unify(self, other)
         data = dict(ta)
-        _add_into(data, tb)
+        _add_into(data, tb.items())
         return MultiPoly._make(vars, data)
 
     __radd__ = __add__
@@ -298,59 +296,52 @@ class MultiPoly:
     # -- substitution / evaluation --------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Replace variables by polynomials.
+        """Replace variables by nonzero monomials c * m.
 
-        A variable appearing with negative exponents may only be bound to an
-        invertible value: a unit of the ring, +-1 times a monomial.
+        Each term maps to one term: its exponents by a linear map, its
+        coefficient times c^e for each bound exponent e; terms that collide
+        merge in term order, as in a sum.  A negative power needs a unit
+        binding, c = +-1.  Any other binding raises ValueError.
         """
-        if not bindings:
+        for n, b in bindings.items():
+            if len(b.terms) != 1:
+                raise ValueError(f"{n} must be bound to a nonzero monomial, got {b}")
+        if not any(n in bindings for n in self.vars):
             return self
-        idx = [(i, bindings[n]) for i, n in enumerate(self.vars) if n in bindings]
-        if not idx:
-            return self
-        # every term expands in the space of the unbound vars and the bindings' vars
-        free = [(i, n) for i, n in enumerate(self.vars) if n not in bindings]
-        space = tuple(sorted({n for _, n in free}.union(*(b.vars for _, b in idx))))
+        images = [bindings.get(n) or MultiPoly.var(n) for n in self.vars]
+        space = tuple(sorted(set().union(*(b.vars for b in images))))
         pos = {n: k for k, n in enumerate(space)}
-        free_pos = [(i, pos[n]) for i, n in free]
-        pow_cache: dict[tuple[int, int], dict] = {}
+        # each coordinate of space gathers one of a term's exponents (index
+        # len(self.vars) reads a 0) and adds the rest of the exponent map;
+        # scaled holds the variables whose binding's coefficient is not 1
+        zero = len(self.vars)
+        gather, rest, scaled = [zero] * len(space), [], []
+        for i, b in enumerate(images):
+            (exps, c), = b.terms.items()
+            for m, x in zip(b.vars, exps):
+                if x == 1 and gather[pos[m]] == zero:
+                    gather[pos[m]] = i
+                else:
+                    rest.append((pos[m], i, x))
+            if c != 1:
+                scaled.append((i, c))
 
-        def bound_power(i: int, b: MultiPoly, e: int) -> dict:
-            """The terms of b^e, lifted into space."""
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is not None:
-                return got
-            if e >= 0:
-                val = b ** e
-            else:
-                # the units are +-1 times a monomial, and 1/c = c for c = +-1
-                if not b.is_monomial() or abs(next(iter(b.terms.values()))) != 1:
-                    raise ValueError(f"negative power of {self.vars[i]} needs invertible binding")
-                (exps, c), = b.terms.items()
-                inv = MultiPoly._make(b.vars, {tuple(-x for x in exps): c})
-                val = inv ** (-e)
-            at = [pos[n] for n in val.vars]
-            lifted = {}
-            for exps, c in val.terms.items():
-                lift = [0] * len(space)
-                for p, x in zip(at, exps):
-                    lift[p] = x
-                lifted[tuple(lift)] = c
-            pow_cache[key] = lifted
-            return lifted
+        def mapped():
+            for exps, c in self.terms.items():
+                for i, bc in scaled:
+                    if exps[i] < 0 and bc != -1:
+                        raise ValueError(f"a negative power of {self.vars[i]} needs a binding with coefficient +-1")
+                    c *= bc ** abs(exps[i])  # 1/c = c for c = -1
+                key = tuple(map((exps + (0,)).__getitem__, gather))
+                if rest:
+                    key = list(key)
+                    for p, i, x in rest:
+                        key[p] += x * exps[i]
+                    key = tuple(key)
+                yield key, c
 
         out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms.items():
-            base = [0] * len(space)
-            for i, p in free_pos:
-                base[p] = exps[i]
-            term = {tuple(base): c}
-            for i, b in idx:
-                e = exps[i]
-                if e:
-                    term = _mul_terms(term, bound_power(i, b, e))
-            _add_into(out, term)
+        _add_into(out, mapped())
         return MultiPoly._make(space, out)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:

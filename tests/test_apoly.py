@@ -57,9 +57,17 @@ def bracket_product(ks):
     return LaurentRat.from_poly(out)
 
 
+def swap_vars(poly, pairs):
+    # exchange x-label pairs, e.g. x_1 <-> x_3, leaving other labels alone
+    binding = {}
+    for left, right in pairs:
+        binding["x_" + left], binding["x_" + right] = MultiPoly.var("x_" + right), MultiPoly.var("x_" + left)
+    return poly.substitute(binding)
+
+
 def miscommuted_theta(edge) -> OperatorPoly:
     # negative control: the displayed coefficients without the normal-ordering rescale
-    b0, b1 = (apoly._swap_vars(b, [("a", edge)]) for b in apoly._theta_quantum_raw())
+    b0, b1 = (swap_vars(b, [("a", edge)]) for b in apoly._theta_quantum_raw())
     return OperatorPoly("theta", edge, (b0, b1))
 
 
@@ -139,6 +147,91 @@ def test_classical_curve_shapes():
         assert cur.degree_in("y_" + e) == 2
         assert set(cur.vars) == {"x_" + lab for lab in TET_EDGES} | {"y_" + e}
         assert len(cur.terms) == 60
+
+
+# -- every edge from the base edge's cached form ---------------------------------
+
+# the per-edge route: each edge's operator and curve built from the displayed
+# pieces, normal ordered, and only then swapped to the edge's labels
+_TET_SWAPS = {
+    "1": [],
+    "2": [("1", "2"), ("4", "3")],
+    "3": [("1", "3"), ("12", "23")],
+    "4": [("2", "3"), ("1", "4")],
+    "12": [("3", "23"), ("1", "12")],
+    "23": [("3", "12"), ("1", "23")],
+}
+
+
+def _per_edge_theta(edge):
+    pairs = [] if edge == "a" else [("a", edge)]
+    b0, b1 = apoly._theta_quantum_raw()
+    b1 = apoly._shift_edge_var(b1, "a", 1)
+    op = OperatorPoly("theta", edge, (swap_vars(b0, pairs), swap_vars(b1, pairs)))
+    xa, xb, xc = (MultiPoly.var("x_" + lab) for lab in THETA_EDGES)
+    one = MultiPoly.one()
+    curve = xa * (xa * xb - xc) * (xa * xc - xb) * (one - xa * xb * xc) + xb * xc * (
+        one - xa * xa
+    ) ** 2 * (xa - xb * xc) * MultiPoly.var("y_a")
+    curve = swap_vars(curve, pairs).substitute({"y_a": MultiPoly.var("y_" + edge)})
+    return op, curve
+
+
+def _per_edge_tet(edge):
+    pairs = _TET_SWAPS[edge]
+    v = apoly._v
+    c2, (ta, tb, tc), b0 = apoly._tet_quantum_pieces()
+    b2 = v(-12) * apoly._shift_edge_var(c2, "1", 2)
+    b1 = (
+        v(-6) * apoly._shift_edge_var(ta, "1", 1)
+        - v(-6) * apoly._shift_edge_var(tb, "1", 1)
+        - v(-4) * apoly._shift_edge_var(tc, "1", 1)
+    )
+    op = OperatorPoly("tet", edge, tuple(swap_vars(b, pairs) for b in (b0, b1, b2)))
+    one = MultiPoly.one()
+    x1, x2, x12, x3, x4, x23 = (MultiPoly.var("x_" + lab) for lab in TET_EDGES)
+    y1 = MultiPoly.var("y_1")
+    lead = x3 * (x1 * x4 - x23) * (x4 - x1 * x23) * (x1 * x2 - x12) * (x2 - x1 * x12)
+    mid_a = x4 * x12 * (one - x1 * x1) ** 2 * (x3 - x2 * x23) * (one - x3 * x2 * x23)
+    mid_b = x3 * (x23 - x1 * x4) * (x1 - x4 * x23) * (x1 - x2 * x12) * (x2 - x1 * x12)
+    mid_c = x3 * (x4 - x1 * x23) * (one - x1 * x4 * x23) * (x12 - x1 * x2) * (one - x1 * x2 * x12)
+    const = x3 * (x1 - x4 * x23) * (one - x1 * x4 * x23) * (x1 - x2 * x12) * (one - x1 * x2 * x12)
+    curve = const + (mid_a - mid_b - mid_c) * y1 + lead * y1 * y1
+    curve = swap_vars(curve, pairs).substitute({"y_1": MultiPoly.var("y_" + edge)})
+    return op, curve
+
+
+@pytest.mark.parametrize(
+    "graph, edge",
+    [("theta", e) for e in THETA_EDGES] + [("tet", e) for e in TET_EDGES],
+)
+def test_edges_match_per_edge_route_with_term_order(graph, edge):
+    want_op, want_curve = (_per_edge_theta if graph == "theta" else _per_edge_tet)(edge)
+    got_op = apoly.GRAPHS[graph].quantum_A(edge)
+    got_curve = apoly.GRAPHS[graph].classical_A(edge)
+    assert got_op == want_op
+    assert got_curve == want_curve
+    # evaluate sums in term order, so the order is part of the value's floats
+    for got, want in zip(got_op.coeffs + (got_curve,), want_op.coeffs + (want_curve,)):
+        assert list(got.terms) == list(want.terms)
+
+
+def test_tet_operators_build_edge_1_pieces_once(monkeypatch):
+    calls = []
+    pieces = apoly._tet_quantum_pieces
+
+    def counted():
+        calls.append(1)
+        return pieces()
+
+    monkeypatch.setattr(apoly, "_tet_quantum_pieces", counted)
+    tet_quantum_A.cache_clear()
+    try:
+        ops = [tet_quantum_A(e) for e in TET_EDGES]
+    finally:
+        tet_quantum_A.cache_clear()
+    assert len(calls) == 1
+    assert [op.edge for op in ops] == list(TET_EDGES)
 
 
 # -- theta: classical curve ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, report envelopes, determinism, config plumbing."""
 
+import argparse
 import inspect
 import json
 import math
@@ -19,6 +20,7 @@ from qgraph import asymptotics, cli
 from qgraph.apoly import GRAPHS
 from qgraph.asymptotics import MAX_GROWTH_COLOR, SingularPointError
 from qgraph.cli import VERSION, main
+from qgraph.config import default_config
 from qgraph.invariants import TetColoring, tet_primed, theta_invariant
 
 
@@ -695,6 +697,24 @@ def test_lagrangian_step_bound_scales_with_config_tolerance(capsys, tmp_path):
     assert "--step 800.0 is out of range" in err
 
 
+def test_lagrangian_tolerance_below_rounding_floor_exit_2(capsys):
+    # theta's max asymmetry at seed 7 reads 9.9e-9 at 1e-7 and 4.8e-8 at 2^-26, rounding
+    # error that no step under the truncation bound 4.8e-7 of a 1e-9 tolerance gets below
+    argv = ["--tol", "lagrangian_theta=1e-9", "--seed", "7", "lagrangian", "--graph", "theta"]
+    for step in ("1e-7", repr(2.0**-26), "4e-7"):
+        code, out, err = run(capsys, argv + ["--step", step])
+        _assert_one_line_usage_error(code, out, err)
+        assert "tolerance lagrangian_theta = 1e-09 is too tight for any --step" in err
+        assert "rounding floor" in err
+    # at 1e-8 the floor raises the smallest step from 2^-26 to 7e-16 / 1e-8
+    argv = ["--tol", "lagrangian_theta=1e-8", "--seed", "7", "lagrangian", "--graph", "theta"]
+    code, out, err = run(capsys, argv + ["--step", "2e-8"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "from 7e-08 (where the rounding floor 7e-16 / step meets the tolerance)" in err
+    code, report = run_json(capsys, argv + ["--step", "1e-7"])
+    assert code == 0 and report["max_asymmetry"] <= report["tolerance"] == 1e-8
+
+
 def test_lagrangian_singular_point_exit_2(capsys, monkeypatch):
     # no step within the bounds reaches a singular point from the sampler's points, so one is injected
     def singular(graph, x, step):
@@ -988,6 +1008,41 @@ def test_grid_max_global_flag(capsys):
     code, report = run_json(capsys, ["--grid-max", "2", "verify", "hypergeom"])
     assert code == 0
     assert report["grid_max"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, graph",
+    [
+        ("verify symmetry --max 100000", "tet"),
+        ("verify reduction --max 100000", "theta"),
+        ("verify theta-recursion --max 61", "theta"),
+        ("verify annihilation --graph tet --edge 2 --max 13", "tet"),
+        ("--grid-max 13 verify hypergeom", "tet"),
+        ("--grid-max 100000 verify recursum", "tet"),
+    ],
+)
+def test_grid_above_cap_exit_2_at_once(capsys, argv, graph):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv.split())
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert f"above the {graph} grid cap {cli.GRID_CAP[graph]}" in err
+
+
+def test_grid_cap_covers_the_grids_in_use(tmp_path, capsys):
+    # the defaults, and the largest grids the gates and the benchmark sweep (theta 20, tet 10)
+    assert cli.GRID_CAP["theta"] >= max(20, *cli._VERIFY_DEFAULT_MAX.values())
+    assert cli.GRID_CAP["tet"] >= 10
+    cfg = default_config()
+    for graph, cap in cli.GRID_CAP.items():
+        args = argparse.Namespace(max=cap)
+        assert cli._effective_max(args, cfg, "annihilation", graph) == cap
+    # a config file's grid_max meets the same cap
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"grid_max": cli.GRID_CAP["tet"] + 1}))
+    code, out, err = run(capsys, ["--config", str(path), "verify", "symmetry"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: grid_max {cli.GRID_CAP['tet'] + 1} is above the tet grid cap")
 
 
 # -- packaging ---------------------------------------------------------------------------------

@@ -263,7 +263,6 @@ def _computed_values() -> list:
     """Nonzero values the package computes, and their JSON round trips."""
     from qgraph.apoly import (
         OperatorPoly,
-        _swap_vars,
         _theta_quantum_raw,
         apply_operator,
         tet_quantum_A,
@@ -271,12 +270,14 @@ def _computed_values() -> list:
         theta_quantum_A,
     )
     from qgraph.invariants import tet_full, tet_primed, theta_invariant
+    from qgraph.multipoly import MultiPoly
 
     col = (2, 2, 2, 2, 2, 2)  # j1 - 2 and j1 + 2 are admissible too
     theta_lead = OperatorPoly("theta", "a", theta_quantum_A("a").coeffs[:1])
     tet_lead = OperatorPoly("tet", "1", tet_quantum_A("1").coeffs[:1])
     # the edge-b operator without its normal-ordering rescale, which annihilates nothing
-    miscommuted_b = OperatorPoly("theta", "b", tuple(_swap_vars(b, [("a", "b")]) for b in _theta_quantum_raw()))
+    swap = {"x_a": MultiPoly.var("x_b"), "x_b": MultiPoly.var("x_a")}
+    miscommuted_b = OperatorPoly("theta", "b", tuple(b.substitute(swap) for b in _theta_quantum_raw()))
     values = [
         theta_invariant(2, 3, 3),
         theta_invariant(4, 4, 2),

@@ -86,12 +86,18 @@ def test_eval_requires_bindings():
         MultiPoly.var("x", -1).evaluate({"x": 0.0})
 
 
+def rand_monomial_binding(rng, names, laurent=True):
+    """A nonzero monomial over names, with a coefficient from +-1, 2 and -3."""
+    lo = -2 if laurent else 0
+    return MultiPoly.monomial({n: rng.randrange(lo, 3) for n in names}, rng.choice((1, -1, 2, -3)))
+
+
 def test_substitute_is_hom():
     rng = random.Random(2025)
     for _ in range(200):
         a = rand_mpoly(rng, nvars=2, laurent=False)
         b = rand_mpoly(rng, nvars=2, laurent=False)
-        binding = {"x": rand_mpoly(rng, nvars=2, max_terms=3, laurent=False)}
+        binding = {"x": rand_monomial_binding(rng, rng.sample(VARS, 2), laurent=False)}
         assert (a + b).substitute(binding) == a.substitute(binding) + b.substitute(binding)
         assert (a * b).substitute(binding) == a.substitute(binding) * b.substitute(binding)
 
@@ -106,6 +112,18 @@ def test_substitute_negative_exponent_needs_unit():
         p.substitute({"x": MultiPoly.var("v") + 1})
     with pytest.raises(ValueError):
         p.substitute({"x": MultiPoly.monomial({"v": 2}, 3)})
+
+
+def test_substitute_takes_only_nonzero_monomials():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    p = x * x - 3 * x * y + 1
+    for bad in (y + 1, MultiPoly.zero(), x - y):
+        with pytest.raises(ValueError):
+            p.substitute({"x": bad})
+    # a non-unit is fine under nonnegative powers only
+    assert p.substitute({"x": 2 * y}) == MultiPoly.const(1) - 2 * y * y
+    with pytest.raises(ValueError):
+        (p + MultiPoly.var("x", -1)).substitute({"x": 2 * y})
 
 
 def test_substitute_monomial_consistent_with_eval():
@@ -331,26 +349,46 @@ def _substitute_per_term(p, bindings):
     return out
 
 
+def _assert_matches_per_term_route(p, bindings):
+    try:
+        want = _substitute_per_term(p, bindings)
+    except ValueError:  # a negative power bound to a non-unit
+        with pytest.raises(ValueError):
+            p.substitute(bindings)
+        return False
+    got = p.substitute(bindings)
+    assert got == want
+    # evaluate sums in term order, so the order is part of the value's floats
+    assert list(got.terms) == list(want.terms)
+    return True
+
+
 def test_substitute_matches_per_term_route_with_term_order():
     rng = random.Random(1618)
-    for _ in range(200):
+    mapped = refused = 0
+    for _ in range(300):
         p = rand_mpoly(rng, max_terms=6, nvars=3)
         bindings = {}
         for n in p.vars[:2]:
-            if rng.random() < 0.5:
-                bindings[n] = MultiPoly.monomial({m: rng.randrange(-2, 3) for m in ("t", n)}, rng.choice((-1, 1, 2)))
-            else:
-                bindings[n] = rand_mpoly(rng, nvars=2, max_terms=3, laurent=False)
-        try:
-            want = _substitute_per_term(p, bindings)
-        except ValueError:  # a negative power bound to a non-unit
-            with pytest.raises(ValueError):
-                p.substitute(bindings)
-            continue
-        got = p.substitute(bindings)
-        assert got == want
-        # evaluate sums in term order, so the order is part of the value's floats
-        assert list(got.terms) == list(want.terms)
+            names = rng.choice((("t",), ("t", n), (n,), tuple(m for m in p.vars if m != n), ()))
+            bindings[n] = rand_monomial_binding(rng, names)
+        if _assert_matches_per_term_route(p, bindings):
+            mapped += 1
+        else:
+            refused += 1
+    assert mapped > 100 and refused > 100
+    # bindings that merge or cancel terms: v -> 1, and x -> v y or x -> -y with y also free
+    v, x, y = MultiPoly.var("v"), MultiPoly.var("x"), MultiPoly.var("y")
+    cases = (
+        (v * x + x - v * v * y + y + 3, {"v": MultiPoly.one()}),
+        (v * v * x - x + v, {"v": MultiPoly.one()}),
+        (x * y - v * y * y + x + y, {"x": v * y}),
+        (x * x + y * y + x * y - 4 * x, {"x": -y}),
+        (MultiPoly.var("x", -2) * y - y ** 3 + v, {"x": MultiPoly.monomial({"y": -1}, -1)}),
+    )
+    for p, bindings in cases:
+        assert _assert_matches_per_term_route(p, bindings)
+        assert len(p.substitute(bindings).terms) < len(p.terms)
 
 
 def test_weighted_degrees_match_per_term_sums():

@@ -24,8 +24,8 @@ ladder from 320 to 40960 bits), the exact zero test
 `verify recursum` routes on grid 4, with cold caches), the per-coloring
 operator application (`operator_vanishes` of theta's edge-a operator over
 `interior_colorings("theta", "a", 10, 2)`, with cold caches), the MultiPoly layer
-(the classical limits of the six tet operators and the saddle elimination,
-with cold caches, and 20 evaluations of the saddle resultant), the JSON
+(the classical limits of the six tet operators, the six tet classical curves
+and the saddle elimination, with cold caches, and 20 evaluations of the saddle resultant), the JSON
 rendering of two large-color reports (`cli._render` against json's
 pure-Python indent=2 encoder, whose text it must equal), two
 large-color evaluations expanded to their coefficients, each in a fresh
@@ -203,6 +203,9 @@ def bench_cancel_phi(repeat: int) -> None:
 
 
 def _clear_caches() -> None:
+    # every lru cache of the three modules, among them apoly's four operator
+    # and curve caches (tet_quantum_A, tet_classical_A, theta_quantum_A,
+    # theta_classical_A)
     for module in (laurent, invariants, apoly):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
@@ -366,7 +369,12 @@ def bench_multipoly(repeat: int) -> None:
         for edge in apoly.TET_EDGES:
             apoly.classical_limit(apoly.tet_quantum_A(edge))
 
+    def curves():  # what `qgraph residual --graph tet` builds
+        for edge in apoly.TET_EDGES:
+            apoly.tet_classical_A(edge)
+
     _line("tet classical limits, six edges, cold caches", *_spread(_cold_samples(limits, repeat)))
+    _line("six tet classical curves, cold caches", *_spread(_cold_samples(curves, repeat)))
     _line("eliminate_saddle(), cold caches", *_spread(_cold_samples(apoly.eliminate_saddle, repeat)))
     res = apoly.eliminate_saddle()
     rng = random.Random(1)
