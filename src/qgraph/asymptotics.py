@@ -528,10 +528,16 @@ def tet_summation_floor(x) -> Optional[tuple]:
 # -- Lagrangian condition ----------------------------------------------------------------------
 
 
-def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
+# the log step of the central differences: at the default sample counts the
+# largest asymmetry over seeds 0-39 reads 1.30e-7 for theta and 1.24e-7 for
+# tet, against the default tolerances 1e-6 and 1e-5
+LAGRANGIAN_STEP = 1e-5
+
+
+def lagrangian_residual(graph: str, x) -> float:
     """Largest antisymmetry of the twist log-Jacobian at one point.
 
-    Central differences in log x with the given step; the twists of the
+    Central differences in log x with step LAGRANGIAN_STEP; the twists of the
     tetrahedron are recomputed through the saddle nearest to the unperturbed
     one so the branch stays continuous.  A symmetric Jacobian is the testable
     statement that the twist pairing closes the symplectic form on the curve
@@ -555,6 +561,7 @@ def lagrangian_residual(graph: str, x, step: float = 1e-5) -> float:
             z = min(roots, key=lambda r: abs(r - z_ref))
             return saddle_twists_tet(pt, z)
 
+    step = LAGRANGIAN_STEP
     n = len(labels)
     jac = [[0j] * n for _ in range(n)]
     for f in range(n):

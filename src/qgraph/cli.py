@@ -40,6 +40,7 @@ from .apoly import (
     tet_recursion_vanishes,
 )
 from .asymptotics import (
+    LAGRANGIAN_STEP,
     MAX_GROWTH_COLOR,
     LadderExhaustedError,
     SingularPointError,
@@ -548,52 +549,6 @@ _NUMERIC = {
     ),
 }
 
-# central differences with a smaller log step are rounding noise: sqrt of a double's epsilon
-_MIN_STEP = 2.0**-26
-# with a larger one their step^2 truncation error fails the default tolerances: at
-# 2^-16 the 20 default samples of seeds 0-7 read at most theta 3.0e-7 and tet
-# 2.9e-7 against 1e-6 and 1e-5; at 2^-15 theta reads 1.2e-6 at seeds 0 and 4.
-# A configured tolerance scales it by sqrt(tolerance / default) (_step_bounds)
-_MAX_STEP = 2.0**-16
-# the rounding error of the central differences is at least about this over the
-# step: max asymmetry times step over the default samples of seeds 0-7 reads
-# theta 7.1e-16 to 1.8e-15 and tet 2.2e-14 to 6.6e-14 at steps 2^-26 and 1e-7;
-# a step whose floor exceeds the tolerance fails at every seed
-_ROUNDING = {"theta": 7e-16, "tet": 2e-14}
-
-
-def _step_bounds(graph: str, tol: float) -> tuple:
-    """The --step range that can meet tol, and how to name it.
-
-    It runs from 2^-26, or higher where the rounding floor _ROUNDING / step
-    exceeds tol, up to the largest step whose step^2 truncation error fits
-    tol.  A tol that leaves no step is a usage error.
-    """
-    name = "lagrangian_" + graph
-    default = cfgmod.DEFAULT_TOLERANCES[name]
-    if tol == default:
-        top, top_text = _MAX_STEP, "2^-16 (about 1.5e-05)"
-    else:
-        top = _MAX_STEP * math.sqrt(tol / default)
-        top_text = f"{top:.3g} (2^-16 scaled by sqrt of tolerance {name} = {tol!r} over its default {default!r})"
-    if top < _MIN_STEP:
-        raise UsageError(
-            f"tolerance {name} = {tol!r} is too tight for any --step: the bound 2^-16 scaled by "
-            f"sqrt({tol!r} / {default!r}) falls below 2^-26 (about 1.5e-08)"
-        )
-    low = max(_MIN_STEP, _ROUNDING[graph] / tol)
-    if low > top:
-        raise UsageError(
-            f"tolerance {name} = {tol!r} is too tight for any --step: it is below the rounding floor "
-            f"of the central differences, about {_ROUNDING[graph]!r} / step, at every step up to {top_text}"
-        )
-    if low == _MIN_STEP:
-        low_text = "2^-26 (about 1.5e-08)"
-    else:
-        low_text = f"{low:.3g} (where the rounding floor {_ROUNDING[graph]!r} / step meets the tolerance)"
-    return low, top, f"from {low_text} to {top_text}"
-
-
 _GROWTH_COLUMNS = ["hbar", "colors", "scaled_log_abs", "target", "error", "status", "notes"]
 
 
@@ -720,22 +675,16 @@ def cmd_lagrangian(args, cfg):
     graph = args.graph
     num = _NUMERIC[graph]
     samples = args.samples if args.samples is not None else num.lagrangian_samples
-    step = args.step
     tol = cfg.tolerances["lagrangian_" + graph]
-    low, top, bounds = _step_bounds(graph, tol)
-    if not low <= step <= top:
-        raise UsageError(f"--step must be a finite number {bounds}, got {step!r}")
     rng = random.Random(cfg.seed)
     rows = []
     worst = 0.0
     for i in range(samples):
         x = num.lagrangian_point(rng)
         try:
-            asym = lagrangian_residual(graph, x, step=step)
+            asym = lagrangian_residual(graph, x)
         except SingularPointError as exc:
-            raise UsageError(f"--step {step!r} moves sample {i} onto a singular point: {exc}")
-        except (OverflowError, ZeroDivisionError) as exc:  # exp(step) beyond a double's range
-            raise UsageError(f"--step {step!r} is out of range: {exc}")
+            raise UsageError(f"a central difference moves sample {i} onto a singular point: {exc}")
         worst = max(worst, asym)
         rows.append({"index": i, "x": ",".join(repr(v) for v in x), "asymmetry": asym})
     payload = {
@@ -743,7 +692,7 @@ def cmd_lagrangian(args, cfg):
         "graph": graph,
         "samples": samples,
         "seed": cfg.seed,
-        "step": step,
+        "step": LAGRANGIAN_STEP,
         "max_asymmetry": worst,
         "tolerance": tol,
     }
@@ -843,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lag.add_argument("--graph", choices=["theta", "tet"], default="theta")
     p_lag.add_argument("--samples", type=int)
     p_lag.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p_lag.add_argument("--step", type=float, default=1e-5)
 
     p_res = sub.add_parser("residual", help="classical curve residual sweep")
     p_res.add_argument("--graph", choices=["theta", "tet"], default="theta")
@@ -890,7 +838,7 @@ _DISPATCH = {
 # -inf, -nan); joined with "=" so the parser does not mistake the value for
 # an option name.  A following token that is one of the parser's own option
 # names is left alone, so the parser reports the flag's missing value.
-_NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "--step", "-c", "--colors")
+_NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "-c", "--colors")
 
 
 def _option_names(parser) -> set[str]:

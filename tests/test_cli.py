@@ -391,10 +391,7 @@ def test_saddle_degenerate_point_exit_2(capsys, x):
         "asymptotics tet --x nan,0.35,0.35,0.35,0.35,0.35 --hbar -0.1",
         "asymptotics theta --x 0.5,-inf,0.5 --hbar -0.1",
         "asymptotics theta --x 0.5,0.5,0.5 --hbar -0.1,nan",
-        "lagrangian --graph theta --step inf",
-        "lagrangian --graph theta --step nan",
-        # exp(800) overflows; exp(-1e-17) rounds to 1
-        "lagrangian --graph theta --step 800",
+        # exp(-1e-17) rounds to 1
         "asymptotics theta --x 0.5,0.5,0.5 --hbar -1e-17",
         "asymptotics tet --x 0.3,0.3,0.3,0.3,0.3,0.3 --hbar -0.1,-1e-17",
         "theta -c 1,1,0 --eval nan",
@@ -599,12 +596,7 @@ def test_lagrangian_theta(capsys):
     assert code == 0
     assert report["max_asymmetry"] <= report["tolerance"]
     assert len(report["rows"]) == 10
-
-
-def test_lagrangian_rejects_bad_step(capsys):
-    code, out, err = run(capsys, ["lagrangian", "--graph", "theta", "--step", "0"])
-    assert code == 2
-    assert "usage error" in err
+    assert report["step"] == asymptotics.LAGRANGIAN_STEP == 1e-5
 
 
 def test_residual_theta(capsys):
@@ -640,90 +632,42 @@ def test_residual_every_sample_skipped_exit_2(capsys, monkeypatch, graph):
     assert "skipped all 3 samples" in err
 
 
-def test_lagrangian_step_below_rounding_noise_exit_2(capsys):
-    # at 1e-12 the central differences are rounding noise (tet max asymmetry 0.024)
-    code, out, err = run(capsys, ["lagrangian", "--graph", "tet", "--samples", "3", "--step", "1e-12"])
-    _assert_one_line_usage_error(code, out, err)
-    assert "2^-26" in err
-    # the bound itself is accepted
-    code, report = run_json(capsys, ["lagrangian", "--graph", "tet", "--samples", "3", "--step", repr(2.0**-26)])
-    assert code == 0 and report["max_asymmetry"] <= report["tolerance"]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # the step^2 truncation error alone fails the check: max asymmetry 10.7 against 1e-6
-        "lagrangian --graph theta --step 0.5",
-        # exp(709) is still finite, so the bound, not the overflow check, refuses it
-        "lagrangian --graph theta --step 709",
-        # one doubling above the bound: theta fails at seeds 0 and 4
-        "lagrangian --graph theta --step " + repr(2.0**-15),
-    ],
-)
-def test_lagrangian_step_above_bound_exit_2(capsys, argv):
-    code, out, err = run(capsys, argv.split())
-    _assert_one_line_usage_error(code, out, err)
-    assert "2^-16" in err
-
-
-@pytest.mark.parametrize("graph", ["theta", "tet"])
-def test_lagrangian_step_bound_passes(capsys, graph):
-    code, report = run_json(capsys, ["lagrangian", "--graph", graph, "--step", repr(2.0**-16)])
-    assert code == 0 and report["max_asymmetry"] <= report["tolerance"]
-
-
-def test_lagrangian_step_bound_scales_with_config_tolerance(capsys, tmp_path):
-    # the step^2 truncation error at 2^-16 reads 2.3e-7 for theta at seed 7: a configured 1e-7
-    # lowers the bound by sqrt(1e-7 / 1e-6), so the step is refused, not the check failed
-    path = tmp_path / "tight.json"
-    path.write_text(json.dumps({"tolerances": {"lagrangian_theta": 1e-7}}))
-    argv = ["--config", str(path), "lagrangian", "--graph", "theta", "--seed", "7"]
-    code, out, err = run(capsys, argv + ["--step", repr(2.0**-16)])
-    _assert_one_line_usage_error(code, out, err)
-    assert "tolerance lagrangian_theta = 1e-07" in err
-    code, report = run_json(capsys, argv + ["--step", repr(2.0**-16 * math.sqrt(0.1))])
-    assert code == 0 and report["max_asymmetry"] <= report["tolerance"] == 1e-7
-    # below 2^-26 no step is left
-    path.write_text(json.dumps({"tolerances": {"lagrangian_theta": 1e-13}}))
-    code, out, err = run(capsys, argv)
-    _assert_one_line_usage_error(code, out, err)
-    assert "tolerance lagrangian_theta = 1e-13 is too tight for any --step" in err
-    # a looser one raises the bound, up to where exp(step) leaves a double's range
-    code, report = run_json(capsys, ["--tol", "lagrangian_tet=1e-3", "lagrangian", "--graph", "tet", "--step", "1e-4"])
-    assert code == 0 and report["max_asymmetry"] <= 1e-3
-    code, out, err = run(capsys, ["--tol", "lagrangian_theta=1e300", "lagrangian", "--graph", "theta", "--step", "800"])
-    _assert_one_line_usage_error(code, out, err)
-    assert "--step 800.0 is out of range" in err
-
-
-def test_lagrangian_tolerance_below_rounding_floor_exit_2(capsys):
-    # theta's max asymmetry at seed 7 reads 9.9e-9 at 1e-7 and 4.8e-8 at 2^-26, rounding
-    # error that no step under the truncation bound 4.8e-7 of a 1e-9 tolerance gets below
-    argv = ["--tol", "lagrangian_theta=1e-9", "--seed", "7", "lagrangian", "--graph", "theta"]
-    for step in ("1e-7", repr(2.0**-26), "4e-7"):
-        code, out, err = run(capsys, argv + ["--step", step])
-        _assert_one_line_usage_error(code, out, err)
-        assert "tolerance lagrangian_theta = 1e-09 is too tight for any --step" in err
-        assert "rounding floor" in err
-    # at 1e-8 the floor raises the smallest step from 2^-26 to 7e-16 / 1e-8
-    argv = ["--tol", "lagrangian_theta=1e-8", "--seed", "7", "lagrangian", "--graph", "theta"]
-    code, out, err = run(capsys, argv + ["--step", "2e-8"])
-    _assert_one_line_usage_error(code, out, err)
-    assert "from 7e-08 (where the rounding floor 7e-16 / step meets the tolerance)" in err
-    code, report = run_json(capsys, argv + ["--step", "1e-7"])
-    assert code == 0 and report["max_asymmetry"] <= report["tolerance"] == 1e-8
-
-
 def test_lagrangian_singular_point_exit_2(capsys, monkeypatch):
-    # no step within the bounds reaches a singular point from the sampler's points, so one is injected
-    def singular(graph, x, step):
+    # at the fixed step no sample of the sampler reaches a singular point, so one is injected
+    def singular(graph, x):
         raise SingularPointError("twist pole")
 
     monkeypatch.setattr(cli, "lagrangian_residual", singular)
     code, out, err = run(capsys, ["lagrangian", "--graph", "tet", "--samples", "2"])
     _assert_one_line_usage_error(code, out, err)
     assert "moves sample 0 onto a singular point: twist pole" in err
+
+
+def test_lagrangian_step_is_not_an_option(capsys):
+    # the step is fixed at asymptotics.LAGRANGIAN_STEP
+    with pytest.raises(SystemExit) as exc:
+        main(["lagrangian", "--graph", "theta", "--step", "1e-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --step 1e-5" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each tolerance is far below what the check reaches: the check fails, the argv is no usage error
+        "--tol lagrangian_theta=1e-20 lagrangian --graph theta --samples 3",
+        "--tol residual_theta=1e-30 residual --graph theta --samples 3",
+        "--tol saddle=1e-40 saddle --x 0.35,0.35,0.35,0.35,0.35,0.35",
+    ],
+)
+def test_tight_tolerance_fails_the_check(capsys, argv):
+    code, report = run_json(capsys, argv.split())
+    assert code == 1 and report["passed"] is False
+    code, out, err = run(capsys, argv.split())
+    assert (code, err) == (1, "")
+    assert "passed: false\n" in out
 
 
 def test_unexpected_error_exit_3(capsys, monkeypatch):
@@ -797,6 +741,7 @@ def _random_argv(rng, odd):
             out += ["saddle", "--x", x]
     else:
         out += [command, "--graph", rng.choice(("theta", "tet")), "--samples", str(rng.randint(0, 3))]
+        # lagrangian has no --step option: these draws test an unknown option
         if command == "lagrangian" and rng.random() < 0.6:
             out += ["--step", draw(_FUZZ_STEP)]
         if rng.random() < 0.3:
