@@ -11,7 +11,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import csv
 import functools
@@ -23,6 +22,7 @@ import random
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from . import config as cfgmod
@@ -740,65 +740,132 @@ def cmd_residual(args, cfg):
 # -- argument plumbing -------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qgraph",
-        description="Exact and numeric checks for colored trivalent-graph invariants.",
-    )
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument(
-        "--format", choices=cfgmod.OUTPUT_FORMATS, help="output format override"
-    )
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VALUE",
-        help="tolerance override, repeatable",
-    )
-    parser.add_argument("--grid-max", type=int, help="verification grid bound override")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Opt(NamedTuple):
+    """One option ("-c/--colors") or positional ("check", no dash) of the command line."""
 
-    p_theta = sub.add_parser("theta", help="exact theta invariant")
-    p_theta.add_argument("-c", "--colors", required=True, help="a,b,c")
-    p_theta.add_argument("--eval", help="also evaluate at this value of q^(1/2)")
+    names: str
+    kind: str  # "str", "int", "flag" (True when given) or "append" (a list of every value given)
+    help: str
+    choices: tuple = ()
+    required: bool = False
+    default: object = None
 
-    p_tet = sub.add_parser("tet", help="exact tetrahedron invariant")
-    p_tet.add_argument("-c", "--colors", required=True, help="j1,j2,j12,j3,j4,j23")
-    p_tet.add_argument("--primed", action="store_true", help="normalized summation form")
-    p_tet.add_argument("--eval", help="also evaluate at this value of q^(1/2)")
+    @property
+    def dest(self) -> str:
+        return self.names.split("/")[-1].lstrip("-").replace("-", "_")
 
-    p_verify = sub.add_parser("verify", help="exact verification sweeps")
-    p_verify.add_argument("check", choices=sorted(_VERIFY_CHECKS))
-    p_verify.add_argument("--max", type=int, help="grid bound (color entries)")
-    p_verify.add_argument("--graph", choices=["theta", "tet"], help="graph family")
-    p_verify.add_argument("--edge", help="edge label for operator checks")
-    p_verify.add_argument("--samples", type=int, help="numeric sample count")
-    p_verify.add_argument(
-        "--inject-bad-operator",
-        action="store_true",
-        help="negative control: use a sign-flipped operator and expect failure",
-    )
 
-    p_asym = sub.add_parser("asymptotics", help="growth table against the potential")
-    p_asym.add_argument("graph", choices=["theta", "tet"])
-    p_asym.add_argument("--x", required=True, help="eigenvalue list")
-    p_asym.add_argument("--hbar", required=True, help="negative hbar list")
+_GRAPH = _Opt("--graph", "str", "graph family", ("theta", "tet"), default="theta")
+_SAMPLES = _Opt("--samples", "int", "numeric sample count")
+_SEED = _Opt("--seed", "int", "seed override")
+_EVAL = _Opt("--eval", "str", "also evaluate at this value of q^(1/2)")
 
-    p_saddle = sub.add_parser("saddle", help="tetrahedron saddle roots")
-    p_saddle.add_argument("--x", required=True, help="six eigenvalues")
+# each command's help and options, in the order a usage error names missing ones
+_COMMANDS = {
+    "theta": ("exact theta invariant", (_Opt("-c/--colors", "str", "a,b,c", required=True), _EVAL)),
+    "tet": ("exact tetrahedron invariant", (
+        _Opt("-c/--colors", "str", "j1,j2,j12,j3,j4,j23", required=True),
+        _Opt("--primed", "flag", "normalized summation form", default=False), _EVAL)),
+    "verify": ("exact verification sweeps", (
+        _Opt("check", "str", "the check to run", tuple(sorted(_VERIFY_CHECKS)), required=True),
+        _Opt("--max", "int", "grid bound (color entries)"),
+        _GRAPH._replace(default=None),
+        _Opt("--edge", "str", "edge label for operator checks"),
+        _SAMPLES,
+        _Opt("--inject-bad-operator", "flag", "negative control: use a sign-flipped operator and expect failure",
+             default=False),
+    )),
+    "asymptotics": ("growth table against the potential", (
+        _Opt("graph", "str", "graph family", ("theta", "tet"), required=True),
+        _Opt("--x", "str", "eigenvalue list", required=True),
+        _Opt("--hbar", "str", "negative hbar list", required=True),
+    )),
+    "saddle": ("tetrahedron saddle roots", (_Opt("--x", "str", "six eigenvalues", required=True),)),
+    # --seed here overrides the global one, which stands when it is not given
+    "lagrangian": ("twist Jacobian symmetry sweep", (_GRAPH, _SAMPLES, _SEED)),
+    "residual": ("classical curve residual sweep", (_GRAPH, _SAMPLES, _SEED)),
+}
+_GLOBAL = (
+    _Opt("--config", "str", "path to a JSON config file"),
+    _Opt("--format", "str", "output format override", cfgmod.OUTPUT_FORMATS),
+    _SEED,
+    _Opt("--tol", "append", "tolerance override NAME=VALUE, repeatable"),
+    _Opt("--grid-max", "int", "verification grid bound override"),
+    _Opt("command", "str", "", tuple(_COMMANDS), required=True),
+)
+_HELP = ("-h", "--help")
+_OPTION_NAMES = frozenset(_HELP).union(*(o.names.split("/") for _, t in _COMMANDS.values() for o in t + _GLOBAL))
 
-    p_lag = sub.add_parser("lagrangian", help="twist Jacobian symmetry sweep")
-    p_lag.add_argument("--graph", choices=["theta", "tet"], default="theta")
-    p_lag.add_argument("--samples", type=int)
-    p_lag.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
-    p_res = sub.add_parser("residual", help="classical curve residual sweep")
-    p_res.add_argument("--graph", choices=["theta", "tet"], default="theta")
-    p_res.add_argument("--samples", type=int)
-    p_res.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+class _HelpRequested(Exception):
+    """-h or --help was given; the exception's text is the help, printed with exit 0."""
 
-    return parser
+
+def _spelled(o: _Opt) -> str:
+    meta = "{" + ",".join(o.choices) + "}" if o.choices else o.dest.upper()
+    return meta if o.names[0] != "-" else o.names + ("" if o.kind == "flag" else " " + meta)
+
+
+def _help(command) -> str:
+    about, table = _COMMANDS.get(command, ("Exact and numeric checks for colored trivalent-graph invariants.", _GLOBAL))
+    usage = " ".join(_spelled(o) if o.required else f"[{_spelled(o)}]" for o in table)
+    lines = [f"usage: qgraph {command + ' ' if command else ''}[-h] {usage}{'' if command else ' ...'}", "", about, ""]
+    if not command:
+        lines += ["commands:", *(f"  {name:<29} {text}" for name, (text, _) in _COMMANDS.items()), ""]
+    lines += ["options:", f"  {'-h, --help':<29} show this help and exit"]
+    return "\n".join(lines + [f"  {_spelled(o):<29} {o.help}" for o in table if o.help]) + "\n"
+
+
+def _parse(argv) -> SimpleNamespace:
+    """argv walked once against the option table: global options, the command, then its options and positional.
+
+    A value option takes "--opt=value" or the next token, unless that token before any "=" is an option name.
+    """
+    table, command, extras, seen, i = _GLOBAL, None, [], set(), 0
+    ns = {o.dest: o.default for o in table}
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        if tok in _HELP:
+            raise _HelpRequested(_help(command))
+        if tok[:1] != "-":  # the table's positional, taken as if given as "--name=tok"
+            o, eq, value = next((o for o in table if o.names[0] != "-" and o.dest not in seen), None), "=", tok
+        else:
+            name, eq, value = tok.partition("=")
+            o = next((o for o in table if name in o.names.split("/")), None)
+        if o is None:
+            extras.append(tok)
+            continue
+        if o.kind == "flag":
+            if eq:
+                raise UsageError(f"argument {o.names}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if not eq:
+                if i == len(argv) or argv[i].partition("=")[0] in _OPTION_NAMES:
+                    raise UsageError(f"argument {o.names}: expected one argument")
+                value, i = argv[i], i + 1
+            if o.kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {o.names}: invalid int value: {value!r}")
+            if o.choices and value not in o.choices:
+                choices = ", ".join(map(repr, o.choices))
+                raise UsageError(f"argument {o.names}: invalid choice: {value!r} (choose from {choices})")
+            if o.kind == "append":
+                value = (ns[o.dest] or []) + [value]
+        ns[o.dest] = value
+        seen.add(o.dest)
+        if o.dest == "command":
+            command, table = value, _COMMANDS[value][1]
+            for c in table:
+                ns.setdefault(c.dest, c.default)
+    missing = [o.names for o in table if o.required and o.dest not in seen]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**ns)
 
 
 def _flag_overrides(args) -> dict:
@@ -834,53 +901,11 @@ _DISPATCH = {
 }
 
 
-# flags that always take a value, which may begin with a minus sign (-2,
-# -inf, -nan); joined with "=" so the parser does not mistake the value for
-# an option name.  A following token that is one of the parser's own option
-# names is left alone, so the parser reports the flag's missing value.
-_NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "-c", "--colors")
-
-
-def _option_names(parser) -> set[str]:
-    """Every option string of the parser and of its subcommands."""
-    names = set()
-    for action in parser._actions:
-        names.update(action.option_strings)
-        if isinstance(action.choices, dict):
-            for sub in action.choices.values():
-                names |= _option_names(sub)
-    return names
-
-
-def _join_negative_values(argv, options):
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _NEGATIVE_VALUE_FLAGS
-            and nxt is not None
-            and nxt.startswith("-")
-            and nxt.partition("=")[0] not in options
-        ):
-            out.append(tok + "=" + nxt)
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
-    return out
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_values(list(argv), _option_names(parser)))
-    if getattr(args, "samples", None) is not None and args.samples < 1:
-        print("usage error: --samples must be at least 1", file=sys.stderr)
-        return 2
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if getattr(args, "samples", None) is not None and args.samples < 1:
+            raise UsageError("--samples must be at least 1")
         cfg = cfgmod.merge(cfgmod.load_config(path=args.config), _flag_overrides(args))
         code, report, rows = _DISPATCH[args.command](args, cfg)
         if cfg.output_format == "text" and args.command in ("theta", "tet"):
@@ -893,6 +918,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except _HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -900,9 +928,9 @@ def main(argv=None) -> int:
     return code
 
 
-# The import leaves thousands of long-lived objects (functions, classes,
-# argparse and typing machinery); moved out of the collector's generations,
-# they are no longer scanned by the collections a command triggers.
+# The import leaves thousands of long-lived objects (functions, classes and
+# typing machinery); moved out of the collector's generations, they are no
+# longer scanned by the collections a command triggers.
 gc.freeze()
 
 

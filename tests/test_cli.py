@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgraph import asymptotics, cli
+from qgraph import asymptotics, cli, config
 from qgraph.apoly import GRAPHS
 from qgraph.asymptotics import MAX_GROWTH_COLOR, SingularPointError
 from qgraph.cli import VERSION, main
@@ -136,11 +136,9 @@ def test_negative_exponent_value_still_parses(capsys):
 @pytest.mark.parametrize("argv", ["theta --eval -c 1,1,0", "theta -c 1,1,0 --eval --format=json"])
 def test_flag_followed_by_option_exit_2(capsys, argv):
     # an option name after a value flag is not taken as its value: the parser names the flag
-    with pytest.raises(SystemExit) as exc:
-        main(argv.split())
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert "argument --eval: expected one argument" in captured.err
+    code, out, err = run(capsys, argv.split())
+    _assert_one_line_usage_error(code, out, err)
+    assert "argument --eval: expected one argument" in err
 
 
 def test_unknown_edge_exit_2(capsys):
@@ -572,11 +570,9 @@ def test_eval_out_of_double_range_exit_2(capsys, argv):
 
 def test_precision_is_no_longer_an_option(capsys):
     # --eval is exact and correctly rounded, so there is no precision to set
-    with pytest.raises(SystemExit) as exc:
-        main(["--precision=120", "theta", "-c", "1,1,0", "--eval", "0.9"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert "unrecognized arguments: --precision=120" in captured.err
+    code, out, err = run(capsys, ["--precision=120", "theta", "-c", "1,1,0", "--eval", "0.9"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "unrecognized arguments: --precision=120" in err
 
 
 @pytest.mark.parametrize("command", ["lagrangian", "residual"])
@@ -645,12 +641,9 @@ def test_lagrangian_singular_point_exit_2(capsys, monkeypatch):
 
 def test_lagrangian_step_is_not_an_option(capsys):
     # the step is fixed at asymptotics.LAGRANGIAN_STEP
-    with pytest.raises(SystemExit) as exc:
-        main(["lagrangian", "--graph", "theta", "--step", "1e-5"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert "unrecognized arguments: --step 1e-5" in captured.err
-    assert "Traceback" not in captured.err
+    code, out, err = run(capsys, ["lagrangian", "--graph", "theta", "--step", "1e-5"])
+    _assert_one_line_usage_error(code, out, err)
+    assert "unrecognized arguments: --step 1e-5" in err
 
 
 @pytest.mark.parametrize(
@@ -756,16 +749,250 @@ def test_generated_argvs_exit_0_1_or_2(capsys, seed, odd):
     start = time.perf_counter()
     for _ in range(250):
         argv = _random_argv(rng, odd)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         assert code in (0, 1, 2), (argv, captured.err)
         assert "Traceback" not in captured.err, argv
         if code != 2 and argv[:2] == ["--format", "json"]:
             json.loads(captured.out, parse_constant=_reject_constant)
     assert time.perf_counter() - start < 10
+
+
+# -- the option table against argparse --------------------------------------------------------
+
+
+class _OracleError(Exception):
+    """argparse's usage error, raised where ArgumentParser.error would print usage and exit 2."""
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _OracleError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse front end that cli's option table replaced, kept as the oracle of cli._parse."""
+    parser = _OracleParser(
+        prog="qgraph",
+        description="Exact and numeric checks for colored trivalent-graph invariants.",
+    )
+    parser.add_argument("--config", help="path to a JSON config file")
+    parser.add_argument(
+        "--format", choices=config.OUTPUT_FORMATS, help="output format override"
+    )
+    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument(
+        "--tol",
+        action="append",
+        metavar="NAME=VALUE",
+        help="tolerance override, repeatable",
+    )
+    parser.add_argument("--grid-max", type=int, help="verification grid bound override")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_theta = sub.add_parser("theta", help="exact theta invariant")
+    p_theta.add_argument("-c", "--colors", required=True, help="a,b,c")
+    p_theta.add_argument("--eval", help="also evaluate at this value of q^(1/2)")
+
+    p_tet = sub.add_parser("tet", help="exact tetrahedron invariant")
+    p_tet.add_argument("-c", "--colors", required=True, help="j1,j2,j12,j3,j4,j23")
+    p_tet.add_argument("--primed", action="store_true", help="normalized summation form")
+    p_tet.add_argument("--eval", help="also evaluate at this value of q^(1/2)")
+
+    p_verify = sub.add_parser("verify", help="exact verification sweeps")
+    p_verify.add_argument("check", choices=sorted(cli._VERIFY_CHECKS))
+    p_verify.add_argument("--max", type=int, help="grid bound (color entries)")
+    p_verify.add_argument("--graph", choices=["theta", "tet"], help="graph family")
+    p_verify.add_argument("--edge", help="edge label for operator checks")
+    p_verify.add_argument("--samples", type=int, help="numeric sample count")
+    p_verify.add_argument(
+        "--inject-bad-operator",
+        action="store_true",
+        help="negative control: use a sign-flipped operator and expect failure",
+    )
+
+    p_asym = sub.add_parser("asymptotics", help="growth table against the potential")
+    p_asym.add_argument("graph", choices=["theta", "tet"])
+    p_asym.add_argument("--x", required=True, help="eigenvalue list")
+    p_asym.add_argument("--hbar", required=True, help="negative hbar list")
+
+    p_saddle = sub.add_parser("saddle", help="tetrahedron saddle roots")
+    p_saddle.add_argument("--x", required=True, help="six eigenvalues")
+
+    p_lag = sub.add_parser("lagrangian", help="twist Jacobian symmetry sweep")
+    p_lag.add_argument("--graph", choices=["theta", "tet"], default="theta")
+    p_lag.add_argument("--samples", type=int)
+    p_lag.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+    p_res = sub.add_parser("residual", help="classical curve residual sweep")
+    p_res.add_argument("--graph", choices=["theta", "tet"], default="theta")
+    p_res.add_argument("--samples", type=int)
+    p_res.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+    return parser
+
+
+# flags that always take a value, which may begin with a minus sign (-2,
+# -inf, -nan); joined with "=" so argparse does not mistake the value for
+# an option name.  A following token that is one of the parser's own option
+# names is left alone, so argparse reports the flag's missing value.
+_NEGATIVE_VALUE_FLAGS = ("--hbar", "--x", "--eval", "-c", "--colors")
+
+
+def _option_names(parser) -> set:
+    """Every option string of the parser and of its subcommands."""
+    names = set()
+    for action in parser._actions:
+        names.update(action.option_strings)
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                names |= _option_names(sub)
+    return names
+
+
+def _join_negative_values(argv, options):
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else None
+        if (
+            tok in _NEGATIVE_VALUE_FLAGS
+            and nxt is not None
+            and nxt.startswith("-")
+            and nxt.partition("=")[0] not in options
+        ):
+            out.append(tok + "=" + nxt)
+            i += 2
+            continue
+        out.append(tok)
+        i += 1
+    return out
+
+
+_ORACLE = build_parser()
+_ORACLE_NAMES = _option_names(_ORACLE)
+
+
+def _both_parses(argv):
+    """(argparse's namespace or error text, cli._parse's namespace or error text) for argv."""
+    try:
+        want = vars(_ORACLE.parse_args(_join_negative_values(list(argv), _ORACLE_NAMES)))
+    except _OracleError as exc:
+        want = str(exc)
+    try:
+        got = vars(cli._parse(list(argv)))
+    except cli.UsageError as exc:
+        got = str(exc)
+    return want, got
+
+
+# argvs that reach each way of parsing, or failing to parse, an option, a positional and the command
+_PARSE_CASES = [
+    "",
+    "--format json",
+    "--format xml theta -c 1,1,0",
+    "--format=csv --seed=-3 --grid-max -1 --tol a=1 --tol=b=2 --config c.json verify symmetry",
+    "--seed x saddle --x 1",
+    "--bogus theta -c 1,1,0",
+    "-c 1,1,0 theta",
+    "nosuch -c 1,1,0",
+    "theta",
+    "theta -c",
+    "theta --colors=-1,2,3 --eval=-0.5",
+    "theta -c 1,1,0 --eval -c",
+    "theta -c 1,1,0 --format json",
+    "theta -c 1,1,0 extra words",
+    "tet --primed=1 -c 0,0,0,0,0,0",
+    "tet -c 0,0,0,0,0,0 --primed --primed",
+    "verify",
+    "verify bogus --max 2",
+    "verify --max 2 symmetry --max 3",
+    "verify symmetry extra",
+    "verify symmetry --max x",
+    "verify --graph tet annihilation --edge 12 --inject-bad-operator",
+    "verify annihilation --graph cube",
+    "asymptotics",
+    "asymptotics --x 0.5,0.5,0.5 theta --hbar -0.1,-0.05",
+    "asymptotics spam --x 1 --hbar -1",
+    "asymptotics tet --x 1",
+    "saddle --x -1,2,3,4,5,6 --x 1",
+    "--seed 5 lagrangian",
+    "--seed 5 residual --seed 6 --graph tet --samples 0",
+    "lagrangian --graph tet --samples",
+    "lagrangian --seed --samples 2",
+    "residual --samples -1",
+]
+
+
+def _oracle_argvs(monkeypatch):
+    """The generated argvs, every benchmark argv and _PARSE_CASES."""
+    argvs = [case.split() for case in _PARSE_CASES]
+    for seed, odd in ((1, 0.1), (2, 0.1), (3, 0.35), (4, 0.35)):
+        rng = random.Random(seed)
+        argvs += [_random_argv(rng, odd) for _ in range(250)]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        for name in ("workloads", "oracle"):
+            sys.modules.pop(name, None)
+    for build in WORKLOADS.values():
+        argvs += [list(op.argv) for seed in (1, 2, 7) for op in build(seed)]
+    return argvs
+
+
+def test_option_table_parses_as_argparse_did(capsys, monkeypatch):
+    """Accepted by both or by neither; the same namespace when accepted, argparse's words and exit 2 when not."""
+    argvs = _oracle_argvs(monkeypatch)
+    accepted = 0
+    for argv in argvs:
+        want, got = _both_parses(argv)
+        assert got == want, argv
+        if isinstance(got, str):
+            _assert_one_line_usage_error(*run(capsys, argv))
+        accepted += isinstance(got, dict)
+    assert 0 < accepted < len(argvs)
+
+
+# where cli._parse and argparse part ways on purpose: (argparse's namespace or error, cli._parse's error)
+_ORACLE_DIFFERENCES = {
+    # argparse takes any unique prefix of a long option; the table knows only whole names
+    "abbreviation": ("tet --prim -c 0,0,0,0,0,0", "unrecognized arguments: --prim"),
+    "attached short value": ("theta -c1,1,0", "the following arguments are required: -c/--colors"),
+    # every value option takes a value that starts with "-"; argparse took one only after the five joined flags
+    "dash value": ("verify annihilation --edge -a", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DIFFERENCES))
+def test_documented_differences_from_argparse(name):
+    argv, error = _ORACLE_DIFFERENCES[name]
+    want, got = _both_parses(argv.split())
+    if error is None:
+        assert isinstance(want, str) and isinstance(got, dict)
+    else:
+        assert isinstance(want, dict) and got == error
+
+
+def test_help_lists_every_command_check_and_option(capsys):
+    texts = {}
+    for argv in (["-h"], ["--help"], *([command, "-h"] for command in cli._COMMANDS), ["verify", "--max", "2", "--help"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: qgraph "), argv
+        texts[argv[0] if argv[0][0] != "-" else None] = out
+    for command, (about, table) in cli._COMMANDS.items():
+        assert command in texts[None] and about in texts[None]
+        for opt in table:
+            for name in opt.names.split("/"):
+                assert name in texts[command], (command, name)
+            assert opt.help in texts[command]
+    for check in cli._VERIFY_CHECKS:
+        assert check in texts["verify"]
+    for opt in build_parser()._actions:
+        for name in opt.option_strings:
+            assert name in texts[None]
 
 
 # -- determinism -------------------------------------------------------------------------------
@@ -1045,6 +1272,23 @@ def test_cli_runs_without_importing_mpmath():
     proc = subprocess.run([sys.executable, "-c", _NO_MPMATH_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "0", "False"]
+
+
+_NO_ARGPARSE_SCRIPT = """
+import contextlib, io, sys
+import qgraph.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["theta", "-c", "4,4,4"])
+print(code, *sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def test_cli_runs_without_importing_argparse():
+    """The option table parses argv: a command loads neither argparse nor the gettext and locale it imports."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_ARGPARSE_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_benchmark_span_targets_bind():

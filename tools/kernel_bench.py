@@ -396,7 +396,7 @@ def bench_render(repeat: int) -> None:
     from qgraph import cli, config  # cli freezes the collector on import, so only this row loads it
 
     for argv in RENDER_ARGVS:
-        args = cli.build_parser().parse_args(argv.split())
+        args = cli._parse(argv.split())
         _, report, rows = cli._DISPATCH[args.command](args, config.default_config())
 
         def pure(report=report):
