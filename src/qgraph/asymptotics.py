@@ -20,8 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from itertools import product as _iterproduct
 from typing import NamedTuple, Optional
 
@@ -768,6 +770,223 @@ def _log1m_exp(a: int, b: int, w: int) -> int:
 # fractional bits of log_scale and of the final log, which only feed one float
 _LOG_BITS = 160
 
+# a run of q^k that starts more than this many k past the last one computed
+# starts from _exp_mantissa instead of one product per skipped k
+_RUN_GAP = 32
+
+# a walk's precision falls in steps of this many bits; each fall costs a pass
+# over the table entries that the steps at the new precision read
+_DROP_STEP = 64
+
+# sums with fewer summands skip the scan and keep every summand at full
+# precision: there the scan costs about what it saves (at x = 0.35, 320 bits)
+_SCAN_MIN = 128
+
+
+def _merge_runs(runs) -> list:
+    # the union of inclusive ranges (first, last), as sorted disjoint [first, last] pairs
+    out = []
+    for a, b in sorted(runs):
+        if out and a <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
+def _q_fixed(j: int, ha: int, hb: int, w: int) -> int:
+    # q^j = e^(hbar j) truncated to w fractional bits, hbar = ha / 2^hb
+    man, ex = _exp_mantissa(ha * j, hb, w)
+    return man >> -w - ex
+
+
+def _q_power(qk: int, k: int, j: int, q: int, ha: int, hb: int, w: int) -> int:
+    # q^j at w fractional bits from qk = q^k, k <= j: by j - k products with q,
+    # or past a gap of _RUN_GAP truncated from the exact value; kept at 2^-w or more
+    if j - k > _RUN_GAP:
+        return _q_fixed(j, ha, hb, w) or 1
+    for _ in range(j - k):
+        qk = qk * q >> w or 1
+    return qk
+
+
+def _qpoch_log(j0: int, j1: int, q: int, ha: int, hb: int, w: int) -> int:
+    """log prod_{j0 < j <= j1} (1 - q^j) in fixed point at w bits, for q^(j0+1) < 3/4.
+
+    Sums -sum_r (X^r - Y^r) / (r (1 - q^r)), X = q^(j0+1) and Y = q^(j1+1)
+    truncated to w fractional bits and q given so, up to the first X^r that
+    truncates to 0.  X^r shrinks by 3/4 or more a term, so that takes under
+    3w terms, against j1 - j0 products to multiply the factors out.
+    """
+    one = 1 << w
+    x0, y0 = _q_fixed(j0 + 1, ha, hb, w), _q_fixed(j1 + 1, ha, hb, w)
+    x, y, qr, r, acc = x0, y0, q, 1, 0
+    while x:
+        acc += ((x - y) << w) // (r * (one - qr))
+        r += 1
+        x = x * x0 >> w
+        y = y * y0 >> w
+        qr = qr * q >> w
+    return -acc
+
+
+def _pochhammer_ratio(top: int, lens, hbar: float, man: int, ex: int) -> tuple:
+    """(q;q)_top / prod_l (q;q)_l over l in lens, as (mantissa, exponent), within 2^-160 relative.
+
+    man 2^ex is e^hbar truncated (`_exp_mantissa`).  The ratio is prod_j
+    (1 - q^j)^e(j), e(j) = [j <= top] - #{l in lens : l >= j}, and e is
+    constant between consecutive cuts, the distinct values of 0, top and
+    lens.  A stretch between cuts with e != 0 is multiplied out at p0 =
+    _LOG_BITS + bit_length(8 K (ceil(1/|hbar|) + K + 2)) + 4 bits, K the
+    largest cut, and taken to the power |e| <= 7: its factors are within
+    2^(1-p0) (1/|hbar| + K) relative, as in `_tet_rung`, and its products
+    2^(1-p0), so the stretches together are within 2^(-_LOG_BITS-3).  A
+    stretch whose first q^j is below 3/4 and that is more than three times
+    as long as its series (about w / log2(1/q^j) terms) is summed by
+    `_qpoch_log` instead, at w = p0 +
+    2 bit_length(4K + 3 p0) + 16 bits; there 1/|hbar| < 4K, and each log
+    is within 2^(7-w) (4K + 3 p0)^2, so their at most 56 copies together
+    within 2^(-p0-3).  One `_exp_mantissa` takes their sum back.
+    """
+    cuts = sorted({0, top, *lens})
+    p0 = _LOG_BITS + (8 * cuts[-1] * (math.ceil(-1.0 / hbar) + cuts[-1] + 2)).bit_length() + 4
+    w = p0 + 2 * (4 * cuts[-1] + 3 * p0).bit_length() + 16
+    ha, hb = hbar.as_integer_ratio()
+    hb = hb.bit_length() - 1
+    if -ex < w:
+        man, ex = _exp_mantissa(ha, hb, w)
+    q0, qw = man >> -p0 - ex, man >> -w - ex
+    one = 1 << p0
+    frac = [one, -p0, one, -p0]  # numerator and denominator, (mantissa, exponent) each
+    lg = 0  # the series' logs, times e, at w bits
+    qk, k = one, 0
+    for j0, j1 in zip(cuts, cuts[1:]):
+        e = (j1 <= top) - sum(j1 <= x for x in lens)
+        if not e:
+            continue
+        if -(j0 + 1) * hbar > 0.3 and -(j0 + 1) * hbar * (j1 - j0) > 3 * w * math.log(2.0):
+            lg += e * _qpoch_log(j0, j1, qw, ha, hb, w)
+            continue
+        qk = _q_power(qk, k, j0, q0, ha, hb, p0)
+        f, fe = one, -p0
+        for k in range(j0 + 1, j1 + 1):
+            qk = qk * q0 >> p0 or 1
+            x = f * (one - qk)
+            s = x.bit_length() - p0
+            f = x >> s
+            fe += s - p0
+        i = 0 if e > 0 else 2
+        for _ in range(abs(e)):
+            x = frac[i] * f
+            s = x.bit_length() - p0
+            frac[i] = x >> s
+            frac[i + 1] += fe + s
+    if lg:
+        f, fe = _exp_mantissa(lg, w, p0)
+        x = frac[0] * f
+        s = x.bit_length() - p0
+        frac[0] = x >> s
+        frac[1] += fe + s
+    x = (frac[0] << p0 + 1) // frac[2]
+    return x, frac[1] - frac[3] - p0 - 1
+
+
+def _tet_scan(taus, ups, hbar: float) -> tuple:
+    """log2 T(m)/T(lo) for lo <= m <= hi in doubles, and a bound on their error in bits.
+
+    Sums the logs of `_tet_rung`'s summand ratio, log2 v^(6m+2-2 sum t) +
+    log2(1 - q^(m+2)) + sum_u log2(1 - q^(u-m)) - sum_t log2(1 - q^(m+1-t)),
+    taking each log2(1 - q^k) = log2(-expm1(hbar k)) once over the merged runs
+    of k that the ratio reads: O(hi - lo) logs, not one per k up to hi.
+
+    Error: hbar k, expm1 and log2 each round once, and |x f'(x)| <= 1 for
+    f(x) = log(1 - e^x), so each log2(1 - q^k) is within 2^-50 (1 + its
+    magnitude).  With B the sum of the largest magnitudes of a ratio's nine
+    terms, each ratio's log is within 2^-46 (1 + B), and the n = hi - lo
+    running sums round under 2^-53 n B each, so every entry is within
+    slack = 2^-46 n (n + 1) (1 + B).  If a double overflows, every entry is 0
+    with slack 0: then no summand is dropped and every step keeps full precision.
+    """
+    lo, hi = max(taus), min(ups)
+    n = hi - lo
+    if not n:
+        return [0.0], 0.0
+    log2, expm1 = math.log2, math.expm1
+    # the k of each factor as m runs from lo to hi - 1, as (first k, step)
+    runs = [(lo + 2, 1)] + [(u - lo, -1) for u in ups] + [(lo + 1 - t, 1) for t in taus]
+    spans = [
+        (a, b, [log2(-expm1(hbar * k)) for k in range(a, b + 1)])
+        for a, b in _merge_runs({(k, k + n - 1) if d > 0 else (k - n + 1, k) for k, d in runs})
+    ]
+    cols = []
+    for k, d in runs:
+        first = k if d > 0 else k - n + 1
+        a, vals = next((a, vals) for a, b, vals in spans if a <= first <= b)
+        col = vals[first - a : first - a + n]
+        cols.append(col if d > 0 else col[::-1])
+    c1 = 3 * hbar / math.log(2.0)
+    c0 = c1 * (lo + (1 - sum(taus)) / 3)
+    ell = list(
+        accumulate(
+            (c0 + c1 * i + a + b + c + d - e - f - g - h for i, (a, b, c, d, e, f, g, h) in enumerate(zip(*cols))),
+            initial=0.0,
+        )
+    )
+    slack = 2.0**-46 * n * (n + 1) * (1 + abs(c0) + abs(c1) * n + 8 * abs(spans[0][2][0]))
+    if not (math.isfinite(ell[-1]) and math.isfinite(slack)):
+        return [0.0] * (n + 1), 0.0
+    return ell, slack
+
+
+def _walk(t, te, vm, ve, q3, e3, p, af, z, drops, ks) -> list:
+    """The summands reached from (t, te) one ratio at a time, as (mantissa, exponent) pairs.
+
+    Step i multiplies by the running power of v (vm, ve, times q^3 = q3 2^e3
+    after each step) and by 1 - q^k for its first four k in ks, and divides by
+    1 - q^k for the last four.  It works at p - drops[i] bits.  drops never
+    falls, and each run of steps with one drop d > 0 reads the p-bit table
+    (1 - q^k = af[k] 2^(-p - z[k])) shifted down by d, once for each k it
+    reads; t and vm are shifted down as the precision falls.
+    """
+    out = []
+    tab, cur, i = af, 0, 0
+    while i < len(drops):
+        d = drops[i]
+        j = bisect_right(drops, d, i)
+        cols = [f[i:j] for f in ks]
+        i = j
+        if d:
+            t >>= d - cur
+            vm >>= d - cur
+            te += d - cur
+            ve += d - cur
+            cur = d
+            if tab is af:
+                tab = af.copy()
+            for k0, k1 in _merge_runs((min(c[0], c[-1]), max(c[0], c[-1])) for c in cols):
+                tab[k0 : k1 + 1] = [x >> d for x in af[k0 : k1 + 1]]
+        w = p - d
+        q3w = q3 >> d
+        for i0, i1, i2, i3, j0, j1, j2, j3 in zip(*cols):
+            x = t * vm >> w
+            x = x * tab[i0] >> w
+            x = x * tab[i1] >> w
+            x = x * tab[i2] >> w
+            x = x * tab[i3] >> w
+            y = tab[j0] * tab[j1] >> w
+            y = y * tab[j2] >> w
+            y = y * tab[j3] >> w
+            x = (x << w + 8) // y
+            s = x.bit_length() - w
+            t = x >> s
+            te += ve + w - 8 + s + z[j0] + z[j1] + z[j2] + z[j3] - z[i0] - z[i1] - z[i2] - z[i3]
+            out.append((t, te))
+            x = vm * q3w
+            s = x.bit_length() - w
+            vm = x >> s
+            ve += e3 + d + s
+    return out
+
 
 def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     """One rung of the log_abs_tet ladder, in integer arithmetic.
@@ -786,113 +1005,134 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
         T(m+1)/T(m) = v^(6m+2-sum t-sum u) (1 - q^(m+2)) prod_u (1 - q^(u-m))
                       / prod_t (1 - q^(m+1-t)).
 
-    The rung builds every 1 - q^k as a p-bit fixed-point int from q^k by
-    repeated multiplication, forms T(lo) from the (q;q)_k products, and walks
-    the summands by that ratio.  The v^E(lo) (1 - q)^-1 factor, which every
-    summand shares, stays in log_scale.  Every value is an int mantissa with
-    a binary exponent, so no logarithm or exponential is taken per term.
+    Most summands lie far below the error budget, so the rung spends
+    precision only where the budget can see it.  `_tet_scan` predicts log2
+    T(m) in doubles, within slack bits.  With peak the largest prediction,
+    every summand predicted below peak - 2 slack - (bits + 5 +
+    bit_length(n + 1)), n = hi - lo, is under 2^(-bits-5) M / (n + 1), where M
+    is the largest summand; they are dropped, and only the summands a..b from
+    the first to the last one above that line are computed.  The one at the
+    peak, m*, is formed from the (q;q)_k products (`_pochhammer_ratio`); the
+    walk goes outward from it in both directions, up by the ratio and down
+    by its inverse (`_walk`).  A sum of fewer than _SCAN_MIN summands skips
+    the scan: every summand counts as the peak, so the walk goes up from lo
+    at full precision.  Every value is an int mantissa with a binary
+    exponent, so no logarithm or exponential is taken per term.  The
+    v^E(m*) (1 - q)^-1 factor, which every summand shares, stays in
+    log_scale.
 
     The rung's constants are integer fixed point as well.  hbar is an exact
     dyadic, and `_exp_mantissa` gives q = e^hbar truncated to p fractional
-    bits, and v^(6 lo + 2 - sum t - sum u) and q^3 as truncated p-bit
-    mantissas, exactly as the bound below assumes.  In log_scale, v^E(lo)
-    gives hbar E(lo) / 2 exactly, and ln 2 and log(1 - q) are taken at
+    bits, the first upward ratio's power of v and q^3 as truncated p-bit
+    mantissas; the first downward power of v is q^3 over the upward one.
+    1 - q^k is a p-bit mantissa for each k that a..b reads, and each run of
+    those k starts from q^k truncated to p fractional bits.  In log_scale,
+    v^E(m*) gives hbar E(m*) / 2 exactly, and ln 2 and log(1 - q) are taken at
     _LOG_BITS plus the bit length of the smallest exponent: log_scale is off
     by under 2^-150, far below the one float it feeds.
 
-    The working precision is p = bits + g guard bits, with n = hi - lo, K the
-    largest k used, and g = bit_length(n (16 (ceil(1/|hbar|) + K) + 2n + 258)) + 4:
+    The working precision is p = bits + bit_length(n^2 C) + 6 bits, with K the
+    largest k read and C = 16 (ceil(1/|hbar|) + K) + 8n + 300:
 
-    - q is truncated to p fractional bits and each q^k is a truncated product,
-      so |q^k - exact| <= 2k 2^-p.  Since 1 - q^k >= k|hbar| / (1 + k|hbar|),
-      the relative error of 1 - q^k is at most 2^(1-p) (1/|hbar| + K).  This
-      conditioning near k = 1 is what costs about log2(1/|hbar|) bits.
-    - One ratio has eight such factors, 16 (1/|hbar| + K) 2^-p in all.  Its
-      eight truncated products, one floor division and one renormalization
-      add under 256 * 2^-p (each partial product keeps at least p - 6 bits).
-      The running v^e(m) is within 2^(1-p) (1 + 2j) after j steps.
-    - So after d <= n steps T(lo + d) / T(lo) is within
-      2^-p n (16 (1/|hbar| + K) + 2n + 258), which is at most 2^(-bits-4).
-      The sums are exact: each term is shifted to the smallest exponent.
-      Hence |signed error| <= 2^(-bits-4) total.  Whenever the trust test
+    - Each q^k is truncated or a truncated product, so |q^k - exact| <=
+      2k 2^-p.  Since 1 - q^k >= k|hbar| / (1 + k|hbar|), the relative error
+      of 1 - q^k is at most 2^(1-p) (1/|hbar| + K).  This conditioning near
+      k = 1 is what costs about log2(1/|hbar|) bits.
+    - A step whose error reaches no summand above 2^-d M runs at w = p - d
+      bits, d >= 0 a multiple of _DROP_STEP: the predictions bound the
+      largest summand still ahead on its side, never the current one alone,
+      so a sequence that dips and rises again keeps its precision through
+      the dip.  Its eight factors,
+      shifted to w bits, are within 16 (1/|hbar| + K + 1) 2^-w; its eight
+      truncated products, floor division, renormalization and the drop of t
+      to w bits add under 260 2^-w (each partial product keeps at least w - 6
+      bits); and the running power of v, which starts within 6 2^-p and
+      per step gains a truncated product, a shifted q^3 and at most one
+      drop to w bits, is within (8j + 6) 2^-w after j steps.  So each step's relative error eta is at
+      most C 2^-w, and w >= bit_length(n C) + 1 keeps the etas of one side
+      summing to at most 1.
+    - A summand's relative error is then at most twice the sum of the etas
+      before it, and a step's error reaches at most n summands, each under
+      2^-d M.  Summed over at most n steps, the computed summands are within
+      2 n^2 C 2^-p M <= 2^(-bits-5) M of exact.  Measured against M rather
+      than against each summand itself, this costs about log2 n bits more
+      than an upward walk from lo.  The sums are exact: each term is
+      shifted to the smallest exponent.  With the dropped summands, |signed
+      error| <= 2^(-bits-4) M <= 2^(-bits-4) total.  Whenever the trust test
       |signed| / total > 2^(60-bits) holds, signed is good to 2^-64 relative.
-    - The error of T(lo) multiplies signed and total alike.  It leaves their
-      ratio alone and moves log|signed| by far less than a double's ulp.
+    - T(m*) is within 2^-160 relative (`_pochhammer_ratio`).  That error
+      multiplies signed and total alike: it leaves their ratio alone and
+      moves log|signed| by far less than a double's ulp.
 
     By that bound a computed signed == 0 only says |true signed| <=
     2^(-bits-4) total: it fails the trust test like any small survivor.
     """
     lo, hi = max(taus), min(ups)
     n = hi - lo
-    top = max(hi + 1, max(ups) - lo, hi - min(taus))
-    p = bits + (n * (16 * (math.ceil(-1.0 / hbar) + top) + 2 * n + 258)).bit_length() + 4
-    one = 1 << p
+    ell, slack = _tet_scan(taus, ups, hbar) if n >= _SCAN_MIN else ([0.0] * (n + 1), 0.0)
+    peak = max(ell)
+    line = peak - 2 * slack - bits - 5 - (n + 1).bit_length()
+    first = next(i for i, e in enumerate(ell) if e >= line)
+    last = n - next(i for i, e in enumerate(reversed(ell)) if e >= line)
+    top = ell.index(peak)
+    a, mid, b = lo + first, lo + top, lo + last
+    # the k that the ratios of m = a .. b-1 read: m + 2, u - m and m + 1 - t
+    runs = [(a + 2, b + 1)] + [(u - b + 1, u - a) for u in ups] + [(a + 1 - t, b - t) for t in taus]
+    runs = runs if a < b else []
+    kmax = max(k for _, k in runs) if runs else 0
+    c = 16 * (math.ceil(-1.0 / hbar) + kmax) + 8 * n + 300
+    p = bits + (n * n * c).bit_length() + 6
+    cap = p - (n * c).bit_length() - 1
+    base = peak - 2 * slack
+
+    def drops(maxima):
+        # the bits each step drops, from the largest prediction still ahead of it
+        return [min(cap, d - d % _DROP_STEP) if d > 0 else 0 for d in [int(base - s) for s in maxima]]
+
     ha, hb = hbar.as_integer_ratio()
     hb = hb.bit_length() - 1  # hbar = ha / 2^hb exactly
     man, ex = _exp_mantissa(ha, hb, p)
     q = man >> -p - ex
-    vp, ve = _exp_mantissa(ha * (6 * lo + 2 - 2 * sum(taus)), hb + 1, p)
-    q3, e3 = _exp_mantissa(3 * ha, hb, p)
-    # 1 - q^k = af[k] * 2^(-p - z[k]) for k >= 1, each af[k] an int of exactly
-    # p bits; q^k is kept at 2^-p or more, which is within the bound above
-    af, z = [one], [0]
-    qk = one
-    for k in range(1, top + 1):
-        qk = max(qk * q >> p, 1)
-        a = one - qk
-        s = p - a.bit_length()
-        af.append(a << s)
-        z.append(s)
-    # poch[k] = (man, ex) with (q;q)_k = man * 2^ex, up to what T(lo) needs
-    poch = [(one, -p)]
-    man, ex = one, -p
-    for k in range(1, max(lo + 1, lo - min(taus), max(ups) - lo) + 1):
-        x = man * af[k]
-        s = x.bit_length() - p
-        man = x >> s
-        ex += s - p - z[k]
-        poch.append((man, ex))
-    num, ex = poch[lo + 1]
-    den = 1
-    for k in [lo - t for t in taus] + [u - lo for u in ups]:
-        dm, de = poch[k]
-        den *= dm
-        ex -= de
-    width = den.bit_length() + p
-    x = (num << width) // den
+    # T(m*) = v^E(m*) (1 - q)^-1 (q;q)_(m*+1) / (prod_t (q;q)_(m*-t) prod_u (q;q)_(u-m*))
+    lens = [mid - t for t in taus] + [u - mid for u in ups]
+    x, xe = _pochhammer_ratio(mid + 1, lens, hbar, man, ex)
     s = x.bit_length() - p
-    t, te = x >> s, ex - width + s
-    terms = [(t, te)]
-    t0, t1, t2, t3 = taus
-    u0, u1, u2 = ups
-    for m in range(lo, hi):
-        x = t * vp >> p
-        x = x * af[m + 2] >> p
-        x = x * af[u0 - m] >> p
-        x = x * af[u1 - m] >> p
-        x = x * af[u2 - m] >> p
-        y = af[m + 1 - t0] * af[m + 1 - t1] >> p
-        y = y * af[m + 1 - t2] >> p
-        y = y * af[m + 1 - t3] >> p
-        x = (x << p + 8) // y
-        s = x.bit_length() - p
-        t = x >> s
-        te += ve + p - 8 + s + (
-            z[m + 1 - t0] + z[m + 1 - t1] + z[m + 1 - t2] + z[m + 1 - t3]
-            - z[m + 2] - z[u0 - m] - z[u1 - m] - z[u2 - m]
-        )
-        terms.append((t, te))
-        x = vp * q3
-        s = x.bit_length() - p
-        vp = x >> s
-        ve += e3 + s
+    t, te = x >> s if s >= 0 else x << -s, xe + s
+    # 1 - q^k = af[k] * 2^(-p - z[k]) for the k that a..b reads, each af[k] an int of exactly p bits
+    one = 1 << p
+    af, z = [0] * (kmax + 1), [0] * (kmax + 1)
+    qk, k = one, 0
+    for k0, k1 in _merge_runs(runs):
+        qk = _q_power(qk, k, k0 - 1, q, ha, hb, p)
+        for k in range(k0, k1 + 1):
+            qk = qk * q >> p or 1
+            x = one - qk
+            s = p - x.bit_length()
+            af[k] = x << s
+            z[k] = s
+    vm, ve = _exp_mantissa(ha * (6 * mid + 2 - 2 * sum(taus)), hb + 1, p)
+    q3, e3 = _exp_mantissa(3 * ha, hb, p)
+    x = (q3 << p + 1) // vm
+    s = x.bit_length() - p
+    vd, vde = x >> s, e3 - ve - p - 1 + s
+    up = _walk(
+        t, te, vm, ve, q3, e3, p, af, z,
+        drops(list(accumulate(reversed(ell[top + 1 : last + 1]), max))[::-1]),
+        [range(mid + 2, b + 2)] + [range(u - mid, u - b, -1) for u in ups] + [range(mid + 1 - t, b + 1 - t) for t in taus],
+    )
+    down = _walk(
+        t, te, vd, vde, q3, e3, p, af, z,
+        drops(list(accumulate(ell[first:top], max))[::-1]),
+        [range(mid - t, a - t, -1) for t in taus] + [range(mid + 1, a + 1, -1)] + [range(u - mid + 1, u - a + 1) for u in ups],
+    )
+    terms = down[::-1] + [(t, te)] + up
     low = min(e for _, e in terms)
     signed = total = 0
-    for m, (t, e) in enumerate(terms, lo):
-        x = t << (e - low)
+    for m, (x, e) in enumerate(terms, a):
+        x <<= e - low
         total += x
         signed += -x if m % 2 else x
-    big_e = -lo * (lo + 1) + sum((lo - t) * (lo - t - 1) for t in taus) + sum((u - lo) * (u - lo - 1) for u in ups)
+    big_e = -mid * (mid + 1) + sum(x * (x - 1) for x in lens)
     w = _LOG_BITS + abs(low).bit_length()
     log_scale = Fraction(low * _ln2(w) - _log1m_exp(ha, hb, w), 1 << w) + Fraction(ha * big_e, 1 << hb + 2)
     return signed, total, log_scale
@@ -963,9 +1203,9 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
 
 # Largest color the command line lets a growth table round to.  Timed on a
 # 2-vCPU VM (Python 3.11): log_abs_tet at (10000,)*6, x = 0.35, trusts the
-# 2560-bit rung; it takes 1.2 s when growth_check_tet's hint starts it there,
-# 1.8-1.9 s when it climbs from 320 bits.  The cost grows about fivefold each
-# time the colors double, since the bits needed grow with them.
+# 2560-bit rung; it takes 0.15-0.23 s when growth_check_tet's hint starts it
+# there, 0.20-0.23 s when it climbs from 320 bits.  The cost grows about
+# fourfold each time the colors double, since the bits needed grow with them.
 MAX_GROWTH_COLOR = 10_000
 
 

@@ -67,6 +67,7 @@ from qgraph.invariants import (
     is_admissible,
     tet_is_admissible,
     tet_primed,
+    tet_sum_bounds,
     theta_invariant,
     theta_recursion_factor,
 )
@@ -934,6 +935,300 @@ def test_log1m_exp_error_bound(w):
         with mpmath.workprec(w + 2200):
             want = mpmath.ldexp(mpmath.log(-mpmath.expm1(mpmath.mpf(hbar))), w)
             assert abs(mpmath.mpf(got) - want) < 6
+
+
+# -- the rung against the upward walk it replaced --
+
+
+def _rung_oracle(taus, ups, hbar: float, bits: int) -> tuple:
+    """`asymptotics._tet_rung` as it was before its window: every summand, walked up from lo at full precision.
+
+    Returns (signed, total, log_scale): Python ints and an exact Fraction with
+    signed * e^log_scale = sum_m (-1)^m T(m) and total * e^log_scale =
+    sum_m T(m), where T(m) = [m+1]! / (prod_t [m-t]! prod_u [u-m]!) for
+    lo = max t <= m <= hi = min u, at v = exp(hbar/2), q = v^2.
+
+    With [k] = v^(1-k) (1 - q^k) / (1 - q) and sum t = sum u (both are the sum
+    of the six colors), T(m) = v^E(m) (1 - q)^-1 (q;q)_(m+1) /
+    (prod_t (q;q)_(m-t) prod_u (q;q)_(u-m)), where (q;q)_k is the product
+    of 1 - q^j over j <= k and 2 E(m) = -m(m+1) + sum_t (m-t)(m-t-1) +
+    sum_u (u-m)(u-m-1).  Consecutive summands differ by
+
+        T(m+1)/T(m) = v^(6m+2-sum t-sum u) (1 - q^(m+2)) prod_u (1 - q^(u-m))
+                      / prod_t (1 - q^(m+1-t)).
+
+    The rung builds every 1 - q^k as a p-bit fixed-point int from q^k by
+    repeated multiplication, forms T(lo) from the (q;q)_k products, and walks
+    the summands by that ratio.  The v^E(lo) (1 - q)^-1 factor, which every
+    summand shares, stays in log_scale.  Every value is an int mantissa with
+    a binary exponent, so no logarithm or exponential is taken per term.
+
+    The rung's constants are integer fixed point as well.  hbar is an exact
+    dyadic, and `asymptotics._exp_mantissa` gives q = e^hbar truncated to p fractional
+    bits, and v^(6 lo + 2 - sum t - sum u) and q^3 as truncated p-bit
+    mantissas, exactly as the bound below assumes.  In log_scale, v^E(lo)
+    gives hbar E(lo) / 2 exactly, and ln 2 and log(1 - q) are taken at
+    asymptotics._LOG_BITS plus the bit length of the smallest exponent: log_scale is off
+    by under 2^-150, far below the one float it feeds.
+
+    The working precision is p = bits + g guard bits, with n = hi - lo, K the
+    largest k used, and g = bit_length(n (16 (ceil(1/|hbar|) + K) + 2n + 258)) + 4:
+
+    - q is truncated to p fractional bits and each q^k is a truncated product,
+      so |q^k - exact| <= 2k 2^-p.  Since 1 - q^k >= k|hbar| / (1 + k|hbar|),
+      the relative error of 1 - q^k is at most 2^(1-p) (1/|hbar| + K).  This
+      conditioning near k = 1 is what costs about log2(1/|hbar|) bits.
+    - One ratio has eight such factors, 16 (1/|hbar| + K) 2^-p in all.  Its
+      eight truncated products, one floor division and one renormalization
+      add under 256 * 2^-p (each partial product keeps at least p - 6 bits).
+      The running v^e(m) is within 2^(1-p) (1 + 2j) after j steps.
+    - So after d <= n steps T(lo + d) / T(lo) is within
+      2^-p n (16 (1/|hbar| + K) + 2n + 258), which is at most 2^(-bits-4).
+      The sums are exact: each term is shifted to the smallest exponent.
+      Hence |signed error| <= 2^(-bits-4) total.  Whenever the trust test
+      |signed| / total > 2^(60-bits) holds, signed is good to 2^-64 relative.
+    - The error of T(lo) multiplies signed and total alike.  It leaves their
+      ratio alone and moves log|signed| by far less than a double's ulp.
+
+    By that bound a computed signed == 0 only says |true signed| <=
+    2^(-bits-4) total: it fails the trust test like any small survivor.
+    """
+    lo, hi = max(taus), min(ups)
+    n = hi - lo
+    top = max(hi + 1, max(ups) - lo, hi - min(taus))
+    p = bits + (n * (16 * (math.ceil(-1.0 / hbar) + top) + 2 * n + 258)).bit_length() + 4
+    one = 1 << p
+    ha, hb = hbar.as_integer_ratio()
+    hb = hb.bit_length() - 1  # hbar = ha / 2^hb exactly
+    man, ex = asymptotics._exp_mantissa(ha, hb, p)
+    q = man >> -p - ex
+    vp, ve = asymptotics._exp_mantissa(ha * (6 * lo + 2 - 2 * sum(taus)), hb + 1, p)
+    q3, e3 = asymptotics._exp_mantissa(3 * ha, hb, p)
+    # 1 - q^k = af[k] * 2^(-p - z[k]) for k >= 1, each af[k] an int of exactly
+    # p bits; q^k is kept at 2^-p or more, which is within the bound above
+    af, z = [one], [0]
+    qk = one
+    for k in range(1, top + 1):
+        qk = max(qk * q >> p, 1)
+        a = one - qk
+        s = p - a.bit_length()
+        af.append(a << s)
+        z.append(s)
+    # poch[k] = (man, ex) with (q;q)_k = man * 2^ex, up to what T(lo) needs
+    poch = [(one, -p)]
+    man, ex = one, -p
+    for k in range(1, max(lo + 1, lo - min(taus), max(ups) - lo) + 1):
+        x = man * af[k]
+        s = x.bit_length() - p
+        man = x >> s
+        ex += s - p - z[k]
+        poch.append((man, ex))
+    num, ex = poch[lo + 1]
+    den = 1
+    for k in [lo - t for t in taus] + [u - lo for u in ups]:
+        dm, de = poch[k]
+        den *= dm
+        ex -= de
+    width = den.bit_length() + p
+    x = (num << width) // den
+    s = x.bit_length() - p
+    t, te = x >> s, ex - width + s
+    terms = [(t, te)]
+    t0, t1, t2, t3 = taus
+    u0, u1, u2 = ups
+    for m in range(lo, hi):
+        x = t * vp >> p
+        x = x * af[m + 2] >> p
+        x = x * af[u0 - m] >> p
+        x = x * af[u1 - m] >> p
+        x = x * af[u2 - m] >> p
+        y = af[m + 1 - t0] * af[m + 1 - t1] >> p
+        y = y * af[m + 1 - t2] >> p
+        y = y * af[m + 1 - t3] >> p
+        x = (x << p + 8) // y
+        s = x.bit_length() - p
+        t = x >> s
+        te += ve + p - 8 + s + (
+            z[m + 1 - t0] + z[m + 1 - t1] + z[m + 1 - t2] + z[m + 1 - t3]
+            - z[m + 2] - z[u0 - m] - z[u1 - m] - z[u2 - m]
+        )
+        terms.append((t, te))
+        x = vp * q3
+        s = x.bit_length() - p
+        vp = x >> s
+        ve += e3 + s
+    low = min(e for _, e in terms)
+    signed = total = 0
+    for m, (t, e) in enumerate(terms, lo):
+        x = t << (e - low)
+        total += x
+        signed += -x if m % 2 else x
+    big_e = -lo * (lo + 1) + sum((lo - t) * (lo - t - 1) for t in taus) + sum((u - lo) * (u - lo - 1) for u in ups)
+    w = asymptotics._LOG_BITS + abs(low).bit_length()
+    log_scale = Fraction(low * asymptotics._ln2(w) - asymptotics._log1m_exp(ha, hb, w), 1 << w) + Fraction(ha * big_e, 1 << hb + 2)
+    return signed, total, log_scale
+
+
+def _assert_rung_matches_oracle(taus, ups, hbar, bits):
+    # The rung's peak summand is good to 2^-160, an error that scales signed and
+    # total alike.  So signed is compared on the oracle's scale, where the two
+    # totals agree, against the 2^(-bits-4) total each rung may be off by, and
+    # that scale (total e^log_scale) to 2^-140.
+    signed, total, scale = asymptotics._tet_rung(taus, ups, hbar, bits)
+    want_signed, want_total, want_scale = _rung_oracle(taus, ups, hbar, bits)
+    assert abs(Fraction(signed * want_total, total) - want_signed) <= Fraction(want_total, 1 << bits + 3)
+    with mpmath.workprec(256):
+        gap = mpmath.log(total) - mpmath.log(want_total)
+        gap += mpmath.mpf(scale.numerator) / scale.denominator
+        gap -= mpmath.mpf(want_scale.numerator) / want_scale.denominator
+        assert abs(gap) < mpmath.ldexp(1, -140)
+
+
+def _halves(colors):
+    col = TetColoring(*colors)
+    return _triangle_halves(col), _quad_halves(col)
+
+
+@pytest.mark.parametrize(
+    "colors, hbar",
+    NUMERIC_BENCH_ROWS + TINY_HBAR_ROWS,
+    ids=lambda v: str(v[0]) if isinstance(v, tuple) else repr(v),
+)
+def test_rung_matches_the_oracle(colors, hbar):
+    bits = log_abs_tet(colors, hbar)[1]["precision_bits"]
+    for b in sorted({asymptotics._START_BITS, bits}):
+        _assert_rung_matches_oracle(*_halves(colors), hbar, b)
+
+
+@pytest.mark.parametrize("scan_min", [0, asymptotics._SCAN_MIN])
+def test_rung_matches_the_oracle_on_random_colorings(monkeypatch, scan_min):
+    # scan_min 0 sends the short sums through the scan and the window as well
+    monkeypatch.setattr(asymptotics, "_SCAN_MIN", scan_min)
+    rng = random.Random(11)
+    done = 0
+    while done < 12:
+        col = TetColoring(*(rng.randrange(600) for _ in range(6)))
+        if not tet_is_admissible(col) or tet_sum_bounds(col).is_empty():
+            continue
+        _assert_rung_matches_oracle(*_halves(col), -rng.uniform(0.002, 0.3), rng.choice((320, 640)))
+        done += 1
+
+
+def test_rung_matches_the_oracle_at_4000():
+    colors, hbar = (4000,) * 6, 2.0 * math.log(0.35) / 4000
+    assert log_abs_tet(colors, hbar)[1]["precision_bits"] == 1280
+    _assert_rung_matches_oracle(*_halves(colors), hbar, 1280)
+
+
+@pytest.mark.parametrize(
+    "colors, hbar, n, peak",
+    [
+        ((264, 53, 211, 329, 356, 364), -0.05, 0, 0),  # lo = hi = 492: one summand
+        ((84, 52, 98, 36, 68, 26), -0.05, 3, 0),  # falls from lo
+        ((338, 366, 372, 392, 358, 328), -0.3, 151, 151),  # rises to hi, over 16000 bits
+    ],
+)
+def test_rung_window_edges(monkeypatch, colors, hbar, n, peak):
+    monkeypatch.setattr(asymptotics, "_SCAN_MIN", 0)
+    taus, ups = _halves(colors)
+    ell, _ = asymptotics._tet_scan(taus, ups, hbar)
+    assert len(ell) == n + 1 and ell.index(max(ell)) == peak
+    for bits in (320, 640):
+        _assert_rung_matches_oracle(taus, ups, hbar, bits)
+
+
+def _scan_altered(monkeypatch, alter):
+    # _tet_scan with its predictions and slack passed through alter(ell, slack, peak index)
+    real = asymptotics._tet_scan
+
+    def scan(taus, ups, hbar):
+        ell, slack = real(taus, ups, hbar)
+        return alter(ell, slack, ell.index(max(ell)))
+
+    monkeypatch.setattr(asymptotics, "_tet_scan", scan)
+
+
+def test_rung_keeps_precision_through_a_predicted_dip(monkeypatch):
+    # predicted summands that fall 500 bits below the peak and rise again: a
+    # step keeps the precision of the largest summand still ahead of it, so the
+    # true summands in the dip, near the peak, stay exact
+    def dip(ell, slack, top):
+        return [e - 500 if top < i <= top + 20 else e for i, e in enumerate(ell)], slack
+
+    _scan_altered(monkeypatch, dip)
+    colors, hbar = NUMERIC_BENCH_ROWS[3]
+    _assert_rung_matches_oracle(*_halves(colors), hbar, 320)
+
+
+def test_rung_allows_for_the_scan_error(monkeypatch):
+    # predictions 100 bits low, but within the slack they come with: the window
+    # and the precision widen by it and still cover the true summands
+    def low(ell, slack, top):
+        return [e if i == top else e - 100 for i, e in enumerate(ell)], slack + 100
+
+    _scan_altered(monkeypatch, low)
+    colors, hbar = NUMERIC_BENCH_ROWS[3]
+    _assert_rung_matches_oracle(*_halves(colors), hbar, 320)
+
+
+def _log2_summands(taus, ups, hbar):
+    # log2 T(m)/T(lo) from the summand ratio in mpmath, 120 bits
+    lo, hi = max(taus), min(ups)
+    with mpmath.workprec(120):
+        h = mpmath.mpf(hbar)
+
+        def f(k):
+            return mpmath.log(-mpmath.expm1(h * k), 2)
+
+        out, acc = [0.0], mpmath.mpf(0)
+        for m in range(lo, hi):
+            acc += h * (6 * m + 2 - 2 * sum(taus)) / (2 * mpmath.ln2)
+            acc += f(m + 2) + sum(f(u - m) for u in ups) - sum(f(m + 1 - t) for t in taus)
+            out.append(acc)
+        return out
+
+
+@pytest.mark.parametrize(
+    "colors, hbar",
+    [NUMERIC_BENCH_ROWS[0], NUMERIC_BENCH_ROWS[6], TINY_HBAR_ROWS[2], ((84, 52, 98, 36, 68, 26), -0.05)],
+)
+def test_tet_scan_is_within_its_slack(colors, hbar):
+    taus, ups = _halves(colors)
+    ell, slack = asymptotics._tet_scan(taus, ups, hbar)
+    assert 0 < slack < 2.0**-20
+    want = _log2_summands(taus, ups, hbar)
+    assert len(ell) == len(want) and all(abs(e - w) <= slack for e, w in zip(ell, want))
+
+
+def test_tet_scan_overflow_keeps_every_summand():
+    taus, ups = _halves((338, 366, 372, 392, 358, 328))
+    assert asymptotics._tet_scan(taus, ups, -1e306) == ([0.0] * 152, 0.0)
+
+
+@pytest.mark.parametrize(
+    "top, lens, hbar, series",
+    [
+        (125, [23, 23, 23, 23, 10, 11, 11], -(2.0**-5), 0),  # (67,67,68,...)'s peak: its series would be longer
+        (3951, [725] * 4 + [350] * 3, -(2.0**-10), 1),  # (2150,)^6's peak: 3226 factors as one series
+        (40, [45, 3, 0, 7, 50, 2, 9], -1e-9, 0),  # lens above top, at tiny hbar
+    ],
+)
+def test_pochhammer_ratio_within_2_to_minus_160(monkeypatch, top, lens, hbar, series):
+    calls = []
+    real = asymptotics._qpoch_log
+    monkeypatch.setattr(asymptotics, "_qpoch_log", lambda *a: calls.append(a) or real(*a))
+    a, b = _dyadic(hbar)
+    x, e = asymptotics._pochhammer_ratio(top, lens, hbar, *asymptotics._exp_mantissa(a, b, 400))
+    assert len(calls) == series
+    with mpmath.workprec(400):
+        q = mpmath.exp(mpmath.mpf(hbar))
+        poch, acc, qk = [mpmath.mpf(1)], mpmath.mpf(1), mpmath.mpf(1)
+        for _ in range(max(top, *lens)):
+            qk *= q
+            acc *= 1 - qk
+            poch.append(acc)
+        want = poch[top] / mpmath.fprod(poch[n] for n in lens)
+        assert abs(mpmath.ldexp(x, e) / want - 1) < mpmath.ldexp(1, -160)
 
 
 def test_log_abs_tet_rejects_inadmissible():

@@ -16,8 +16,11 @@ with the shifted theta value, on factored values), the cold tet sums
 (`tet_primed` and `tet_full` over the colorings of grid 4, over the lcm in
 the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
-320- and 640-bit rungs) and in the two tet growth tables of the benchmark's
-numeric workload (`growth_check_tet`, 6 and 4 rows), one rung's constants
+320- and 640-bit rungs), in the two tet growth tables of the benchmark's
+numeric workload (`growth_check_tet`, 6 and 4 rows) and as one 2560-bit
+`_tet_rung` at the growth-table color cap ((10000,)*6, x = 0.35), each row
+followed by the same with the rung the tests keep as their oracle (every
+summand, walked up at full precision), one rung's constants
 (the integer fixed-point exp and log against mpmath, at every rung of the
 ladder from 320 to 40960 bits), the exact zero test
 (`rat_dot_vanishes` against `rat_dot(...).is_zero()` over the pairs of both
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import resource
@@ -296,27 +300,55 @@ GROWTH_ROWS = (((538,) * 6, -(2.0**-8)), ((2150,) * 6, -(2.0**-10)))
 # (x, hbar exponents) of the two tet growth tables of the benchmark's numeric workload
 GROWTH_TABLES = (((0.35,) * 6, range(5, 11)), ((0.3, 0.35, 0.4, 0.3, 0.35, 0.4), range(7, 11)))
 
+# (colors, hbar, bits) of one rung at the growth-table color cap: x = 0.35 on the rung it trusts
+CAP_RUNG = ((asymptotics.MAX_GROWTH_COLOR,) * 6, 2.0 * math.log(0.35) / asymptotics.MAX_GROWTH_COLOR, 2560)
+
+
+def _load_rung_oracle():
+    """The rung as it was before its window, which the tests keep as their oracle."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+    from test_asymptotics import _rung_oracle
+
+    return _rung_oracle
+
 
 def bench_log_abs_tet(repeat: int) -> None:
+    """Each row with the rung, then with the oracle rung in its place."""
+    real, oracle = asymptotics._tet_rung, _load_rung_oracle()
+
+    def both(label, fn):
+        for tag, rung in (("", real), (", oracle", oracle)):
+            asymptotics._tet_rung = rung
+            try:
+                _line(label + tag, *_time_call(fn, repeat))
+            finally:
+                asymptotics._tet_rung = real
+
     for colors, hbar in GROWTH_ROWS:
         bits = asymptotics.log_abs_tet(colors, hbar)[1]["precision_bits"]
-        med, spread = _time_call(lambda: asymptotics.log_abs_tet(colors, hbar), repeat)
-        _line(f"log_abs_tet {colors[0]}^6, hbar={hbar!r}, {bits}-bit rung", med, spread)
+        both(f"log_abs_tet {colors[0]}^6, hbar={hbar!r}, {bits}-bit rung", lambda: asymptotics.log_abs_tet(colors, hbar))
     for x, ks in GROWTH_TABLES:
         hbars = [-(2.0**-k) for k in ks]
-        med, spread = _time_call(lambda: asymptotics.growth_check_tet(x, hbars), repeat)
-        _line(f"growth_check_tet x={x[0]},{x[1]},{x[2]},.., {len(hbars)} rows", med, spread)
+        both(f"growth_check_tet x={x[0]},{x[1]},{x[2]},.., {len(hbars)} rows", lambda: asymptotics.growth_check_tet(x, hbars))
+    colors, hbar, bits = CAP_RUNG
+    col = invariants.TetColoring(*colors)
+    taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
+    both(
+        f"_tet_rung {colors[0]}^6, x=0.35, {bits}-bit rung",
+        lambda: asymptotics._tet_rung(taus, ups, hbar, bits),
+    )
 
 
-# guard bits of the log_abs_tet rows' rungs: 27 at (538,)^6 and 31 at (2150,)^6
-RUNG_GUARD = 31
+# guard bits of the log_abs_tet rows' rungs: 37 at (538,)^6 and 43 at (2150,)^6
+RUNG_GUARD = 43
 
 
 def bench_rung_constants(repeat: int) -> None:
     """One rung's constants at each ladder rung, integer fixed point against mpmath.
 
-    The constants of the (2150,)^6, hbar = -2^-10 rung: q, the first ratio's
-    power of v and q^3 as p-bit mantissas, log_scale and the final log.  The
+    The constants of the (2150,)^6, hbar = -2^-10 rung: q, the first upward
+    ratio's power of v from the peak summand and q^3 as p-bit mantissas,
+    log_scale and the final log.  The
     mpmath route is the one the rung used before it went to fixed point.
     low and the summed survivor are stand-ins of a rung's size: -2p and a
     p-bit int.
@@ -326,9 +358,10 @@ def bench_rung_constants(repeat: int) -> None:
     colors, hbar = GROWTH_ROWS[1]
     col = invariants.TetColoring(*colors)
     taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
-    lo = max(taus)
-    mult = 6 * lo + 2 - 2 * sum(taus)
-    big_e = -lo * (lo + 1) + sum((lo - t) * (lo - t - 1) for t in taus) + sum((u - lo) * (u - lo - 1) for u in ups)
+    ell, _ = asymptotics._tet_scan(taus, ups, hbar)
+    mid = max(taus) + ell.index(max(ell))
+    mult = 6 * mid + 2 - 2 * sum(taus)
+    big_e = -mid * (mid + 1) + sum((mid - t) * (mid - t - 1) for t in taus) + sum((u - mid) * (u - mid - 1) for u in ups)
     ha, hb = hbar.as_integer_ratio()
     hb = hb.bit_length() - 1
     rng = random.Random(1)

@@ -36,9 +36,10 @@ X_TET = "0.35,0.35,0.35,0.35,0.35,0.35"
 # argvs the benchmark never runs: theta residual and lagrangian sweeps, csv
 # output, the theta classical limit, --eval (also beyond a double's range),
 # the injected bad operator (exit 1), a growth table whose cancellation falls
-# below a double's range, --x entries above 1, a saddle point whose curve
-# overflows, the default graph and edge of each graph-dispatching command,
-# tet annihilation along the edges other than 1 and 2, and csv tet --primed
+# below a double's range, a growth row at colors 9998 near the 10000 cap,
+# --x entries above 1, a saddle point whose curve overflows, the default graph
+# and edge of each graph-dispatching command, tet annihilation along the edges
+# other than 1 and 2, and csv tet --primed
 EXTRA = [
     tuple(a.split())
     for a in (
@@ -65,6 +66,7 @@ EXTRA = [
         "theta -c 4,4,4 --eval 1e200",
         "saddle --x 0.5,0.5,1e300,0.5,0.5,0.5",
         "asymptotics tet --x " + X_TET + " --hbar -0.00047,-0.00042",
+        "asymptotics tet --x " + X_TET + " --hbar -0.00042,-0.00021",
         "asymptotics tet --x 2,2,2,2,2,2 --hbar -0.1,-0.05",
         "asymptotics theta --x 1e300,1,1 --hbar -0.1,-0.05",
         "verify annihilation --max 4",
