@@ -770,17 +770,9 @@ def _log1m_exp(a: int, b: int, w: int) -> int:
 # fractional bits of log_scale and of the final log, which only feed one float
 _LOG_BITS = 160
 
-# a run of q^k that starts more than this many k past the last one computed
-# starts from _exp_mantissa instead of one product per skipped k
-_RUN_GAP = 32
-
 # a walk's precision falls in steps of this many bits; each fall costs a pass
 # over the table entries that the steps at the new precision read
 _DROP_STEP = 64
-
-# sums with fewer summands skip the scan and keep every summand at full
-# precision: there the scan costs about what it saves (at x = 0.35, 320 bits)
-_SCAN_MIN = 128
 
 
 def _merge_runs(runs) -> list:
@@ -798,16 +790,6 @@ def _q_fixed(j: int, ha: int, hb: int, w: int) -> int:
     # q^j = e^(hbar j) truncated to w fractional bits, hbar = ha / 2^hb
     man, ex = _exp_mantissa(ha * j, hb, w)
     return man >> -w - ex
-
-
-def _q_power(qk: int, k: int, j: int, q: int, ha: int, hb: int, w: int) -> int:
-    # q^j at w fractional bits from qk = q^k, k <= j: by j - k products with q,
-    # or past a gap of _RUN_GAP truncated from the exact value; kept at 2^-w or more
-    if j - k > _RUN_GAP:
-        return _q_fixed(j, ha, hb, w) or 1
-    for _ in range(j - k):
-        qk = qk * q >> w or 1
-    return qk
 
 
 def _qpoch_log(j0: int, j1: int, q: int, ha: int, hb: int, w: int) -> int:
@@ -867,7 +849,8 @@ def _pochhammer_ratio(top: int, lens, hbar: float, man: int, ex: int) -> tuple:
         if -(j0 + 1) * hbar > 0.3 and -(j0 + 1) * hbar * (j1 - j0) > 3 * w * math.log(2.0):
             lg += e * _qpoch_log(j0, j1, qw, ha, hb, w)
             continue
-        qk = _q_power(qk, k, j0, q0, ha, hb, p0)
+        if j0 != k:
+            qk = _q_fixed(j0, ha, hb, p0)
         f, fe = one, -p0
         for k in range(j0 + 1, j1 + 1):
             qk = qk * q0 >> p0 or 1
@@ -1014,22 +997,22 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     the first to the last one above that line are computed.  The one at the
     peak, m*, is formed from the (q;q)_k products (`_pochhammer_ratio`); the
     walk goes outward from it in both directions, up by the ratio and down
-    by its inverse (`_walk`).  A sum of fewer than _SCAN_MIN summands skips
-    the scan: every summand counts as the peak, so the walk goes up from lo
-    at full precision.  Every value is an int mantissa with a binary
-    exponent, so no logarithm or exponential is taken per term.  The
-    v^E(m*) (1 - q)^-1 factor, which every summand shares, stays in
-    log_scale.
+    by its inverse (`_walk`).  If the scan overflows, every prediction is 0:
+    every summand counts as the peak, so the walk goes up from lo at full
+    precision.  Every value is an int mantissa with a binary exponent, so
+    no logarithm or exponential is taken per term.  The v^E(m*) (1 - q)^-1
+    factor, which every summand shares, stays in log_scale.
 
     The rung's constants are integer fixed point as well.  hbar is an exact
     dyadic, and `_exp_mantissa` gives q = e^hbar truncated to p fractional
     bits, the first upward ratio's power of v and q^3 as truncated p-bit
     mantissas; the first downward power of v is q^3 over the upward one.
-    1 - q^k is a p-bit mantissa for each k that a..b reads, and each run of
-    those k starts from q^k truncated to p fractional bits.  In log_scale,
-    v^E(m*) gives hbar E(m*) / 2 exactly, and ln 2 and log(1 - q) are taken at
-    _LOG_BITS plus the bit length of the smallest exponent: log_scale is off
-    by under 2^-150, far below the one float it feeds.
+    1 - q^k is a p-bit mantissa for each k that a..b reads.  Each merged run
+    k0..k1 of those k starts from the exact q^(k0-1) truncated to p
+    fractional bits (1 when k0 = 1) and goes on by products with q.  In
+    log_scale, v^E(m*) gives hbar E(m*) / 2 exactly, and ln 2 and log(1 - q)
+    are taken at _LOG_BITS plus the bit length of the smallest exponent:
+    log_scale is off by under 2^-150, far below the one float it feeds.
 
     The working precision is p = bits + bit_length(n^2 C) + 6 bits, with K the
     largest k read and C = 16 (ceil(1/|hbar|) + K) + 8n + 300:
@@ -1069,7 +1052,7 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     """
     lo, hi = max(taus), min(ups)
     n = hi - lo
-    ell, slack = _tet_scan(taus, ups, hbar) if n >= _SCAN_MIN else ([0.0] * (n + 1), 0.0)
+    ell, slack = _tet_scan(taus, ups, hbar)
     peak = max(ell)
     line = peak - 2 * slack - bits - 5 - (n + 1).bit_length()
     first = next(i for i, e in enumerate(ell) if e >= line)
@@ -1101,9 +1084,8 @@ def _tet_rung(taus, ups, hbar: float, bits: int) -> tuple:
     # 1 - q^k = af[k] * 2^(-p - z[k]) for the k that a..b reads, each af[k] an int of exactly p bits
     one = 1 << p
     af, z = [0] * (kmax + 1), [0] * (kmax + 1)
-    qk, k = one, 0
     for k0, k1 in _merge_runs(runs):
-        qk = _q_power(qk, k, k0 - 1, q, ha, hb, p)
+        qk = _q_fixed(k0 - 1, ha, hb, p) if k0 > 1 else one
         for k in range(k0, k1 + 1):
             qk = qk * q >> p or 1
             x = one - qk
@@ -1306,7 +1288,7 @@ class GrowthTable(NamedTuple):
 
 
 def _summarize(graph: str, target: float, rows: list) -> GrowthTable:
-    errs = [r.error for r in rows if r.error == r.error and math.isfinite(r.error)]
+    errs = [r.error for r in rows if math.isfinite(r.error)]
     ratios = tuple(
         abs(e0 / e1) for e0, e1 in zip(errs, errs[1:]) if e1 != 0.0
     )

@@ -243,17 +243,13 @@ def _render(report: dict, rows, fmt: str) -> str:
         buf = io.StringIO()
         for key in sorted(report):
             buf.write(f"# {key}={_fmt_scalar(report[key])}\n")
-        if rows is not None:
-            cols, data = rows
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(cols)
-            for r in data:
-                writer.writerow([_fmt_scalar(r.get(c)) for c in cols])
-        else:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            for key in sorted(report):
-                writer.writerow([key, _fmt_scalar(report[key])])
+        if rows is None:  # the key/value table stands in for the rows
+            rows = ["key", "value"], [{"key": key, "value": report[key]} for key in sorted(report)]
+        cols, data = rows
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        for r in data:
+            writer.writerow([_fmt_scalar(r.get(c)) for c in cols])
         return buf.getvalue()
     lines = []
     for key, value in report.items():
@@ -587,7 +583,7 @@ def cmd_asymptotics(args, cfg):
     rows = []
     usable = 0
     for r in table.rows:
-        ok = r.error == r.error and math.isfinite(r.error)
+        ok = math.isfinite(r.error)
         usable += ok
         rows.append(
             {

@@ -1100,10 +1100,7 @@ def test_rung_matches_the_oracle(colors, hbar):
         _assert_rung_matches_oracle(*_halves(colors), hbar, b)
 
 
-@pytest.mark.parametrize("scan_min", [0, asymptotics._SCAN_MIN])
-def test_rung_matches_the_oracle_on_random_colorings(monkeypatch, scan_min):
-    # scan_min 0 sends the short sums through the scan and the window as well
-    monkeypatch.setattr(asymptotics, "_SCAN_MIN", scan_min)
+def test_rung_matches_the_oracle_on_random_colorings():
     rng = random.Random(11)
     done = 0
     while done < 12:
@@ -1128,13 +1125,32 @@ def test_rung_matches_the_oracle_at_4000():
         ((338, 366, 372, 392, 358, 328), -0.3, 151, 151),  # rises to hi, over 16000 bits
     ],
 )
-def test_rung_window_edges(monkeypatch, colors, hbar, n, peak):
-    monkeypatch.setattr(asymptotics, "_SCAN_MIN", 0)
+def test_rung_window_edges(colors, hbar, n, peak):
     taus, ups = _halves(colors)
     ell, _ = asymptotics._tet_scan(taus, ups, hbar)
     assert len(ell) == n + 1 and ell.index(max(ell)) == peak
     for bits in (320, 640):
         _assert_rung_matches_oracle(taus, ups, hbar, bits)
+
+
+def test_rung_window_covers_a_short_sum(monkeypatch):
+    # 99 summands, lo = 406 and hi = 504: the scan puts the peak at lo + 85,
+    # and the 24 summands below lo + 24 fall under the 320-bit budget
+    formed, walked = [], []
+    real_ratio, real_walk = asymptotics._pochhammer_ratio, asymptotics._walk
+
+    def walk(*a):
+        out = real_walk(*a)
+        walked.append(len(out))
+        return out
+
+    monkeypatch.setattr(asymptotics, "_pochhammer_ratio", lambda *a: formed.append(a[0]) or real_ratio(*a))
+    monkeypatch.setattr(asymptotics, "_walk", walk)
+    taus, ups = _halves((308, 269, 235, 308, 269, 235))
+    assert (max(taus), min(ups)) == (406, 504)
+    _assert_rung_matches_oracle(taus, ups, -(2.0**-7), 320)
+    assert formed == [406 + 85 + 1]  # (q;q)_(m*+1) with m* = lo + 85
+    assert 1 + sum(walked) == 75
 
 
 def _scan_altered(monkeypatch, alter):

@@ -17,8 +17,10 @@ with the shifted theta value, on factored values), the cold tet sums
 the Phi_d basis), the growth-regime tet sum `asymptotics.log_abs_tet` at
 (538,)*6, hbar = -2^-8 (one 320-bit rung) and (2150,)*6, hbar = -2^-10 (the
 320- and 640-bit rungs), in the two tet growth tables of the benchmark's
-numeric workload (`growth_check_tet`, 6 and 4 rows) and as one 2560-bit
-`_tet_rung` at the growth-table color cap ((10000,)*6, x = 0.35), each row
+numeric workload (`growth_check_tet`, 6 and 4 rows), as one 2560-bit
+`_tet_rung` at the growth-table color cap ((10000,)*6, x = 0.35) and as one
+320-bit `_tet_rung` on the 99 summands of (308,269,235,308,269,235) at
+hbar = -2^-7, each row
 followed by the same with the rung the tests keep as their oracle (every
 summand, walked up at full precision), one rung's constants
 (the integer fixed-point exp and log against mpmath, at every rung of the
@@ -303,6 +305,9 @@ GROWTH_TABLES = (((0.35,) * 6, range(5, 11)), ((0.3, 0.35, 0.4, 0.3, 0.35, 0.4),
 # (colors, hbar, bits) of one rung at the growth-table color cap: x = 0.35 on the rung it trusts
 CAP_RUNG = ((asymptotics.MAX_GROWTH_COLOR,) * 6, 2.0 * math.log(0.35) / asymptotics.MAX_GROWTH_COLOR, 2560)
 
+# (colors, hbar, bits) of a 99-summand rung, lo = 406 to hi = 504, whose window drops 24 summands
+SHORT_RUNG = ((308, 269, 235, 308, 269, 235), -(2.0**-7), 320)
+
 
 def _load_rung_oracle():
     """The rung as it was before its window, which the tests keep as their oracle."""
@@ -330,13 +335,13 @@ def bench_log_abs_tet(repeat: int) -> None:
     for x, ks in GROWTH_TABLES:
         hbars = [-(2.0**-k) for k in ks]
         both(f"growth_check_tet x={x[0]},{x[1]},{x[2]},.., {len(hbars)} rows", lambda: asymptotics.growth_check_tet(x, hbars))
-    colors, hbar, bits = CAP_RUNG
-    col = invariants.TetColoring(*colors)
-    taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
-    both(
-        f"_tet_rung {colors[0]}^6, x=0.35, {bits}-bit rung",
-        lambda: asymptotics._tet_rung(taus, ups, hbar, bits),
-    )
+    for label, (colors, hbar, bits) in (
+        (f"_tet_rung {CAP_RUNG[0][0]}^6, x=0.35", CAP_RUNG),
+        (f"_tet_rung {SHORT_RUNG[0]}, hbar=-2^-7, 99 summands", SHORT_RUNG),
+    ):
+        col = invariants.TetColoring(*colors)
+        taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
+        both(f"{label}, {bits}-bit rung", lambda: asymptotics._tet_rung(taus, ups, hbar, bits))
 
 
 # guard bits of the log_abs_tet rows' rungs: 37 at (538,)^6 and 43 at (2150,)^6
