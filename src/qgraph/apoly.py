@@ -567,8 +567,8 @@ def interior_colorings(graph: str, edge: str, grid_max: int, order: int) -> list
     """Base colorings whose first `order` shifts along `edge` stay admissible."""
     g = GRAPHS[graph]
     slot = g.edges.index(edge)
-    cols = map(tuple, g.colorings(grid_max))
-    return [col for col in cols if all(g.admissible(_shifted(col, slot, step)) for step in range(1, order + 1))]
+    steps = range(1, order + 1)
+    return [col for col in g.colorings(grid_max) if all(g.admissible(_shifted(col, slot, s)) for s in steps)]
 
 
 def annihilation_report(

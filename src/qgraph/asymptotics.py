@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional
 
 from .apoly import GRAPHS, TET_EDGES, THETA_EDGES
 from .invariants import (
-    TetColoring,
     _quad_halves,
     _triangle_halves,
     is_admissible,
@@ -1154,10 +1153,11 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
     certificate the ladder reruns from _START_BITS, so a wrong hint costs
     time but never changes the value or the diagnostics.
     """
-    col = TetColoring(*(int(v) for v in colors))
+    col = tuple(int(v) for v in colors)
     if not tet_is_admissible(col):
-        raise ValueError(f"inadmissible coloring {tuple(col)}")
-    if tet_sum_bounds(col).is_empty():
+        raise ValueError(f"inadmissible coloring {col}")
+    lo, hi = tet_sum_bounds(col)
+    if lo > hi:
         raise ValueError("empty summation range")
     taus = _triangle_halves(col)
     ups = _quad_halves(col)
@@ -1247,8 +1247,8 @@ def _unit_shifts_by_parity() -> dict:
 
 def _tet_usable(c) -> bool:
     # admissible, with a nonempty summation range
-    col = TetColoring(*c)
-    return tet_is_admissible(col) and not tet_sum_bounds(col).is_empty()
+    lo, hi = tet_sum_bounds(c)
+    return tet_is_admissible(c) and lo <= hi
 
 
 def round_colors_tet(x, hbar: float) -> tuple:

@@ -311,6 +311,12 @@ _VERIFY_DEFAULT_MAX = {
 # about 16 s and 40 s on one core of a 2-core x86-64 machine
 GRID_CAP = {"theta": 60, "tet": 12}
 
+# the largest --samples: lagrangian and residual keep one report row per
+# sample, and at this count the slowest sampled command (verify eliminate,
+# 1.1 ms a sample) takes about 57 s on one core of a 2-core x86-64 machine,
+# residual and lagrangian --graph tet (0.8-0.9 ms) 41-45 s at a 68 MB peak
+SAMPLE_CAP = 50_000
+
 
 def _effective_max(args, cfg, check: str, graph: str) -> int:
     if getattr(args, "max", None) is not None:
@@ -402,7 +408,7 @@ def _verify_symmetry(args, cfg):
         return [
             {"colors": list(col), "image": list(img)}
             for img in tet_symmetry_orbit(col)
-            if tet_full(tuple(img)) != full or tet_primed(tuple(img)) != primed
+            if tet_full(img) != full or tet_primed(img) != primed
         ]
 
     return {"check": "symmetry", "grid_max": mx, **sweep(check, enumerate_tet_colorings(mx))}
@@ -444,7 +450,7 @@ def _verify_recursum(args, cfg):
     op = tet_quantum_A("1")
 
     def check(col):
-        rest = tuple(col)[1:]
+        rest = col[1:]
         if not (tet_is_admissible((col[0] + 2,) + rest) and tet_is_admissible((col[0] - 2,) + rest)):
             return None
         failures = []
@@ -900,8 +906,11 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if getattr(args, "samples", None) is not None and args.samples < 1:
+        samples = getattr(args, "samples", None)
+        if samples is not None and samples < 1:
             raise UsageError("--samples must be at least 1")
+        if samples is not None and samples > SAMPLE_CAP:
+            raise UsageError(f"--samples {samples} is above the sample cap {SAMPLE_CAP}")
         cfg = cfgmod.merge(cfgmod.load_config(path=args.config), _flag_overrides(args))
         code, report, rows = _DISPATCH[args.command](args, cfg)
         if cfg.output_format == "text" and args.command in ("theta", "tet"):

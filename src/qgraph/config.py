@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import NamedTuple, Optional
 
@@ -65,8 +66,8 @@ def validate(cfg: RunConfig) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
     for name, value in cfg.tolerances.items():
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise ConfigError(f"tolerance {name!r} must be positive")
+        if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            raise ConfigError(f"tolerance {name!r} must be positive and finite")
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
         raise ConfigError("seed must fit in 64 bits")
     if cfg.output_format not in OUTPUT_FORMATS:

@@ -24,34 +24,11 @@ through bracket_ratio_sum once, over the lcm of their denominators.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .laurent import LaurentRat, bracket_ratio_sum, mul_products
 
 CONVENTION_TRIANGLE = "triangle-sum"
-
-
-class ThetaColoring(NamedTuple):
-    a: int
-    b: int
-    c: int
-
-
-class TetColoring(NamedTuple):
-    j1: int
-    j2: int
-    j12: int
-    j3: int
-    j4: int
-    j23: int
-
-
-class SumBounds(NamedTuple):
-    m_min: int
-    m_max: int
-
-    def is_empty(self) -> bool:
-        return self.m_min > self.m_max
 
 
 def is_admissible(a: int, b: int, c: int) -> bool:
@@ -103,10 +80,10 @@ def _third_colors(a: int, b: int, max_entry: int) -> range:
     return range(abs(a - b), min(a + b, max_entry) + 1, 2)
 
 
-def enumerate_theta_colorings(max_entry: int) -> list[ThetaColoring]:
-    """Admissible colorings with entries up to max_entry, in lexicographic order."""
+def enumerate_theta_colorings(max_entry: int) -> list[tuple]:
+    """Admissible colorings (a, b, c) with entries up to max_entry, in lexicographic order."""
     rng = range(max_entry + 1)
-    return [ThetaColoring(a, b, c) for a in rng for b in rng for c in _third_colors(a, b, max_entry)]
+    return [(a, b, c) for a in rng for b in rng for c in _third_colors(a, b, max_entry)]
 
 
 # -- tetrahedron graph ------------------------------------------------------------
@@ -131,9 +108,9 @@ def _quad_halves(col) -> list[int]:
     ]
 
 
-def tet_sum_bounds(col) -> SumBounds:
-    """Range of the summation index: all factorial arguments nonnegative."""
-    return SumBounds(max(max(_triangle_halves(col)), 0), min(_quad_halves(col)))
+def tet_sum_bounds(col) -> tuple:
+    """Range (lo, hi) of the summation index, all factorial arguments nonnegative; empty if lo > hi."""
+    return max(max(_triangle_halves(col)), 0), min(_quad_halves(col))
 
 
 def _tet_summands(
@@ -153,13 +130,12 @@ def _tet_summands(
 def _tet_sum(col: tuple, with_prefactor: bool) -> LaurentRat:
     if not tet_is_admissible(col):
         return LaurentRat.zero()
-    bounds = tet_sum_bounds(col)
-    if bounds.is_empty():
+    lo, hi = tet_sum_bounds(col)
+    if lo > hi:
         return LaurentRat.zero()
-    lowers = _triangle_halves(col)
     # folding the prefactor into every summand keeps the sum gcd-free
     pre = tet_prefactor(col) if with_prefactor else None
-    return bracket_ratio_sum(_tet_summands(lowers, _quad_halves(col), bounds.m_min, bounds.m_max, pre))
+    return bracket_ratio_sum(_tet_summands(_triangle_halves(col), _quad_halves(col), lo, hi, pre))
 
 
 @lru_cache(maxsize=None)
@@ -191,20 +167,20 @@ def tet_full(col) -> LaurentRat:
     return _tet_full_cached(tuple(int(j) for j in col))
 
 
-def tet_symmetry_orbit(col) -> list[TetColoring]:
+def tet_symmetry_orbit(col) -> list[tuple]:
     """The five relabelings under which the invariant is unchanged."""
     j1, j2, j12, j3, j4, j23 = col
     return [
-        TetColoring(j1, j2, j12, j3, j4, j23),
-        TetColoring(j2, j1, j12, j4, j3, j23),
-        TetColoring(j12, j2, j1, j23, j4, j3),
-        TetColoring(j3, j2, j23, j1, j4, j12),
-        TetColoring(j3, j4, j12, j1, j2, j23),
+        (j1, j2, j12, j3, j4, j23),
+        (j2, j1, j12, j4, j3, j23),
+        (j12, j2, j1, j23, j4, j3),
+        (j3, j2, j23, j1, j4, j12),
+        (j3, j4, j12, j1, j2, j23),
     ]
 
 
-def enumerate_tet_colorings(max_entry: int) -> list[TetColoring]:
-    """Admissible colorings with entries up to max_entry, in lexicographic order.
+def enumerate_tet_colorings(max_entry: int) -> list[tuple]:
+    """Admissible colorings (j1, j2, j12, j3, j4, j23) with entries up to max_entry, in lexicographic order.
 
     Each entry runs over its admissible range given the ones before it; the
     first two triangles make j1 + j4 and j2 + j3 of equal parity, so the
@@ -219,7 +195,7 @@ def enumerate_tet_colorings(max_entry: int) -> list[TetColoring]:
                     for j4 in _third_colors(j3, j12, max_entry):
                         top = min(j1 + j4, j2 + j3, max_entry)
                         for j23 in range(max(abs(j1 - j4), abs(j2 - j3)), top + 1, 2):
-                            out.append(TetColoring(j1, j2, j12, j3, j4, j23))
+                            out.append((j1, j2, j12, j3, j4, j23))
     return out
 
 
@@ -268,16 +244,13 @@ def tet_hypergeom(col) -> LaurentRat:
         return LaurentRat.zero()
     j1, j2, j12, j3, j4, j23 = col
     q1, q2, q3 = _quad_halves(col)
-    swap_q2_q3 = TetColoring(j2, j1, j12, j4, j3, j23)
-    swap_q1_q3 = TetColoring(j12, j2, j1, j23, j4, j3)
     if q1 <= q2 and q1 <= q3:
         use = col
     elif q3 <= q2:
-        use = swap_q1_q3
+        use = (j12, j2, j1, j23, j4, j3)  # swaps q1 and q3
     else:
         # route the smallest (q2) into the first slot: swap it to q3, then to q1
-        t = swap_q2_q3
-        use = TetColoring(t.j12, t.j2, t.j1, t.j23, t.j4, t.j3)
+        use = (j12, j1, j2, j23, j3, j4)
     got = _hypergeom_raw(use)
     if got is None:
         raise AssertionError(f"relabeling failed to order half-sums for {col}")

@@ -61,7 +61,6 @@ from qgraph.asymptotics import (
     w_theta,
 )
 from qgraph.invariants import (
-    TetColoring,
     _quad_halves,
     _triangle_halves,
     is_admissible,
@@ -678,7 +677,7 @@ def test_log_abs_tet_matches_exact_evaluation():
         (40, 40, 40, 40, 40, 40),
         (40, 38, 42, 40, 38, 42),
     ):
-        exact = tet_primed(TetColoring(*colors)).eval_complex(v0)
+        exact = tet_primed(tuple(colors)).eval_complex(v0)
         got, diag = log_abs_tet(colors, hb)
         assert abs(got - math.log(abs(exact))) <= 1e-12
         assert 0.0 < diag["cancellation"] <= 1.0
@@ -700,7 +699,7 @@ def _log_abs_tet_log_space(colors, hbar, start_bits=320):
     log [k]! is a prefix sum of log1p(-exp(hbar k)) terms, and every summand
     is one mpmath exp, on the same precision ladder and trust test.
     """
-    col = TetColoring(*colors)
+    col = tuple(colors)
     taus = _triangle_halves(col)
     ups = _quad_halves(col)
     lo, hi = max(taus), min(ups)
@@ -1085,7 +1084,7 @@ def _assert_rung_matches_oracle(taus, ups, hbar, bits):
 
 
 def _halves(colors):
-    col = TetColoring(*colors)
+    col = tuple(colors)
     return _triangle_halves(col), _quad_halves(col)
 
 
@@ -1107,7 +1106,7 @@ def test_rung_matches_the_oracle_on_random_colorings(min_terms):
     rng = random.Random(11)
     done = 0
     while done < 12:
-        col = TetColoring(*(rng.randrange(600) for _ in range(6)))
+        col = tuple(rng.randrange(600) for _ in range(6))
         if not tet_is_admissible(col):
             continue
         lo, hi = tet_sum_bounds(col)
@@ -1290,7 +1289,7 @@ def test_round_colors_tet_plain_and_repaired():
     assert notes == ()
     colors, notes = round_colors_tet((0.35,) * 6, -1.0 / 32.0)
     assert colors is not None
-    col = TetColoring(*colors)
+    col = tuple(colors)
     assert tet_is_admissible(col)
     assert any("adjust" in n for n in notes)
     assert sum(abs(c - 2.0 * math.log(0.35) / (-1.0 / 32.0)) for c in colors) <= 3.0
@@ -1302,7 +1301,7 @@ def _round_colors_tet_brute(x, hbar):
     base = [max(0, round(e)) for e in exact]
 
     def usable(c):
-        col = TetColoring(*c)
+        col = tuple(c)
         return tet_is_admissible(col) and max(_triangle_halves(col)) <= min(_quad_halves(col))
 
     if usable(base):
@@ -1378,7 +1377,7 @@ def _round_colors_tet_looped(x, hbar):
     base = [max(0, round(e)) for e in exact]
 
     def usable(c):
-        col = TetColoring(*c)
+        col = tuple(c)
         if not tet_is_admissible(col):
             return False
         return max(_triangle_halves(col)) <= min(_quad_halves(col))

@@ -21,7 +21,7 @@ from qgraph.apoly import GRAPHS
 from qgraph.asymptotics import MAX_GROWTH_COLOR, SingularPointError
 from qgraph.cli import VERSION, main
 from qgraph.config import default_config
-from qgraph.invariants import TetColoring, tet_primed, theta_invariant
+from qgraph.invariants import tet_primed, theta_invariant
 
 
 def run(capsys, argv):
@@ -91,7 +91,7 @@ def test_tet_primed_flag(capsys):
     code, report = run_json(capsys, ["tet", "-c", "2,2,2,2,2,2", "--primed"])
     assert code == 0
     assert report["primed"] is True
-    assert report["text"] == str(tet_primed(TetColoring(2, 2, 2, 2, 2, 2)))
+    assert report["text"] == str(tet_primed((2, 2, 2, 2, 2, 2)))
 
 
 def test_eval_payload(capsys):
@@ -284,6 +284,18 @@ def test_sample_count_below_one_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err == "usage error: --samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", ["lagrangian --graph tet", "residual --graph tet", "verify eliminate"])
+def test_sample_count_above_cap_exit_2(capsys, monkeypatch, argv):
+    # refused before any sample is drawn: every sampled command seeds its own random.Random
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(cli.random, "Random", no_draw)
+    code, out, err = run(capsys, argv.split() + ["--samples", str(cli.SAMPLE_CAP + 1)])
+    _assert_one_line_usage_error(code, out, err)
+    assert err == f"usage error: --samples {cli.SAMPLE_CAP + 1} is above the sample cap {cli.SAMPLE_CAP}\n"
 
 
 def test_verify_eliminate(capsys):
@@ -1157,6 +1169,19 @@ def test_bad_tol_exit_2(capsys):
     code, out, err = run(capsys, ["--tol", "saddle", "verify", "reduction"])
     assert code == 2
     assert "config error" in err
+
+
+def test_infinite_tol_exit_2(capsys, tmp_path, monkeypatch):
+    # an infinite tolerance would pass every check
+    monkeypatch.delenv("QGRAPH_CONFIG", raising=False)
+    code, out, err = run(capsys, ["--tol", "saddle=inf", "saddle", "--x", "0.35,0.35,0.35,0.35,0.35,0.35"])
+    assert (code, out) == (2, "")
+    assert err == "config error: tolerance 'saddle' must be positive and finite\n"
+    path = tmp_path / "tols.json"
+    path.write_text('{"tolerances": {"resultant": Infinity}}')
+    code, out, err = run(capsys, ["--config", str(path), "verify", "eliminate", "--samples", "2"])
+    assert (code, out) == (2, "")
+    assert err == "config error: tolerance 'resultant' must be positive and finite\n"
 
 
 def test_unknown_tol_name_exit_2(capsys, tmp_path, monkeypatch):

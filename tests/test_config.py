@@ -59,6 +59,8 @@ def test_validate_rejects_bad_values():
         {"seed": 2**64},
         {"output_format": "yaml"},
         {"tolerances": {"saddle": 0.0}},
+        {"tolerances": {"saddle": float("inf")}},
+        {"tolerances": {"saddle": float("nan")}},
     ):
         with pytest.raises(ConfigError):
             merge(default_config(), overrides)
@@ -98,3 +100,5 @@ def test_config_hash_is_stable_and_sensitive():
     assert config_hash(c) != config_hash(a)
     obj = to_json_obj(a)
     assert json.dumps(obj)  # JSON-serializable
+    # pinned: reports published with the defaults keep their hash
+    assert config_hash(a) == "e8727b436cd2657d"

@@ -17,9 +17,6 @@ import pytest
 from qgraph import invariants
 from qgraph.laurent import LaurentPoly, LaurentRat, bracket_ratio_sum, q_factorial, q_int
 from qgraph.invariants import (
-    SumBounds,
-    TetColoring,
-    ThetaColoring,
     enumerate_tet_colorings,
     enumerate_theta_colorings,
     invariant_record,
@@ -109,7 +106,7 @@ def test_admissibility():
 def _filtered_theta_colorings(max_entry):
     # oracle: every triple of the box, kept when admissible
     rng = range(max_entry + 1)
-    return [ThetaColoring(a, b, c) for a in rng for b in rng for c in rng if is_admissible(a, b, c)]
+    return [(a, b, c) for a in rng for b in rng for c in rng if is_admissible(a, b, c)]
 
 
 def _filtered_tet_colorings(max_entry):
@@ -124,7 +121,7 @@ def _filtered_tet_colorings(max_entry):
                 continue
             for j23 in rng:
                 if is_admissible(j1, j4, j23) and is_admissible(j2, j3, j23):
-                    out.append(TetColoring(j1, j2, j12, j3, j4, j23))
+                    out.append((j1, j2, j12, j3, j4, j23))
     return out
 
 
@@ -206,10 +203,21 @@ def test_recursion_contract_on_grid():
 
 
 def test_sum_bounds_known():
-    assert tet_sum_bounds((2, 2, 2, 2, 2, 2)) == SumBounds(3, 4)
-    assert tet_sum_bounds((1, 1, 2, 1, 1, 2)) == SumBounds(2, 2)
-    assert tet_sum_bounds((0, 0, 0, 0, 0, 0)) == SumBounds(0, 0)
-    assert not tet_sum_bounds((2, 2, 2, 2, 2, 2)).is_empty()
+    assert tet_sum_bounds((2, 2, 2, 2, 2, 2)) == (3, 4)
+    assert tet_sum_bounds((1, 1, 2, 1, 1, 2)) == (2, 2)
+    assert tet_sum_bounds((0, 0, 0, 0, 0, 0)) == (0, 0)
+    lo, hi = tet_sum_bounds((2, 2, 2, 2, 2, 2))
+    assert lo <= hi
+
+
+def test_colorings_and_bounds_are_plain_tuples():
+    # one representation: no named tuple type anywhere a coloring or range is handed out
+    assert type(enumerate_theta_colorings(2)[0]) is tuple
+    assert type(enumerate_tet_colorings(2)[0]) is tuple
+    orbit = tet_symmetry_orbit((1, 2, 3, 4, 5, 6))
+    assert len(orbit) == 5 and all(type(img) is tuple for img in orbit)
+    bounds = tet_sum_bounds((2, 2, 2, 2, 2, 2))
+    assert type(bounds) is tuple and bounds == (3, 4)
 
 
 # -- tetrahedron invariant -------------------------------------------------------------
@@ -266,18 +274,18 @@ def test_tet_palindromic():
 
 
 def test_symmetry_orbit_images():
-    col = TetColoring(1, 2, 3, 4, 5, 6)
+    col = (1, 2, 3, 4, 5, 6)
     orbit = tet_symmetry_orbit(col)
     assert orbit[0] == col
-    assert orbit[1] == TetColoring(2, 1, 3, 5, 4, 6)
-    assert orbit[2] == TetColoring(3, 2, 1, 6, 5, 4)
-    assert orbit[3] == TetColoring(4, 2, 6, 1, 5, 3)
-    assert orbit[4] == TetColoring(4, 5, 3, 1, 2, 6)
+    assert orbit[1] == (2, 1, 3, 5, 4, 6)
+    assert orbit[2] == (3, 2, 1, 6, 5, 4)
+    assert orbit[3] == (4, 2, 6, 1, 5, 3)
+    assert orbit[4] == (4, 5, 3, 1, 2, 6)
     # all-equal coloring is a fixed point of every image
-    allsame = TetColoring(2, 2, 2, 2, 2, 2)
+    allsame = (2, 2, 2, 2, 2, 2)
     assert all(img == allsame for img in tet_symmetry_orbit(allsame))
     # explicit pattern for a zero-edge coloring
-    assert tet_symmetry_orbit((0, 2, 2, 2, 0, 2))[3] == TetColoring(2, 2, 2, 0, 0, 2)
+    assert tet_symmetry_orbit((0, 2, 2, 2, 0, 2))[3] == (2, 2, 2, 0, 0, 2)
 
 
 def test_symmetry_invariance_grid():
@@ -285,8 +293,8 @@ def test_symmetry_invariance_grid():
         v = tet_full(col)
         p = tet_primed(col)
         for img in tet_symmetry_orbit(col):
-            assert tet_full(tuple(img)) == v, (col, img)
-            assert tet_primed(tuple(img)) == p, (col, img)
+            assert tet_full(img) == v, (col, img)
+            assert tet_primed(img) == p, (col, img)
 
 
 # -- hypergeometric cross-form -------------------------------------------------------------

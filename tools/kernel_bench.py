@@ -339,7 +339,7 @@ def bench_log_abs_tet(repeat: int) -> None:
         (f"_tet_rung {CAP_RUNG[0][0]}^6, x=0.35", CAP_RUNG),
         (f"_tet_rung {SHORT_RUNG[0]}, hbar=-2^-7, 99 summands", SHORT_RUNG),
     ):
-        col = invariants.TetColoring(*colors)
+        col = tuple(colors)
         taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
         both(f"{label}, {bits}-bit rung", lambda: asymptotics._tet_rung(taus, ups, hbar, bits))
 
@@ -361,7 +361,7 @@ def bench_rung_constants(repeat: int) -> None:
     import mpmath  # a test dependency, so only this row needs it
 
     colors, hbar = GROWTH_ROWS[1]
-    col = invariants.TetColoring(*colors)
+    col = tuple(colors)
     taus, ups = invariants._triangle_halves(col), invariants._quad_halves(col)
     ell, _ = asymptotics._tet_scan(taus, ups, hbar)
     mid = max(taus) + ell.index(max(ell))
