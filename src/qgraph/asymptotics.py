@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from itertools import product as _iterproduct
+from operator import index
 from typing import NamedTuple, Optional
 
 from .apoly import GRAPHS, TET_EDGES, THETA_EDGES
@@ -630,17 +631,26 @@ def _log_bracket_prefix(n: int, hbar: float) -> list:
     return out
 
 
+def _negative_hbar(hbar) -> float:
+    """hbar as a float; log(1 - e^(hbar k)) and the sums' bounds need it negative and finite."""
+    hbar = float(hbar)
+    if not -math.inf < hbar < 0:
+        raise ValueError(f"hbar must be negative and finite, got {hbar!r}")
+    return hbar
+
+
 def log_abs_theta(colors, hbar: float) -> float:
     """log of the theta invariant magnitude at v = exp(hbar/2).
 
     Works through the factored factorial form term by term in log space, so
     there is no cancellation and double precision suffices at any color.
     """
-    a, b, c = (int(v) for v in colors)
+    a, b, c = map(index, colors)
+    hbar = _negative_hbar(hbar)
     if not is_admissible(a, b, c):
         raise ValueError(f"inadmissible coloring {(a, b, c)}")
     s = (a + b + c) // 2
-    pref = _log_bracket_prefix(s + 1, float(hbar))
+    pref = _log_bracket_prefix(s + 1, hbar)
     return (pref[s + 1] + pref[s - a] + pref[s - b] + pref[s - c]) - (
         pref[a] + pref[b] + pref[c]
     )
@@ -1153,7 +1163,8 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
     certificate the ladder reruns from _START_BITS, so a wrong hint costs
     time but never changes the value or the diagnostics.
     """
-    col = tuple(int(v) for v in colors)
+    col = tuple(map(index, colors))
+    hbar = _negative_hbar(hbar)
     if not tet_is_admissible(col):
         raise ValueError(f"inadmissible coloring {col}")
     lo, hi = tet_sum_bounds(col)
@@ -1161,7 +1172,6 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
         raise ValueError("empty summation range")
     taus = _triangle_halves(col)
     ups = _quad_halves(col)
-    hbar = float(hbar)
     start = _START_BITS
     if log2_hint is not None and math.isfinite(log2_hint):
         while start < _TOP_BITS and log2_hint + _HINT_MARGIN <= 60 - start:

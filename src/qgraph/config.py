@@ -94,12 +94,11 @@ def merge(cfg: RunConfig, overrides: dict) -> RunConfig:
     return validate(RunConfig(**fields))
 
 
-def load_config(path: Optional[str] = None, env: Optional[dict] = None) -> RunConfig:
+def load_config(path: Optional[str] = None) -> RunConfig:
     """Defaults, then the QGRAPH_CONFIG file, then an explicit path."""
     cfg = validate(default_config())
-    env = os.environ if env is None else env
     sources = []
-    env_path = env.get(ENV_VAR)
+    env_path = os.environ.get(ENV_VAR)
     if env_path:
         sources.append(env_path)
     if path:

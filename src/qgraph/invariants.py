@@ -1,8 +1,9 @@
 """Exact colored quantum invariants of the theta and tetrahedron graphs.
 
-Colors are nonnegative integers (twice the spin).  A triple of colors
-meeting at a vertex must satisfy the fusion rule: triangle inequalities
-plus even total parity.  Inadmissible colorings evaluate to 0.
+Colors are nonnegative integers (twice the spin), taken through
+operator.index, so a color of any other type raises TypeError.  A triple
+of colors meeting at a vertex must satisfy the fusion rule: triangle
+inequalities plus even total parity.  Inadmissible colorings evaluate to 0.
 
 The tetrahedron invariant is an alternating single sum over an index m.
 Its summands follow the "triangle-sum" convention: the four lower
@@ -24,6 +25,7 @@ through bracket_ratio_sum once, over the lcm of their denominators.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Optional
 
 from .laurent import LaurentRat, bracket_ratio_sum, mul_products
@@ -53,9 +55,11 @@ def tet_is_admissible(col) -> bool:
 # -- theta graph ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# typed, so that a float or Fraction equal to a cached int color meets index
+@lru_cache(maxsize=None, typed=True)
 def theta_invariant(a: int, b: int, c: int) -> LaurentRat:
     """Value of the theta graph colored (a, b, c); 0 if inadmissible."""
+    a, b, c = map(index, (a, b, c))
     if not is_admissible(a, b, c):
         return LaurentRat.zero()
     s = (a + b + c) // 2
@@ -64,6 +68,7 @@ def theta_invariant(a: int, b: int, c: int) -> LaurentRat:
 
 def theta_recursion_factor(a: int, b: int, c: int) -> LaurentRat:
     """Exact ratio of the (a+2, b, c) theta value to the (a, b, c) one."""
+    a, b, c = map(index, (a, b, c))
     if not is_admissible(a, b, c):
         raise ValueError(f"inadmissible coloring {(a, b, c)}")
     if not is_admissible(a + 2, b, c):
@@ -145,7 +150,7 @@ def _tet_primed_cached(col: tuple) -> LaurentRat:
 
 def tet_primed(col) -> LaurentRat:
     """Summation part of the tetrahedron invariant (prefactor stripped)."""
-    return _tet_primed_cached(tuple(int(j) for j in col))
+    return _tet_primed_cached(tuple(map(index, col)))
 
 
 def tet_prefactor(col) -> LaurentRat:
@@ -164,7 +169,7 @@ def _tet_full_cached(col: tuple) -> LaurentRat:
 
 def tet_full(col) -> LaurentRat:
     """Full tetrahedron invariant: vertex prefactor times the primed sum."""
-    return _tet_full_cached(tuple(int(j) for j in col))
+    return _tet_full_cached(tuple(map(index, col)))
 
 
 def tet_symmetry_orbit(col) -> list[tuple]:
@@ -239,7 +244,7 @@ def tet_hypergeom(col) -> LaurentRat:
     smallest; a symmetry relabeling (which permutes the three half-sums)
     arranges that, so every admissible coloring is covered.
     """
-    col = tuple(int(j) for j in col)
+    col = tuple(map(index, col))
     if not tet_is_admissible(col):
         return LaurentRat.zero()
     j1, j2, j12, j3, j4, j23 = col
@@ -267,6 +272,7 @@ def theta_reduction_check(a: int, b: int, c: int) -> tuple[bool, Optional[Lauren
     unit monomial times theta(a, b, c); the measured unit is returned
     (it comes out exactly 1 in this normalization).
     """
+    a, b, c = map(index, (a, b, c))
     if not is_admissible(a, b, c):
         raise ValueError(f"inadmissible coloring {(a, b, c)}")
     tet = tet_full((a, b, c, b, a, 0))
@@ -290,7 +296,7 @@ def invariant_record(graph: str, colors, primed: bool = False, value=None) -> di
     from .apoly import GRAPHS  # apoly imports this module, so its table is read at call time
 
     g = GRAPHS[graph]
-    colors = [int(x) for x in colors]
+    colors = list(map(index, colors))
     if len(colors) != len(g.edges):
         raise ValueError(f"{graph} takes {len(g.edges)} colors")
     if value is None:

@@ -7,9 +7,9 @@ invariants are ratios whose denominators are products of Phi_d with
 constant term 1, and their numerators have integer coefficients.  Rational
 numbers appear only as the values of exact evaluations (eval_exact, and
 eval_complex before it rounds).  Outside input enters through the
-constructors, the scalar operations and from_json_obj; each takes an int or
-an integral Fraction, stores an int and raises ValueError on a non-integral
-value (_coeff), so nothing below them checks coefficient types.
+constructors and the scalar operations, which take an int (operator.index)
+and raise TypeError on anything else, a Fraction too, and through
+from_json_obj, which parses int strings; nothing below them checks types.
 
 A LaurentPoly is a sparse map {v-exponent: coefficient}.  A LaurentRat is
 a reduced fraction num/den of LaurentPolys whose denominator is a product of
@@ -103,7 +103,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import gcd as int_gcd, log
-from operator import add, sub
+from operator import add, index, sub
 from typing import Collection, Iterable, Mapping
 
 from .kronecker import _dense, _sparse, multiply as _imul_kron
@@ -111,19 +111,6 @@ from .kronecker import _dense, _sparse, multiply as _imul_kron
 
 class PoleError(ZeroDivisionError):
     """Numeric evaluation hit a vanishing denominator."""
-
-
-def _coeff(value) -> int:
-    """A coefficient from outside input: an int, or a Fraction equal to one."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise ValueError(f"coefficients are integers, got {value}")
-        return value.numerator
-    if isinstance(value, int):
-        return int(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 def _exact_point(value) -> Fraction:
@@ -139,12 +126,12 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] | None = None):
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         data: dict[int, int] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for e, c in items:
-                c = _coeff(c)
+                c = index(c)
                 if c:
                     c += data.get(e, 0)
                     if c:
@@ -205,10 +192,8 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if other.denominator != 1:
-                return False
-            return self.terms == ({0: int(other)} if other else {})
+        if isinstance(other, int):
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -220,7 +205,7 @@ class LaurentPoly:
         return LaurentPoly._wrap({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -231,14 +216,14 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + -other if isinstance(other, (int, Fraction, LaurentPoly)) else NotImplemented
+        return self + -other if isinstance(other, (int, LaurentPoly)) else NotImplemented
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
+        if isinstance(other, int):
+            c = index(other)
             return LaurentPoly._wrap({e: k * c for e, k in self.terms.items()} if c else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -310,7 +295,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(e): Fraction(c) for e, c in obj["terms"]})
+        return cls({int(e): int(c) for e, c in obj["terms"]})
 
 
 # -- integer-coefficient helpers for gcd ---------------------------------
@@ -1072,7 +1057,10 @@ class LaurentRat:
     __slots__ = ("_form", "_num", "_den")
 
     def __init__(self, num, den=1):
-        self._form = (_lift(num) / _lift(den))._form
+        num, den = _lift(num), _lift(den)
+        if num is None or den is None:
+            raise TypeError("LaurentRat takes ints, LaurentPolys and LaurentRats")
+        self._form = (num / den)._form
         self._num = self._den = None
 
     # -- constructors ---------------------------------------------------
@@ -1169,8 +1157,6 @@ class LaurentRat:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Fraction) and other.denominator != 1:
-            return False
         o = _lift(other)
         if o is None:
             return NotImplemented
@@ -1300,7 +1286,7 @@ BracketRatio = LaurentRat
 def _lift(other) -> LaurentRat | None:
     if isinstance(other, LaurentRat):
         return other
-    if isinstance(other, (int, Fraction)):
+    if isinstance(other, int):
         other = LaurentPoly({0: other})
     if isinstance(other, LaurentPoly):
         return LaurentRat.from_poly(other)

@@ -6,11 +6,11 @@ by an ordinary variable "v" (v = q^(1/2), so q^k enters as v^(2k)).
 
 Terms are a sparse map {exponent tuple: int coefficient} aligned with a
 sorted tuple of variable names, so the ring is Z[x^+-1, ...].  As in
-qgraph.laurent, outside input (the constructors, the scalar operations and
-from_json_obj) takes an int or an integral Fraction and raises ValueError
-on a non-integral value; rational numbers appear only as the values of
-eval_fraction.  Variables that appear only with exponent zero are dropped
-on construction, so structural equality is semantic equality.
+qgraph.laurent, the constructors and the scalar operations take an int
+(operator.index) and raise TypeError on anything else, a Fraction too, and
+from_json_obj parses int strings; rational numbers appear only as the
+values of eval_fraction.  Variables that appear only with exponent zero are
+dropped on construction, so structural equality is semantic equality.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from operator import add, mul
+from operator import add, index, mul
 from typing import Mapping, Optional
 
-from .laurent import PoleError, _coeff, _exact_point
+from .laurent import PoleError, _exact_point
 
 
 def _drop_unused(vars: tuple[str, ...], data: dict) -> tuple[tuple[str, ...], dict]:
@@ -93,12 +93,12 @@ class MultiPoly:
     # _columns: weighted_degrees' packed exponent columns; both filled on first use
     __slots__ = ("vars", "terms", "_plan", "_columns")
 
-    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
+    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], int] | None = None):
         vars = tuple(vars)
         data: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, c in terms.items():
-                c = _coeff(c)
+                c = index(c)
                 if not c:
                     continue
                 exps = tuple(exps)
@@ -139,7 +139,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        c = _coeff(c)
+        c = index(c)
         if not c:
             return cls()
         return cls._make((), {(): c})
@@ -150,7 +150,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str, exp: int = 1, coeff=1) -> "MultiPoly":
-        coeff = _coeff(coeff)
+        coeff = index(coeff)
         if not coeff:
             return cls()
         if exp == 0:
@@ -159,7 +159,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff=1) -> "MultiPoly":
-        coeff = _coeff(coeff)
+        coeff = index(coeff)
         if not coeff:
             return cls()
         items = sorted((n, e) for n, e in exps.items() if e)
@@ -177,9 +177,7 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            if other.denominator != 1:
-                return False
+        if isinstance(other, int):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -245,7 +243,7 @@ class MultiPoly:
         return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -257,7 +255,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -267,8 +265,8 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
+        if isinstance(other, int):
+            c = index(other)
             if not c:
                 return MultiPoly.zero()
             return MultiPoly._make(self.vars, {e: k * c for e, k in self.terms.items()})
@@ -453,7 +451,7 @@ class MultiPoly:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MultiPoly":
-        return cls(tuple(obj["vars"]), {tuple(int(x) for x in e): Fraction(c) for e, c in obj["terms"]})
+        return cls(tuple(obj["vars"]), {tuple(int(x) for x in e): int(c) for e, c in obj["terms"]})
 
 
 # -- exact division -----------------------------------------------------------------

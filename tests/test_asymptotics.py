@@ -666,6 +666,14 @@ def test_log_abs_theta_rejects_inadmissible():
         log_abs_theta((1, 1, 1), -0.1)
 
 
+@pytest.mark.parametrize("hbar", [0.1, 0.0, math.nan, -math.inf])
+def test_log_abs_rejects_hbar_not_negative_and_finite(hbar):
+    with pytest.raises(ValueError, match="hbar"):
+        log_abs_theta((2, 2, 2), hbar)
+    with pytest.raises(ValueError, match="hbar"):
+        log_abs_tet((2, 2, 2, 2, 2, 2), hbar)
+
+
 def test_log_abs_tet_matches_exact_evaluation():
     hb = -0.22
     v0 = complex(math.exp(hb / 2.0))

@@ -15,6 +15,7 @@ from functools import lru_cache
 import pytest
 
 from qgraph import invariants
+from qgraph.asymptotics import log_abs_tet, log_abs_theta
 from qgraph.laurent import LaurentPoly, LaurentRat, bracket_ratio_sum, q_factorial, q_int
 from qgraph.invariants import (
     enumerate_tet_colorings,
@@ -41,7 +42,7 @@ from qgraph.invariants import (
 def _fact(n: int) -> LaurentPoly:
     p = LaurentPoly.one()
     for k in range(2, n + 1):
-        p = p * LaurentPoly({k - 1 - 2 * i: Fraction(1) for i in range(k)})
+        p = p * LaurentPoly({k - 1 - 2 * i: 1 for i in range(k)})
     return p
 
 
@@ -394,3 +395,28 @@ def test_invariant_record_rejects():
         invariant_record("theta", (1, 1))
     with pytest.raises(ValueError):
         invariant_record("cube", (1, 1, 0))
+
+
+# each entry point that takes colors, with its first color c and the rest 2
+COLOR_ENTRIES = {
+    "theta_invariant": lambda c: theta_invariant(c, 2, 2),
+    "theta_recursion_factor": lambda c: theta_recursion_factor(c, 2, 2),
+    "theta_reduction_check": lambda c: theta_reduction_check(c, 2, 2),
+    "tet_primed": lambda c: tet_primed((c, 2, 2, 2, 2, 2)),
+    "tet_full": lambda c: tet_full((c, 2, 2, 2, 2, 2)),
+    "tet_hypergeom": lambda c: tet_hypergeom((c, 2, 2, 2, 2, 2)),
+    "invariant_record_theta": lambda c: invariant_record("theta", (c, 2, 2)),
+    "invariant_record_tet": lambda c: invariant_record("tet", (c, 2, 2, 2, 2, 2), primed=True),
+    "log_abs_theta": lambda c: log_abs_theta((c, 2, 2), -0.1),
+    "log_abs_tet": lambda c: log_abs_tet((c, 2, 2, 2, 2, 2), -0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLOR_ENTRIES))
+def test_colors_enter_as_integers(name):
+    """A color that is not an int raises TypeError, even one equal to an int color already cached."""
+    entry = COLOR_ENTRIES[name]
+    entry(2)
+    for c in (2.5, Fraction(5, 2), 2.0, Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            entry(c)
