@@ -632,10 +632,14 @@ def _log_bracket_prefix(n: int, hbar: float) -> list:
 
 
 def _negative_hbar(hbar) -> float:
-    """hbar as a float; log(1 - e^(hbar k)) and the sums' bounds need it negative and finite."""
+    """hbar as a float; log(1 - e^(hbar k)) and the sums' bounds need it negative and finite.
+
+    An hbar whose exp rounds to 1, as the CLI's --hbar rule says, would take
+    the log of 0.
+    """
     hbar = float(hbar)
-    if not -math.inf < hbar < 0:
-        raise ValueError(f"hbar must be negative and finite, got {hbar!r}")
+    if not (-math.inf < hbar < 0 and math.exp(hbar) < 1.0):
+        raise ValueError(f"hbar must be negative and finite, with exp(hbar) below 1, got {hbar!r}")
     return hbar
 
 

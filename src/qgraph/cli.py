@@ -49,6 +49,8 @@ from .asymptotics import (
     growth_check_tet,
     growth_check_theta,
     lagrangian_residual,
+    round_colors_tet,
+    round_colors_theta,
     sample_tet_point,
     sample_theta_point,
     saddle_solve_tet,
@@ -527,6 +529,7 @@ class _Numeric(NamedTuple):
     """A graph's numeric routines, each called through this module's attribute for span tracing."""
 
     growth: Callable  # (x, hbars) -> GrowthTable
+    round_colors: Callable  # (x, hbar) -> (colors or None, notes), the coloring of growth's row
     lagrangian_point: Callable  # rng -> sample point
     residual_point: Callable  # rng -> sample point
     residual: Callable  # x -> {edge: |classical curve|}, NaN where skipped
@@ -537,6 +540,7 @@ class _Numeric(NamedTuple):
 _NUMERIC = {
     "theta": _Numeric(
         lambda x, hbars: growth_check_theta(x, hbars),
+        lambda x, hbar: round_colors_theta(x, hbar),
         lambda rng: sample_theta_point(rng),
         lambda rng: tuple(rng.uniform(0.1, 0.9) for _ in range(3)),
         lambda x: check_residual_theta(x),
@@ -544,6 +548,7 @@ _NUMERIC = {
     ),
     "tet": _Numeric(
         lambda x, hbars: growth_check_tet(x, hbars),
+        lambda x, hbar: round_colors_tet(x, hbar),
         lambda rng: sample_tet_point(rng),
         lambda rng: sample_tet_point(rng),
         lambda x: check_residual_tet(x),
@@ -570,7 +575,14 @@ def cmd_asymptotics(args, cfg):
     if any(v > 1 for v in x):
         raise UsageError(f"--x entries must be at most 1 (no color n >= 0 has exp(hbar * n / 2) > 1), got {args.x}")
     for h in hbars:
-        top = max(max(0, round(2.0 * math.log(v) / h)) for v in x)
+        # a row evaluates the plain rounding n = 2 log(x) / hbar, each color
+        # moved by at most 1 to restore admissibility, so only a rounding
+        # that reaches the cap needs the row's own colors (a tet row's
+        # repair tries up to 108 unit shifts)
+        if max(round(2.0 * math.log(v) / h) for v in x) < MAX_GROWTH_COLOR:
+            continue
+        colors, _ = _NUMERIC[args.graph].round_colors(x, h)
+        top = max(colors or (0,))
         if top > MAX_GROWTH_COLOR:
             raise UsageError(
                 f"--hbar {h!r} rounds --x to colors up to {top}, above the growth-table cap {MAX_GROWTH_COLOR}"

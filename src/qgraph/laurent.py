@@ -6,10 +6,11 @@ ever appear.  Coefficients are Python ints, so the ring is Z[v^+-1]: the
 invariants are ratios whose denominators are products of Phi_d with
 constant term 1, and their numerators have integer coefficients.  Rational
 numbers appear only as the values of exact evaluations (eval_exact, and
-eval_complex before it rounds).  Outside input enters through the
+eval_complex before it rounds).  Coefficients enter through LaurentPoly's
 constructors and the scalar operations, which take an int (operator.index)
 and raise TypeError on anything else, a Fraction too, and through
-from_json_obj, which parses int strings; nothing below them checks types.
+LaurentPoly.from_json_obj, which parses int strings; nothing below them
+checks types.
 
 A LaurentPoly is a sparse map {v-exponent: coefficient}.  A LaurentRat is
 a reduced fraction num/den of LaurentPolys whose denominator is a product of
@@ -33,12 +34,10 @@ Phi_d basis:
 - Sums, and products with a polynomial factor, go over the lcm in the Phi_d
   basis; the numerator is then stripped of the Phi_d it shares with the lcm
   by exact division, so the result is canonical without a polynomial gcd.
-- LaurentRat(num, den) from outside input (JSON, tests) is num / den, and a
-  division factors the divisor's numerator by trial division over Phi_d
-  (d >= 2): the Phi_d powers join the denominator, and the cofactor left,
-  c*v^k times anything else, must divide the dividend's poly over Z.  A
-  quotient whose reduced denominator is not a unit times a product of Phi_d
-  raises ValueError.
+- A value is built only from ints, LaurentPolys (from_poly), brackets and
+  factorials, and the sums and products above keep each denominator a
+  product of Phi_d by construction.  A divisor must be a pure product, whose
+  exponents are negated; one with a poly raises ValueError.
 
 All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
 
@@ -60,17 +59,17 @@ All ring operations run on one kernel of coefficient dicts {exponent: coeff}:
   with no Python loop over the coefficients).  Shorter operands stay on the
   schoolbook loop, which the layer timings in tools/kernel_bench.py show to
   be faster for short operands.
-- Division by Phi_d (_cancel_phi, _phi_factor, both through _strip_phi)
-  runs the same passes swapped on one dense list: times each 1 - v^e with
-  mu = -1, one map(sub) pass, then over each 1 - v^e with mu = +1, a running
-  sum along each class of exponents mod e whose top e sums must be 0.  That
+- Division by Phi_d (_cancel_phi, through _strip_phi) runs the same passes
+  swapped on one dense list: times each 1 - v^e with mu = -1, one map(sub)
+  pass, then over each 1 - v^e with mu = +1, a running sum along each class
+  of exponents mod e whose top e sums must be 0.  That
   is 2^w passes for w primes of d, no Python loop over the coefficients and
   no bound on the quotient's.  A long dividend is first reduced mod
   v^d - 1, which Phi_d divides, so a trial that fails costs a division of
-  d entries.  Any other exact division (a LaurentRat divisor's cofactor) is
-  one low-to-high pass over a dense list (_idiv_exact); it divides by the
-  divisor's lowest coefficient, with divmod, only when that is not 1, and a
-  remainder means the divisor does not divide over Z.
+  d entries.  exact_div_poly's division is one low-to-high pass over a
+  dense list (_idiv_exact); it divides by the divisor's lowest coefficient,
+  with divmod, only when that is not 1, and a remainder means the divisor
+  does not divide over Z.
 
 Zero tests by evaluation.  rat_dot_vanishes(pairs) decides whether
 sum a_i * b_i is zero without expanding it.  Each product keeps its two polys
@@ -102,7 +101,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from math import gcd as int_gcd, log
+from math import gcd as int_gcd
 from operator import add, index, sub
 from typing import Collection, Iterable, Mapping
 
@@ -197,6 +196,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant hashes as its int, which it equals
+            return hash(self.terms.get(0, 0))
         return hash(tuple(sorted(self.terms.items())))
 
     # -- ring operations ----------------------------------------------
@@ -764,57 +765,6 @@ def _strip_phi(c: list, d: int, most: int) -> tuple[list, int]:
     return c, k
 
 
-def _totient_cap(deg: int) -> int:
-    """A bound above every d with deg Phi_d = totient(d) <= deg.
-
-    totient(n) > n / f(n) with f(n) = e^gamma lnln n + 3 / lnln n for n >= 3
-    (Rosser and Schoenfeld 1962), and the right side increases with n.  The
-    bound is the least n with n > f(n) deg.  No n <= 4 deg qualifies, since
-    f >= 4.62; from 4 deg on, n - f(n) deg increases, because
-    deg f'(n) <= e^gamma / (4 ln n) < 1.  So the n from 4 deg on that do not
-    qualify form a prefix, whose end a doubling step and a bisection find.
-    """
-
-    def below(n: int) -> bool:
-        return n <= (1.7811 * log(log(n)) + 3 / log(log(n))) * deg
-
-    lo = max(3, 4 * deg)
-    if not below(lo):
-        return lo
-    step = 1
-    while below(lo + step):
-        lo += step
-        step *= 2
-    hi = lo + step  # below(lo) holds, below(hi) does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _phi_factor(p: dict) -> tuple[dict[int, int], dict]:
-    """(mult, cofactor) with p = cofactor * prod Phi_d^mult[d] over d >= 2.
-
-    Trial division of one dense list by every Phi_d no longer than what is
-    left of it (_strip_phi), so no Phi_d divides the cofactor; the cofactor
-    keeps p's content and lowest power v^k.  Every Phi_d has constant term
-    1, so the divisions stay in the integers.
-    """
-    lo = min(p)
-    c = _dense(p, lo, max(p) - lo + 1)
-    mult: dict[int, int] = {}
-    for d in range(2, _totient_cap(len(c) - 1)):
-        if len(c) == 1:
-            break
-        c, k = _strip_phi(c, d, len(c))
-        if k:
-            mult[d] = k
-    return mult, _sparse(c, lo)
-
-
 def _exponent_floor(maps: list[dict[int, int]]) -> dict[int, int]:
     """The least exponent of each Phi_d over the maps, a missing d read as 0; zeros dropped."""
     floor: dict[int, int] = {}
@@ -1049,19 +999,16 @@ class LaurentRat:
     the negative exponents m of phi, so its lowest term is 1 at exponent 0.
     num and den are expanded, and kept, when first read.
 
-    LaurentRat(num, den) is num / den, so den must be c*v^k times a product
-    of Phi_d, d >= 2, once the factors it shares with num are cancelled;
-    otherwise it raises ValueError.
+    LaurentRat(value) takes an int, a LaurentPoly or a LaurentRat.
     """
 
     __slots__ = ("_form", "_num", "_den")
 
-    def __init__(self, num, den=1):
-        num, den = _lift(num), _lift(den)
-        if num is None or den is None:
-            raise TypeError("LaurentRat takes ints, LaurentPolys and LaurentRats")
-        self._form = (num / den)._form
-        self._num = self._den = None
+    def __init__(self, value):
+        value = _lift(value)
+        if value is None:
+            raise TypeError("LaurentRat takes an int, a LaurentPoly or a LaurentRat")
+        self._form, self._num, self._den = value._form, value._num, value._den
 
     # -- constructors ---------------------------------------------------
 
@@ -1167,7 +1114,8 @@ class LaurentRat:
         return self._den_map() == o._den_map() and self.num == o.num
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a value with denominator 1 hashes as its numerator, which it equals
+        return hash(self.num) if self.is_laurent_poly() else hash((self.num, self.den))
 
     # -- field operations ---------------------------------------------------
 
@@ -1211,16 +1159,9 @@ class LaurentRat:
             raise ZeroDivisionError("division by zero value")
         s1, h1, e1, p1 = self._form
         s2, h2, e2, p2 = o._form
-        e2 = {d: -m for d, m in e2.items()}
         if p2 is not None:
-            # p2 = cofactor * prod Phi_d^mult[d]: the Phi_d join the
-            # denominator, and the cofactor must divide p1 over Z
-            mult, cofactor = _phi_factor(p2)
-            e2 = _add_exponents(e2, mult, -1)
-            p1 = _idiv_exact({0: 1} if p1 is None else p1, cofactor)
-            if p1 is None:
-                raise ValueError("the quotient's denominator is not a unit times a product of Phi_d, d >= 2")
-        return _sum_forms(((s1 * s2, h1 - h2, _add_exponents(e1, e2), p1),))
+            raise ValueError("a divisor must be a signed product of brackets and factorials, with no polynomial part")
+        return _sum_forms(((s1 * s2, h1 - h2, _add_exponents(e1, e2, -1), p1),))
 
     def __rtruediv__(self, other) -> "LaurentRat":
         o = _lift(other)
@@ -1269,10 +1210,6 @@ class LaurentRat:
 
     def to_json_obj(self) -> dict:
         return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LaurentRat":
-        return cls(LaurentPoly.from_json_obj(obj["num"]), LaurentPoly.from_json_obj(obj["den"]))
 
     # perfbench/spans.py is the only reader of this method and of the
     # BracketRatio alias below; both go when its targets drop them

@@ -184,6 +184,8 @@ class MultiPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        if not self.vars:  # a constant hashes as its int, which it equals
+            return hash(self.terms.get((), 0))
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     def degree_in(self, name: str) -> int:

@@ -77,6 +77,11 @@ def miscommuted_tet_edge_1() -> OperatorPoly:
     return OperatorPoly("tet", "1", (c0, -(ta + tb + tc), c2))
 
 
+def same_product(a, b, c, d) -> bool:
+    """a * b == c * d, cross-multiplied over LaurentPoly."""
+    return a.num * b.num * c.den * d.den == c.num * d.num * a.den * b.den
+
+
 def eval_coeff(poly, labels, col) -> LaurentRat:
     # independent of the package's compiled evaluator: generic substitution
     binding = {"x_" + lab: MultiPoly.var("v", n) for lab, n in zip(labels, col)}
@@ -293,7 +298,7 @@ def test_theta_operator_ratio_is_recursion_factor():
             continue
         e0 = eval_coeff(op.coeffs[0], THETA_EDGES, col)
         e1 = eval_coeff(op.coeffs[1], THETA_EDGES, col)
-        assert factor == -(e0 / e1), col
+        assert same_product(factor, e1, -e0, LaurentRat.one()), col  # factor == -e0 / e1
         checked += 1
     assert checked > 300
 
@@ -413,9 +418,9 @@ def test_tet_operator_matches_recursion_pointwise():
         e0 = eval_coeff(op.coeffs[0], TET_EDGES, col)
         e1 = eval_coeff(op.coeffs[1], TET_EDGES, col)
         e2 = eval_coeff(op.coeffs[2], TET_EDGES, col)
-        ratio = e0 / gamma
-        assert e1 / (-beta) == ratio, col
-        assert e2 / alpha == ratio, col
+        # e1 / (-beta) == e0 / gamma == e2 / alpha
+        assert same_product(e1, gamma, -beta, e0), col
+        assert same_product(e2, gamma, alpha, e0), col
         checked += 1
     assert checked > 100
 
@@ -541,9 +546,14 @@ def test_zero_test_matches_rat_dot_on_theta_grid_12():
 
 
 def bump_top(value, delta):
-    # value with delta added to the top coefficient of its numerator
-    num = value.num
-    return LaurentRat(num + LaurentPoly({num.max_exp(): delta}), value.den)
+    # value with delta added to the top coefficient of its numerator: value
+    # plus delta v^top over its denominator, a pure product of Phi_d
+    num, den = value.num, value.den
+    bump = LaurentPoly({num.max_exp(): delta})
+    over_den = LaurentRat._product(1, 0, {d: m for d, m in value._form[2].items() if m < 0})
+    out = value + LaurentRat.from_poly(bump) * over_den
+    assert out.num * den == (num + bump) * out.den
+    return out
 
 
 def test_zero_test_sees_a_unit_change_at_a_top_coefficient():

@@ -666,7 +666,8 @@ def test_log_abs_theta_rejects_inadmissible():
         log_abs_theta((1, 1, 1), -0.1)
 
 
-@pytest.mark.parametrize("hbar", [0.1, 0.0, math.nan, -math.inf])
+# -1e-300: exp(hbar) rounds to 1, so log(1 - exp(hbar)) would be log(0)
+@pytest.mark.parametrize("hbar", [0.1, 0.0, math.nan, -math.inf, -1e-300])
 def test_log_abs_rejects_hbar_not_negative_and_finite(hbar):
     with pytest.raises(ValueError, match="hbar"):
         log_abs_theta((2, 2, 2), hbar)

@@ -481,6 +481,10 @@ def test_asymptotics_products_out_of_range_exit_2(capsys, argv):
         "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -1e-9",
         # colors about 2.1e5: the tet table used to run for minutes
         "asymptotics tet --x 0.35,0.35,0.35,0.35,0.35,0.35 --hbar -0.01,-1e-5",
+        # plain rounding gives 10000,6000,5000, whose sum is odd; the row that
+        # restores admissibility runs at 10001,6000,5001, one past the cap
+        "asymptotics theta --x 0.007574013049559057,0.05341372732716633,0.08699587882735979"
+        " --hbar -0.0009765625,-0.001953125",
     ],
 )
 def test_asymptotics_color_cap_exit_2(capsys, argv):

@@ -36,13 +36,12 @@ from qgraph.laurent import (  # the integer kernel
     _imul_school,
     _mobius_quotient,
     _mobius_steps,
-    _phi_factor,
     _phi_power_int,
     _phi_product,
     _strip_phi,
-    _totient_cap,
 )
 from qgraph.kronecker import _dense
+from qgraph.multipoly import MultiPoly
 
 
 def rand_poly(rng, max_terms=6, max_exp=8, allow_zero=True):
@@ -63,23 +62,16 @@ def rand_nonzero(rng, **kw):
             return p
 
 
-def rand_den(rng, max_factors=3, unit=False):
-    """c * v^k * prod Phi_d^m over random d in [2, 12], c = +-1 for a unit: a denominator LaurentRat accepts."""
-    c = 0
-    while not c:
-        c = rng.choice((1, -1)) if unit else rng.randrange(-9, 10)
-    den = LaurentPoly({rng.randrange(-4, 5): c})
-    for _ in range(rng.randrange(0, max_factors + 1)):
-        den = den * cyclotomic(rng.randrange(2, 13)) ** rng.randrange(1, 3)
-    return den
+def rand_rat(rng, **kw):
+    """A random poly over 0-3 random brackets [k], k <= 6: a poly times a pure product, as the package builds."""
+    downs = [rng.randrange(1, 7) for _ in range(rng.randrange(0, 4))]
+    return LaurentRat.from_poly(rand_poly(rng, **kw)) * LaurentRat.brackets(rng.choice((1, -1)), (), downs)
 
 
-def rat_over(num, den):
-    """num * c / den for den = c * v^k * prod Phi_d^m: c must divide the numerator over Z.
-
-    c is den's lowest coefficient, since every Phi_d has lowest coefficient 1.
-    """
-    return LaurentRat(num * den.coefficient(den.min_exp()), den)
+def expanded(value):
+    """The same value as a form with a poly: its numerator over its denominator's Phi_d."""
+    over_den = LaurentRat._product(1, 0, {d: m for d, m in value._form[2].items() if m < 0})
+    return LaurentRat.from_poly(value.num) * over_den
 
 
 def check_value(got, num, den):
@@ -143,7 +135,8 @@ def test_q_int_negative_rejected():
 
 def test_factorial_ratio_is_bracket():
     for n in range(1, 30):
-        r = LaurentRat(q_factorial(n), q_factorial(n - 1))
+        r = LaurentRat.factorials(1, (n,), (n - 1,))
+        check_value(r, q_factorial(n), q_factorial(n - 1))
         assert r == LaurentRat.from_poly(q_int(n))
 
 
@@ -192,6 +185,7 @@ def test_coefficients_enter_as_integers():
     """Every entry point of outside input stores an int and raises TypeError on a Fraction, even 4/2."""
     p = LaurentPoly({0: 1, 1: 1})
     r = LaurentRat.from_poly(p)
+    u = LaurentRat.brackets(1, (3,))  # a divisor: a pure product
     polys = (
         lambda c: LaurentPoly({1: c}),
         lambda c: LaurentPoly([(1, c), (2, 1)]),
@@ -205,15 +199,13 @@ def test_coefficients_enter_as_integers():
     )
     rats = (
         lambda c: LaurentRat(c),
-        lambda c: LaurentRat(p * 2, c),
         lambda c: r + c,
         lambda c: c + r,
         lambda c: r - c,
         lambda c: c - r,
         lambda c: r * c,
         lambda c: c * r,
-        lambda c: r / c,
-        lambda c: c / r,
+        lambda c: c / u,
     )
     for make in polys + rats:
         for c in (Fraction(3, 2), Fraction(4, 2)):
@@ -222,30 +214,36 @@ def test_coefficients_enter_as_integers():
         got = make(True)  # operator.index stores an int subclass as its int
         got = got.num if isinstance(got, LaurentRat) else got
         assert got and all(type(c) is int for c in got.terms.values())
+    for c in (Fraction(3, 2), Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            r / c
     # JSON coefficients are int strings
-    jsons = (
-        lambda c: LaurentPoly.from_json_obj({"terms": [[1, c]]}),
-        lambda c: LaurentRat.from_json_obj({"num": {"terms": [[1, c]]}, "den": {"terms": [[0, "1"]]}}),
-    )
-    for make in jsons:
-        for c in ("3/2", "4/2"):
-            with pytest.raises(ValueError):
-                make(c)
-        got = make("2")
-        got = got.num if isinstance(got, LaurentRat) else got
-        assert got.terms == {1: 2} and type(got.terms[1]) is int
+    for c in ("3/2", "4/2"):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_obj({"terms": [[1, c]]})
+    got = LaurentPoly.from_json_obj({"terms": [[1, "2"]]})
+    assert got.terms == {1: 2} and type(got.terms[1]) is int
     # a Fraction compares unequal, even one equal to the int
     assert LaurentPoly({0: 2}) == 2 and LaurentRat(2) == 2
     assert LaurentPoly({0: 2}) != Fraction(4, 2) and LaurentRat(2) != Fraction(4, 2)
     assert p != Fraction(3, 2) and not (r == Fraction(3, 2))
-    # the denominator's cofactor must divide the numerator over Z
-    with pytest.raises(ValueError):
-        LaurentRat(1, 2)
-    assert LaurentRat(2, 2) == 1
     # evaluation points are exact: an int or a Fraction, never a float
     assert p.eval_exact(Fraction(1, 2)) == Fraction(3, 2) and r.eval_exact(1) == 2
     with pytest.raises(TypeError):
         p.eval_exact(0.5)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize(
+    "make",
+    [lambda n: LaurentPoly({0: n}), LaurentRat, MultiPoly.const],
+    ids=["LaurentPoly", "LaurentRat", "MultiPoly"],
+)
+def test_constant_hashes_as_its_int(make, n):
+    # a constant equals its int, so a set or a dict key must not tell them apart
+    value = make(n)
+    assert value == n and hash(value) == hash(n)
+    assert len({value, n}) == 1
 
 
 def test_poly_pow_matches_repeated_mul():
@@ -272,7 +270,7 @@ def test_poly_eval_is_ring_hom():
 
 
 def _computed_values() -> list:
-    """Nonzero values the package computes, and their JSON round trips."""
+    """Nonzero values the package computes, the two thetas first, then the same values expanded."""
     from qgraph.apoly import (
         OperatorPoly,
         _theta_quantum_raw,
@@ -301,7 +299,7 @@ def _computed_values() -> list:
         apply_operator(tet_lead, col),
         apply_operator(miscommuted_b, (4, 4, 4)),
     ]
-    return values + [LaurentRat.from_json_obj(json.loads(json.dumps(v.to_json_obj()))) for v in values]
+    return values + [expanded(v) for v in values]
 
 
 def test_rat_field_axioms_bulk():
@@ -309,17 +307,15 @@ def test_rat_field_axioms_bulk():
     one = LaurentRat.one()
     zero = LaurentRat.zero()
     computed = _computed_values()
-    thetas = (computed[0], computed[len(computed) // 2])  # theta(2, 3, 3) and its JSON copy
+    thetas = computed[:2]  # pure products, so divisors
     for v in computed:
         assert not v.is_zero()
         assert_canonical(v.num)
         assert_canonical(v.den)
     for trial in range(1000):
-        a = rat_over(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
-        b = rat_over(rand_poly(rng, max_terms=3, max_exp=4), rand_den(rng, max_factors=2))
-        # one / u makes u's numerator a denominator, so it must factor, and
-        # its content must divide 1
-        u = LaurentRat(rand_den(rng, max_factors=2, unit=True), rand_den(rng, max_factors=2, unit=True))
+        a = rand_rat(rng, max_terms=3, max_exp=4)
+        b = rand_rat(rng, max_terms=3, max_exp=4)
+        u = _rand_bracket_ratio(rng)  # a divisor must be a pure product
         # every tenth trial adds a draw of two computed values
         for computed_draw in (False, True) if trial % 10 == 0 else (False,):
             if computed_draw:
@@ -329,10 +325,8 @@ def test_rat_field_axioms_bulk():
             assert a * b == b * a
             assert a - a == zero
             assert a * one == a
-            if a:
-                assert a / a == one
-            if b:
-                assert (a * b) / b == a
+            assert u / u == one
+            assert (a * u) / u == a
             assert u * (one / u) == one
             assert (a / u) * u == a
             assert (a + b) - b == a
@@ -341,19 +335,10 @@ def test_rat_field_axioms_bulk():
                 assert_canonical(r.den)
 
 
-def test_rat_reduction_canonical():
-    rng = random.Random(424242)
-    for _ in range(300):
-        q = rand_den(rng)
-        p = rand_poly(rng, max_terms=3, max_exp=3) * q.coefficient(q.min_exp())  # q's content divides p
-        g = rand_den(rng)
-        assert LaurentRat(p * g, q * g) == LaurentRat(p, q)
-
-
 def test_rat_denominator_normalization():
     rng = random.Random(5150)
     for _ in range(300):
-        r = rat_over(rand_poly(rng), rand_den(rng))
+        r = rand_rat(rng)
         if r.is_zero():
             assert r.den.is_one()
             continue
@@ -368,91 +353,41 @@ def test_rat_denominator_normalization():
     ids=["1+2v", "1+v+v^3", "v-1"],
 )
 def test_rat_rejects_other_denominators(den):
-    with pytest.raises(ValueError):
-        LaurentRat(1, LaurentPoly(den))
-    # dividing by a value makes its numerator a denominator
+    # dividing by a value makes its numerator a denominator, which only a pure product has
     with pytest.raises(ValueError):
         LaurentRat.one() / LaurentRat.from_poly(LaurentPoly(den))
 
 
-def test_rat_takes_out_unit_and_factors_den():
-    half = LaurentPoly({-1: 3, 0: 1, 4: -5})
-    p = half * 2
-    den = (q_int(3) * cyclotomic(2)).shifted(3) * 2
-    r = LaurentRat(p, den)
-    assert r.den == cyclotomic(2) * cyclotomic(3) * cyclotomic(6)
-    assert r.den == (q_int(3) * cyclotomic(2)).shifted(2)  # [3] * Phi_2 starts at v^-2
-    assert r.num == half.shifted(-1)
-    check_value(r, p, den)
-    # the cofactor 2 * v^3 must divide the numerator over Z
-    with pytest.raises(ValueError):
-        LaurentRat(half, den)
+def test_division_takes_only_pure_products():
+    x = LaurentRat.from_poly(LaurentPoly({-1: 3, 0: 1, 4: -5})) * LaurentRat.brackets(-1, (5, 3), (2,))
+    y = LaurentRat.brackets(1, (3,), (4, 4)) * LaurentRat.factorials(-1, (6,), (2,))
+    # a divisor with a polynomial part raises, also one whose expansion is a
+    # product of Phi_d, a unit, or an int
+    for divisor in (q_int(3), cyclotomic(3) ** 2, LaurentPoly({2: 1}), 2, 1, expanded(y)):
+        with pytest.raises(ValueError):
+            x / divisor
+        with pytest.raises(ValueError):
+            y / LaurentRat(divisor)
+    for zero in (0, LaurentRat.zero()):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    # a pure product divides a value with a poly and a pure product, exponents subtracted
+    for value in (x, y, LaurentRat.one()):
+        got = value / y
+        assert got.num * y.num * value.den == value.num * got.den * y.den
+        assert got * y == value
+    assert (y / y).is_laurent_poly() and y / y == 1
+    # theta_reduction_check divides a tet value by a theta value
+    from qgraph.invariants import theta_reduction_check
 
-
-def _phi_factor_plain(p):
-    """Trial division of the whole poly by every Phi_d with _idiv_exact, without the mod v^d - 1 test."""
-    lo = min(p)
-    unit = {lo: 1}
-    rest = _idiv_exact(p, unit)
-    mult = {}
-    deg = max(rest)
-    for d in range(2, _totient_cap(deg)):
-        if not deg:
-            break
-        phi_d = dict(_phi_power_int(d, 1))
-        if max(phi_d) > deg:
-            continue
-        while (q := _idiv_exact(rest, phi_d)) is not None:
-            rest = q
-            deg -= max(phi_d)
-            mult[d] = mult.get(d, 0) + 1
-    return mult, _imul(rest, unit)
-
-
-def test_phi_factor_matches_plain_trial_division():
-    rng = random.Random(31)
-    fixed = [LaurentPoly({0: 1, 1: 2}), LaurentPoly({0: 1, 1: 1, 3: 1}), LaurentPoly({0: 3})]
-    for i in range(60):
-        cofactor = fixed[i % 3] if i < 15 else rand_nonzero(rng)
-        p = cofactor.shifted(rng.randrange(-3, 4))
-        for _ in range(rng.randrange(0, 5)):
-            p = p * cyclotomic(rng.randrange(2, 41)) ** rng.randrange(1, 3)
-        assert _phi_factor(p.terms) == _phi_factor_plain(p.terms)
-
-
-def test_totient_cap_matches_linear_scan():
-    """_totient_cap starts its scan at 4 deg; the scan from n = 3 ends at the same n.
-
-    The loop test n <= f(n) deg only gets weaker as deg grows, so the scan from
-    3 for deg passes every n below the answer for deg - 1 and is resumed there.
-    """
-    n = 3
-    for deg in range(3001):
-        while n <= (1.7811 * math.log(math.log(n)) + 3 / math.log(math.log(n))) * deg:
-            n += 1
-        assert _totient_cap(deg) == n, deg
-
-
-def test_json_values_skip_poly_gcd(monkeypatch):
-    import qgraph.laurent
-    from qgraph.invariants import tet_full, theta_invariant
-
-    x = tet_full((22, 24, 26, 20, 28, 26))
-    y = theta_invariant(22, 24, 26)  # a product, so a divisor
-    want = (x + y, x * y, x / y)
-
-    def no_gcd(*args):
-        raise AssertionError("poly_gcd called")
-
-    monkeypatch.setattr(qgraph.laurent, "poly_gcd", no_gcd)
-    jx, jy = (LaurentRat.from_json_obj(json.loads(json.dumps(v.to_json_obj()))) for v in (x, y))
-    assert jx == x and x == jx and jy == y
-    assert (jx + jy, jx * jy, jx / jy) == want
+    for col in ((1, 1, 0), (2, 2, 2), (4, 6, 8)):
+        ok, unit = theta_reduction_check(*col)
+        assert ok and unit == 1, col
 
 
 def test_pole_error():
     # [2] vanishes at v = i
-    r = LaurentRat(LaurentPoly.one(), q_int(2))
+    r = LaurentRat.brackets(1, (), (2,))
     with pytest.raises(PoleError):
         r.eval_complex(1j)
     with pytest.raises(PoleError):
@@ -464,13 +399,14 @@ def test_eval_at_zero_pole_or_constant_term(span):
     # [2] = v^-1 + v, 1/(v^2 + v^4) and 1/(v^span + v^(span+2)) have poles at 0
     with pytest.raises(PoleError):
         LaurentRat.from_poly(q_int(2)).eval_complex(0)
+    over_2 = LaurentRat.brackets(1, (), (2,))  # 1 / [2] = v / (1 + v^2)
     with pytest.raises(PoleError):
-        LaurentRat(LaurentPoly.one(), q_int(2).shifted(3)).eval_complex(0j)
+        (LaurentRat.from_poly(LaurentPoly({-3: 1})) * over_2).eval_complex(0j)
     with pytest.raises(PoleError):
-        LaurentRat(LaurentPoly.one(), q_int(2).shifted(span + 1)).eval_complex(0)
+        (LaurentRat.from_poly(LaurentPoly({-span - 1: 1})) * over_2).eval_complex(0)
     # without a pole the value at 0 is the constant term over the denominator's 1,
-    # also when the numerator spans more terms than Horner's rule takes
-    r = LaurentRat(LaurentPoly({0: 3, 2: 1, span: 5}), q_int(3).shifted(2))
+    # also when the numerator spans more terms than Horner's rule takes; v^2 [3] = 1 + v^2 + v^4
+    r = LaurentRat.from_poly(LaurentPoly({-2: 3, 0: 1, span - 2: 5})) * LaurentRat.brackets(1, (), (3,))
     assert r.eval_complex(0) == 3
     assert r.eval_exact(Fraction(0)) == 3
 
@@ -478,7 +414,7 @@ def test_eval_at_zero_pole_or_constant_term(span):
 def test_rat_eval_matches_exact():
     rng = random.Random(8080)
     for _ in range(200):
-        r = rat_over(rand_poly(rng), rand_den(rng))
+        r = rand_rat(rng)
         v0 = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
         try:
             ex = r.eval_exact(v0)
@@ -526,7 +462,7 @@ def test_eval_complex_is_the_correctly_rounded_exact_value():
     rng = random.Random(20261019)
     poles = 0
     for i in range(300):
-        r = rat_over(rand_poly(rng, max_exp=12), rand_den(rng))
+        r = rand_rat(rng, max_exp=12)
         re = Fraction(rng.randrange(-40, 41), 2 ** rng.randrange(0, 6))
         im = 0 if i % 3 == 0 else Fraction(rng.randrange(-40, 41), 2 ** rng.randrange(0, 6))
         if i % 10 == 0:  # 0 and the roots of unity among these points
@@ -550,7 +486,7 @@ def test_eval_complex_is_the_correctly_rounded_exact_value():
 def test_eval_exact_matches_naive_sum_at_odd_denominators():
     rng = random.Random(4242)
     for _ in range(200):
-        r = rat_over(rand_poly(rng, max_exp=12), rand_den(rng))
+        r = rand_rat(rng, max_exp=12)
         v0 = Fraction(rng.randrange(-40, 41), rng.randrange(1, 40, 2) * rng.choice((1, 3, 7)))
         try:
             want = naive_value(r.num.terms, GaussQ(v0)) / naive_value(r.den.terms, GaussQ(v0))
@@ -637,7 +573,7 @@ def test_poly_gcd_contains_common_factor():
 def test_monomials_are_units():
     # monomial factors must not block reduction to a polynomial value
     p = q_int(3).shifted(5)
-    r = LaurentRat(p, q_int(3))
+    r = LaurentRat.from_poly(p) / LaurentRat.brackets(1, (3,))
     assert r.is_laurent_poly() or r.den.is_monomial() is False
     assert r == LaurentRat.from_poly(LaurentPoly({5: 1}))
 
@@ -978,13 +914,13 @@ def test_cancel_phi_matches_plain_trial_division():
 
 
 def _expanded_ratio(sign, ups, downs, factor):
-    """sign * prod factor(k) over ups / prod factor(k) over downs, from the expanded polys."""
+    """(num, den): sign * prod factor(k) over ups and prod factor(k) over downs, the expanded polys."""
     num, den = LaurentPoly({0: sign}), LaurentPoly.one()
     for k in ups:
         num = num * factor(k)
     for k in downs:
         den = den * factor(k)
-    return LaurentRat(num, den)
+    return num, den
 
 
 def test_bracket_ratio_matches_direct():
@@ -993,26 +929,26 @@ def test_bracket_ratio_matches_direct():
         ups = [rng.randrange(1, 13) for _ in range(rng.randrange(0, 5))]
         downs = [rng.randrange(1, 13) for _ in range(rng.randrange(0, 5))]
         sign = rng.choice((1, -1))
-        assert LaurentRat.brackets(sign, ups, downs) == _expanded_ratio(sign, ups, downs, q_int)
+        check_value(LaurentRat.brackets(sign, ups, downs), *_expanded_ratio(sign, ups, downs, q_int))
 
 
 def test_bracket_ratio_factorials():
     for n in range(0, 15):
         assert LaurentRat.factorials(1, (n,)) == LaurentRat.from_poly(q_factorial(n))
-        assert LaurentRat.factorials(-1, (), (n,)) == LaurentRat(-1, q_factorial(n))
+        check_value(LaurentRat.factorials(-1, (), (n,)), LaurentPoly({0: -1}), q_factorial(n))
     # sign * prod [n]! / prod [n]! against the expanded factorials
     rng = random.Random(1123)
     for _ in range(50):
         ups = [rng.randrange(0, 9) for _ in range(rng.randrange(0, 4))]
         downs = [rng.randrange(0, 9) for _ in range(rng.randrange(0, 4))]
         sign = rng.choice((1, -1))
-        assert LaurentRat.factorials(sign, ups, downs) == _expanded_ratio(sign, ups, downs, q_factorial)
+        check_value(LaurentRat.factorials(sign, ups, downs), *_expanded_ratio(sign, ups, downs, q_factorial))
 
 
 def test_bracket_ratio_negative_index():
     # [-3] = -[3], in the numerator and in the denominator
     assert LaurentRat.brackets(1, (-3,)) == LaurentRat.from_poly(-q_int(3))
-    assert LaurentRat.brackets(1, (2,), (-3,)) == LaurentRat(-q_int(2), q_int(3))
+    check_value(LaurentRat.brackets(1, (2,), (-3,)), -q_int(2), q_int(3))
     assert LaurentRat.brackets(-1, (-3, -4)) == LaurentRat.from_poly(-q_int(3) * q_int(4))
 
 
@@ -1185,7 +1121,8 @@ def test_factored_equality_cases():
     check_value(x, q_int(3) * q_int(4), LaurentPoly.one())
     # one Phi_d exponent apart, and a sign or a unit apart
     base = LaurentRat._product(1, -3, {3: 1, 4: 2, 10: -1})
-    expanded = LaurentRat(base.num, base.den)  # the same value as a form with a poly
+    spread = expanded(base)  # the same value as a form with a poly
+    assert spread._form[3] is not None
     for other in (
         LaurentRat._product(1, -3, {3: 1, 4: 1, 10: -1}),
         LaurentRat._product(1, -3, {3: 1, 4: 2}),
@@ -1193,9 +1130,9 @@ def test_factored_equality_cases():
         LaurentRat._product(1, -1, {3: 1, 4: 2, 10: -1}),
     ):
         assert base != other and other != base
-        assert expanded != other and other != expanded
+        assert spread != other and other != spread
         assert base.num * other.den != other.num * base.den
-    assert base == expanded and expanded == base
+    assert base == spread and spread == base
 
 
 def test_mutated_recursion_factor_fails_everywhere():
@@ -1221,10 +1158,6 @@ def test_mutated_recursion_factor_fails_everywhere():
 # -- serialization ------------------------------------------------------------
 
 
-def rand_rat(rng):
-    return rat_over(rand_poly(rng), rand_den(rng))
-
-
 def test_rat_dot_matches_naive_sum():
     rng = random.Random(5150)
     for _ in range(300):
@@ -1235,7 +1168,7 @@ def test_rat_dot_matches_naive_sum():
         assert rat_dot(pairs) == naive
     assert rat_dot([]).is_zero()
     # telescoping sums collapse to exact zero
-    x = LaurentRat(q_int(5), q_int(3))
+    x = LaurentRat.brackets(1, (5,), (3,))
     assert rat_dot([(x, LaurentRat.one()), (-x, LaurentRat.one())]).is_zero()
 
 
@@ -1299,11 +1232,14 @@ def test_poly_json_roundtrip():
 
 
 def test_rat_json_roundtrip():
+    # a LaurentRat's JSON is its num and den, each a LaurentPoly's JSON
     rng = random.Random(13)
     for _ in range(100):
         r = rand_rat(rng)
-        blob = json.dumps(r.to_json_obj())
-        assert LaurentRat.from_json_obj(json.loads(blob)) == r
+        obj = json.loads(json.dumps(r.to_json_obj()))
+        num, den = LaurentPoly.from_json_obj(obj["num"]), LaurentPoly.from_json_obj(obj["den"])
+        assert (num, den) == (r.num, r.den)
+        check_value(r, num, den)
 
 
 def test_json_terms_sorted_ascending():

@@ -78,6 +78,10 @@ EXTRA = [
         "verify annihilation --graph tet --edge 4 --max 3",
         "verify annihilation --graph tet --edge 23 --max 3",
         "--format csv tet --primed -c 2,3,3,2,3,3",
+        # rounds to 10000,6000,5000, which the admissibility shift takes to a
+        # row at 10001,6000,5001, one past the growth-table cap
+        "asymptotics theta --x 0.007574013049559057,0.05341372732716633,0.08699587882735979"
+        " --hbar -0.0009765625,-0.001953125",
     )
 ]
 
