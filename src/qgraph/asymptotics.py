@@ -48,6 +48,10 @@ class SingularPointError(ValueError):
     """Raised when a potential or twist is requested on its singular locus."""
 
 
+class GrowthInputError(ValueError):
+    """Raised when an x or hbar lies outside what the growth regime can evaluate."""
+
+
 class LadderExhaustedError(ArithmeticError):
     """Raised when log_abs_tet runs out of precision rungs before trusting its sum."""
 
@@ -132,6 +136,9 @@ def g_potential(u) -> complex:
 class SaddleRecord(NamedTuple):
     """Roots of the tetrahedron saddle polynomial and the selected branch.
 
+    Only a nondegenerate saddle has one: saddle_solve_tet raises
+    SingularPointError when the balance quadratic has no nonzero root.
+
     residual is the absolute value of the edge-1 classical curve at the
     selected root's twist; curve_errors and lattice_errors hold per-root
     diagnostics (the lattice error measures the distance of the logarithmic
@@ -145,7 +152,6 @@ class SaddleRecord(NamedTuple):
     residual: float
     curve_errors: tuple
     lattice_errors: tuple
-    degenerate: bool
 
 
 def _coords(x, labels) -> tuple:
@@ -416,7 +422,8 @@ def saddle_solve_tet(x) -> SaddleRecord:
     imaginary magnitude.  The structural zero root never wins because its
     slope is singular.  For a conjugate pair this picks the lower-half root,
     whose potential exceeds the upper one's by 2*pi*|arg z| and is the value
-    the alternating sum actually grows with.
+    the alternating sum actually grows with.  Raises SingularPointError
+    ("degenerate") when the quadratic vanishes or both its roots are zero.
     """
     xs = _coords(x, TET_EDGES)
     a, b, c, _ = saddle_cubic_tet(xs)
@@ -426,15 +433,7 @@ def saddle_solve_tet(x) -> SaddleRecord:
         roots = _quadratic_roots(a, b, c) + (0j,)
     if not any(roots):
         # a vanishing quadratic, or one whose roots are both zero (x = 0)
-        return SaddleRecord(
-            z_roots=(),
-            chosen=-1,
-            y1=complex(math.nan, math.nan),
-            residual=math.inf,
-            curve_errors=(),
-            lattice_errors=(),
-            degenerate=True,
-        )
+        raise SingularPointError("degenerate saddle polynomial, whose quadratic has no nonzero root")
     curve_errors = tuple(_curve_error_tet(xs, z) if z != 0 else math.inf for z in roots)
     lattice_errors = tuple(_lattice_error(xs, z) if z != 0 else math.inf for z in roots)
 
@@ -461,7 +460,6 @@ def saddle_solve_tet(x) -> SaddleRecord:
         residual=curve_errors[chosen],
         curve_errors=curve_errors,
         lattice_errors=lattice_errors,
-        degenerate=False,
     )
 
 
@@ -472,8 +470,6 @@ def check_residual_tet(x) -> dict:
     """
     xs = _coords(x, TET_EDGES)
     rec = saddle_solve_tet(xs)
-    if rec.degenerate:
-        raise SingularPointError("degenerate saddle polynomial")
     ys = saddle_twists_tet(xs, rec.z_roots[rec.chosen])
     return {"1": rec.residual, **_curve_residuals("tet", xs, {e: ys[e] for e in TET_EDGES[1:]})}
 
@@ -552,8 +548,6 @@ def lagrangian_residual(graph: str, x) -> float:
         y_ref = twists_at(xs)
     else:
         rec = saddle_solve_tet(xs)
-        if rec.degenerate:
-            raise SingularPointError("degenerate saddle polynomial")
         z_ref = rec.z_roots[rec.chosen]
         y_ref = saddle_twists_tet(xs, z_ref)
 
@@ -603,8 +597,9 @@ def sample_tet_point(rng):
         a, b, c, _ = saddle_cubic_tet(xs)
         if abs(a) < 0.05 * max(abs(b), abs(c), 1e-30):
             continue
-        rec = saddle_solve_tet(xs)
-        if rec.degenerate:
+        try:
+            rec = saddle_solve_tet(xs)
+        except SingularPointError:
             continue
         z = rec.z_roots[rec.chosen]
         triples, quads = _tet_products(xs)
@@ -634,12 +629,11 @@ def _log_bracket_prefix(n: int, hbar: float) -> list:
 def _negative_hbar(hbar) -> float:
     """hbar as a float; log(1 - e^(hbar k)) and the sums' bounds need it negative and finite.
 
-    An hbar whose exp rounds to 1, as the CLI's --hbar rule says, would take
-    the log of 0.
+    An hbar whose exp rounds to 1 would take the log of 0.
     """
     hbar = float(hbar)
     if not (-math.inf < hbar < 0 and math.exp(hbar) < 1.0):
-        raise ValueError(f"hbar must be negative and finite, with exp(hbar) below 1, got {hbar!r}")
+        raise GrowthInputError(f"hbar must be negative and finite, with exp(hbar) below 1, got {hbar!r}")
     return hbar
 
 
@@ -1197,7 +1191,7 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
 # -- color rounding ----------------------------------------------------------------------------
 
 
-# Largest color the command line lets a growth table round to.  Timed on a
+# Largest color a growth table rounds to.  Timed on a
 # 2-vCPU VM (Python 3.11): log_abs_tet at (10000,)*6, x = 0.35, trusts the
 # 2560-bit rung; it takes 0.15-0.23 s when growth_check_tet's hint starts it
 # there, 0.20-0.23 s when it climbs from 320 bits.  The cost grows about
@@ -1213,8 +1207,7 @@ def _round_colors(x, labels, hbar: float, usable, shifts) -> tuple:
     coloring is taken, ties going to the smaller coloring.  Returns (colors
     or None, notes).
     """
-    if not hbar < 0:
-        raise ValueError("growth regime needs negative hbar")
+    hbar = _negative_hbar(hbar)
     xs = tuple(float(v.real) for v in _coords(x, labels))
     exact = [2.0 * math.log(v) / hbar for v in xs]
     base = [max(0, round(e)) for e in exact]
@@ -1317,6 +1310,37 @@ def _summarize(graph: str, target: float, rows: list) -> GrowthTable:
     return GrowthTable(graph, target, tuple(rows), ratios, monotone, rich, rel)
 
 
+def _growth_rows(x, hbars, labels, round_colors) -> tuple:
+    """The table's eigenvalues and its rows (hbar, colors or None, notes), each rounded once.
+
+    Refuses, in this order and before anything is evaluated: an hbar that
+    `_negative_hbar` rejects; an x that is not finite and in (0, 1], since
+    colors n >= 0 solve x = exp(hbar n / 2); a row whose colors exceed
+    MAX_GROWTH_COLOR; and fewer than two hbar values, since the error ratios
+    and the extrapolation compare consecutive rows.
+    """
+    hbars = tuple(map(_negative_hbar, hbars))
+    xs = tuple(float(v.real) for v in _coords(x, labels))
+    if not all(math.isfinite(v) for v in xs):
+        raise GrowthInputError(f"x entries must be finite, got {xs}")
+    if any(v <= 0 for v in xs):
+        raise GrowthInputError(f"x entries must be positive (0 is a singular point of the potential), got {xs}")
+    if any(v > 1 for v in xs):
+        raise GrowthInputError(f"x entries must be at most 1 (no color n >= 0 has exp(hbar * n / 2) > 1), got {xs}")
+    rows = []
+    for hb in hbars:
+        colors, notes = round_colors(xs, hb)
+        top = max(colors or (0,))
+        if top > MAX_GROWTH_COLOR:
+            raise GrowthInputError(
+                f"hbar {hb!r} rounds x to colors up to {top}, above the growth-table cap {MAX_GROWTH_COLOR}"
+            )
+        rows.append((hb, colors, notes))
+    if len(rows) < 2:
+        raise GrowthInputError(f"hbar needs at least two values, got {len(rows)}")
+    return xs, rows
+
+
 def _ratio_e3(num: int, den: int) -> str:
     """num / den, for ints 0 <= num <= den, as format(num / den, ".3e") spells it.
 
@@ -1342,14 +1366,13 @@ def growth_check_theta(x, hbars) -> GrowthTable:
     (3/2) hbar log(-hbar) normalization; both are subtracted, and the target
     is shifted to the effective eigenvalues of the rounded colors, so the
     error column is first order in hbar.  Expect consecutive errors to halve
-    as hbar halves and the Richardson value to land on the target.
+    as hbar halves and the Richardson value to land on the target.  Raises
+    GrowthInputError for the inputs `_growth_rows` refuses.
     """
-    xs = tuple(float(v.real) for v in _coords(x, THETA_EDGES))
+    xs, plan = _growth_rows(x, hbars, THETA_EDGES, round_colors_theta)
     target = w_theta(xs).real
     rows = []
-    for hb in hbars:
-        hb = float(hb)
-        colors, notes = round_colors_theta(xs, hb)
+    for hb, colors, notes in plan:
         if colors is None:
             rows.append(GrowthRow(hb, None, math.nan, target, math.nan, notes))
             continue
@@ -1374,17 +1397,15 @@ def growth_check_tet(x, hbars) -> GrowthTable:
     conjugate saddle pair; all are subtracted so the error column is first
     order in hbar.  Rows flag near-nodes of the cosine, report the measured
     cancellation of the sum, and note the real-segment magnitude floor whose
-    gap to the saddle value sets that cancellation.
+    gap to the saddle value sets that cancellation.  Raises GrowthInputError
+    for the inputs `_growth_rows` refuses, and SingularPointError for a
+    degenerate saddle at x or at a row's rounded colors.
     """
-    xs = tuple(float(v.real) for v in _coords(x, TET_EDGES))
+    xs, plan = _growth_rows(x, hbars, TET_EDGES, round_colors_tet)
     rec = saddle_solve_tet(xs)
-    if rec.degenerate:
-        raise SingularPointError("degenerate saddle polynomial")
     target = w_tet(xs, rec.z_roots[rec.chosen]).real
     rows = []
-    for hb in hbars:
-        hb = float(hb)
-        colors, notes = round_colors_tet(xs, hb)
+    for hb, colors, notes in plan:
         notes = list(notes)
         if colors is None:
             rows.append(GrowthRow(hb, None, math.nan, target, math.nan, tuple(notes)))
@@ -1395,8 +1416,6 @@ def growth_check_tet(x, hbars) -> GrowthTable:
         x_eff = tuple(math.exp(hb * n / 2.0) for n in colors)
         try:
             rec_eff = saddle_solve_tet(x_eff)
-            if rec_eff.degenerate:
-                raise SingularPointError(f"degenerate saddle polynomial at the rounded colors {colors}")
             z0 = rec_eff.z_roots[rec_eff.chosen]
             w_eff = w_tet(x_eff, z0)
             curv = w_tet_curvature(x_eff, z0)

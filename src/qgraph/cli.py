@@ -41,7 +41,7 @@ from .apoly import (
 )
 from .asymptotics import (
     LAGRANGIAN_STEP,
-    MAX_GROWTH_COLOR,
+    GrowthInputError,
     LadderExhaustedError,
     SingularPointError,
     check_residual_tet,
@@ -49,8 +49,6 @@ from .asymptotics import (
     growth_check_tet,
     growth_check_theta,
     lagrangian_residual,
-    round_colors_tet,
-    round_colors_theta,
     sample_tet_point,
     sample_theta_point,
     saddle_solve_tet,
@@ -69,7 +67,7 @@ from .invariants import (
     theta_recursion_factor,
     theta_reduction_check,
 )
-from .multipoly import MultiPoly, compare_up_to_unit, exact_div_multi
+from .multipoly import MultiPoly, compare_up_to_unit
 
 # kept equal to pyproject.toml's version by tests/test_cli.py; a literal, because
 # importlib.metadata scans every installed distribution on each import
@@ -382,11 +380,8 @@ def _verify_classical_limit(args, cfg):
         if graph == "theta":  # the limit is the curve up to a unit
             unit = compare_up_to_unit(lim, curve)
         else:  # the limit is the curve times 1 - x_edge^2
-            try:
-                unit = exact_div_multi(lim, curve)
-            except ValueError:
-                unit = None
-            if unit is not None and unit != MultiPoly.one() - MultiPoly.var("x_" + edge, 2):
+            unit = MultiPoly.one() - MultiPoly.var("x_" + edge, 2)
+            if lim != curve * unit:
                 unit = None
         if unit is None:
             failures.append({"edge": edge})
@@ -529,7 +524,6 @@ class _Numeric(NamedTuple):
     """A graph's numeric routines, each called through this module's attribute for span tracing."""
 
     growth: Callable  # (x, hbars) -> GrowthTable
-    round_colors: Callable  # (x, hbar) -> (colors or None, notes), the coloring of growth's row
     lagrangian_point: Callable  # rng -> sample point
     residual_point: Callable  # rng -> sample point
     residual: Callable  # x -> {edge: |classical curve|}, NaN where skipped
@@ -540,7 +534,6 @@ class _Numeric(NamedTuple):
 _NUMERIC = {
     "theta": _Numeric(
         lambda x, hbars: growth_check_theta(x, hbars),
-        lambda x, hbar: round_colors_theta(x, hbar),
         lambda rng: sample_theta_point(rng),
         lambda rng: tuple(rng.uniform(0.1, 0.9) for _ in range(3)),
         lambda x: check_residual_theta(x),
@@ -548,7 +541,6 @@ _NUMERIC = {
     ),
     "tet": _Numeric(
         lambda x, hbars: growth_check_tet(x, hbars),
-        lambda x, hbar: round_colors_tet(x, hbar),
         lambda rng: sample_tet_point(rng),
         lambda rng: sample_tet_point(rng),
         lambda x: check_residual_tet(x),
@@ -562,36 +554,10 @@ _GROWTH_COLUMNS = ["hbar", "colors", "scaled_log_abs", "target", "error", "statu
 def cmd_asymptotics(args, cfg):
     x = _parse_floats(args.x, len(GRAPHS[args.graph].edges), "--x")
     hbars = _parse_floats(args.hbar, None, "--hbar")
-    if not hbars or any(h >= 0 for h in hbars):
-        raise UsageError("--hbar needs a nonempty list of negative reals")
-    for h in hbars:
-        if math.exp(h) == 1.0:
-            raise UsageError(
-                f"--hbar {h!r} is too close to 0: exp(hbar) rounds to 1, so log(1 - exp(hbar)) is not finite"
-            )
-    # colors solve x = exp(hbar * n / 2) with n >= 0, which only an x in (0, 1] can meet
-    if any(v <= 0 for v in x):
-        raise UsageError(f"--x entries must be positive (0 is a singular point of the potential), got {args.x}")
-    if any(v > 1 for v in x):
-        raise UsageError(f"--x entries must be at most 1 (no color n >= 0 has exp(hbar * n / 2) > 1), got {args.x}")
-    for h in hbars:
-        # a row evaluates the plain rounding n = 2 log(x) / hbar, each color
-        # moved by at most 1 to restore admissibility, so only a rounding
-        # that reaches the cap needs the row's own colors (a tet row's
-        # repair tries up to 108 unit shifts)
-        if max(round(2.0 * math.log(v) / h) for v in x) < MAX_GROWTH_COLOR:
-            continue
-        colors, _ = _NUMERIC[args.graph].round_colors(x, h)
-        top = max(colors or (0,))
-        if top > MAX_GROWTH_COLOR:
-            raise UsageError(
-                f"--hbar {h!r} rounds --x to colors up to {top}, above the growth-table cap {MAX_GROWTH_COLOR}"
-            )
-    # the error ratios and the extrapolation compare consecutive rows
-    if len(hbars) < 2:
-        raise UsageError(f"--hbar needs at least two values, got {args.hbar}")
     try:
         table = _NUMERIC[args.graph].growth(x, hbars)
+    except GrowthInputError as exc:
+        raise UsageError(str(exc))
     except SingularPointError as exc:
         raise UsageError(f"--x {args.x} is a singular point: {exc}")
     except LadderExhaustedError as exc:
@@ -656,8 +622,6 @@ def cmd_saddle(args, cfg):
         raise UsageError(f"--x {args.x} is a singular point: {exc}")
     except (OverflowError, ZeroDivisionError) as exc:  # products of the eigenvalues beyond a double's range
         raise UsageError(f"--x {args.x} is out of range: {exc}")
-    if rec.degenerate:
-        raise UsageError(f"--x {args.x} is a degenerate point: the saddle quadratic has no nonzero root")
     rows = []
     for i, z in enumerate(rec.z_roots):
         rows.append(
@@ -673,7 +637,7 @@ def cmd_saddle(args, cfg):
     payload = {
         "check": "saddle",
         "x": list(x),
-        "degenerate": rec.degenerate,
+        "degenerate": False,  # a degenerate point raises above; the key stays in the report
         "chosen": rec.chosen,
         "residual": rec.residual,
         "tolerance": tol,

@@ -1206,7 +1206,8 @@ class LaurentRat:
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:
-        return f"LaurentRat({self.num!r}, {self.den!r})"
+        # not a call: the constructor takes no (num, den) pair
+        return f"<LaurentRat num={self.num!r} den={self.den!r}>"
 
     def to_json_obj(self) -> dict:
         return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}

@@ -22,6 +22,8 @@ from qgraph.apoly import TET_EDGES, THETA_EDGES, saddle_system, tet_classical_A,
 from qgraph.asymptotics import (
     PI_SQ_OVER_6,
     TWO_PI,
+    MAX_GROWTH_COLOR,
+    GrowthInputError,
     GrowthRow,
     GrowthTable,
     LadderExhaustedError,
@@ -443,7 +445,6 @@ def test_saddle_cubic_symmetric_point():
 
 def test_saddle_solve_symmetric_point():
     rec = saddle_solve_tet((0.5,) * 6)
-    assert not rec.degenerate
     assert rec.z_roots[-1] == 0
     z0 = rec.z_roots[rec.chosen]
     assert abs(z0 - (0.07670454545454544 - 0.012383235635058715j)) < 1e-12
@@ -462,7 +463,6 @@ def test_saddle_solve_random_points():
     for _ in range(20):
         x = sample_tet_point(rng)
         rec = saddle_solve_tet(x)
-        assert not rec.degenerate
         assert rec.residual <= 1e-8
         assert rec.lattice_errors[rec.chosen] <= 1e-6
         point = {"x_" + lab: complex(v) for lab, v in zip(TET_EDGES, x)}
@@ -471,12 +471,9 @@ def test_saddle_solve_random_points():
 
 
 def test_saddle_solve_degenerate_report():
-    for x in ((1,) * 6, (0,) * 6):  # no quadratic; a quadratic with both roots zero
-        rec = saddle_solve_tet(x)
-        assert rec.degenerate
-        assert rec.z_roots == ()
-        assert rec.chosen == -1
-        assert math.isinf(rec.residual)
+    for x in ((1.0,) * 6, (0,) * 6):  # no quadratic; a quadratic with both roots zero
+        with pytest.raises(SingularPointError, match="degenerate"):
+            saddle_solve_tet(x)
 
 
 @pytest.mark.parametrize(
@@ -785,12 +782,12 @@ def _counting_rungs(monkeypatch) -> list:
 def _predicted_hint(colors, hbar):
     # growth_check_tet's hint: the floor-to-saddle gap of Re W over hbar ln 2
     x_eff = tuple(math.exp(hbar * n / 2.0) for n in colors)
-    rec = saddle_solve_tet(x_eff)
     try:
+        rec = saddle_solve_tet(x_eff)
         floor = tet_summation_floor(x_eff)
-    except ValueError:  # x_eff within rounding of 1, as in the tiny-hbar rows
+    except ValueError:  # SingularPointError too: x_eff within rounding of 1, as in the tiny-hbar rows
         return None
-    if rec.degenerate or floor is None:
+    if floor is None:
         return None
     return (w_tet(x_eff, rec.z_roots[rec.chosen]).real - floor[1]) / (hbar * math.log(2.0))
 
@@ -1458,7 +1455,7 @@ def test_growth_check_theta_symmetric_point():
 
 
 def test_growth_check_theta_trivial_row():
-    table = growth_check_theta((0.999, 0.999, 0.999), (-1.0 / 32.0,))
+    table = growth_check_theta((0.999, 0.999, 0.999), (-1.0 / 32.0, -1.0 / 64.0))
     row = table.rows[0]
     assert row.colors == (0, 0, 0)
     assert row.scaled_log_abs == 0.0
@@ -1481,7 +1478,7 @@ def test_growth_check_tet_symmetric_point():
 
 def test_growth_check_tet_reports_cancellation_scaling():
     # measured cancellation tracks exp(-gap/|hbar|) against the segment floor
-    table = growth_check_tet((0.5,) * 6, (-1.0 / 64.0,))
+    table = growth_check_tet((0.5,) * 6, (-1.0 / 64.0, -1.0 / 32.0))
     row = table.rows[0]
     note = next(n for n in row.notes if n.startswith("cancellation"))
     measured = float(note.split()[1])
@@ -1513,8 +1510,60 @@ def test_ratio_e3_matches_float_format_on_bench_rows():
 def test_growth_check_tet_notes_a_cancellation_below_a_doubles_range(monkeypatch):
     # a survivor of 2^-4000 of the total, trusted at 5120 bits: as a float it read 0.000e+00
     monkeypatch.setattr(asymptotics, "_tet_rung", lambda taus, ups, hbar, bits: (1, 1 << 4000, 0))
-    row = growth_check_tet((0.35,) * 6, (-1.0 / 32.0,)).rows[0]
+    row = growth_check_tet((0.35,) * 6, (-1.0 / 32.0, -1.0 / 64.0)).rows[0]
     assert "cancellation 7.586e-1205" in row.notes
+
+
+def _refuse_evaluation(monkeypatch):
+    # the input rules come before the potential and before every row
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a growth table evaluated an input it should refuse")
+
+    for name in ("w_theta", "saddle_solve_tet", "log_abs_theta", "log_abs_tet"):
+        monkeypatch.setattr(asymptotics, name, evaluated)
+
+
+def test_growth_check_tet_refuses_a_row_past_the_cap(monkeypatch):
+    # hbar = -1e-6 rounds x = 0.35 to colors near 2.1e6; the first row is under
+    # the cap, and neither row runs
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(GrowthInputError, match=f"cap {MAX_GROWTH_COLOR}"):
+        growth_check_tet((0.35,) * 6, (-0.03125, -1e-6))
+
+
+@pytest.mark.parametrize(
+    "growth, x, hbars, message",
+    [
+        # the hbar rule comes first, before a bad x
+        (growth_check_theta, (2.0,) * 3, (-0.1, 0.0), "hbar must be negative"),
+        (growth_check_theta, (0.5,) * 3, (-0.1, -1e-17), r"exp\(hbar\) below 1"),
+        (growth_check_tet, (0.35,) * 6, (math.nan, -0.05), "hbar must be negative and finite"),
+        (growth_check_tet, (math.nan,) + (0.35,) * 5, (-0.1, -0.05), "x entries must be finite"),
+        (growth_check_theta, (0.5, math.inf, 0.5), (-0.1, -0.05), "x entries must be finite"),
+        (growth_check_theta, (0.5, 0.0, 0.5), (-0.1, -0.05), "must be positive"),
+        (growth_check_tet, (0.35,) * 5 + (-0.35,), (-0.1, -0.05), "must be positive"),
+        (growth_check_theta, (2.0,) * 3, (-0.1, -0.05), "at most 1"),
+        # the cap comes before the count of hbar values
+        (growth_check_tet, (0.35,) * 6, (-1e-9,), f"cap {MAX_GROWTH_COLOR}"),
+        (growth_check_theta, (0.5,) * 3, (-0.1,), "at least two values"),
+        (growth_check_tet, (0.35,) * 6, (), "at least two values"),
+    ],
+)
+def test_growth_checks_refuse_inputs_before_evaluating(monkeypatch, growth, x, hbars, message):
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(GrowthInputError, match=message):
+        growth(x, hbars)
+
+
+@pytest.mark.parametrize("graph, x", [("theta", (0.5,) * 3), ("tet", (0.35,) * 6)])
+def test_growth_checks_round_each_row_once(monkeypatch, graph, x):
+    name = "round_colors_" + graph
+    real = getattr(asymptotics, name)
+    calls = []
+    monkeypatch.setattr(asymptotics, name, lambda xs, hb: calls.append(hb) or real(xs, hb))
+    table = getattr(asymptotics, "growth_check_" + graph)(x, (-1.0 / 32.0, -1.0 / 64.0))
+    assert calls == [-1.0 / 32.0, -1.0 / 64.0]
+    assert [row.colors for row in table.rows] == [real(x, hb)[0] for hb in calls]
 
 
 def gx_self_check(x, hbars) -> GrowthTable:
@@ -1620,7 +1669,6 @@ def test_sample_tet_point_respects_constraints():
     for _ in range(10):
         x = sample_tet_point(rng)
         rec = saddle_solve_tet(x)
-        assert not rec.degenerate
         z = rec.z_roots[rec.chosen]
         assert abs(1 - z) >= 0.15 and abs(z) >= 1e-4
 

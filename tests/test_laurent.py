@@ -1256,3 +1256,17 @@ def test_str_rendering():
     assert str(q_int(3)) == "q^(-1) + 1 + q"
     assert str(LaurentPoly.zero()) == "0"
     assert str(LaurentPoly({2: 3, 1: -2})) == "-2*q^(1/2) + 3*q"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [LaurentRat(0), LaurentRat(-3), LaurentRat(q_int(3)), LaurentRat.brackets(1, (2,), (3,))],
+    ids=["zero", "int", "poly", "bracket-ratio"],
+)
+def test_rat_repr_names_no_call_that_raises(value):
+    # the constructor takes no (num, den) pair, so the repr is no call; num and
+    # den show as LaurentPoly reprs, each of which rebuilds its polynomial
+    text = repr(value)
+    assert text == f"<LaurentRat num={value.num!r} den={value.den!r}>"
+    names = {"LaurentPoly": LaurentPoly}
+    assert eval(repr(value.num), names) == value.num and eval(repr(value.den), names) == value.den

@@ -37,9 +37,9 @@ X_TET = "0.35,0.35,0.35,0.35,0.35,0.35"
 # output, the theta classical limit, --eval (also beyond a double's range),
 # the injected bad operator (exit 1), a growth table whose cancellation falls
 # below a double's range, a growth row at colors 9998 near the 10000 cap,
-# --x entries above 1, a saddle point whose curve overflows, the default graph
-# and edge of each graph-dispatching command, tet annihilation along the edges
-# other than 1 and 2, and csv tet --primed
+# rows past the cap, --x entries above 1, a saddle point whose curve
+# overflows, the default graph and edge of each graph-dispatching command, tet
+# annihilation along the edges other than 1 and 2, and csv tet --primed
 EXTRA = [
     tuple(a.split())
     for a in (
@@ -82,6 +82,9 @@ EXTRA = [
         # row at 10001,6000,5001, one past the growth-table cap
         "asymptotics theta --x 0.007574013049559057,0.05341372732716633,0.08699587882735979"
         " --hbar -0.0009765625,-0.001953125",
+        # the second hbar rounds to colors near 2.1e6, past the cap: exit 2 with
+        # empty stdout, before the first row (under the cap) is evaluated
+        "asymptotics tet --x " + X_TET + " --hbar -0.03125,-1e-6",
     )
 ]
 
