@@ -404,12 +404,13 @@ def _lattice_error(xs, z) -> float:
     return abs(d - complex(0.0, TWO_PI * k))
 
 
-def _curve_error_tet(xs, z) -> float:
+def _curve_error_tet(xs, z) -> tuple:
+    # (edge-1 twist, its curve residual), or (None, inf) at a twist pole
     try:
         y1 = saddle_twists_tet(xs, z)["1"]
     except SingularPointError:
-        return math.inf
-    return _curve_residuals("tet", xs, {"1": y1})["1"]
+        return None, math.inf
+    return y1, _curve_residuals("tet", xs, {"1": y1})["1"]
 
 
 def saddle_solve_tet(x) -> SaddleRecord:
@@ -434,7 +435,7 @@ def saddle_solve_tet(x) -> SaddleRecord:
     if not any(roots):
         # a vanishing quadratic, or one whose roots are both zero (x = 0)
         raise SingularPointError("degenerate saddle polynomial, whose quadratic has no nonzero root")
-    curve_errors = tuple(_curve_error_tet(xs, z) if z != 0 else math.inf for z in roots)
+    twists, curve_errors = zip(*(_curve_error_tet(xs, z) if z != 0 else (None, math.inf) for z in roots))
     lattice_errors = tuple(_lattice_error(xs, z) if z != 0 else math.inf for z in roots)
 
     def sel_key(i):
@@ -451,8 +452,9 @@ def saddle_solve_tet(x) -> SaddleRecord:
 
     candidates = [i for i, z in enumerate(roots) if z != 0]
     chosen = min(candidates, key=sel_key)
-    zc = roots[chosen]
-    y1 = saddle_twists_tet(xs, zc)["1"]
+    y1 = twists[chosen]
+    if y1 is None:  # the chosen root sits on a twist pole, so this raises
+        saddle_twists_tet(xs, roots[chosen])
     return SaddleRecord(
         z_roots=roots,
         chosen=chosen,
@@ -463,13 +465,15 @@ def saddle_solve_tet(x) -> SaddleRecord:
     )
 
 
-def check_residual_tet(x) -> dict:
+def check_residual_tet(x, rec: Optional[SaddleRecord] = None) -> dict:
     """Absolute value of each tetrahedron classical curve at the selected saddle's twists.
 
-    The edge-1 curve is saddle_solve_tet's own residual at that root.
+    The edge-1 curve is saddle_solve_tet's own residual at that root; rec,
+    when given, is saddle_solve_tet(x).
     """
     xs = _coords(x, TET_EDGES)
-    rec = saddle_solve_tet(xs)
+    if rec is None:
+        rec = saddle_solve_tet(xs)
     ys = saddle_twists_tet(xs, rec.z_roots[rec.chosen])
     return {"1": rec.residual, **_curve_residuals("tet", xs, {e: ys[e] for e in TET_EDGES[1:]})}
 
@@ -532,14 +536,14 @@ def tet_summation_floor(x) -> Optional[tuple]:
 LAGRANGIAN_STEP = 1e-5
 
 
-def lagrangian_residual(graph: str, x) -> float:
+def lagrangian_residual(graph: str, x, rec: Optional[SaddleRecord] = None) -> float:
     """Largest antisymmetry of the twist log-Jacobian at one point.
 
     Central differences in log x with step LAGRANGIAN_STEP; the twists of the
     tetrahedron are recomputed through the saddle nearest to the unperturbed
     one so the branch stays continuous.  A symmetric Jacobian is the testable
     statement that the twist pairing closes the symplectic form on the curve
-    family.
+    family.  rec, when given, is the tetrahedron's saddle_solve_tet(x).
     """
     labels = GRAPHS[graph].edges
     xs = tuple(float(v.real) for v in _coords(x, labels))
@@ -547,7 +551,8 @@ def lagrangian_residual(graph: str, x) -> float:
         twists_at = grad_log_y_theta
         y_ref = twists_at(xs)
     else:
-        rec = saddle_solve_tet(xs)
+        if rec is None:
+            rec = saddle_solve_tet(xs)
         z_ref = rec.z_roots[rec.chosen]
         y_ref = saddle_twists_tet(xs, z_ref)
 
@@ -585,30 +590,43 @@ def sample_theta_point(rng):
     raise RuntimeError("theta point sampler starved")
 
 
-def sample_tet_point(rng):
-    """Random eigenvalue six-tuple in [0.2, 0.8]^6 whose saddle sits away from degeneracies.
+def _clear_of_degeneracies(z, products) -> bool:
+    # the tet sampler's test of a saddle z
+    return not (any(abs(z - p) < 0.15 * abs(p) for p in products) or abs(1 - z) < 0.15 or abs(z) < 1e-4)
 
-    The saddle must keep a relative distance 0.15 from every product it can
-    collide with, and the balance quadratic must be comfortably nondegenerate.
-    Acceptance runs near ten percent.
+
+def sample_tet_record(rng) -> tuple:
+    """sample_tet_point's point x and saddle_solve_tet(x), as (x, record).
+
+    The chosen saddle is a nonzero root of the balance quadratic, so a
+    candidate with no such root clear of the test is rejected unsolved.
     """
     for _ in range(100000):
         xs = tuple(rng.uniform(0.2, 0.8) for _ in range(6))
         a, b, c, _ = saddle_cubic_tet(xs)
         if abs(a) < 0.05 * max(abs(b), abs(c), 1e-30):
             continue
+        triples, quads = _tet_products(xs)
+        products = triples + quads
+        if not any(z != 0 and _clear_of_degeneracies(z, products) for z in _quadratic_roots(a, b, c)):
+            continue
         try:
             rec = saddle_solve_tet(xs)
         except SingularPointError:
             continue
-        z = rec.z_roots[rec.chosen]
-        triples, quads = _tet_products(xs)
-        if any(abs(z - p) < 0.15 * abs(p) for p in triples + quads):
-            continue
-        if abs(1 - z) < 0.15 or abs(z) < 1e-4:
-            continue
-        return xs
+        if _clear_of_degeneracies(rec.z_roots[rec.chosen], products):
+            return xs, rec
     raise RuntimeError("tet point sampler starved")
+
+
+def sample_tet_point(rng):
+    """Random eigenvalue six-tuple in [0.2, 0.8]^6 whose saddle sits away from degeneracies.
+
+    The saddle must keep a relative distance 0.15 from every product it can
+    collide with, and the balance quadratic must be comfortably nondegenerate.
+    Acceptance runs near 26 percent (800 of 3130 candidates, seeds 0-39).
+    """
+    return sample_tet_record(rng)[0]
 
 
 # -- exact magnitude evaluation in the growth regime -------------------------------------------
@@ -1199,16 +1217,29 @@ def log_abs_tet(colors, hbar: float, log2_hint=None) -> tuple:
 MAX_GROWTH_COLOR = 10_000
 
 
+def _growth_eigenvalues(x, labels) -> tuple:
+    """x's real parts as floats, each finite and in (0, 1], else GrowthInputError."""
+    xs = tuple(float(v.real) for v in _coords(x, labels))
+    if not all(math.isfinite(v) for v in xs):
+        raise GrowthInputError(f"x entries must be finite, got {xs}")
+    if any(v <= 0 for v in xs):
+        raise GrowthInputError(f"x entries must be positive (0 is a singular point of the potential), got {xs}")
+    if any(v > 1 for v in xs):
+        raise GrowthInputError(f"x entries must be at most 1 (no color n >= 0 has exp(hbar * n / 2) > 1), got {xs}")
+    return xs
+
+
 def _round_colors(x, labels, hbar: float, usable, shifts) -> tuple:
     """Nearest usable coloring for the requested eigenvalues.
 
     Colors solve x = exp(hbar n / 2).  When the plain rounding `base` is not
     usable, the cheapest of the unit shifts shifts(base) that gives a usable
     coloring is taken, ties going to the smaller coloring.  Returns (colors
-    or None, notes).
+    or None, notes).  Refuses what `_negative_hbar`, then
+    `_growth_eigenvalues`, refuses.
     """
     hbar = _negative_hbar(hbar)
-    xs = tuple(float(v.real) for v in _coords(x, labels))
+    xs = _growth_eigenvalues(x, labels)
     exact = [2.0 * math.log(v) / hbar for v in xs]
     base = [max(0, round(e)) for e in exact]
     if usable(base):
@@ -1314,19 +1345,12 @@ def _growth_rows(x, hbars, labels, round_colors) -> tuple:
     """The table's eigenvalues and its rows (hbar, colors or None, notes), each rounded once.
 
     Refuses, in this order and before anything is evaluated: an hbar that
-    `_negative_hbar` rejects; an x that is not finite and in (0, 1], since
-    colors n >= 0 solve x = exp(hbar n / 2); a row whose colors exceed
-    MAX_GROWTH_COLOR; and fewer than two hbar values, since the error ratios
-    and the extrapolation compare consecutive rows.
+    `_negative_hbar` rejects; an x that `_growth_eigenvalues` rejects; a row
+    whose colors exceed MAX_GROWTH_COLOR; and fewer than two hbar values,
+    since the error ratios and the extrapolation compare consecutive rows.
     """
     hbars = tuple(map(_negative_hbar, hbars))
-    xs = tuple(float(v.real) for v in _coords(x, labels))
-    if not all(math.isfinite(v) for v in xs):
-        raise GrowthInputError(f"x entries must be finite, got {xs}")
-    if any(v <= 0 for v in xs):
-        raise GrowthInputError(f"x entries must be positive (0 is a singular point of the potential), got {xs}")
-    if any(v > 1 for v in xs):
-        raise GrowthInputError(f"x entries must be at most 1 (no color n >= 0 has exp(hbar * n / 2) > 1), got {xs}")
+    xs = _growth_eigenvalues(x, labels)
     rows = []
     for hb in hbars:
         colors, notes = round_colors(xs, hb)

@@ -49,7 +49,7 @@ from .asymptotics import (
     growth_check_tet,
     growth_check_theta,
     lagrangian_residual,
-    sample_tet_point,
+    sample_tet_record,
     sample_theta_point,
     saddle_solve_tet,
 )
@@ -313,8 +313,8 @@ GRID_CAP = {"theta": 60, "tet": 12}
 
 # the largest --samples: lagrangian and residual keep one report row per
 # sample, and at this count the slowest sampled command (verify eliminate,
-# 1.1 ms a sample) takes about 57 s on one core of a 2-core x86-64 machine,
-# residual and lagrangian --graph tet (0.8-0.9 ms) 41-45 s at a 68 MB peak
+# 0.9 ms a sample) takes about 45 s of CPU on one core of a 2-core x86-64
+# machine, residual and lagrangian --graph tet (0.5 ms) 24-26 s at a 68 MB peak
 SAMPLE_CAP = 50_000
 
 
@@ -471,8 +471,7 @@ def _verify_eliminate(args, cfg):
     rng = random.Random(cfg.seed)
     worst = 0.0
     for _ in range(samples):
-        x = sample_tet_point(rng)
-        rec = saddle_solve_tet(x)
+        x, rec = sample_tet_record(rng)
         point = {"x_" + lab: complex(v) for lab, v in zip(TET_EDGES, x)}
         point["y_1"] = rec.y1
         worst = max(worst, abs(res.evaluate(point)))
@@ -524,9 +523,9 @@ class _Numeric(NamedTuple):
     """A graph's numeric routines, each called through this module's attribute for span tracing."""
 
     growth: Callable  # (x, hbars) -> GrowthTable
-    lagrangian_point: Callable  # rng -> sample point
-    residual_point: Callable  # rng -> sample point
-    residual: Callable  # x -> {edge: |classical curve|}, NaN where skipped
+    lagrangian_point: Callable  # rng -> (sample point, its saddle record or None)
+    residual_point: Callable  # rng -> (sample point, its saddle record or None)
+    residual: Callable  # (x, record) -> {edge: |classical curve|}, NaN where skipped
     lagrangian_samples: int  # default sample counts
     residual_samples: int
 
@@ -534,16 +533,16 @@ class _Numeric(NamedTuple):
 _NUMERIC = {
     "theta": _Numeric(
         lambda x, hbars: growth_check_theta(x, hbars),
-        lambda rng: sample_theta_point(rng),
-        lambda rng: tuple(rng.uniform(0.1, 0.9) for _ in range(3)),
-        lambda x: check_residual_theta(x),
+        lambda rng: (sample_theta_point(rng), None),
+        lambda rng: (tuple(rng.uniform(0.1, 0.9) for _ in range(3)), None),
+        lambda x, rec: check_residual_theta(x),
         50, 100,
     ),
     "tet": _Numeric(
         lambda x, hbars: growth_check_tet(x, hbars),
-        lambda rng: sample_tet_point(rng),
-        lambda rng: sample_tet_point(rng),
-        lambda x: check_residual_tet(x),
+        lambda rng: sample_tet_record(rng),
+        lambda rng: sample_tet_record(rng),
+        lambda x, rec: check_residual_tet(x, rec=rec),
         20, 20,
     ),
 }
@@ -658,9 +657,9 @@ def cmd_lagrangian(args, cfg):
     rows = []
     worst = 0.0
     for i in range(samples):
-        x = num.lagrangian_point(rng)
+        x, rec = num.lagrangian_point(rng)
         try:
-            asym = lagrangian_residual(graph, x)
+            asym = lagrangian_residual(graph, x, rec=rec)
         except SingularPointError as exc:
             raise UsageError(f"a central difference moves sample {i} onto a singular point: {exc}")
         worst = max(worst, asym)
@@ -690,8 +689,8 @@ def cmd_residual(args, cfg):
     worst = 0.0
     skipped = 0
     for i in range(samples):
-        x = num.residual_point(rng)
-        vals = list(num.residual(x).values())
+        x, rec = num.residual_point(rng)
+        vals = list(num.residual(x, rec).values())
         row = {"index": i, "x": ",".join(repr(v) for v in x)}
         # a NaN residual (theta twists at a singular locus) is no evidence either way
         if any(v != v for v in vals):

@@ -53,6 +53,7 @@ from qgraph.asymptotics import (
     saddle_solve_tet,
     saddle_twists_tet,
     sample_tet_point,
+    sample_tet_record,
     sample_theta_point,
     tet_real_segment,
     tet_summation_floor,
@@ -574,6 +575,23 @@ def test_check_residual_tet_matches_the_looped_residual():
         res = check_residual_tet(x)
         assert tuple(res) == TET_EDGES
         assert max(0.0, *res.values()) == _residual_tet_looped(x)
+
+
+def test_check_residual_tet_and_lagrangian_take_the_callers_record():
+    rng = random.Random(5)
+    for _ in range(10):
+        x, rec = sample_tet_record(rng)
+        assert check_residual_tet(x, rec=rec) == check_residual_tet(x)
+        assert lagrangian_residual("tet", x, rec=rec) == lagrangian_residual("tet", x)
+
+
+def test_saddle_solve_raises_when_the_chosen_root_sits_on_a_twist_pole(monkeypatch):
+    def pole(x, z):
+        raise SingularPointError("saddle collides with a twist pole")
+
+    monkeypatch.setattr(asymptotics, "saddle_twists_tet", pole)
+    with pytest.raises(SingularPointError, match="twist pole"):
+        saddle_solve_tet((0.5,) * 6)
 
 
 def test_check_residual_tet_rejects_a_degenerate_saddle():
@@ -1289,6 +1307,18 @@ def test_round_colors_theta_rejects_positive_hbar():
         round_colors_theta((0.5, 0.5, 0.5), 0.1)
 
 
+@pytest.mark.parametrize("round_colors, n", [(round_colors_theta, 3), (round_colors_tet, 6)], ids=["theta", "tet"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(math.nan, "must be finite"), (0.0, "must be positive"), (1.5, "at most 1")],
+    ids=["nan", "zero", "above_one"],
+)
+def test_round_colors_refuses_an_x_without_a_color(round_colors, n, bad, message):
+    # colors n >= 0 solve x = exp(hbar n / 2), so only a finite x in (0, 1] has one
+    with pytest.raises(GrowthInputError, match=message):
+        round_colors((bad,) + (0.5,) * (n - 1), -1.0 / 32.0)
+
+
 def test_round_colors_tet_plain_and_repaired():
     colors, notes = round_colors_tet((0.35,) * 6, -1.0 / 64.0)
     assert colors == (134,) * 6
@@ -1671,6 +1701,43 @@ def test_sample_tet_point_respects_constraints():
         rec = saddle_solve_tet(x)
         z = rec.z_roots[rec.chosen]
         assert abs(1 - z) >= 0.15 and abs(z) >= 1e-4
+
+
+def _sample_tet_point_solving_every_candidate(rng, counts):
+    """The tet sampler as a loop that solves each candidate before testing it: the oracle of its root pre-test."""
+    for _ in range(100000):
+        counts["candidates"] += 1
+        xs = tuple(rng.uniform(0.2, 0.8) for _ in range(6))
+        a, b, c, _ = saddle_cubic_tet(xs)
+        if abs(a) < 0.05 * max(abs(b), abs(c), 1e-30):
+            continue
+        try:
+            rec = saddle_solve_tet(xs)
+        except SingularPointError:
+            continue
+        z = rec.z_roots[rec.chosen]
+        triples, quads = asymptotics._tet_products(xs)
+        if any(abs(z - p) < 0.15 * abs(p) for p in triples + quads):
+            continue
+        if abs(1 - z) < 0.15 or abs(z) < 1e-4:
+            continue
+        return xs
+    raise RuntimeError("tet point sampler starved")
+
+
+def test_sample_tet_record_matches_the_solving_loop():
+    # the same points as the loop that solves every candidate, each with its own saddle record
+    counts = {"candidates": 0}
+    for seed in range(40):
+        want_rng, got_rng, point_rng = random.Random(seed), random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            want = _sample_tet_point_solving_every_candidate(want_rng, counts)
+            x, rec = sample_tet_record(got_rng)
+            assert x == want
+            assert rec == saddle_solve_tet(x)
+            assert sample_tet_point(point_rng) == want
+    # the acceptance rate sample_tet_point's docstring quotes
+    assert counts["candidates"] == 3130
 
 
 def test_samplers_deterministic():

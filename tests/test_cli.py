@@ -629,7 +629,7 @@ def test_residual_tet(capsys):
 def test_residual_nan_is_skipped(capsys, monkeypatch, graph):
     # a NaN on any curve, not only on the first, makes the sample skipped rather than a pass
     results = iter([{"1": 1e-12, "2": math.nan}, {"1": 1e-12, "2": 2e-12}])
-    monkeypatch.setattr(cli, f"check_residual_{graph}", lambda x: next(results))
+    monkeypatch.setattr(cli, f"check_residual_{graph}", lambda x, rec=None: next(results))
     code, report = run_json(capsys, ["residual", "--graph", graph, "--samples", "2"])
     assert code == 0
     assert report["skipped"] == 1 and report["max_residual"] == 2e-12
@@ -638,7 +638,7 @@ def test_residual_nan_is_skipped(capsys, monkeypatch, graph):
 
 @pytest.mark.parametrize("graph", ["theta", "tet"])
 def test_residual_every_sample_skipped_exit_2(capsys, monkeypatch, graph):
-    monkeypatch.setattr(cli, f"check_residual_{graph}", lambda x: {"1": 0.0, "2": math.nan})
+    monkeypatch.setattr(cli, f"check_residual_{graph}", lambda x, rec=None: {"1": 0.0, "2": math.nan})
     code, out, err = run(capsys, ["residual", "--graph", graph, "--samples", "3"])
     _assert_one_line_usage_error(code, out, err)
     assert "skipped all 3 samples" in err
@@ -646,7 +646,7 @@ def test_residual_every_sample_skipped_exit_2(capsys, monkeypatch, graph):
 
 def test_lagrangian_singular_point_exit_2(capsys, monkeypatch):
     # at the fixed step no sample of the sampler reaches a singular point, so one is injected
-    def singular(graph, x):
+    def singular(graph, x, rec=None):
         raise SingularPointError("twist pole")
 
     monkeypatch.setattr(cli, "lagrangian_residual", singular)
@@ -677,6 +677,26 @@ def test_tight_tolerance_fails_the_check(capsys, argv):
     code, out, err = run(capsys, argv.split())
     assert (code, err) == (1, "")
     assert "passed: false\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--seed 1 residual --graph tet --samples 20",
+        "--seed 1 lagrangian --graph tet --samples 20",
+        "--seed 1 verify eliminate --samples 20",
+    ],
+)
+def test_sampled_tet_commands_solve_each_saddle_once(capsys, monkeypatch, argv):
+    # the sampler solves only candidates with a root clear of the degeneracies,
+    # 23 for these 20 points, and hands each accepted record on; solving every
+    # candidate and then the accepted point again took 121
+    real = asymptotics.saddle_solve_tet
+    calls = []
+    monkeypatch.setattr(asymptotics, "saddle_solve_tet", lambda x: calls.append(x) or real(x))
+    code, out, err = run(capsys, argv.split())
+    assert (code, err) == (0, "")
+    assert len(calls) <= 23
 
 
 def test_unexpected_error_exit_3(capsys, monkeypatch):

@@ -28,7 +28,9 @@ ladder from 320 to 40960 bits), the exact zero test
 (`rat_dot_vanishes` against `rat_dot(...).is_zero()` over the pairs of both
 `verify recursum` routes on grid 4, with cold caches), the per-coloring
 operator application (`operator_vanishes` of theta's edge-a operator over
-`interior_colorings("theta", "a", 10, 2)`, with cold caches), the MultiPoly layer
+`interior_colorings("theta", "a", 10, 2)`, with cold caches), 20 tet sample
+points with their saddle records (`sample_tet_record` against the loop that
+solves every candidate and then the accepted point again), the MultiPoly layer
 (the classical limits of the six tet operators, the six tet classical curves
 and the saddle elimination, with cold caches, and 20 evaluations of the saddle resultant), the JSON
 rendering of two large-color reports (`cli._render` against json's
@@ -309,17 +311,18 @@ CAP_RUNG = ((asymptotics.MAX_GROWTH_COLOR,) * 6, 2.0 * math.log(0.35) / asymptot
 SHORT_RUNG = ((308, 269, 235, 308, 269, 235), -(2.0**-7), 320)
 
 
-def _load_rung_oracle():
-    """The rung as it was before its window, which the tests keep as their oracle."""
+def _load_oracle(name: str):
+    """A routine tests/test_asymptotics.py keeps as the oracle of a faster one."""
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
-    from test_asymptotics import _rung_oracle
+    import test_asymptotics
 
-    return _rung_oracle
+    return getattr(test_asymptotics, name)
 
 
 def bench_log_abs_tet(repeat: int) -> None:
     """Each row with the rung, then with the oracle rung in its place."""
-    real, oracle = asymptotics._tet_rung, _load_rung_oracle()
+    # the rung as it was before its window
+    real, oracle = asymptotics._tet_rung, _load_oracle("_rung_oracle")
 
     def both(label, fn):
         for tag, rung in (("", real), (", oracle", oracle)):
@@ -400,6 +403,24 @@ def bench_rung_constants(repeat: int) -> None:
         assert abs(fixed(*args) - with_mpmath(*args)) <= 1e-12 * abs(fixed(*args))
         for label, fn in (("fixed point", fixed), ("mpmath", with_mpmath)):
             _line(f"rung constants, {bits}-bit rung, {label}", *_time_call(lambda fn=fn: fn(*args), repeat))
+
+
+def bench_sampler(repeat: int) -> None:
+    """20 tet samples (seed 1) with their saddle records, by sample_tet_record and by the solving loop."""
+    solving = _load_oracle("_sample_tet_point_solving_every_candidate")
+
+    def record():
+        rng = random.Random(1)
+        for _ in range(20):
+            asymptotics.sample_tet_record(rng)
+
+    def solve_all():  # each candidate solved, then the accepted point again
+        rng, counts = random.Random(1), {"candidates": 0}
+        for _ in range(20):
+            asymptotics.saddle_solve_tet(solving(rng, counts))
+
+    _line("20 tet samples with records, sample_tet_record", *_time_call(record, repeat))
+    _line("20 tet samples with records, solving every candidate", *_time_call(solve_all, repeat))
 
 
 def bench_multipoly(repeat: int) -> None:
@@ -508,6 +529,7 @@ def main() -> None:
     bench_rung_constants(args.repeat)
     bench_zero_test(args.repeat)
     bench_operator(args.repeat)
+    bench_sampler(args.repeat)
     bench_multipoly(args.repeat)
     bench_render(args.repeat)
     if not args.skip_large:

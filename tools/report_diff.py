@@ -39,7 +39,9 @@ X_TET = "0.35,0.35,0.35,0.35,0.35,0.35"
 # below a double's range, a growth row at colors 9998 near the 10000 cap,
 # rows past the cap, --x entries above 1, a saddle point whose curve
 # overflows, the default graph and edge of each graph-dispatching command, tet
-# annihilation along the edges other than 1 and 2, and csv tet --primed
+# annihilation along the edges other than 1 and 2, csv tet --primed, and the
+# three sampled tet commands at 200-500 samples, whose points and saddles come
+# from the sampler
 EXTRA = [
     tuple(a.split())
     for a in (
@@ -85,6 +87,9 @@ EXTRA = [
         # the second hbar rounds to colors near 2.1e6, past the cap: exit 2 with
         # empty stdout, before the first row (under the cap) is evaluated
         "asymptotics tet --x " + X_TET + " --hbar -0.03125,-1e-6",
+        "--format json residual --graph tet --samples 500 --seed 11",
+        "lagrangian --graph tet --samples 200 --seed 5",
+        "--seed 9 verify eliminate --samples 200",
     )
 ]
 
